@@ -76,7 +76,9 @@ from .same_length import (
     MonoidIdeal,
     f2l,
     gaps,
+    homogeneous_minimal_generators,
     homogenize,
+    integers_outside_l_set,
     l_set,
     l_set_complement,
     l_set_complement_is_finite,

@@ -158,7 +158,6 @@ def apery_set(
     factorizations=None,
     order: TermOrder = GREVLEX,
     limit: int | None = None,
-    ideal_basis: BinomialBasis | None = None,
 ) -> AperyResult:
     """Ap_S(B) for B given by ``elements`` (members of S).
 
@@ -169,8 +168,7 @@ def apery_set(
     """
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
-    base = ideal_basis if ideal_basis is not None else lattice_ideal(p, order)
-    gens = list(base.elements) + [Binomial.monomial(f) for f in facts]
+    gens = list(lattice_ideal(p, order).elements) + [Binomial.monomial(f) for f in facts]
     j_basis = groebner(gens, order)
     leads = _leads(j_basis)
     n = p.n
@@ -192,7 +190,8 @@ def apery_set(
     degs = {}
     for mono in monomials:
         d = p.evaluate(mono)
-        assert d not in degs, "degree map must be injective on standard monomials"
+        if d in degs:
+            raise CrossCheckError(f"standard monomials {degs[d]} and {mono} share a degree")
         degs[d] = mono
     out = tuple(sorted(degs, key=lambda e: e.sort_key()))
     return AperyResult(staircase_finite, out, len(out), used_limit)
@@ -203,12 +202,11 @@ def apery_count(
     elements,
     factorizations=None,
     order: TermOrder = GREVLEX,
-    ideal_basis: BinomialBasis | None = None,
 ) -> int:
     """Cardinality of a finite Apery set; InfiniteSet when it is not."""
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
     if not cones_equal(p, elems):
         raise InfiniteSet("Apery set is infinite")
-    res = apery_set(p, elems, factorizations=facts, order=order, ideal_basis=ideal_basis)
+    res = apery_set(p, elems, factorizations=facts, order=order)
     return res.count

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
-from .ideal import lattice_ideal, minimal_generators
 from .monoid import (
     Factorization,
     GroupElement,
@@ -24,6 +23,7 @@ from .monoid import (
     element_from_data,
 )
 from .orders import GREVLEX, TermOrder
+from .same_length import homogeneous_minimal_generators
 
 
 def distance(lam, nu) -> int:
@@ -64,15 +64,8 @@ class ChainCertificate:
 def ceq(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
     """Equal catenary degree: the maximum total degree among minimal
     generators of the homogenized ideal; 0 when that ideal is zero."""
-    from .same_length import homogenize
-
-    p = _validated(p)
-    lifted = homogenize(p).lifted
-    gb = lattice_ideal(lifted, order=order)
-    if gb.is_zero_ideal:
-        return 0
-    mg = minimal_generators(gb, lifted, order)
-    return max(b.total_degree() for b in mg.elements)
+    mg = homogeneous_minimal_generators(p, order)
+    return max((b.total_degree() for b in mg.elements), default=0)
 
 
 class _UnionFind:

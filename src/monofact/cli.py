@@ -42,8 +42,9 @@ from .oracle import EnumerationBudget, f_invariants, lset_bruteforce, monoid_ele
 from .orders import parse_order
 from .same_length import (
     f2l,
-    gaps,
+    homogeneous_minimal_generators,
     homogenize,
+    integers_outside_l_set,
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
@@ -51,21 +52,6 @@ from .same_length import (
 )
 
 _INT64 = 1 << 63
-
-
-def _threads_from_env() -> int:
-    """MF_THREADS caps internal parallelism; every stage here is
-    sequential, so any valid value only acts as a cap."""
-    raw = os.environ.get("MF_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInput(f"MF_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise InvalidInput("MF_THREADS must be at least 1")
-    return n
 
 
 def _load_json(raw: str, flag: str):
@@ -190,10 +176,9 @@ def _cmd_tilde_ideal(args):
     p = _presentation(args)
     order = _order(args)
     lifted = homogenize(p).lifted
-    gb = lattice_ideal(lifted, order=order)
     if args.minimal:
-        return _basis_payload(minimal_generators(gb, lifted, order), lifted, degrees=True)
-    return _basis_payload(gb)
+        return _basis_payload(homogeneous_minimal_generators(p, order), lifted, degrees=True)
+    return _basis_payload(lattice_ideal(lifted, order=order))
 
 
 def _cmd_kernel(args):
@@ -238,13 +223,8 @@ def _cmd_principal(args):
 
 
 def _cmd_f2l(args):
-    p = _presentation(args)
-    order = _order(args)
-    value = f2l(p, order=order)
-    comp = l_set_complement(p, order=order)
-    missing = {e.free[0] for e in comp.elements}
-    missing.update(gaps([g.free[0] for g in p.generators]))
-    return {"value": value, "complement": sorted(missing)}
+    outside = integers_outside_l_set(_presentation(args), order=_order(args))
+    return {"value": max(outside), "complement": list(outside)}
 
 
 def _cmd_ceq(args):
@@ -373,16 +353,9 @@ def _oracle_check_sets(p, args, order):
 
 
 def _oracle_check_ceq(p, args, order):
-    lifted = homogenize(p).lifted
-    gb = lattice_ideal(lifted, order=order)
-    witness = None
-    if gb.is_zero_ideal:
-        engine = 0
-    else:
-        mg = minimal_generators(gb, lifted, order)
-        top = max(mg.elements, key=lambda b: b.total_degree())
-        engine = top.total_degree()
-        witness = p.evaluate(top.plus)
+    engine = ceq(p, order=order)
+    mg = homogeneous_minimal_generators(p, order)
+    witness = next((p.evaluate(b.plus) for b in mg.elements if b.total_degree() == engine), None)
     best = 0
     for el, facs in monoid_elements(p, EnumerationBudget(args.cap)).items():
         lengths = [sum(f) for f in facs]
@@ -537,7 +510,6 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        _threads_from_env()
         args = _parser().parse_args(argv)
         out = _HANDLERS[args.command](args)
         data, code = out if isinstance(out, tuple) else (out, 0)

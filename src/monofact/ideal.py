@@ -29,9 +29,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import add as _add, le as _le, sub as _sub
 
-from .errors import InvalidInput, NotHomogeneous
+from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, matrix_rank
 from .monoid import MonoidPresentation, _validated
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
@@ -439,7 +440,8 @@ def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
     full = kernel_basis(rows)
     projected = [tuple(r[:n]) for r in full]
     free_rows = [[g.free[d] for g in p.generators] for d in range(m)]
-    assert len(projected) == n - matrix_rank(free_rows)
+    if len(projected) != n - matrix_rank(free_rows):
+        raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
     return KernelLattice(tuple(projected), n)
 
 
@@ -509,9 +511,21 @@ def saturate(
     return BinomialBasis(_binomials_from_pairs(final), order, is_groebner=True, is_reduced=True)
 
 
+# one session works on a presentation and its homogenization, a few orders each
+_CACHE_SIZE = 8
+
+
 def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> BinomialBasis:
-    """Reduced Groebner basis of I_S under ``order``."""
-    p = _validated(p)
+    """Reduced Groebner basis of I_S under ``order``.
+
+    Memoized per (presentation, order) in a bounded cache; the basis is
+    immutable, so callers share it.
+    """
+    return _lattice_ideal(_validated(p), order)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     lattice = kernel_lattice(p)
     gens = []
     for gamma in lattice.basis:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .errors import CrossCheckError
+
 
 def solve_nonneg(rows, rhs):
     """Find x >= 0 with (rows) x = rhs exactly.
@@ -120,7 +122,8 @@ def positive_functional(vectors):
     w = [sol[j] - sol[dim + j] for j in range(dim)]
     denom = lcm(*[f.denominator for f in w]) if w else 1
     out = [int(f * denom) for f in w]
-    assert all(sum(a * b for a, b in zip(out, v)) >= 1 for v in vecs)
+    if not all(sum(a * b for a, b in zip(out, v)) >= 1 for v in vecs):
+        raise CrossCheckError("the cleared functional does not point every vector")
     return out
 
 

@@ -13,11 +13,12 @@ staircase machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .apery import AperyResult, apery_set
-from .errors import DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
-from .ideal import lattice_ideal, minimal_generators
+from .errors import CrossCheckError, DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
+from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
 from .intlinalg import dot
 from .monoid import (
     GroupElement,
@@ -112,15 +113,31 @@ def _minimalize_degrees(p: MonoidPresentation, pairs):
     return kept
 
 
-def _degree_generators(p, lifted, order):
-    """(S-degree, witness factorization) pairs for the minimal generators
-    of the lattice ideal of ``lifted``, minimalized as an ideal of p;
-    None when the ideal is zero."""
-    gb = lattice_ideal(lifted, order=order)
-    if gb.is_zero_ideal:
+def homogeneous_minimal_generators(
+    p: MonoidPresentation, order: TermOrder = GREVLEX
+) -> BinomialBasis:
+    """Minimal generators of the lattice ideal of S~ = homogenize(p).
+
+    Their S-degrees generate L_S and their largest total degree is the
+    equal catenary degree.  Memoized per (presentation, order) in a
+    bounded cache, like :func:`lattice_ideal`; the basis is immutable.
+    """
+    return _homogeneous_minimal_generators(_validated(p), order)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
+    lifted = homogenize(p).lifted
+    return minimal_generators(lattice_ideal(lifted, order), lifted, order)
+
+
+def _degree_generators(p, basis: BinomialBasis):
+    """(S-degree, witness factorization) pairs for a binomial generating
+    set over the generators of p, minimalized as an ideal of p; None when
+    the set is empty."""
+    if basis.is_zero_ideal:
         return None
-    mg = minimal_generators(gb, lifted, order)
-    pairs = [(p.evaluate(b.plus), b.plus) for b in mg.elements]
+    pairs = [(p.evaluate(b.plus), b.plus) for b in basis.elements]
     return _minimalize_degrees(p, pairs)
 
 
@@ -128,15 +145,14 @@ def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | No
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
     p = _validated(p)
-    pairs = _degree_generators(p, p, order)
+    pairs = _degree_generators(p, minimal_generators(lattice_ideal(p, order), p, order))
     if pairs is None:
         return None
     return MonoidIdeal(p, tuple(d for d, _ in pairs), minimalized=True)
 
 
 def _l_set_witnessed(p: MonoidPresentation, order: TermOrder):
-    lifted = homogenize(p).lifted
-    return _degree_generators(p, lifted, order)
+    return _degree_generators(p, homogeneous_minimal_generators(p, order))
 
 
 def l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
@@ -237,24 +253,23 @@ def gaps(values) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def f2l(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
-    """F_2l: the largest integer without two distinct equal-length
-    factorizations, i.e. max(Z \\ L_S) for a numerical semigroup."""
+def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> tuple[int, ...]:
+    """The nonnegative integers without two distinct equal-length
+    factorizations of a numerical semigroup, ascending: its gaps together
+    with S \\ L_S."""
     p = _validated(p)
     if not p.is_numerical:
         raise InvalidInput("F_2l is defined for numerical semigroups")
-    vals = [g.free[0] for g in p.generators]
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    if g != 1:
-        raise InvalidInput("generators must have gcd 1")
+    holes = gaps([g.free[0] for g in p.generators])  # also rejects gcd > 1
     if p.n <= 2:
         raise UndefinedForN2("L_S empty for n <= 2")
     comp = l_set_complement(p, order=order)
-    assert comp.finite, "complement of L_S is finite for numerical n >= 3"
-    best = max(e.free[0] for e in comp.elements)
-    for gap in gaps(vals):
-        if gap > best:
-            best = gap
-    return best
+    if not comp.finite:
+        raise CrossCheckError("the complement of L_S is infinite for a numerical n >= 3")
+    return tuple(sorted({e.free[0] for e in comp.elements}.union(holes)))
+
+
+def f2l(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
+    """F_2l: the largest integer without two distinct equal-length
+    factorizations, i.e. max(Z \\ L_S) for a numerical semigroup."""
+    return max(integers_outside_l_set(p, order))

@@ -140,10 +140,11 @@ def test_apery_b_must_lie_in_monoid():
         apery_set(p, [10], factorizations=[])
 
 
-def test_apery_reuses_supplied_ideal_basis():
+def test_apery_shares_the_memoized_lattice_ideal():
     p = numerical([3, 5, 7])
     gb = lattice_ideal(p)
-    res = apery_set(p, [3], ideal_basis=gb)
+    res = apery_set(p, [3])
+    assert lattice_ideal(p) is gb
     assert sorted(e.free[0] for e in res.elements) == [0, 5, 7]
 
 

@@ -1,0 +1,69 @@
+"""The memoized I_S and homogenized minimal generators, shared by every
+invariant of one presentation."""
+
+import pytest
+
+from monofact import ideal, same_length
+from monofact.catenary import ceq
+from monofact.errors import NotReduced
+from monofact.ideal import lattice_ideal
+from monofact.monoid import numerical, presentation, validate_reduced
+from monofact.orders import GREVLEX, LEX
+from monofact.same_length import (
+    homogeneous_minimal_generators,
+    is_l_set_principal,
+    l_set,
+    l_set_complement,
+)
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    ideal._lattice_ideal.cache_clear()
+    same_length._homogeneous_minimal_generators.cache_clear()
+
+
+def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypatch):
+    p = numerical([4, 7, 9])
+    calls = []
+    real = ideal.saturate
+
+    def counting(gens, order=GREVLEX, weights=None):
+        calls.append(gens)
+        return real(gens, order=order, weights=weights)
+
+    monkeypatch.setattr(ideal, "saturate", counting)
+    assert [g.free[0] for g in l_set(p).generators] == [35]
+    assert ceq(p) == 5
+    assert l_set_complement(p).finite
+    assert is_l_set_principal(p).free[0] == 35
+    # kernel binomials of S~ preserve length; I_S has (7, -4, 0), which does not
+    lifted = [g for g in calls if all(sum(b.plus) == sum(b.minus) for b in g)]
+    assert len(lifted) == 1
+    assert len(calls) == 2  # the other one is I_S, for the Apery set
+
+
+def test_entries_are_keyed_by_order():
+    p = numerical([4, 7, 9])
+    assert lattice_ideal(p, LEX).order == LEX
+    assert lattice_ideal(p).order == GREVLEX
+    assert lattice_ideal(p, order=GREVLEX) is lattice_ideal(p)
+    assert homogeneous_minimal_generators(p, LEX).order == LEX
+    assert homogeneous_minimal_generators(p).order == GREVLEX
+
+
+def test_validated_and_unvalidated_presentations_share_an_entry():
+    p = numerical([4, 7, 9])
+    assert lattice_ideal(p) is lattice_ideal(validate_reduced(p))
+    assert homogeneous_minimal_generators(p) is homogeneous_minimal_generators(
+        validate_reduced(p), GREVLEX
+    )
+
+
+def test_not_reduced_raises_on_every_call():
+    p = presentation(1, (), [(2,), (-3,)])
+    for _ in range(2):
+        with pytest.raises(NotReduced):
+            lattice_ideal(p)
+        with pytest.raises(NotReduced):
+            homogeneous_minimal_generators(p)

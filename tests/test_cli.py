@@ -5,6 +5,9 @@ import json
 import pytest
 
 from monofact import cli
+from monofact.closed_forms import AlmostArithmeticFamily
+from monofact.monoid import numerical
+from monofact.oracle import EnumerationBudget, f_invariants, lset_bruteforce
 
 
 def run(capsys, *argv):
@@ -219,12 +222,18 @@ def test_oracle_check_mismatch_exits_5(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_mf_threads_must_be_positive_int(capsys, monkeypatch):
-    monkeypatch.setenv("MF_THREADS", "abc")
-    code, _, err = run(capsys, "lset", "--input", '{"numerical":[3,5,7]}')
-    assert code == 2
-    assert "MF_THREADS" in err
-    monkeypatch.setenv("MF_THREADS", "2")
-    code, out, _ = run(capsys, "lset", "--input", '{"numerical":[3,5,7]}')
+
+@pytest.mark.parametrize(
+    "values",
+    [[5, 6, 7, 8], list(AlmostArithmeticFamily(5, 2, 3, 8).generators)],
+    ids=["5-6-7-8", "almost-5-2-3-8"],
+)
+def test_f2l_payload_matches_brute_force(capsys, values):
+    code, out, _ = run(capsys, "f2l", "--input", json.dumps({"numerical": values}))
     assert code == 0
-    assert out == '{"generators":[10],"principal":true}\n'
+    data = json.loads(out)
+    p = numerical(values)
+    budget = EnumerationBudget(60)
+    assert data["value"] == f_invariants(p, 2, True, budget)
+    in_l = {e.free[0] for e in lset_bruteforce(p, budget)}
+    assert data["complement"] == [x for x in range(data["value"] + 1) if x not in in_l]

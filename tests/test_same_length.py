@@ -2,7 +2,10 @@
 
 import pytest
 
+from monofact import same_length
+from monofact.apery import AperyResult
 from monofact.errors import (
+    CrossCheckError,
     DimensionMismatch,
     EmptyLSet,
     InvalidInput,
@@ -178,3 +181,14 @@ def test_l_subset_t_on_random_instances(reduced_instances):
         assert t is not None
         for g in l.generators:
             assert t.contains(g)
+
+
+def test_f2l_rejects_an_infinite_complement(monkeypatch):
+    # a numerical semigroup with n >= 3 has a finite complement; the guard
+    # is a typed error, so it also holds under python -O
+    def infinite(p, limit=None, order=None):
+        return AperyResult(False, (), 0, limit)
+
+    monkeypatch.setattr(same_length, "l_set_complement", infinite)
+    with pytest.raises(CrossCheckError):
+        f2l(numerical([3, 5, 7]))
