@@ -116,21 +116,24 @@ def _class_threshold(facs):
     return values[lo]
 
 
+def ceq_of_factorizations(facs) -> int:
+    """c_eq of an element from all of its factorizations: group them by
+    length and take the worst connectivity threshold over the classes."""
+    classes = {}
+    for f in facs:
+        classes.setdefault(sum(f), []).append(tuple(f))
+    return max((_class_threshold(group) for group in classes.values()), default=0)
+
+
 def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
-    """c_eq(b) from first principles: group the factorizations of b by
-    length and take the worst connectivity threshold over the classes.
+    """c_eq(b) from first principles, over every factorization of b.
     CapExceeded when the answer would be larger than ``cap``."""
     p = _validated(p)
     b = element_from_data(p, b)
-    facs = [tuple(f) for f in all_factorizations(p, b)]
+    facs = all_factorizations(p, b)
     if not facs:
         raise NotInMonoid(f"{b.to_data()} is not in the monoid")
-    classes = {}
-    for f in facs:
-        classes.setdefault(sum(f), []).append(f)
-    best = 0
-    for group in classes.values():
-        best = max(best, _class_threshold(group))
+    best = ceq_of_factorizations(facs)
     if best > cap:
         raise CapExceeded(f"equal catenary degree {best} exceeds cap {cap}")
     return best

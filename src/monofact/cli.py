@@ -25,7 +25,7 @@ import sys
 
 from . import closed_forms
 from .apery import apery_is_finite, apery_set
-from .catenary import ceq, ceq_element_bruteforce, ceq_upper_bound_numerical
+from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
 from .errors import (
     CrossCheckError,
     EmptyLSet,
@@ -330,15 +330,13 @@ def _cmd_transform(args):
 
 
 def _oracle_check_sets(p, args, order):
-    budget = EnumerationBudget(args.cap)
     if args.what == "lset":
-        ideal = l_set(p, order=order)
-        brute = lset_bruteforce(p, budget)
+        ideal, oracle = l_set(p, order=order), lset_bruteforce
     else:
-        ideal = t_set(p, order=order)
-        brute = tset_bruteforce(p, budget)
-    universe = monoid_elements(p, budget)
-    engine = set() if ideal is None else {x for x in universe if ideal.contains(x)}
+        ideal, oracle = t_set(p, order=order), tset_bruteforce
+    fibers = monoid_elements(p, EnumerationBudget(args.cap))
+    brute = oracle(fibers)
+    engine = set() if ideal is None else {x for x in fibers if ideal.contains(x)}
     missing = sorted(brute - engine, key=lambda e: e.sort_key())
     extra = sorted(engine - brute, key=lambda e: e.sort_key())
     return {
@@ -356,12 +354,9 @@ def _oracle_check_ceq(p, args, order):
     engine = ceq(p, order=order)
     mg = homogeneous_minimal_generators(p, order)
     witness = next((p.evaluate(b.plus) for b in mg.elements if b.total_degree() == engine), None)
-    best = 0
-    for el, facs in monoid_elements(p, EnumerationBudget(args.cap)).items():
-        lengths = [sum(f) for f in facs]
-        if len(set(lengths)) == len(lengths):
-            continue  # all length classes are singletons
-        best = max(best, ceq_element_bruteforce(p, el))
+    # below the cap every fiber is complete, so it is all_factorizations(p, el)
+    fibers = monoid_elements(p, EnumerationBudget(args.cap))
+    best = max(map(ceq_of_factorizations, fibers.values()))
     covered = witness is None or p.weight_of(witness) <= args.cap
     ok = best == engine if covered else best <= engine
     return {

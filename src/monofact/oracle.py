@@ -6,6 +6,8 @@ check.  A coefficient vector lambda has weight sum(lambda_i * u_i) with
 u_i the pointing weight of the i-th generator, which equals the weight
 of the element it factors; walking all vectors below a weight cap
 therefore produces the complete fiber of every element below the cap.
+:func:`monoid_elements` is that one walk; the brute-force L_S and T_S
+read the fiber map it returns and enumerate nothing themselves.
 
 The F-invariants of the closing section are computed with a certified
 scan: for a numerical semigroup, having i factorizations (of equal
@@ -56,19 +58,20 @@ def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
     out: dict[GroupElement, list] = {}
     coeffs = [0] * n
 
-    def rec(i, remaining):
+    def rec(i, remaining, el):
         if i == n:
             tally.tick()
-            out.setdefault(p.evaluate(coeffs), []).append(tuple(coeffs))
+            out.setdefault(el, []).append(tuple(coeffs))
             return
         c = 0
         while c * weights[i] <= remaining:
             coeffs[i] = c
-            rec(i + 1, remaining - c * weights[i])
+            rec(i + 1, remaining - c * weights[i], el)
+            el = el + p.generators[i]
             c += 1
         coeffs[i] = 0
 
-    rec(0, budget.weight_cap)
+    rec(0, budget.weight_cap, p.zero())
     return out
 
 
@@ -78,18 +81,20 @@ def monoid_elements(p: MonoidPresentation, budget: EnumerationBudget):
     return _fiber_map(p, budget)
 
 
-def lset_bruteforce(p: MonoidPresentation, budget: EnumerationBudget):
-    """All x with weight <= cap having two equal-length factorizations."""
+def lset_bruteforce(fibers):
+    """The elements of a fiber map from :func:`monoid_elements` having two
+    equal-length factorizations: L_S below its weight cap."""
     return {
         el
-        for el, facs in _fiber_map(p, budget).items()
+        for el, facs in fibers.items()
         if any(k >= 2 for k in Counter(sum(f) for f in facs).values())
     }
 
 
-def tset_bruteforce(p: MonoidPresentation, budget: EnumerationBudget):
-    """All x with weight <= cap having two factorizations."""
-    return {el for el, facs in _fiber_map(p, budget).items() if len(facs) >= 2}
+def tset_bruteforce(fibers):
+    """The elements of a fiber map from :func:`monoid_elements` having two
+    factorizations: T_S below its weight cap."""
+    return {el for el, facs in fibers.items() if len(facs) >= 2}
 
 
 def _has_enough(vals, b, need, same_length, tally) -> bool:

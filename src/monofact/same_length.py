@@ -204,13 +204,10 @@ def is_l_set_principal(
     p: MonoidPresentation, order: TermOrder = GREVLEX
 ) -> GroupElement | None:
     """The single minimal generator of L_S if there is exactly one."""
-    p = _validated(p)
-    pairs = _l_set_witnessed(p, order)
-    if pairs is None:
+    ideal = l_set(p, order)
+    if ideal is None:
         raise EmptyLSet("L_S is empty")
-    if len(pairs) == 1:
-        return pairs[0][0]
-    return None
+    return ideal.generators[0] if ideal.is_principal else None
 
 
 def gaps(values) -> tuple[int, ...]:

@@ -220,14 +220,14 @@ def _corpus_records(reduced, numerical_list):
         recs = []
         for p in list(reduced) + list(numerical_list):
             maxw = max(p.weights)
-            budget = EnumerationBudget(5 * maxw, count_cap=COUNT_CAP)
+            fibers = monoid_elements(p, EnumerationBudget(5 * maxw, count_cap=COUNT_CAP))
             recs.append(
                 {
                     "p": p,
                     "maxw": maxw,
-                    "elements": tuple(monoid_elements(p, budget)),
-                    "lbrute": set(lset_bruteforce(p, budget)),
-                    "tbrute": set(tset_bruteforce(p, budget)),
+                    "elements": tuple(fibers),
+                    "lbrute": lset_bruteforce(fibers),
+                    "tbrute": tset_bruteforce(fibers),
                     "l": l_set(p),
                     "t": t_set(p),
                 }
@@ -273,9 +273,8 @@ def _enumerated_complement(p, cap, rec):
         elements = [x for x in rec["elements"] if p.weight_of(x) <= cap]
         lbrute = rec["lbrute"]
     else:
-        budget = EnumerationBudget(cap, count_cap=COUNT_CAP)
-        elements = monoid_elements(p, budget)
-        lbrute = set(lset_bruteforce(p, budget))
+        elements = monoid_elements(p, EnumerationBudget(cap, count_cap=COUNT_CAP))
+        lbrute = lset_bruteforce(elements)
     return [x for x in elements if x not in lbrute]
 
 

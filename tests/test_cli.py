@@ -1,13 +1,19 @@
 """Command line surface: JSON contracts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from monofact import cli
+from monofact.catenary import ceq
 from monofact.closed_forms import AlmostArithmeticFamily
 from monofact.monoid import numerical
-from monofact.oracle import EnumerationBudget, f_invariants, lset_bruteforce
+from monofact.oracle import EnumerationBudget, f_invariants, lset_bruteforce, monoid_elements
+from monofact.same_length import f2l
 
 
 def run(capsys, *argv):
@@ -185,22 +191,32 @@ def test_transform_bad_divisor_exits_2(capsys):
     assert code == 2
 
 
-def test_oracle_check_lset_passes(capsys):
+@pytest.mark.parametrize("what", ["lset", "tset", "ceq", "f"])
+def test_oracle_check_lset_passes(capsys, what):
     code, out, _ = run(
         capsys,
         "oracle-check",
         "--input",
         '{"numerical":[3,5,7]}',
         "--what",
-        "lset",
+        what,
         "--cap",
         "40",
     )
     assert code == 0
     data = json.loads(out)
     assert data["ok"] is True
-    assert data["engine_count"] == data["oracle_count"] == 28
-    assert data["missing_from_engine"] == [] and data["extra_in_engine"] == []
+    p = numerical([3, 5, 7])
+    if what == "lset":
+        assert data["engine_count"] == data["oracle_count"] == 28
+    elif what == "tset":
+        assert data["engine_count"] == data["oracle_count"]
+    elif what == "ceq":
+        assert data["engine"] == data["oracle"] == ceq(p)
+    else:
+        assert data["engine"] == data["oracle"] == f2l(p)
+    if what in ("lset", "tset"):
+        assert data["missing_from_engine"] == [] and data["extra_in_engine"] == []
 
 
 def test_oracle_check_mismatch_exits_5(capsys, monkeypatch):
@@ -235,5 +251,31 @@ def test_f2l_payload_matches_brute_force(capsys, values):
     p = numerical(values)
     budget = EnumerationBudget(60)
     assert data["value"] == f_invariants(p, 2, True, budget)
-    in_l = {e.free[0] for e in lset_bruteforce(p, budget)}
+    in_l = {e.free[0] for e in lset_bruteforce(monoid_elements(p, budget))}
     assert data["complement"] == [x for x in range(data["value"] + 1) if x not in in_l]
+
+
+_F2L_ON_AN_INFINITE_COMPLEMENT = """
+import sys
+from monofact import cli, same_length
+from monofact.apery import AperyResult
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+same_length.l_set_complement = lambda p, limit=None, order=None: AperyResult(False, (), 0, limit)
+sys.exit(cli.main(["f2l", "--input", '{"numerical":[5,6,7,8]}']))
+"""
+
+
+def test_cli_cross_check_holds_under_python_O():
+    # asserts vanish under -O; the F_2l guard is a typed error and must not
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _F2L_ON_AN_INFINITE_COMPLEMENT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error:")

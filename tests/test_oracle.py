@@ -2,6 +2,7 @@
 
 import pytest
 
+from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
 from monofact.errors import BudgetExceeded, InvalidInput, NotStabilized
 from monofact.monoid import all_factorizations, numerical, presentation
 from monofact.oracle import (
@@ -27,15 +28,15 @@ def test_monoid_elements_fibers_are_complete():
 
 def test_lset_bruteforce_357():
     p = numerical([3, 5, 7])
-    got = sorted(e.free[0] for e in lset_bruteforce(p, EnumerationBudget(30)))
+    got = sorted(e.free[0] for e in lset_bruteforce(monoid_elements(p, EnumerationBudget(30))))
     assert got == [10 + s for s in range(21) if s not in (1, 2, 4)]
 
 
 def test_tset_contains_lset():
     p = numerical([3, 5, 7])
-    budget = EnumerationBudget(30)
-    ls = lset_bruteforce(p, budget)
-    ts = tset_bruteforce(p, budget)
+    fibers = monoid_elements(p, EnumerationBudget(30))
+    ls = lset_bruteforce(fibers)
+    ts = tset_bruteforce(fibers)
     assert ls <= ts
     tvals = sorted(e.free[0] for e in ts)
     assert min(tvals) == 10
@@ -44,22 +45,32 @@ def test_tset_contains_lset():
 
 def test_two_generator_lset_empty_tset_not():
     p = numerical([3, 5])
-    budget = EnumerationBudget(25)
-    assert lset_bruteforce(p, budget) == set()
-    got = sorted(e.free[0] for e in tset_bruteforce(p, budget))
+    fibers = monoid_elements(p, EnumerationBudget(25))
+    assert lset_bruteforce(fibers) == set()
+    got = sorted(e.free[0] for e in tset_bruteforce(fibers))
     assert got == [15, 18, 20, 21, 23, 24, 25]
 
 
 def test_rank2_brute_and_engine_agree_both_ways():
     pt = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
-    budget = EnumerationBudget(5 * max(pt.weights))
-    universe = monoid_elements(pt, budget)
-    brute_l = lset_bruteforce(pt, budget)
-    brute_t = tset_bruteforce(pt, budget)
+    universe = monoid_elements(pt, EnumerationBudget(5 * max(pt.weights)))
+    brute_l = lset_bruteforce(universe)
+    brute_t = tset_bruteforce(universe)
     li, ti = l_set(pt), t_set(pt)
     for el in universe:
         assert li.contains(el) == (el in brute_l)
         assert ti.contains(el) == (el in brute_t)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [numerical([3, 5, 7]), presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])],
+    ids=["3-5-7", "torsion"],
+)
+def test_ceq_of_a_fiber_matches_the_element_search(p):
+    # the CLI c_eq check reads fibers instead of searching each element
+    for el, facs in monoid_elements(p, EnumerationBudget(40)).items():
+        assert ceq_of_factorizations(facs) == ceq_element_bruteforce(p, el)
 
 
 def test_f_invariants_values():
