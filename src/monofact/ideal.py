@@ -11,8 +11,13 @@ The pipeline for I_S:
   1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed via an
      integer kernel of the free rows stacked with torsion rows augmented
      by their moduli.
-  2. The basis vectors gamma give binomials x^{gamma+} - x^{gamma-}.
-  3. saturate: I_S = (those binomials : (x_1 ... x_n)^infty), done one
+  2. lll_reduce: an LLL-reduced basis of the same lattice.  The echelon
+     basis has entries as large as the generators; the reduced one has
+     small entries, which keeps every saturation pass small.  The change of
+     basis is unimodular, so the lattice, its lattice ideal I_S and hence
+     the unique reduced Groebner basis under any order are unchanged.
+  3. The basis vectors gamma give binomials x^{gamma+} - x^{gamma-}.
+  4. saturate: I_S = (those binomials : (x_1 ... x_n)^infty), done one
      variable at a time with a weighted reverse-lex trick: under a grading
      that makes the input homogeneous, a reduced Groebner basis for the
      revlex order with x_i cheapest saturates at x_i by dividing each
@@ -33,7 +38,7 @@ from functools import lru_cache
 from operator import add as _add, le as _le, sub as _sub
 
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
-from .intlinalg import dot, kernel_basis, lattice_contains, matrix_rank
+from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
 from .monoid import MonoidPresentation, _validated
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 from .ratlp import solve_nonneg
@@ -526,9 +531,9 @@ def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> Binomial
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    lattice = kernel_lattice(p)
+    # any basis of the lattice gives the same I_S; a short one saturates fast
     gens = []
-    for gamma in lattice.basis:
+    for gamma in lll_reduce(kernel_lattice(p).basis):
         plus = tuple(a if a > 0 else 0 for a in gamma)
         minus = tuple(-a if a < 0 else 0 for a in gamma)
         gens.append(Binomial(plus, minus))

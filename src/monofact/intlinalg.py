@@ -3,10 +3,13 @@
 Everything here works on plain Python integers, so there is no overflow and
 no rounding anywhere.  The central routine is an integer row echelon form
 obtained by unimodular row operations (Euclidean pivoting); kernels, ranks
-and lattice membership all reduce to it.
+and lattice membership all reduce to it.  ``lll_reduce`` shortens a lattice
+basis without changing the lattice.
 """
 
 from __future__ import annotations
+
+from .errors import InvalidInput
 
 
 def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
@@ -103,3 +106,69 @@ def lattices_equal(basis_a, basis_b) -> bool:
 
 def dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+def lll_reduce(basis) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by ``basis``.
+
+    Integral LLL of Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7: the Gram-Schmidt data is kept as the integers
+    d_i (Gram determinants) and lambda_kj = d_j mu_kj, so every division
+    is exact.  Every step is unimodular, so the output spans the same
+    lattice.  Inputs of 0 or 1 rows come back unchanged, as lists; rows
+    that are linearly dependent raise ``InvalidInput``.
+    """
+    b = [list(r) for r in basis]
+    n = len(b)
+    if n <= 1:
+        return b
+    d = [1, dot(b[0], b[0])] + [0] * (n - 1)  # d[i + 1] belongs to row i
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)  # nearest integer to lam / d
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lm = lam[k][k - 1]
+        big = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (big * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = big
+
+    if d[1] == 0:
+        raise InvalidInput("lll_reduce needs linearly independent rows")
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise InvalidInput("lll_reduce needs linearly independent rows")
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return b

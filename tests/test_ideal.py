@@ -15,7 +15,7 @@ from monofact.ideal import (
     normal_form,
     saturate,
 )
-from monofact.monoid import numerical, presentation
+from monofact.monoid import numerical, presentation, validate_reduced
 from monofact.orders import GREVLEX, LEX, wgrevlex
 
 
@@ -26,6 +26,32 @@ def test_kernel_lattice_of_357():
     assert lat.contains((1, -2, 1))
     assert lat.contains((-4, 1, 1))
     assert not lat.contains((1, 0, 0))
+    # the kernel stays in echelon form; only lattice_ideal reduces it
+    assert lat.basis == ((1, -2, 1), (0, 7, -5))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        numerical([3, 5, 7]),
+        numerical([5, 7, 8, 9]),
+        numerical([17, 29, 37, 47]),
+        presentation(1, (2,), [(2, 0), (3, 1), (4, 1)]),
+        presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)]),
+    ],
+    ids=["3-5-7", "5-7-8-9", "17-29-37-47", "torsion", "rank2"],
+)
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_lattice_ideal_equals_saturation_of_the_echelon_basis(p, order):
+    # lattice_ideal starts from an LLL-reduced basis; saturating the
+    # echelon basis kernel_lattice returns must give the same reduced basis
+    p = validate_reduced(p)
+    gens = [
+        Binomial(tuple(max(a, 0) for a in g), tuple(max(-a, 0) for a in g))
+        for g in kernel_lattice(p).basis
+    ]
+    expected = saturate(gens, order, weights=p.weights)
+    assert lattice_ideal(p, order).elements == expected.elements
 
 
 def test_kernel_lattice_with_torsion():

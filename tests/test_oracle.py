@@ -1,10 +1,13 @@
 """The brute-force reference path, checked on its own terms."""
 
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
-from monofact.errors import BudgetExceeded, InvalidInput, NotStabilized
-from monofact.monoid import all_factorizations, numerical, presentation
+from monofact.errors import BudgetExceeded, InvalidInput, NotReduced, NotStabilized
+from monofact.monoid import all_factorizations, numerical, presentation, validate_reduced
 from monofact.oracle import (
     EnumerationBudget,
     f_invariants,
@@ -60,6 +63,49 @@ def test_rank2_brute_and_engine_agree_both_ways():
     for el in universe:
         assert li.contains(el) == (el in brute_l)
         assert ti.contains(el) == (el in brute_t)
+
+
+@st.composite
+def _small_presentations(draw):
+    if draw(st.booleans()):
+        vals = draw(
+            st.lists(st.integers(3, 25), min_size=3, max_size=4, unique=True).filter(
+                lambda v: gcd(*v) == 1
+            )
+        )
+        return numerical(sorted(vals))
+    t = draw(st.integers(2, 4))
+    gens = draw(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, t - 1)).filter(any),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return presentation(1, (t,), sorted(gens))
+
+
+def _ideal_members(ideal, universe):
+    # the comparison of acceptance criterion 7: x lies in the ideal iff
+    # x - g stays in the monoid for some generator g, and the universe is
+    # weight-complete, so membership is a set lookup
+    if ideal is None:
+        return set()
+    return {x for x in universe if any((x - g) in universe for g in ideal.generators)}
+
+
+@given(_small_presentations())
+@settings(max_examples=30, deadline=None)
+def test_engine_sets_match_the_oracle_on_generated_presentations(p):
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    fibers = monoid_elements(p, EnumerationBudget(5 * max(p.weights)))
+    universe = set(fibers)
+    assert _ideal_members(t_set(p), universe) == tset_bruteforce(fibers)
+    assert _ideal_members(l_set(p), universe) == lset_bruteforce(fibers)
 
 
 @pytest.mark.parametrize(
