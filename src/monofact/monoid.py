@@ -11,8 +11,10 @@ Pointedness hands us a *pointing vector* w in Z^m with w . pi(a_i) >= 1
 for every generator.  The integer w . pi(x) then bounds the length of any
 factorization of x, which makes membership and the set of all
 factorizations finitely searchable: a depth-first search over exponent
-vectors pruned by remaining weight, with torsion congruences checked at
-the leaves.
+vectors pruned by remaining weight.  The search walks flat integer rows
+(free coordinates, then torsion residues) and reduces the residues mod t_j
+only at the leaves.  The last coefficient is solved, not searched: only
+remaining weight / its generator's weight can leave weight 0.
 
 All arithmetic is exact (Python integers and Fractions); nothing here
 floats.
@@ -200,11 +202,11 @@ class MonoidPresentation:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n:
             raise DimensionMismatch("coefficient vector has wrong length")
-        out = self.zero()
-        for c, g in zip(coeffs, self.generators):
-            if c:
-                out = out + c * g
-        return out
+        flat = [
+            sum(c * a for c, a in zip(coeffs, column))
+            for column in zip(*(g.free + g.torsion for g in self.generators))
+        ]
+        return GroupElement(flat[: self.rank], flat[self.rank :], self.torsion.moduli)
 
     @cached_property
     def pointing(self) -> tuple[int, ...]:
@@ -397,35 +399,40 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
         return results
     weights = p.weights
     n = p.n
+    m = p.rank
+    moduli = p.torsion.moduli
     idxs = sorted(range(n), key=lambda i: (-weights[i], i))
-    gens = [p.generators[i] for i in idxs]
+    rows = [p.generators[i].free + p.generators[i].torsion for i in idxs]
+    us = [weights[i] for i in idxs]
+    last = n - 1
     coeffs = [0] * n
 
-    def leaf_ok(rem: GroupElement) -> bool:
-        return rem.is_zero
-
-    def rec(pos: int, rem: GroupElement, rem_weight: int) -> bool:
-        if pos == n:
-            if rem_weight == 0 and leaf_ok(rem):
-                out = [0] * n
-                for k, i in enumerate(idxs):
-                    out[i] = coeffs[k]
-                results.append(tuple(out))
-                return not find_all
-            return False
-        g = gens[pos]
-        u = weights[idxs[pos]]
-        cmax = rem_weight // u
+    def rec(pos: int, rem: tuple, rem_weight: int) -> bool:
+        if pos == last:
+            # only c = rem_weight / u leaves weight 0, so nothing is searched here
+            c, r = divmod(rem_weight, us[pos])
+            if r:
+                return False
+            left = [a - c * b for a, b in zip(rem, rows[pos])]
+            if any(left[:m]) or any(a % t for a, t in zip(left[m:], moduli)):
+                return False
+            coeffs[pos] = c
+            out = [0] * n
+            for k, i in enumerate(idxs):
+                out[i] = coeffs[k]
+            results.append(tuple(out))
+            return not find_all
+        row = rows[pos]
+        u = us[pos]
         cur = rem
-        for c in range(cmax + 1):
+        for c in range(rem_weight // u + 1):
             coeffs[pos] = c
             if rec(pos + 1, cur, rem_weight - c * u):
                 return True
-            cur = cur - g
-        coeffs[pos] = 0
+            cur = tuple(a - b for a, b in zip(cur, row))
         return False
 
-    rec(0, x, total)
+    rec(0, x.free + x.torsion, total)
     return results
 
 

@@ -1,9 +1,10 @@
 """Presentations, reducedness, membership, and factorization search."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monofact.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidInput,
     NotInMonoid,
@@ -23,6 +24,7 @@ from monofact.monoid import (
     require_member,
     validate_reduced,
 )
+from monofact.oracle import EnumerationBudget, monoid_elements
 
 
 def test_numerical_rejects_nonpositive():
@@ -186,3 +188,75 @@ def test_weights_are_additive(ca, cb):
     wa = sum(c * x for c, x in zip(ca, w))
     wb = sum(c * x for c, x in zip(cb, w))
     assert p.weight_of(xa + xb) == wa + wb
+
+
+def test_search_witnesses_and_edge_cases():
+    # values recorded before the search worked on flat integer rows: the
+    # depth-first order (weight descending, c ascending) picks these witnesses
+    p = numerical([3, 5, 7])
+    thirty = p.element((30,))
+    assert member(p, thirty).coeffs == (10, 0, 0)
+    assert len(all_factorizations(p, thirty)) == 7
+    q = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
+    assert member(q, q.element((17,), (1,))).coeffs == (7, 1, 0)
+    r = validate_reduced(presentation(2, (3,), [(-3, 1, 1), (1, 2, 0), (2, 1, 2), (0, 1, 1)]))
+    x = r.evaluate((2, 3, 1, 4))
+    assert member(r, x).coeffs == (1, 0, 1, 11)
+    assert len(all_factorizations(r, x)) == 4
+    single = numerical([4])
+    assert member(single, single.element((12,))).coeffs == (3,)
+    assert member(single, single.element((13,))) is None
+    assert member(r, r.zero()).coeffs == (0, 0, 0, 0)
+    # r points along (0, 1): (5, 0) and the torsion unit of q have weight 0
+    assert member(r, r.element((5, 0), (0,))) is None
+    assert member(q, q.element((0,), (1,))) is None
+    assert member(p, p.element((-3,))) is None
+
+
+def test_evaluate_sums_columns_and_checks_length():
+    r = presentation(2, (3,), [(-3, 1, 1), (1, 2, 0), (2, 1, 2), (0, 1, 1)])
+    assert r.evaluate((2, 3, 1, 4)) == GroupElement((-1, 13), (2,), (3,))
+    assert r.evaluate((0, 0, 0, 0)) == r.zero()
+    with pytest.raises(DimensionMismatch):
+        r.evaluate((1, 2, 3))
+
+
+@st.composite
+def _small_report_presentations(draw):
+    # the shapes the small-report corpus draws: rank 1-2, at most one torsion
+    # modulus in 2..6, up to four generators with entries in -6..6
+    rank = draw(st.integers(1, 2))
+    moduli = draw(st.lists(st.integers(2, 6), max_size=1))
+    entries = [st.integers(-6, 6)] * rank + [st.integers(0, t - 1) for t in moduli]
+    gens = draw(st.lists(st.tuples(*entries), min_size=2, max_size=4))
+    assume(len(set(gens)) == len(gens) and all(any(g[:rank]) for g in gens))
+    try:
+        return validate_reduced(presentation(rank, moduli, gens))
+    except NotReduced:
+        assume(False)
+
+
+@given(_small_report_presentations())
+@settings(max_examples=40, deadline=None)
+def test_search_matches_the_oracle_fibers(p):
+    cap = 3 * max(p.weights)
+    try:
+        # each search below walks up to as many vectors as this enumeration,
+        # so a small count cap keeps the quadratic check cheap
+        fibers = monoid_elements(p, EnumerationBudget(cap, count_cap=600))
+    except BudgetExceeded:
+        assume(False)
+    for x, fiber in fibers.items():
+        assert [f.coeffs for f in all_factorizations(p, x)] == sorted(fiber)
+        assert member(p, x) is not None
+    # neighbours of members, one unit away in a free or torsion coordinate;
+    # the fibers are complete below the cap, so the map decides membership
+    for x in fibers:
+        flat = x.free + x.torsion
+        for i in range(len(flat)):
+            for step in (1, -1):
+                v = list(flat)
+                v[i] += step
+                y = p.element(v[: p.rank], v[p.rank :])
+                if p.weight_of(y) < cap:
+                    assert (member(p, y) is None) == (y not in fibers)
