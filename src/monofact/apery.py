@@ -163,9 +163,12 @@ def apery_set(
 
     Factorizations are searched for when not supplied.  For an infinite
     Apery set a ``limit`` is required and the result truncates to the
-    standard monomials of total degree at most ``limit``.  The staircase
-    finiteness verdict is cross-checked against the cone criterion.
+    standard monomials of total degree at most ``limit``, which must not be
+    negative.  The staircase finiteness verdict is cross-checked against
+    the cone criterion.
     """
+    if limit is not None and limit < 0:
+        raise InvalidInput("limit must be nonnegative")
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
     gens = list(lattice_ideal(p, order).elements) + [Binomial.monomial(f) for f in facts]

@@ -336,8 +336,8 @@ def lset_unique_betti_shift(
     p = f.presentation()
     gens = f.generators
     degs = [f.c[i] * gens[i + 1] for i in range(f.n - 1)]
-    kept = _minimalize_degrees(p, [(p.element((v,)), None) for v in degs])
-    result = MonoidIdeal(p, tuple(d for d, _ in kept), minimalized=True)
+    kept = _minimalize_degrees(p, dict.fromkeys(p.element((v,)) for v in degs))
+    result = MonoidIdeal(p, tuple(kept), minimalized=True)
     if verified:
         _require_same_ideal("lset_unique_betti_shift", result, l_set(p, order))
     return result

@@ -353,10 +353,6 @@ def _validated(p: MonoidPresentation) -> MonoidPresentation:
     return p if p.validated else validate_reduced(p)
 
 
-def pointing_vector(p: MonoidPresentation) -> tuple[int, ...]:
-    return _validated(p).pointing
-
-
 def extremal_rays(vectors) -> Cone:
     """Extremal rays of the cone spanned by ``vectors`` (assumed pointed).
 

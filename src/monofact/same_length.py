@@ -3,9 +3,12 @@
 T_S collects the elements with two distinct factorizations, L_S those with
 two distinct factorizations of the same length.  Both are monoid ideals
 when nonempty: T_S is generated by the S-degrees of any binomial
-generating set of I_S, and L_S by the S-degrees of minimal generators of
-the ideal of the homogenized monoid S~ = <(a_i, 1)>, whose extra
-coordinate tracks length.  The complement S \\ L_S is the Apery set of S
+generating set of I_S, and L_S, the projection of T_{S~} for the
+homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
+by the S-degrees of any generating set of I_{S~}.  Both are read off the
+memoized reduced Groebner bases and trimmed as monoid ideals; minimal
+binomial generators serve only the equal catenary degree and the
+``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
 relative to the L_S generators, which makes it computable through the
 staircase machinery.
 """
@@ -19,7 +22,6 @@ from math import gcd
 from .apery import AperyResult, apery_set
 from .errors import CrossCheckError, DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
 from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
-from .intlinalg import dot
 from .monoid import (
     GroupElement,
     MonoidPresentation,
@@ -87,29 +89,28 @@ class HomogenizedPresentation:
 
 def homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
     """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
-    the free part.  Always reduced: the new coordinate is a pointing."""
-    p = _validated(p)
+    the free part.  Always reduced: the new coordinate is a pointing.
+    Memoized per presentation in a bounded cache, so the lifted pointing
+    is solved once."""
+    return _homogenize(_validated(p))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
     gens = [list(g.free) + [1] + list(g.torsion) for g in p.generators]
-    lifted = _validated(presentation(p.rank + 1, p.torsion.moduli, gens))
-    return HomogenizedPresentation(p, lifted)
+    return HomogenizedPresentation(p, _validated(presentation(p.rank + 1, p.torsion.moduli, gens)))
 
 
-def _minimalize_degrees(p: MonoidPresentation, pairs):
-    """Drop degrees lying in another degree plus S.
-
-    ``pairs`` is a list of (element, witness factorization).  Absorption
-    only happens from strictly smaller weight, so one ascending pass
-    against the kept set is complete.
+def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:
+    """Keep the degrees (keys of ``witnesses``, each mapped to one of its
+    factorizations) that do not lie in another degree plus S, ascending by
+    weight.  Absorption only happens from strictly smaller weight, so one
+    ascending pass against the kept set is complete.
     """
-    seen = {}
-    for d, wit in pairs:
-        seen.setdefault(d, wit)
-    items = sorted(seen.items(), key=lambda it: (p.weight_of(it[0]), it[0].sort_key()))
-    kept = []
-    for d, wit in items:
-        if any(member(p, d - e) is not None for e, _ in kept):
-            continue
-        kept.append((d, wit))
+    kept = {}
+    for d in sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key())):
+        if all(member(p, d - e) is None for e in kept):
+            kept[d] = witnesses[d]
     return kept
 
 
@@ -118,51 +119,42 @@ def homogeneous_minimal_generators(
 ) -> BinomialBasis:
     """Minimal generators of the lattice ideal of S~ = homogenize(p).
 
-    Their S-degrees generate L_S and their largest total degree is the
-    equal catenary degree.  Memoized per (presentation, order) in a
-    bounded cache, like :func:`lattice_ideal`; the basis is immutable.
+    Their largest total degree is the equal catenary degree, and the CLI
+    ``--minimal`` payload lists them.  Memoized per (presentation, order)
+    in a bounded cache, like :func:`lattice_ideal`; the basis is immutable.
     """
     return _homogeneous_minimal_generators(_validated(p), order)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    lifted = homogenize(p).lifted
+    lifted = _homogenize(p).lifted
     return minimal_generators(lattice_ideal(lifted, order), lifted, order)
 
 
-def _degree_generators(p, basis: BinomialBasis):
-    """(S-degree, witness factorization) pairs for a binomial generating
-    set over the generators of p, minimalized as an ideal of p; None when
-    the set is empty."""
-    if basis.is_zero_ideal:
-        return None
-    pairs = [(p.evaluate(b.plus), b.plus) for b in basis.elements]
-    return _minimalize_degrees(p, pairs)
+def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: TermOrder) -> dict:
+    """The minimal S-degrees of the cached reduced basis of I_q over the
+    generators of p, each mapped to a witness factorization; empty when
+    I_q = 0.  q = p gives T_S and q = S~ gives L_S.  Any binomial
+    generating set would do, since the degrees are minimalized here."""
+    basis = lattice_ideal(q, order)
+    return _minimalize_degrees(p, {p.evaluate(b.plus): b.plus for b in basis.elements})
 
 
 def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
     p = _validated(p)
-    pairs = _degree_generators(p, minimal_generators(lattice_ideal(p, order), p, order))
-    if pairs is None:
-        return None
-    return MonoidIdeal(p, tuple(d for d, _ in pairs), minimalized=True)
-
-
-def _l_set_witnessed(p: MonoidPresentation, order: TermOrder):
-    return _degree_generators(p, homogeneous_minimal_generators(p, order))
+    degrees = _degree_generators(p, p, order)
+    return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
 
 def l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
     p = _validated(p)
-    pairs = _l_set_witnessed(p, order)
-    if pairs is None:
-        return None
-    return MonoidIdeal(p, tuple(d for d, _ in pairs), minimalized=True)
+    degrees = _degree_generators(p, _homogenize(p).lifted, order)
+    return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
 
 def l_set_complement(
@@ -172,16 +164,10 @@ def l_set_complement(
 ) -> AperyResult:
     """S \\ L_S as the Apery set relative to the L_S generators."""
     p = _validated(p)
-    pairs = _l_set_witnessed(p, order)
-    if pairs is None:
+    witnesses = _degree_generators(p, _homogenize(p).lifted, order)
+    if not witnesses:
         raise EmptyLSet("L_S is empty; the complement is all of S")
-    return apery_set(
-        p,
-        [d for d, _ in pairs],
-        factorizations=[wit for _, wit in pairs],
-        order=order,
-        limit=limit,
-    )
+    return apery_set(p, list(witnesses), list(witnesses.values()), order=order, limit=limit)
 
 
 def l_set_complement_is_finite(p: MonoidPresentation) -> bool:

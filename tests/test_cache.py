@@ -1,25 +1,28 @@
-"""The memoized I_S and homogenized minimal generators, shared by every
-invariant of one presentation."""
+"""The memoized I_S, homogenization and homogenized minimal generators,
+shared by every invariant of one presentation."""
 
 import pytest
 
-from monofact import ideal, same_length
+from monofact import ideal, monoid, same_length
 from monofact.catenary import ceq
 from monofact.errors import NotReduced
 from monofact.ideal import lattice_ideal
 from monofact.monoid import numerical, presentation, validate_reduced
 from monofact.orders import GREVLEX, LEX
 from monofact.same_length import (
+    f2l,
     homogeneous_minimal_generators,
     is_l_set_principal,
     l_set,
     l_set_complement,
+    t_set,
 )
 
 
 @pytest.fixture(autouse=True)
 def empty_caches():
     ideal._lattice_ideal.cache_clear()
+    same_length._homogenize.cache_clear()
     same_length._homogeneous_minimal_generators.cache_clear()
 
 
@@ -41,6 +44,39 @@ def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypat
     lifted = [g for g in calls if all(sum(b.plus) == sum(b.minus) for b in g)]
     assert len(lifted) == 1
     assert len(calls) == 2  # the other one is I_S, for the Apery set
+
+
+def test_t_and_l_sets_need_no_minimal_generators(monkeypatch):
+    # T_S and L_S are read off the reduced bases; minimal binomial
+    # generators only serve c_eq and the --minimal payloads
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_generators called")
+
+    monkeypatch.setattr(ideal, "minimal_generators", refuse)
+    monkeypatch.setattr(same_length, "minimal_generators", refuse)
+    p = numerical([4, 7, 9])
+    assert [g.free[0] for g in t_set(p).generators] == [16, 18, 21]
+    assert [g.free[0] for g in l_set(p).generators] == [35]
+    assert l_set_complement(p).finite
+    assert is_l_set_principal(p).free[0] == 35
+    assert f2l(p) == 45
+
+
+def test_invariants_of_one_presentation_validate_the_lift_once(monkeypatch):
+    p = validate_reduced(numerical([4, 7, 9]))
+    calls = []
+    real = monoid.positive_functional
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(monoid, "positive_functional", counting)
+    l_set(p)
+    l_set_complement(p)
+    ceq(p)
+    is_l_set_principal(p)
+    assert calls == [[(4, 1), (7, 1), (9, 1)]]
 
 
 def test_entries_are_keyed_by_order():

@@ -86,6 +86,21 @@ def test_infinite_without_limit_exits_4(capsys):
     assert "infinite" in err.lower()
 
 
+def test_negative_limit_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        "apery",
+        "--input",
+        '{"rank":2,"torsion":[],"generators":[[1,0],[0,1]]}',
+        "--b",
+        "[[1,0]]",
+        "--limit",
+        "-2",
+    )
+    assert code == 2 and out == ""
+    assert "limit" in err
+
+
 def test_f2l_on_two_generators_exits_2(capsys):
     code, _, err = run(capsys, "f2l", "--input", '{"numerical":[3,5]}')
     assert code == 2

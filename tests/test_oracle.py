@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
 from monofact.errors import BudgetExceeded, InvalidInput, NotReduced, NotStabilized
+from monofact.ideal import lattice_ideal, minimal_generators
 from monofact.monoid import all_factorizations, numerical, presentation, validate_reduced
 from monofact.oracle import (
     EnumerationBudget,
@@ -15,7 +16,8 @@ from monofact.oracle import (
     monoid_elements,
     tset_bruteforce,
 )
-from monofact.same_length import l_set, t_set
+from monofact.orders import GREVLEX, LEX
+from monofact.same_length import _minimalize_degrees, homogenize, l_set, t_set
 
 
 def test_monoid_elements_fibers_are_complete():
@@ -106,6 +108,27 @@ def test_engine_sets_match_the_oracle_on_generated_presentations(p):
     universe = set(fibers)
     assert _ideal_members(t_set(p), universe) == tset_bruteforce(fibers)
     assert _ideal_members(l_set(p), universe) == lset_bruteforce(fibers)
+
+
+def _minimal_generator_degrees(p, q, order):
+    # reference route: the S-degrees of the minimal generators of I_q,
+    # trimmed as an ideal of p (q is p for T_S and S~ for L_S)
+    mins = minimal_generators(lattice_ideal(q, order), q, order)
+    return tuple(_minimalize_degrees(p, {p.evaluate(b.plus): b.plus for b in mins.elements}))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@given(p=_small_presentations())
+@settings(max_examples=30, deadline=None)
+def test_engine_sets_match_the_minimal_generator_route(order, p):
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    for engine, q in ((t_set, p), (l_set, homogenize(p).lifted)):
+        ideal = engine(p, order)
+        got = ideal.generators if ideal is not None else ()
+        assert got == _minimal_generator_degrees(p, q, order)
 
 
 @pytest.mark.parametrize(

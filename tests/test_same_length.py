@@ -87,6 +87,11 @@ def test_torsion_example_l_and_complement():
     assert comp.finite and comp.count == 24
 
 
+def test_l_set_complement_rejects_a_negative_limit():
+    with pytest.raises(InvalidInput, match="limit"):
+        l_set_complement(numerical([3, 5, 7]), limit=-1)
+
+
 def test_almost_arithmetic_engine_minimalizes_family():
     p = numerical([7, 17, 20, 23, 26, 29])
     l = l_set(p)
