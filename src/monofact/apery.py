@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
 from .ideal import Binomial, BinomialBasis, groebner, lattice_ideal
 from .monoid import (
+    GroupElement,
     MonoidPresentation,
     _validated,
     cones_equal,
@@ -171,7 +172,8 @@ def apery_set(
         raise InvalidInput("limit must be nonnegative")
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
-    gens = list(lattice_ideal(p, order).elements) + [Binomial.monomial(f) for f in facts]
+    # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
+    gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
     j_basis = groebner(gens, order)
     leads = _leads(j_basis)
     n = p.n

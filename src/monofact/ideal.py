@@ -21,8 +21,9 @@ The pipeline for I_S:
      variable at a time with a weighted reverse-lex trick: under a grading
      that makes the input homogeneous, a reduced Groebner basis for the
      revlex order with x_i cheapest saturates at x_i by dividing each
-     element by the largest power of x_i it contains.  The pass repeats
-     until a full sweep changes nothing.
+     element by the largest power of x_i it contains.  Quotienting by
+     each variable in turn equals quotienting by their product, so one
+     sweep over the variables saturates completely.
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -35,6 +36,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd
 from operator import add as _add, le as _le, sub as _sub
 
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
@@ -464,13 +466,12 @@ def _grading_for(gens):
     # u = 1 + s with s >= 0 and u . diff = 0  <=>  s . diff = -(1 . diff)
     rows = diffs
     rhs = [-sum(d) for d in diffs]
-    sol = solve_nonneg(rows, rhs) if rows else [0] * n
+    sol = solve_nonneg(rows, rhs) if rows else ([0] * n, 1)
     if sol is None:
         return None
-    from math import lcm
-
-    denom = lcm(*[f.denominator for f in sol]) if rows else 1
-    return tuple(denom + int(f * denom) for f in sol)
+    s, D = sol
+    g = gcd(D, *s)  # u = 1 + s scaled by the lcm of its denominators, D / g
+    return tuple((D + a) // g for a in s)
 
 
 def saturate(

@@ -16,8 +16,8 @@ vectors pruned by remaining weight.  The search walks flat integer rows
 only at the leaves.  The last coefficient is solved, not searched: only
 remaining weight / its generator's weight can leave weight 0.
 
-All arithmetic is exact (Python integers and Fractions); nothing here
-floats.
+All arithmetic is exact (Python integers only, the cone LPs included);
+nothing here floats.
 """
 
 from __future__ import annotations

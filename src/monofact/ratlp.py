@@ -1,15 +1,18 @@
 """Exact rational linear programming, just enough for cone geometry.
 
-A phase-1 simplex over ``fractions.Fraction`` with Bland's rule.  Bland's
-rule guarantees termination, and exact rationals make the feasibility
-answers certificates rather than approximations.  Problem sizes here are a
-handful of variables, so the dense tableau is fine.
+A phase-1 simplex with Bland's rule over integers only.  The tableau is
+kept as integer numerators over one positive common denominator D, the
+previous pivot; by Sylvester's identity every numerator is a minor of the
+input, so the integer-preserving update (Bareiss 1968, Edmonds 1967)
+divides exactly.  Bland's rule guarantees termination, and exact
+arithmetic makes the feasibility answers certificates rather than
+approximations.  Problem sizes here are a handful of variables, so the
+dense tableau is fine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import CrossCheckError
 
@@ -17,81 +20,63 @@ from .errors import CrossCheckError
 def solve_nonneg(rows, rhs):
     """Find x >= 0 with (rows) x = rhs exactly.
 
-    Returns a list of Fractions or None when infeasible.
+    Returns ``(numerators, D)`` with x_j = numerators[j] / D and D >= 1, or
+    None when infeasible.
     """
     m = len(rows)
     if m == 0:
-        return []
+        return [], 1
     n = len(rows[0])
-    tab = []
-    for i in range(m):
-        r = [Fraction(a) for a in rows[i]]
-        b = Fraction(rhs[i])
-        if b < 0:
-            r = [-a for a in r]
-            b = -b
-        tab.append(r + [b])
+    # one row per equation, rhs last, signed so that rhs >= 0; the columns
+    # of the artificial variables are never read, so they are not stored
+    tab = [[-a for a in r] + [-b] if b < 0 else [*r, b] for r, b in zip(rows, rhs)]
     basis = list(range(n, n + m))  # artificial variables
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab[i] = tab[i][:n] + art + [tab[i][n]]
-
-    total = n + m
+    D = 1
     while True:
-        # Reduced costs for phase 1: w = sum of artificials; entering column
-        # has positive column sum over rows whose basic var is artificial.
-        score = [Fraction(0)] * n
-        for i in range(m):
-            if basis[i] >= n:
-                for j in range(n):
-                    score[j] += tab[i][j]
-        enter = next((j for j in range(n) if score[j] > 0), None)
+        # phase-1 reduced costs: column sums over rows whose basic variable
+        # is artificial; the entering column is the first positive one
+        score = map(sum, zip(*[r for r, v in zip(tab, basis) if v >= n]))
+        enter = next((j for j, s in zip(range(n), score) if s > 0), None)
         if enter is None:
             break
+        # minimum ratio r[n] / r[enter], compared by cross-multiplying;
+        # ties go to the lowest basic index
         leave = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, r in enumerate(tab):
+            a = r[enter]
+            if a > 0:
+                if leave is not None:
+                    c = r[n] * tab[leave][enter] - tab[leave][n] * a
+                    if c > 0 or (c == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
         if leave is None:
             # Unbounded phase-1 objective cannot happen (w >= 0), but guard.
             return None
-        piv = tab[leave][enter]
-        tab[leave] = [a / piv for a in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
+        # over the new denominator piv the pivot row keeps its numerators;
+        # the other rows' numerators are minors, so // D is exact
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, r in enumerate(tab):
+            if i != leave:
+                f = r[enter]
+                tab[i] = [(a * piv - f * b) // D for a, b in zip(r, prow)]
+        D = piv
         basis[leave] = enter
 
-    if any(basis[i] >= n and tab[i][total] != 0 for i in range(m)):
+    if any(v >= n and r[n] != 0 for r, v in zip(tab, basis)):
         return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i][total]
-    return x
-
-
-def _clear_denominators(values):
-    denom = lcm(*[f.denominator for f in values]) if values else 1
-    out = [int(f * denom) for f in values]
-    g = 0
-    for a in out:
-        g = gcd(g, a)
-    if g > 1:
-        out = [a // g for a in out]
-    return out
+    x = [0] * n
+    for r, v in zip(tab, basis):
+        if v < n:
+            x[v] = r[n]
+    return x, D
 
 
 def nonneg_combination(vectors, target):
-    """Rational c >= 0 with sum c_i v_i = target, or None."""
+    """c >= 0 with sum c_i v_i = target as ``(numerators, D)``, or None."""
     if not vectors:
-        return [] if all(t == 0 for t in target) else None
+        return ([], 1) if all(t == 0 for t in target) else None
     dim = len(target)
     rows = [[v[d] for v in vectors] for d in range(dim)]
     return solve_nonneg(rows, list(target))
@@ -104,7 +89,8 @@ def in_cone(vectors, target) -> bool:
 def positive_functional(vectors):
     """Integer w with w . v >= 1 for every v, or None (cone not pointed).
 
-    Solved as feasibility of V(u - s) - t = 1 with u, s, t >= 0.
+    Solved as feasibility of V(u - s) - t = 1 with u, s, t >= 0; w is the
+    rational u - s scaled by the lcm of its denominators.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
@@ -119,9 +105,10 @@ def positive_functional(vectors):
     sol = solve_nonneg(rows, [1] * len(vecs))
     if sol is None:
         return None
-    w = [sol[j] - sol[dim + j] for j in range(dim)]
-    denom = lcm(*[f.denominator for f in w]) if w else 1
-    out = [int(f * denom) for f in w]
+    x, D = sol
+    w = [x[j] - x[dim + j] for j in range(dim)]
+    g = gcd(D, *w)  # the lcm of the denominators of w / D is D / g
+    out = [a // g for a in w]
     if not all(sum(a * b for a, b in zip(out, v)) >= 1 for v in vecs):
         raise CrossCheckError("the cleared functional does not point every vector")
     return out
@@ -130,8 +117,8 @@ def positive_functional(vectors):
 def zero_combination(vectors):
     """Nonzero integer c >= 0 with sum c_i v_i = 0, or None (cone pointed).
 
-    The normalization sum c_i = 1 keeps the LP bounded; denominators are
-    cleared afterwards.
+    The normalization sum c_i = 1 keeps the LP bounded; the primitive
+    integer multiple of the solution is returned.
     """
     vecs = [tuple(v) for v in vectors]
     if not vecs:
@@ -142,4 +129,6 @@ def zero_combination(vectors):
     sol = solve_nonneg(rows, [0] * dim + [1])
     if sol is None:
         return None
-    return _clear_denominators(sol)
+    x = sol[0]
+    g = gcd(*x)
+    return [a // g for a in x]

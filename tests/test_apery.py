@@ -1,8 +1,10 @@
 """Apery sets relative to a finite subset B, finite and truncated."""
 
+from typing import get_type_hints
+
 import pytest
 
-from monofact.apery import apery_count, apery_is_finite, apery_set
+from monofact.apery import AperyResult, apery_count, apery_is_finite, apery_set
 from monofact.errors import (
     InfiniteSet,
     InfiniteWithoutLimit,
@@ -10,7 +12,7 @@ from monofact.errors import (
     NotInMonoid,
 )
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
-from monofact.monoid import numerical, presentation
+from monofact.monoid import GroupElement, numerical, presentation
 from monofact.orders import GREVLEX, wgrevlex
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
@@ -154,3 +156,8 @@ def test_finite_verdict_matches_cone_criterion(numerical_instances):
         assert apery_is_finite(p, b_all)
         res = apery_set(p, b_all)
         assert res.finite
+
+
+def test_apery_result_annotations_resolve():
+    hints = get_type_hints(AperyResult)
+    assert hints["elements"] == tuple[GroupElement, ...]

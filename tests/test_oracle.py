@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
 from monofact.errors import BudgetExceeded, InvalidInput, NotReduced, NotStabilized
-from monofact.ideal import lattice_ideal, minimal_generators
+from monofact.ideal import Binomial, groebner, lattice_ideal, minimal_generators
 from monofact.monoid import all_factorizations, numerical, presentation, validate_reduced
 from monofact.oracle import (
     EnumerationBudget,
@@ -108,6 +108,23 @@ def test_engine_sets_match_the_oracle_on_generated_presentations(p):
     universe = set(fibers)
     assert _ideal_members(t_set(p), universe) == tset_bruteforce(fibers)
     assert _ideal_members(l_set(p), universe) == lset_bruteforce(fibers)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@given(p=_small_presentations(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_apery_feed_order_leaves_the_reduced_basis_unchanged(order, p, data):
+    # apery_set feeds the monomials of B before the reduced basis of I_S;
+    # the reduced Groebner basis of the sum is unique, so the feed order
+    # cannot change it
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    exps = st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n).filter(any)
+    monomials = [Binomial.monomial(e) for e in data.draw(st.lists(exps, min_size=1, max_size=3))]
+    basis = list(lattice_ideal(p, order).elements)
+    assert groebner(monomials + basis, order) == groebner(basis + monomials, order)
 
 
 def _minimal_generator_degrees(p, q, order):
