@@ -4,7 +4,12 @@ The ideal I_S of a presented monoid is the kernel of x_i -> t^{a_i}.  It
 is generated by pure differences of monomials, and every object Buchberger's
 algorithm produces from pure differences is again a pure difference or a
 single monomial, so the engine below never touches general polynomial
-arithmetic: an element is an exponent pair (lead, tail) or (lead, None).
+arithmetic: an element is a pair (lead, tail) of monomials, or (lead, None).
+Inside the engine every monomial is one int (Monagan-Pearce packed
+exponents, see _Layout): a monomial product is an add, divisibility a
+subtraction and a mask, and the term order an int comparison.  Exponents
+that outgrow their fields restart the call with wider ones, so the result
+never depends on the packing.  Binomial and BinomialBasis keep tuples.
 
 The pipeline for I_S:
 
@@ -32,12 +37,13 @@ S-degree multiset is order independent.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heappop, heappush
+from itertools import count
 from math import gcd
-from operator import add as _add, le as _le, sub as _sub
+from operator import mul
 
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
@@ -97,7 +103,10 @@ class Binomial:
         """(lead, tail) under ``order``; None for the zero binomial."""
         if self.minus is None:
             return (self.plus, None)
-        return _orient(self.plus, self.minus, order)
+        ka, kb = order.key(self.plus), order.key(self.minus)
+        if ka == kb:
+            return None
+        return (self.plus, self.minus) if ka > kb else (self.minus, self.plus)
 
     def degree(self, p: MonoidPresentation):
         """S-degree: the monoid element both sides map to."""
@@ -169,75 +178,149 @@ class KernelLattice:
 
 
 # ---------------------------------------------------------------------------
-# engine internals: elements are (lead, tail) exponent pairs, tail None for
-# monomials; lead strictly exceeds tail in the active order.
+# engine internals: a monomial is one int (see _Layout) and an element is a
+# pair (lead, tail) of them, tail None for monomials, lead > tail.
 
 
-def _orient(a, b, order):
-    ka, kb = order.key(a), order.key(b)
-    if ka == kb:
+class _Overflow(Exception):
+    """An exponent outgrew its field; the call restarts with wider fields."""
+
+
+class _Layout:
+    """Monomials of n variables under one term order, packed into ints.
+
+    Exponent i sits in bits [i(W+1), i(W+1) + W), with a guard bit above
+    it.  Above the exponent fields sit signed fields, one per row of the
+    order's matrix, the first row topmost, each wide enough that all the
+    bits below it span less than one of its units.  Packing is linear,
+    pack(e) = sum e_i U_i, so while every exponent fits in W bits:
+
+      * a product, and a reduction step m + (tail - lead), is one add;
+      * a | b iff b - a sets no guard bit: a borrow out of a field sets its
+        guard bit, and borrows only travel upward;
+      * a < b as ints iff x^a < x^b in the order, since the rows decide it;
+      * lcm is a masked fieldwise max of the exponent fields.
+
+    A sum that sets a guard bit has overflowed W; the engine raises
+    _Overflow and starts again with wider fields.
+    """
+
+    __slots__ = ("width", "field", "shifts", "units", "guards", "exps")
+
+    def __init__(self, rows, n, width):
+        step = width + 1
+        self.width = width
+        self.field = (1 << width) - 1
+        self.shifts = tuple(range(0, n * step, step))
+        units = [1 << s for s in self.shifts]
+        shift = n * step
+        for row in reversed(rows):
+            for i, c in enumerate(row):
+                units[i] += c << shift
+            shift += (self.field * sum(map(abs, row))).bit_length()
+        self.units = tuple(units)
+        self.guards = sum(1 << (s + width) for s in self.shifts)
+        self.exps = self.guards - sum(1 << s for s in self.shifts)
+
+    def pack(self, exp) -> int:
+        return sum(map(mul, exp, self.units))
+
+    def unpack(self, m) -> tuple[int, ...]:
+        field = self.field
+        return tuple((m >> s) & field for s in self.shifts)
+
+    def lcm(self, a, b) -> int:
+        """Exponent fields of lcm(a, b), given the exponent fields of a and
+        b (``m & exps``); order fields zero."""
+        guards = self.guards
+        ge = ((a | guards) - b) & guards  # guard bit of field i: a_i >= b_i
+        ge -= ge >> self.width  # ... widened to the whole field
+        return b ^ ((a ^ b) & ge)
+
+
+# a session builds a handful of orders per presentation, each at one or two
+# widths; a miss costs about 16 us on 4 variables, rows included
+@lru_cache(maxsize=128)
+def _layout(order: TermOrder, n: int, width: int) -> _Layout:
+    return _Layout(order.rows(n), n, width)
+
+
+# widths are powers of two from 8, so that the layout cache sees few of
+# them; over every second small-report session, 3 of 13k bases outgrew
+# their first width
+_MIN_WIDTH = 8
+
+
+def _widening(pairs, order, n, work):
+    """``work(layout, elements)`` over ``pairs`` of exponent vectors packed
+    and oriented (None for a zero binomial), at the least width that holds
+    every input exponent, doubled on every overflow.  The result never
+    depends on the width."""
+    top = max(max(v, default=0) for pair in pairs for v in pair if v is not None)
+    width = _MIN_WIDTH
+    while width < top.bit_length():
+        width *= 2
+    while True:
+        lay = _layout(order, n, width)
+        pack = lay.pack
+        elements = [
+            (pack(a), None) if b is None else _orient(pack(a), pack(b)) for a, b in pairs
+        ]
+        try:
+            return work(lay, elements)
+        except _Overflow:
+            width *= 2
+
+
+def _orient(a, b):
+    if a == b:
         return None
-    return (a, b) if ka > kb else (b, a)
-
-
-def _divides(a, b) -> bool:
-    return all(map(_le, a, b))
+    return (a, b) if a > b else (b, a)
 
 
 class _Reducers:
-    """Reduction rules kept as an antichain of leads, sorted by leading key.
+    """Reduction rules kept as an antichain of leads in ascending order.
 
     A divisor never exceeds its multiple in a monomial order, so a scan for
-    a divisor of m can stop at the first lead whose key passes key(m).  A
-    rule whose lead becomes divisible by a newer lead is retired: anything
-    it could top-reduce the newer rule also top-reduces.
+    a divisor of m can stop at the first lead above m.  A rule whose lead
+    becomes divisible by a newer lead is retired: anything it could
+    top-reduce the newer rule also top-reduces.
     """
 
-    __slots__ = ("order", "keys", "rules")
+    __slots__ = ("guards", "leads", "steps")
 
-    def __init__(self, order, elements=()):
-        self.order = order
-        self.keys = []
-        self.rules = []
-        for el in elements:
-            self.add(el)
+    def __init__(self, guards):
+        self.guards = guards
+        self.leads = []
+        self.steps = []  # tail - lead; None for monomial rules
 
-    def add(self, el):
-        keys, rules = self.keys, self.rules
-        lead, tail = el
-        k = self.order.key(lead)
-        j = bisect_left(keys, k)
-        i = j
-        while j < len(rules):
-            if _divides(lead, rules[j][0]):
-                del keys[j]
-                del rules[j]
-            else:
+    def add(self, lead, tail):
+        leads, guards = self.leads, self.guards
+        i = j = bisect_left(leads, lead)
+        while j < len(leads):
+            if (leads[j] - lead) & guards:
                 j += 1
-        delta = None if tail is None else tuple(map(_sub, tail, lead))
-        keys.insert(i, k)
-        rules.insert(i, (lead, tail, delta))
+            else:
+                del leads[j], self.steps[j]
+        leads.insert(i, lead)
+        self.steps.insert(i, None if tail is None else tail - lead)
 
     def reduce_monomial(self, m):
-        """Normal form of the monomial x^m; None when a monomial rule kills
+        """Normal form of the monomial m; None when a monomial rule kills
         it."""
-        keys, rules = self.keys, self.rules
-        keyf = self.order.key
-        km = keyf(m)
-        progress = True
-        while progress:
-            progress = False
-            for idx in range(bisect_right(keys, km)):
-                rule = rules[idx]
-                if _divides(rule[0], m):
-                    delta = rule[2]
-                    if delta is None:
+        leads, steps, guards = self.leads, self.steps, self.guards
+        while True:
+            for idx in range(bisect_right(leads, m)):
+                if not ((m - leads[idx]) & guards):
+                    step = steps[idx]
+                    if step is None:
                         return None
-                    m = tuple(map(_add, m, delta))
-                    km = keyf(m)
-                    progress = True
+                    m += step
+                    if m & guards:
+                        raise _Overflow
                     break
-        return m
+            else:
+                return m
 
 
 def _reduce_pair(el, red: _Reducers):
@@ -247,85 +330,92 @@ def _reduce_pair(el, red: _Reducers):
     if tail is None:
         return None if u is None else (u, None)
     v = red.reduce_monomial(tail)
-    if u is None and v is None:
-        return None
     if u is None:
-        return (v, None)
+        return None if v is None else (v, None)
     if v is None:
         return (u, None)
-    return _orient(u, v, red.order)
+    return _orient(u, v)
 
 
-def _spair(f, g):
-    lf, tf = f
-    lg, tg = g
-    lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+def _spair(f, g, lcm, guards):
+    """S-pair of two elements whose leads have the packed lcm ``lcm``."""
+    (lf, tf), (lg, tg) = f, g
     if tf is None and tg is None:
         return None
+    a = lcm if tf is None else lcm - lf + tf
+    b = lcm if tg is None else lcm - lg + tg
+    if (a | b) & guards:
+        raise _Overflow
     if tf is None:
-        return (tuple(l - a + b for l, a, b in zip(lcm, lg, tg)), None)
+        return (b, None)
     if tg is None:
-        return (tuple(l - a + b for l, a, b in zip(lcm, lf, tf)), None)
-    a = tuple(l - x + y for l, x, y in zip(lcm, lf, tf))
-    b = tuple(l - x + y for l, x, y in zip(lcm, lg, tg))
-    if a == b:
-        return None
-    return (b, a)  # orientation fixed by caller
+        return (a, None)
+    return _orient(a, b)
 
 
-def _buchberger(elements, order):
-    """Reduced Groebner basis of the ideal generated by ``elements``.
+def _buchberger(pairs, order, n):
+    """Reduced Groebner basis of the ideal generated by ``pairs``.
 
-    Elements are (lead, tail) pairs; the result is sorted by leading key.
+    Elements are pairs (a, b) of exponent vectors for x^a - x^b, b None for
+    the monomial x^a, in either orientation.  The result is (lead, tail)
+    pairs sorted by lead in ``order``.
     """
-    red = _Reducers(order)
+    if not pairs:
+        return []
+    return _widening(pairs, order, n, _buchberger_packed)
+
+
+def _buchberger_packed(lay: _Layout, elements):
+    guards, exps, width, lcm = lay.guards, lay.exps, lay.width, lay.lcm
+    pack, unpack = lay.pack, lay.unpack
+    red = _Reducers(guards)
     basis = []  # full append history; queued pairs index into it
-    leads = []
+    leads = []  # exponent fields of the leads
     alive = []  # indices that still form pairs with newcomers
-    queue = {}  # pending pairs (i, j) -> lcm of their leads
-    counter = 0
+    queue = {}  # pending pairs (i, j) -> exponent fields of the lcm of their leads
     heap = []
+    tick = count()
 
     def append(el):
-        nonlocal counter, alive
+        nonlocal alive
         m = len(basis)
-        lead_m = el[0]
+        lead_m = el[0] & exps
         basis.append(el)
         leads.append(lead_m)
 
+        # pending pairs the new lead makes redundant
+        for ij in [ij for ij, L in queue.items() if not ((L - lead_m) & guards)]:
+            i, j = ij
+            L = queue[ij]
+            if lcm(leads[i], lead_m) != L and lcm(leads[j], lead_m) != L:
+                del queue[ij]
         # Gebauer-Moller update: among the candidate pairs keep only those
-        # whose lcm no kept candidate lcm divides; ascending-degree order
-        # means a potential divisor is always seen first.  Coprime-lead
-        # pairs stay just long enough to block others, then drop
+        # whose lcm no kept candidate lcm divides; ascending order means a
+        # potential divisor is always seen first.  Coprime-lead pairs stay
+        # just long enough to block others, then drop.  The lcm is lay.lcm
+        # inlined: this loop is the engine's hottest
+        high = lead_m | guards
         cand = []
         for g in alive:
-            L = tuple(map(max, leads[g], lead_m))
-            cand.append((sum(L), L, g))
+            b = leads[g]
+            ge = (high - b) & guards
+            cand.append((b ^ ((lead_m ^ b) & (ge - (ge >> width))), g))
         cand.sort()
-        picked = []
         kept_lcms = []
-        for _, L, g in cand:
-            coprime = L == tuple(map(_add, leads[g], lead_m))
-            if coprime or not any(_divides(L2, L) for L2 in kept_lcms):
-                picked.append((g, L, coprime))
+        for L, g in cand:
+            if L == leads[g] + lead_m:  # coprime leads
                 kept_lcms.append(L)
-        # pending pairs the new lead makes redundant
-        for (i, j), Lij in list(queue.items()):
-            if (
-                _divides(lead_m, Lij)
-                and tuple(map(max, leads[i], lead_m)) != Lij
-                and tuple(map(max, leads[j], lead_m)) != Lij
-            ):
-                del queue[(i, j)]
-        for g, L, coprime in picked:
-            if coprime:
                 continue
-            queue[(g, m)] = L
-            counter += 1
-            heapq.heappush(heap, (order.key(L), counter, g, m))
-        alive = [g for g in alive if not _divides(lead_m, leads[g])]
+            for L2 in kept_lcms:
+                if not ((L - L2) & guards):
+                    break
+            else:
+                kept_lcms.append(L)
+                queue[(g, m)] = L
+                heappush(heap, (pack(unpack(L)), next(tick), g, m))
+        alive = [g for g in alive if (leads[g] - lead_m) & guards]
         alive.append(m)
-        red.add(el)
+        red.add(*el)
 
     for el in elements:
         if el is None:
@@ -335,17 +425,13 @@ def _buchberger(elements, order):
             append(r)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        L, _, i, j = heappop(heap)
         if (i, j) not in queue:
             continue
         del queue[(i, j)]
-        s = _spair(basis[i], basis[j])
+        s = _spair(basis[i], basis[j], L, guards)
         if s is None:
             continue
-        if s[1] is not None:
-            s = _orient(s[0], s[1], order)
-            if s is None:
-                continue
         r = _reduce_pair(s, red)
         if r is not None:
             append(r)
@@ -354,20 +440,10 @@ def _buchberger(elements, order):
     # the unique reduced basis (a rule's own lead sits strictly above its
     # tail in the order, so it can never apply to it)
     out = []
-    for lead, tail, _ in list(red.rules):
-        if tail is not None:
-            tail = red.reduce_monomial(tail)
-        out.append((lead, tail))
+    for lead, step in zip(red.leads, red.steps):
+        tail = None if step is None else red.reduce_monomial(lead + step)
+        out.append((unpack(lead), None if tail is None else unpack(tail)))
     return out
-
-
-def _pairs_from_binomials(binomials, order):
-    pairs = []
-    for b in binomials:
-        if b.is_zero:
-            continue
-        pairs.append(b.oriented(order))
-    return pairs
 
 
 def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
@@ -382,8 +458,10 @@ def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
 
 def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    pairs = _buchberger(_pairs_from_binomials(gens, order), order)
-    return BinomialBasis(_binomials_from_pairs(pairs), order, is_groebner=True, is_reduced=True)
+    pairs = [(b.plus, b.minus) for b in gens]
+    n = len(pairs[0][0]) if pairs else 0
+    basis = _buchberger(pairs, order, n)
+    return BinomialBasis(_binomials_from_pairs(basis), order, is_groebner=True, is_reduced=True)
 
 
 def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
@@ -394,13 +472,9 @@ def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
     """
     if not basis.is_groebner:
         raise InvalidInput("normal_form needs a Groebner basis")
-    order = basis.order
-    rules = _Reducers(order, (b.oriented(order) for b in basis.elements if not b.is_zero))
-    el = f.oriented(order)
-    if el is None:
-        n = f.nvars
-        return Binomial((0,) * n, (0,) * n)
-    red = _reduce_pair(el, rules)
+    pairs = [(b.plus, b.minus) for b in basis.elements]
+    pairs.append((f.plus, f.minus))
+    red = _widening(pairs, basis.order, f.nvars, _normal_form_packed)
     if red is None:
         n = f.nvars
         return Binomial((0,) * n, (0,) * n)
@@ -408,6 +482,19 @@ def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
     if tail is None:
         return Binomial.monomial(lead)
     return Binomial(lead, tail)
+
+
+def _normal_form_packed(lay: _Layout, elements):
+    *rules, el = elements
+    red = _Reducers(lay.guards)
+    for rule in rules:
+        if rule is not None:
+            red.add(*rule)
+    r = None if el is None else _reduce_pair(el, red)
+    if r is None:
+        return None
+    lead, tail = r
+    return lay.unpack(lead), None if tail is None else lay.unpack(tail)
 
 
 def in_ideal(f: Binomial, basis: BinomialBasis) -> bool:
@@ -499,12 +586,12 @@ def saturate(
             if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
                 raise NotHomogeneous("generators are not homogeneous for the given weights")
 
-    current = [b.oriented(GREVLEX) for b in gens if b.oriented(GREVLEX) is not None]
+    current = [(b.plus, b.minus) for b in gens]
     # quotienting by each variable in turn equals quotienting by their
     # product, so a single pass saturates completely
     for i in range(n):
         round_order = wgrevlex(weights, perm=cheapest_last(n, i))
-        current = _buchberger(current, round_order)
+        current = _buchberger(current, round_order, n)
         stripped = []
         for lead, tail in current:
             c = min(lead[i], tail[i]) if tail is not None else 0
@@ -513,7 +600,7 @@ def saturate(
                 tail = tuple(a - c if j == i else a for j, a in enumerate(tail))
             stripped.append((lead, tail))
         current = stripped
-    final = _buchberger(current, order)
+    final = _buchberger(current, order, n)
     return BinomialBasis(_binomials_from_pairs(final), order, is_groebner=True, is_reduced=True)
 
 

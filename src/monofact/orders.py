@@ -1,23 +1,34 @@
-"""Monomial term orders on exponent vectors.
+"""Monomial term orders on exponent vectors, as integer matrices.
 
-Orders are exposed as key functions: ``order.key(exp)`` returns a tuple
-that compares the way the monomials do, with 1 minimal.  Supported kinds:
+``order.rows(n)`` returns the rows of an integer matrix M, one tuple of n
+entries per row.  A monomial x^e is ranked by the tuple M e, compared
+lexicographically, with 1 minimal; ``order.key(exp)`` returns that tuple.
+The Groebner engine packs the same rows into one int per monomial
+(``ideal._Layout``), so both read one definition of each order:
 
-  lex                     lexicographic
-  grevlex                 degree reverse lexicographic
-  wgrevlex                weighted degree, reverse lex tiebreak
-  block                   elimination order: two inner orders on a split
+  lex        the unit rows, most significant variable first
+  grevlex    the all-ones row, then -e_i from the least significant
+             variable to the most significant
+  wgrevlex   the weight row, then the grevlex tiebreak rows
+  block      the first inner order's rows on the first ``split``
+             variables by significance, then the second's on the rest
 
 ``perm`` lists variable indices by significance (most significant first);
-identity when omitted.  Weighted orders need strictly positive weights to
-stay monomial orders.
+identity when omitted.  Weighted orders need strictly positive integer
+weights to stay monomial orders that pack into integer fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from .errors import InvalidInput
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -32,33 +43,21 @@ class TermOrder:
         if self.kind not in ("lex", "grevlex", "wgrevlex", "block"):
             raise InvalidInput(f"unknown term order kind {self.kind!r}")
         if self.kind == "wgrevlex":
-            if not self.weights or any(w <= 0 for w in self.weights):
-                raise InvalidInput("wgrevlex needs strictly positive weights")
-        if self.kind == "block" and (self.split is None or self.inner is None):
-            raise InvalidInput("block order needs a split and two inner orders")
+            if not self.weights or any(not _is_int(w) or w <= 0 for w in self.weights):
+                raise InvalidInput("wgrevlex needs strictly positive integer weights")
+        if self.kind == "block":
+            if self.split is None or self.inner is None:
+                raise InvalidInput("block order needs a split and two inner orders")
+            if not _is_int(self.split) or self.split < 0:
+                raise InvalidInput("block split must be a nonnegative integer")
 
-    def _perm(self, n: int) -> tuple[int, ...]:
-        if self.perm is None:
-            return tuple(range(n))
-        if len(self.perm) != n or sorted(self.perm) != list(range(n)):
-            raise InvalidInput("perm must permute the variable indices")
-        return self.perm
+    def rows(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """The order's matrix for n variables; raises InvalidInput when the
+        order does not fit n variables."""
+        return _rows(self, n)
 
     def key(self, exp):
-        n = len(exp)
-        sig = self._perm(n)
-        if self.kind == "lex":
-            return tuple(exp[i] for i in sig)
-        if self.kind == "grevlex":
-            return (sum(exp), tuple(-exp[i] for i in reversed(sig)))
-        if self.kind == "wgrevlex":
-            if len(self.weights) != n:
-                raise InvalidInput("weight vector length does not match variables")
-            deg = sum(w * e for w, e in zip(self.weights, exp))
-            return (deg, tuple(-exp[i] for i in reversed(sig)))
-        first = [exp[i] for i in sig[: self.split]]
-        second = [exp[i] for i in sig[self.split :]]
-        return (self.inner[0].key(tuple(first)), self.inner[1].key(tuple(second)))
+        return tuple(sum(map(mul, row, exp)) for row in _rows(self, len(exp)))
 
     def describe(self) -> str:
         if self.kind == "wgrevlex":
@@ -66,6 +65,42 @@ class TermOrder:
         if self.kind == "block":
             return f"block:{self.split}:{self.inner[0].describe()}:{self.inner[1].describe()}"
         return self.kind
+
+
+# a session uses a few dozen (order, n) pairs: saturation builds one order
+# per variable for each presentation it sees
+@lru_cache(maxsize=256)
+def _rows(order: TermOrder, n: int) -> tuple[tuple[int, ...], ...]:
+    if order.perm is None:
+        sig = tuple(range(n))
+    elif len(order.perm) != n or sorted(order.perm) != list(range(n)):
+        raise InvalidInput("perm must permute the variable indices")
+    else:
+        sig = order.perm
+
+    def spread(row, coords):
+        out = [0] * n
+        for c, i in zip(row, coords):
+            out[i] = c
+        return tuple(out)
+
+    if order.kind == "lex":
+        return tuple(spread((1,), (i,)) for i in sig)
+    if order.kind == "block":
+        k = order.split
+        if k > n:
+            raise InvalidInput(f"block split {k} exceeds the {n} variables")
+        first, second = order.inner
+        return tuple(spread(r, sig[:k]) for r in first.rows(k)) + tuple(
+            spread(r, sig[k:]) for r in second.rows(n - k)
+        )
+    if order.kind == "grevlex":
+        top = (1,) * n
+    elif len(order.weights) != n:
+        raise InvalidInput("weight vector length does not match variables")
+    else:
+        top = order.weights
+    return (top,) + tuple(spread((-1,), (i,)) for i in reversed(sig))
 
 
 LEX = TermOrder("lex")

@@ -107,6 +107,25 @@ def test_f2l_on_two_generators_exits_2(capsys):
     assert "n <= 2" in err
 
 
+@pytest.mark.parametrize("order", ["block:-1", "block:4"], ids=["negative", "past-n"])
+def test_block_split_outside_the_variables_exits_2(capsys, order):
+    code, out, err = run(capsys, "ideal", "--input", '{"numerical":[3,5,7]}', "--order", order)
+    assert code == 2 and out == ""
+    assert "split" in err
+
+
+def test_block_order_ideal_is_pinned(capsys):
+    code, out, _ = run(capsys, "ideal", "--input", '{"numerical":[3,5,7]}', "--order", "block:1")
+    assert code == 0
+    assert out == (
+        '{"elements":[{"minus":[0,0,5],"plus":[0,7,0]},{"minus":[0,2,0],"plus":[1,0,1]},'
+        '{"minus":[0,0,4],"plus":[1,5,0]},{"minus":[0,0,3],"plus":[2,3,0]},'
+        '{"minus":[0,0,2],"plus":[3,1,0]},{"minus":[0,1,1],"plus":[4,0,0]}],'
+        '"groebner":true,"minimal_generating":false,"order":"block:1:grevlex:grevlex",'
+        '"reduced":true}\n'
+    )
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["lset", "--input", "{}", "--frobnicate"])
