@@ -11,8 +11,7 @@ ideal, and the two verdicts are compared on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
 from .ideal import Binomial, BinomialBasis, groebner, lattice_ideal
 from .monoid import (
@@ -26,18 +25,24 @@ from .monoid import (
 from .orders import GREVLEX, TermOrder
 
 
-@dataclass(frozen=True)
-class AperyResult:
+class AperyResult(Frozen):
     """Outcome of an Apery set computation.
 
     ``elements`` is the full set when ``finite``, otherwise the truncation
     to standard monomials of total degree at most ``limit``.
     """
 
+    __slots__ = ("finite", "elements", "count", "limit")
     finite: bool
     elements: tuple[GroupElement, ...]
     count: int
-    limit: int | None = None
+    limit: int | None
+
+    def __init__(self, finite, elements, count, limit=None):
+        init_field(self, "finite", finite)
+        init_field(self, "elements", elements)
+        init_field(self, "count", count)
+        init_field(self, "limit", limit)
 
     def to_data(self):
         return {

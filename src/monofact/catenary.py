@@ -10,9 +10,9 @@ serves as its independent witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._frozen import Frozen, init_field
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
     Factorization,
@@ -38,27 +38,31 @@ def distance(lam, nu) -> int:
     return sum(x - min(x, y) for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(Frozen):
     """An N-chain of equal-length factorizations of one element."""
 
+    __slots__ = ("presentation", "element", "chain", "bound")
     presentation: MonoidPresentation
     element: GroupElement
     chain: tuple[Factorization, ...]
     bound: int
 
-    def __post_init__(self):
-        if not self.chain:
+    def __init__(self, presentation, element, chain, bound):
+        if not chain:
             raise InvalidInput("a chain needs at least one factorization")
-        lengths = {f.length for f in self.chain}
+        lengths = {f.length for f in chain}
         if len(lengths) != 1:
             raise LengthMismatch("chain factorizations must share one length")
-        for f in self.chain:
-            if self.presentation.evaluate(tuple(f)) != self.element:
+        for f in chain:
+            if presentation.evaluate(tuple(f)) != element:
                 raise InvalidInput(f"{tuple(f)} does not factor the chain element")
-        for prev, cur in zip(self.chain, self.chain[1:]):
-            if distance(prev, cur) > self.bound:
+        for prev, cur in zip(chain, chain[1:]):
+            if distance(prev, cur) > bound:
                 raise InvalidInput("consecutive distance exceeds the stated bound")
+        init_field(self, "presentation", presentation)
+        init_field(self, "element", element)
+        init_field(self, "chain", chain)
+        init_field(self, "bound", bound)
 
 
 def ceq(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:

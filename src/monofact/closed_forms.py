@@ -17,9 +17,9 @@ ceq_almost_arithmetic_report lays out both formula variants next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
+from ._frozen import Frozen, init_field
 from .catenary import ceq
 from .errors import (
     CrossCheckError,
@@ -54,15 +54,18 @@ def _h_set(m1: int, e: int, n: int) -> list[int]:
     return [2 * m1 + lam * e for lam in range(2, 2 * n - 3)]
 
 
-@dataclass(frozen=True)
-class ArithmeticFamily:
+class ArithmeticFamily(Frozen):
     """m1, m1+e, ..., m1+(n-1)e with gcd(m1, e) = 1."""
 
+    __slots__ = ("m1", "e", "n")
     m1: int
     e: int
     n: int
 
-    def __post_init__(self):
+    def __init__(self, m1, e, n):
+        init_field(self, "m1", m1)
+        init_field(self, "e", e)
+        init_field(self, "n", n)
         _positive_int("m1", self.m1)
         _positive_int("e", self.e)
         _positive_int("n", self.n)
@@ -79,16 +82,20 @@ class ArithmeticFamily:
         return numerical(self.generators)
 
 
-@dataclass(frozen=True)
-class AlmostArithmeticFamily:
+class AlmostArithmeticFamily(Frozen):
     """Arithmetic part m1..m1+(n-1)e plus one extra generator b."""
 
+    __slots__ = ("m1", "e", "n", "b")
     m1: int
     e: int
     n: int
     b: int
 
-    def __post_init__(self):
+    def __init__(self, m1, e, n, b):
+        init_field(self, "m1", m1)
+        init_field(self, "e", e)
+        init_field(self, "n", n)
+        init_field(self, "b", b)
         _positive_int("m1", self.m1)
         _positive_int("e", self.e)
         _positive_int("n", self.n)
@@ -136,8 +143,7 @@ class AlmostArithmeticFamily:
         return tuple(_h_set(self.m1, self.e, self.n))
 
 
-@dataclass(frozen=True)
-class UniqueBettiShiftFamily:
+class UniqueBettiShiftFamily(Frozen):
     """S = <b, b+t*m_1, ..., b+t*m_n> with m_i = f_i * prod(c_j, j != i).
 
     The c_i are pairwise coprime and strictly decreasing (only the last
@@ -145,16 +151,19 @@ class UniqueBettiShiftFamily:
     f_i * c_n < c_i keeps m_n largest.
     """
 
+    __slots__ = ("b", "t", "c", "f")
     b: int
     t: int
     c: tuple[int, ...]
-    f: tuple[int, ...] | None = None
+    f: tuple[int, ...] | None
 
-    def __post_init__(self):
+    def __init__(self, b, t, c, f=None):
+        init_field(self, "b", b)
+        init_field(self, "t", t)
         _positive_int("b", self.b)
         _positive_int("t", self.t)
-        c = tuple(int(v) for v in self.c)
-        object.__setattr__(self, "c", c)
+        c = tuple(int(v) for v in c)
+        init_field(self, "c", c)
         n = len(c)
         if n < 2:
             raise HypothesisViolated("need at least two moduli c_i")
@@ -168,9 +177,8 @@ class UniqueBettiShiftFamily:
                     raise HypothesisViolated(
                         f"(a) c_{i + 1} and c_{j + 1} are not coprime"
                     )
-        f = self.f
         f = tuple(int(v) for v in f) if f is not None else (1,) * (n - 1)
-        object.__setattr__(self, "f", f)
+        init_field(self, "f", f)
         if len(f) != n - 1:
             raise InvalidInput("need one multiplier f_i per index 1..n-1")
         for v in f:
@@ -273,18 +281,41 @@ def _ceq_printed_form(f: AlmostArithmeticFamily) -> int:
     return f.e // f.d
 
 
-@dataclass(frozen=True)
-class CeqFormulaReport:
+class CeqFormulaReport(Frozen):
     """Both published shapes of the almost-arithmetic c_eq next to the
     engine value.  The two shapes differ exactly when d(n-1) divides
     M-m-d or M-m-d-1; the engine is authoritative."""
 
+    __slots__ = (
+        "proof_form",
+        "printed_form",
+        "engine",
+        "forms_agree",
+        "engine_matches_proof",
+        "engine_matches_printed",
+    )
     proof_form: int
     printed_form: int
     engine: int
     forms_agree: bool
     engine_matches_proof: bool
     engine_matches_printed: bool
+
+    def __init__(
+        self,
+        proof_form,
+        printed_form,
+        engine,
+        forms_agree,
+        engine_matches_proof,
+        engine_matches_printed,
+    ):
+        init_field(self, "proof_form", proof_form)
+        init_field(self, "printed_form", printed_form)
+        init_field(self, "engine", engine)
+        init_field(self, "forms_agree", forms_agree)
+        init_field(self, "engine_matches_proof", engine_matches_proof)
+        init_field(self, "engine_matches_printed", engine_matches_printed)
 
     def to_data(self):
         return {

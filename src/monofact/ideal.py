@@ -38,13 +38,13 @@ S-degree multiset is order independent.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
 from math import gcd
 from operator import mul
 
+from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
 from .monoid import MonoidPresentation, _validated
@@ -52,8 +52,7 @@ from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 from .ratlp import solve_nonneg
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Frozen):
     """x^plus - x^minus, or the monomial x^plus when ``minus`` is None.
 
     Lattice ideal operations always return canonical binomials (common
@@ -61,19 +60,22 @@ class Binomial:
     constructor also accepts unstripped pairs for general ideals.
     """
 
+    __slots__ = ("plus", "minus")
     plus: tuple[int, ...]
-    minus: tuple[int, ...] | None = None
+    minus: tuple[int, ...] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "plus", tuple(int(a) for a in self.plus))
-        if any(a < 0 for a in self.plus):
+    def __init__(self, plus, minus=None):
+        plus = tuple(map(int, plus))
+        if plus and min(plus) < 0:
             raise InvalidInput("exponents must be nonnegative")
-        if self.minus is not None:
-            object.__setattr__(self, "minus", tuple(int(a) for a in self.minus))
-            if len(self.minus) != len(self.plus):
+        if minus is not None:
+            minus = tuple(map(int, minus))
+            if len(minus) != len(plus):
                 raise InvalidInput("exponent vectors differ in length")
-            if any(a < 0 for a in self.minus):
+            if minus and min(minus) < 0:
                 raise InvalidInput("exponents must be nonnegative")
+        init_field(self, "plus", plus)
+        init_field(self, "minus", minus)
 
     @classmethod
     def difference(cls, a, b) -> "Binomial":
@@ -135,15 +137,24 @@ class Binomial:
         return f"{side(self.plus)} - {side(self.minus)}"
 
 
-@dataclass(frozen=True)
-class BinomialBasis:
+class BinomialBasis(Frozen):
     """An ordered list of binomials with the term order used to produce it."""
 
+    __slots__ = ("elements", "order", "is_groebner", "is_reduced", "is_minimal_generating")
     elements: tuple[Binomial, ...]
     order: TermOrder
-    is_groebner: bool = False
-    is_reduced: bool = False
-    is_minimal_generating: bool = False
+    is_groebner: bool
+    is_reduced: bool
+    is_minimal_generating: bool
+
+    def __init__(
+        self, elements, order, is_groebner=False, is_reduced=False, is_minimal_generating=False
+    ):
+        init_field(self, "elements", elements)
+        init_field(self, "order", order)
+        init_field(self, "is_groebner", is_groebner)
+        init_field(self, "is_reduced", is_reduced)
+        init_field(self, "is_minimal_generating", is_minimal_generating)
 
     @property
     def is_zero_ideal(self) -> bool:
@@ -159,12 +170,16 @@ class BinomialBasis:
         }
 
 
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(Frozen):
     """Z-basis of the factorization-difference lattice ker(rho)."""
 
+    __slots__ = ("basis", "nvars")
     basis: tuple[tuple[int, ...], ...]
     nvars: int
+
+    def __init__(self, basis, nvars):
+        init_field(self, "basis", basis)
+        init_field(self, "nvars", nvars)
 
     @property
     def rank(self) -> int:

@@ -22,25 +22,26 @@ nothing here floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import gcd
 
+from ._frozen import Frozen, init_field
 from .errors import DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
 from .intlinalg import dot
 from .ratlp import in_cone, positive_functional, zero_combination
 
 
-@dataclass(frozen=True)
-class TorsionSpec:
+class TorsionSpec(Frozen):
     """The torsion part Z/t_1 + ... + Z/t_k; moduli all >= 2."""
 
-    moduli: tuple[int, ...] = ()
+    __slots__ = ("moduli",)
+    moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(t) for t in self.moduli))
-        if any(t < 2 for t in self.moduli):
+    def __init__(self, moduli=()):
+        moduli = tuple(int(t) for t in moduli)
+        if any(t < 2 for t in moduli):
             raise InvalidInput("torsion moduli must all be >= 2")
+        init_field(self, "moduli", moduli)
 
     def reduce(self, residues) -> tuple[int, ...]:
         if len(residues) != len(self.moduli):
@@ -51,22 +52,24 @@ class TorsionSpec:
         return len(self.moduli)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """An element of Z^m + T.  Torsion residues are kept reduced mod t_j."""
 
+    __slots__ = ("free", "torsion", "moduli")
     free: tuple[int, ...]
-    torsion: tuple[int, ...] = ()
-    moduli: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
+    moduli: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "free", tuple(int(a) for a in self.free))
-        object.__setattr__(self, "moduli", tuple(int(t) for t in self.moduli))
-        if len(self.torsion) != len(self.moduli):
+    def __init__(self, free, torsion=(), moduli=()):
+        free = tuple(map(int, free))
+        moduli = tuple(map(int, moduli))
+        if len(torsion) != len(moduli):
             raise DimensionMismatch("torsion residue count does not match moduli")
-        object.__setattr__(
-            self, "torsion", tuple(int(r) % t for r, t in zip(self.torsion, self.moduli))
+        init_field(self, "free", free)
+        init_field(
+            self, "torsion", tuple([int(r) % t for r, t in zip(torsion, moduli)]) if moduli else ()
         )
+        init_field(self, "moduli", moduli)
 
     @property
     def rank(self) -> int:
@@ -74,7 +77,7 @@ class GroupElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.free) and all(r == 0 for r in self.torsion)
+        return not (any(self.free) or any(self.torsion))
 
     def _check(self, other: "GroupElement"):
         if self.rank != other.rank or self.moduli != other.moduli:
@@ -114,16 +117,17 @@ class GroupElement:
         return list(self.free) + list(self.torsion)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """A vector of generator multiplicities; its length is the coordinate sum."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if any(c < 0 for c in self.coeffs):
+    def __init__(self, coeffs):
+        coeffs = tuple(map(int, coeffs))
+        if coeffs and min(coeffs) < 0:
             raise InvalidInput("factorization coefficients must be nonnegative")
+        init_field(self, "coeffs", coeffs)
 
     @property
     def length(self) -> int:
@@ -139,11 +143,14 @@ class Factorization:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """A rational cone recorded by its extremal rays (primitive, sorted)."""
 
+    __slots__ = ("rays",)
     rays: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rays):
+        init_field(self, "rays", rays)
 
 
 def primitive(vector) -> tuple[int, ...]:
@@ -155,30 +162,36 @@ def primitive(vector) -> tuple[int, ...]:
     return tuple(a // g for a in vector)
 
 
-@dataclass(frozen=True)
-class MonoidPresentation:
+class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
     """Generators of S inside Z^rank + torsion.
 
     ``validated`` is set by :func:`validate_reduced`; operations that need a
-    reduced presentation validate on demand when the flag is unset.
-    Minimality of the generating set is never silently enforced.
+    reduced presentation validate on demand when the flag is unset.  It
+    takes no part in equality or hashing.  Minimality of the generating set
+    is never silently enforced.
     """
 
+    # __dict__ holds the cached_property values; validate_reduced presets pointing
+    __slots__ = ("rank", "torsion", "generators", "validated", "__dict__")
     rank: int
     torsion: TorsionSpec
     generators: tuple[GroupElement, ...]
-    validated: bool = field(default=False, compare=False)
+    validated: bool
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank, torsion, generators, validated=False):
+        if rank < 0:
             raise InvalidInput("rank must be nonnegative")
-        if not self.generators:
+        if not generators:
             raise InvalidInput("at least one generator is required")
-        for g in self.generators:
-            if g.rank != self.rank or g.moduli != self.torsion.moduli:
+        for g in generators:
+            if g.rank != rank or g.moduli != torsion.moduli:
                 raise DimensionMismatch("generator shape does not match presentation")
             if g.is_zero:
                 raise InvalidInput("the zero element cannot be a generator")
+        init_field(self, "rank", rank)
+        init_field(self, "torsion", torsion)
+        init_field(self, "generators", generators)
+        init_field(self, "validated", validated)
 
     @property
     def n(self) -> int:
@@ -226,17 +239,29 @@ class MonoidPresentation:
         return dot(self.pointing, x.free)
 
 
+def _integer(value) -> int:
+    """An integer read from input data: an int or a decimal string (the
+    CLI's encoding past 64 bits).  ``int`` would read ``true`` as 1 and
+    truncate 3.5 to 3, so bool and float are refused."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidInput(f"expected an integer, got {value!r}")
+
+
 def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
     """Build an unvalidated presentation from raw integer data.
 
     Each generator is a flat sequence: ``rank`` free coordinates followed by
-    one residue per torsion modulus.
+    one residue per torsion modulus.  Entries are ints or decimal strings.
     """
-    tspec = TorsionSpec(tuple(torsion))
+    tspec = TorsionSpec(tuple(_integer(t) for t in torsion))
     k = len(tspec)
     gens = []
     for raw in generators:
-        raw = tuple(int(a) for a in raw)
+        raw = tuple(_integer(a) for a in raw)
         if len(raw) != rank + k:
             raise DimensionMismatch(
                 f"generator {raw} has length {len(raw)}, expected {rank + k}"
@@ -247,7 +272,7 @@ def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
 
 def numerical(values) -> MonoidPresentation:
     """Rank-1 torsion-free presentation from positive integers."""
-    vals = [int(v) for v in values]
+    vals = [_integer(v) for v in values]
     if any(v <= 0 for v in vals):
         raise InvalidInput("numerical generators must be positive")
     return presentation(1, (), [(v,) for v in vals])
@@ -267,9 +292,9 @@ def presentation_from_data(obj) -> MonoidPresentation:
             raise InvalidInput("numerical presentation needs a nonempty list")
         return numerical(vals)
     try:
-        rank = int(obj["rank"])
+        rank = _integer(obj["rank"])
         gens = obj["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InvalidInput(f"malformed presentation object: {exc}") from None
     torsion = obj.get("torsion", [])
     if not isinstance(gens, list) or not gens:
@@ -298,8 +323,8 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
                 raise InvalidInput(f"cannot parse element from {obj!r}") from None
         raise InvalidInput("scalar element data needs a rank-1 torsion-free monoid")
     try:
-        vals = [int(v) for v in obj]
-    except (TypeError, ValueError):
+        vals = [_integer(v) for v in obj]
+    except (TypeError, InvalidInput):
         raise InvalidInput(f"cannot parse element from {obj!r}") from None
     if len(vals) != p.rank + k:
         raise InvalidInput("element data has wrong length")
@@ -331,7 +356,7 @@ def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidP
         raise NotReduced(
             "cone of free parts is not pointed", combination=tuple(witness)
         )
-    out = replace(p, validated=True)
+    out = MonoidPresentation(p.rank, p.torsion, p.generators, validated=True)
     out.__dict__["pointing"] = tuple(w)
     if minimalize:
         kept = list(out.generators)
@@ -340,11 +365,13 @@ def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidP
             rest = [g for j, g in enumerate(kept) if j != i and g is not None]
             if not rest:
                 continue
-            sub = replace(out, generators=tuple(rest), validated=True)
+            sub = MonoidPresentation(out.rank, out.torsion, tuple(rest), validated=True)
             sub.__dict__["pointing"] = tuple(w)
             if member(sub, kept[i]) is not None:
                 kept[i] = None
-        out = replace(out, generators=tuple(g for g in kept if g is not None), validated=True)
+        out = MonoidPresentation(
+            out.rank, out.torsion, tuple(g for g in kept if g is not None), validated=True
+        )
         out.__dict__["pointing"] = tuple(w)
     return out
 
@@ -460,7 +487,7 @@ def is_minimal_generating(p: MonoidPresentation) -> bool:
         return True
     for i in range(p.n):
         rest = tuple(g for j, g in enumerate(p.generators) if j != i)
-        sub = replace(p, generators=rest, validated=True)
+        sub = MonoidPresentation(p.rank, p.torsion, rest, validated=True)
         sub.__dict__["pointing"] = p.pointing
         if member(sub, p.generators[i]) is not None:
             return False

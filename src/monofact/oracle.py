@@ -19,22 +19,24 @@ largest failure seen so far is the answer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._frozen import Frozen, init_field
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
 from .monoid import GroupElement, MonoidPresentation, _validated
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Frozen):
     """weight_cap bounds w.pi(x); count_cap bounds enumerated vectors."""
 
+    __slots__ = ("weight_cap", "count_cap")
     weight_cap: int
-    count_cap: int = 10**7
+    count_cap: int
 
-    def __post_init__(self):
-        if self.weight_cap <= 0 or self.count_cap <= 0:
+    def __init__(self, weight_cap, count_cap=10**7):
+        if weight_cap <= 0 or count_cap <= 0:
             raise InvalidInput("budget caps must be positive")
+        init_field(self, "weight_cap", weight_cap)
+        init_field(self, "count_cap", count_cap)
 
 
 class _Tally:

@@ -20,10 +20,10 @@ weights to stay monomial orders that pack into integer fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from ._frozen import Frozen, init_field
 from .errors import InvalidInput
 
 
@@ -31,25 +31,30 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Frozen):
+    __slots__ = ("kind", "weights", "perm", "split", "inner")
     kind: str
-    weights: tuple[int, ...] | None = None
-    perm: tuple[int, ...] | None = None
-    split: int | None = None
-    inner: tuple["TermOrder", "TermOrder"] | None = None
+    weights: tuple[int, ...] | None
+    perm: tuple[int, ...] | None
+    split: int | None
+    inner: tuple["TermOrder", "TermOrder"] | None
 
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "wgrevlex", "block"):
-            raise InvalidInput(f"unknown term order kind {self.kind!r}")
-        if self.kind == "wgrevlex":
-            if not self.weights or any(not _is_int(w) or w <= 0 for w in self.weights):
+    def __init__(self, kind, weights=None, perm=None, split=None, inner=None):
+        if kind not in ("lex", "grevlex", "wgrevlex", "block"):
+            raise InvalidInput(f"unknown term order kind {kind!r}")
+        if kind == "wgrevlex":
+            if not weights or any(not _is_int(w) or w <= 0 for w in weights):
                 raise InvalidInput("wgrevlex needs strictly positive integer weights")
-        if self.kind == "block":
-            if self.split is None or self.inner is None:
+        if kind == "block":
+            if split is None or inner is None:
                 raise InvalidInput("block order needs a split and two inner orders")
-            if not _is_int(self.split) or self.split < 0:
+            if not _is_int(split) or split < 0:
                 raise InvalidInput("block split must be a nonnegative integer")
+        init_field(self, "kind", kind)
+        init_field(self, "weights", weights)
+        init_field(self, "perm", perm)
+        init_field(self, "split", split)
+        init_field(self, "inner", inner)
 
     def rows(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The order's matrix for n variables; raises InvalidInput when the

@@ -15,10 +15,10 @@ staircase machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from ._frozen import Frozen, init_field
 from .apery import AperyResult, apery_set
 from .errors import CrossCheckError, DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
 from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
@@ -35,19 +35,22 @@ from .monoid import (
 from .orders import GREVLEX, TermOrder
 
 
-@dataclass(frozen=True)
-class MonoidIdeal:
+class MonoidIdeal(Frozen):
     """The ideal (b_1 + S) ∪ ... ∪ (b_s + S) of a monoid S."""
 
+    __slots__ = ("presentation", "generators", "minimalized")
     presentation: MonoidPresentation
     generators: tuple[GroupElement, ...]
-    minimalized: bool = False
+    minimalized: bool
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, presentation, generators, minimalized=False):
+        if not generators:
             raise InvalidInput("a monoid ideal needs at least one generator")
-        if any(g.is_zero for g in self.generators):
+        if any(g.is_zero for g in generators):
             raise InvalidInput("ideal generators must be nonzero")
+        init_field(self, "presentation", presentation)
+        init_field(self, "generators", generators)
+        init_field(self, "minimalized", minimalized)
 
     @property
     def is_principal(self) -> bool:
@@ -78,13 +81,17 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class HomogenizedPresentation:
+class HomogenizedPresentation(Frozen):
     """S~ together with the monoid it came from (None for transformed
     presentations that only exist in homogenized form)."""
 
+    __slots__ = ("base", "lifted")
     base: MonoidPresentation | None
     lifted: MonoidPresentation
+
+    def __init__(self, base, lifted):
+        init_field(self, "base", base)
+        init_field(self, "lifted", lifted)
 
 
 def homogenize(p: MonoidPresentation) -> HomogenizedPresentation:

@@ -65,6 +65,30 @@ def test_invalid_input_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lset", "--input", '{"numerical":[3.5,5,7]}'),
+        ("lset", "--input", '{"numerical":[true,5,7]}'),
+        ("lset", "--input", '{"numerical":["abc",5]}'),
+        ("validate", "--input", '{"rank":1,"torsion":[2.9],"generators":[[2,0],[3,1]]}'),
+        ("validate", "--input", '{"rank":1.0,"generators":[[3],[5]]}'),
+        (
+            "apery",
+            "--input",
+            '{"rank":1,"torsion":[2],"generators":[[2,0],[3,1],[4,1]]}',
+            "--b",
+            "[[12.9,0]]",
+        ),
+    ],
+    ids=["float", "bool", "word", "float-modulus", "float-rank", "float-element"],
+)
+def test_non_integer_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_not_reduced_exits_3(capsys):
     code, _, err = run(
         capsys, "validate", "--input", '{"rank":1,"generators":[[2],[-3]]}'

@@ -144,6 +144,45 @@ def test_presentation_from_data():
         presentation_from_data({"rank": 1})
 
 
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: numerical([3.5, 5, 7]),
+        lambda: numerical([True, 5, 7]),
+        lambda: numerical(["abc", 5]),
+        lambda: presentation(1, (2.9,), [(1, 0), (1, 1)]),
+        lambda: presentation(1, (), [(3.0,), (5,)]),
+        lambda: presentation_from_data({"rank": 1.5, "generators": [[3], [5]]}),
+        lambda: presentation_from_data(
+            {"rank": 1, "torsion": [2], "generators": [[3, False], [5, 1]]}
+        ),
+        lambda: element_from_data(presentation(1, (2,), [(2, 0), (3, 1)]), [12.9, 0]),
+        lambda: element_from_data(presentation(1, (2,), [(2, 0), (3, 1)]), [12, True]),
+    ],
+    ids=[
+        "float-generator",
+        "bool-generator",
+        "word-generator",
+        "float-modulus",
+        "float-coordinate",
+        "float-rank",
+        "bool-residue",
+        "float-element",
+        "bool-element",
+    ],
+)
+def test_non_integer_input_is_rejected_not_truncated(parse):
+    with pytest.raises(InvalidInput):
+        parse()
+
+
+def test_decimal_strings_are_integers():
+    assert numerical(["3", 5, "7"]) == numerical([3, 5, 7])
+    q = presentation_from_data({"rank": "1", "torsion": ["2"], "generators": [["2", 0], [3, "1"]]})
+    assert q == presentation(1, (2,), [(2, 0), (3, 1)])
+    assert element_from_data(q, ["12", "1"]) == q.element((12,), (1,))
+
+
 def test_group_element_arithmetic_reduces_torsion():
     a = GroupElement((2,), (1,), (2,))
     b = GroupElement((3,), (1,), (2,))

@@ -162,6 +162,14 @@ def test_validate_pointing_payloads_are_unchanged(capsys, spec, pointing, weight
 
 def test_importing_monofact_loads_no_fractions():
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import monofact; print('fractions' in sys.modules)"
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    # the CLI starts a fresh interpreter per request, so what it imports is paid every time
+    cases = (("monofact", ("fractions",)), ("monofact.cli", ("dataclasses", "inspect")))
+    for module, absent in cases:
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print([m for m in {absent!r} if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "[]\n", module

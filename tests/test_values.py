@@ -1,0 +1,103 @@
+"""Value semantics of the immutable result and input types: equality,
+hashing, repr, immutability and constructor checks."""
+
+import copy
+import pickle
+
+import pytest
+
+from monofact.errors import DimensionMismatch, InvalidInput
+from monofact.ideal import Binomial, BinomialBasis, lattice_ideal
+from monofact.monoid import (
+    Factorization,
+    GroupElement,
+    TorsionSpec,
+    numerical,
+    presentation,
+    validate_reduced,
+)
+from monofact.oracle import EnumerationBudget
+from monofact.orders import GREVLEX, LEX, TermOrder
+
+
+def test_hash_is_the_hash_of_the_field_tuple():
+    assert hash(GroupElement((3,), (), ())) == hash(((3,), (), ()))
+    assert hash(Factorization((1, 2))) == hash(((1, 2),))
+    assert hash(Binomial((1, 0), (0, 1))) == hash(((1, 0), (0, 1)))
+
+
+def test_equality_is_per_class():
+    g = GroupElement((3,), (), ())
+    assert g == GroupElement((3,), (), ()) and not g != GroupElement((3,), (), ())
+    assert g != GroupElement((4,), (), ())
+    assert g.__eq__(((3,), (), ())) is NotImplemented
+    assert Factorization((3,)).__eq__(TorsionSpec((3,))) is NotImplemented
+    assert g != ((3,), (), ())
+
+
+def test_validated_flag_is_outside_equality_and_hash():
+    p = presentation(1, (2,), [(1, 0), (1, 1), (2, 1)])
+    v = validate_reduced(p)
+    assert v.validated and not p.validated
+    assert p == v and hash(p) == hash(v)
+
+
+@pytest.mark.parametrize("name", ["elements", "order", "is_groebner"])
+def test_cached_results_are_immutable(name):
+    basis = lattice_ideal(numerical([3, 5, 7]))
+    with pytest.raises(AttributeError):
+        setattr(basis, name, None)
+    with pytest.raises(AttributeError):
+        delattr(basis, name)
+    with pytest.raises(AttributeError):
+        basis.extra = 1
+
+
+def test_repr_text():
+    assert repr(GroupElement((1, -2), (5,), (3,))) == (
+        "GroupElement(free=(1, -2), torsion=(2,), moduli=(3,))"
+    )
+    assert repr(Binomial((2, 0))) == "Binomial(plus=(2, 0), minus=None)"
+    assert repr(TermOrder("block", split=1, inner=(GREVLEX, LEX))) == (
+        "TermOrder(kind='block', weights=None, perm=None, split=1, inner=("
+        "TermOrder(kind='grevlex', weights=None, perm=None, split=None, inner=None), "
+        "TermOrder(kind='lex', weights=None, perm=None, split=None, inner=None)))"
+    )
+
+
+def test_keyword_construction_and_defaults():
+    order = TermOrder("wgrevlex", weights=(1, 2), perm=(1, 0))
+    fields = (order.kind, order.weights, order.perm, order.split, order.inner)
+    assert fields == ("wgrevlex", (1, 2), (1, 0), None, None)
+    b = Binomial((1, 0), (0, 1))
+    basis = BinomialBasis((b,), GREVLEX, is_groebner=True)
+    flags = (basis.is_groebner, basis.is_reduced, basis.is_minimal_generating)
+    assert flags == (True, False, False)
+    assert BinomialBasis(elements=(b,), order=GREVLEX) == BinomialBasis(
+        (b,), GREVLEX, False, False, False
+    )
+    budget = EnumerationBudget(weight_cap=5)
+    assert (budget.weight_cap, budget.count_cap) == (5, 10**7)
+    assert EnumerationBudget(5, count_cap=9).count_cap == 9
+
+
+def test_constructor_checks_keep_their_order():
+    with pytest.raises(InvalidInput):
+        Factorization((-1,))
+    with pytest.raises(InvalidInput):
+        TorsionSpec((1,))
+    with pytest.raises(DimensionMismatch):
+        GroupElement((1,), (1,), ())
+    # plus is checked before minus, and the length of minus before its signs
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        Binomial((-1, 0), (0,))
+    with pytest.raises(InvalidInput, match="differ in length"):
+        Binomial((1, 0), (-1,))
+
+
+def test_pickle_and_copy_rebuild_equal_values():
+    p = validate_reduced(numerical([3, 5, 7]))
+    for value in (p, GroupElement((1, -2), (5,), (3,)), lattice_ideal(p)):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(p)).validated
