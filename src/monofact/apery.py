@@ -3,17 +3,20 @@
 Ap_S(B) = {s in S : s - b not in S for every b in B}.  With a factorization
 beta_i of each b_i, the quotient K[x]/(I_S + <x^beta_1, ..., x^beta_s>) has
 the standard monomials as a basis, and the degree map x^alpha -> sum alpha_i a_i
-restricts to a bijection from those onto Ap_S(B).  Finiteness is equivalent
-to every extremal ray of the cone of S carrying some element of B; the
-staircase view gives the same answer through pure powers in the initial
-ideal, and the two verdicts are compared on every run.
+restricts to a bijection from those onto Ap_S(B).  One walk lists the
+standard monomials from the leads of the reduced Groebner basis: the whole
+staircase when the set is finite, its slice of total degree at most a limit
+otherwise.  The set is finite exactly when every variable has a pure power
+among the leads; that verdict is compared on every run with the cone
+criterion, under which every extremal ray of the cone of S must carry some
+element of B.
 """
 
 from __future__ import annotations
 
 from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
-from .ideal import Binomial, BinomialBasis, groebner, lattice_ideal
+from .ideal import Binomial, groebner, lattice_ideal
 from .monoid import (
     GroupElement,
     MonoidPresentation,
@@ -57,80 +60,46 @@ def apery_is_finite(p: MonoidPresentation, elements) -> bool:
     """True when Ap_S(B) is finite: every extremal ray of the cone of S
     must carry some member of B."""
     p = _validated(p)
-    elems = [element_from_data(p, b) for b in elements]
-    if any(e.is_zero for e in elems):
-        raise InvalidInput("members of B must be nonzero")
-    for e in elems:
-        require_member(p, e)
+    elems, _ = _resolve_b(p, elements, None)
     return cones_equal(p, elems)
 
 
-def _leads(basis: BinomialBasis):
-    out = []
-    for b in basis.elements:
-        lead, _ = b.oriented(basis.order)
-        out.append(lead)
-    return out
-
-
-def _pure_power_bounds(leads, n):
-    """bounds[i] = least d with x_i^d in the lead ideal, None if there is none."""
-    bounds = [None] * n
+def _pure_power_variables(leads):
+    """The variables x_i with some pure power x_i^d among the leads."""
+    out = set()
     for lead in leads:
         support = [i for i, e in enumerate(lead) if e > 0]
         if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or lead[i] < bounds[i]:
-                bounds[i] = lead[i]
-    return bounds
+            out.add(support[0])
+    return out
 
 
-def _standard_in_box(leads, bounds):
-    """All exponent vectors below ``bounds`` avoiding every lead.
+def _standard_monomials(leads, n, limit):
+    """All exponent vectors avoiding every lead, of total degree at most
+    ``limit`` unless it is None.
 
     Leads are checked as soon as their topmost variable is assigned, and
     larger exponents at that position only stay divisible, so the walk can
-    cut the whole branch.
+    cut the whole branch.  Without a limit every variable needs a pure-power
+    lead, which ends its loop.
     """
-    n = len(bounds)
     by_top = [[] for _ in range(n)]
     for l in leads:
         by_top[max(j for j, v in enumerate(l) if v > 0)].append(l)
     out = []
     exp = [0] * n
 
-    def walk(i):
+    def walk(i, remaining):
         if i == n:
             out.append(tuple(exp))
             return
-        for e in range(bounds[i]):
+        e = 0
+        while remaining is None or e <= remaining:
             exp[i] = e
             if any(all(exp[j] >= l[j] for j in range(i + 1)) for l in by_top[i]):
                 break
-            walk(i + 1)
-        exp[i] = 0
-
-    walk(0)
-    return out
-
-
-def _standard_to_degree(leads, n, limit):
-    """All exponent vectors of total degree <= limit avoiding every lead."""
-    out = []
-    exp = [0] * n
-
-    def divisible():
-        return any(all(exp[j] >= l[j] for j in range(n)) for l in leads)
-
-    def walk(i, remaining):
-        if divisible():
-            return
-        if i == n:
-            out.append(tuple(exp))
-            return
-        for e in range(remaining + 1):
-            exp[i] = e
-            walk(i + 1, remaining - e)
+            walk(i + 1, None if remaining is None else remaining - e)
+            e += 1
         exp[i] = 0
 
     walk(0, limit)
@@ -179,32 +148,25 @@ def apery_set(
     elems, facts = _resolve_b(p, elements, factorizations)
     # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
     gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
-    j_basis = groebner(gens, order)
-    leads = _leads(j_basis)
-    n = p.n
-    bounds = _pure_power_bounds(leads, n)
-    staircase_finite = all(b is not None for b in bounds)
+    leads = [b.plus for b in groebner(gens, order).elements]
+    staircase_finite = len(_pure_power_variables(leads)) == p.n
     cone_finite = cones_equal(p, elems)
     if staircase_finite != cone_finite:
         raise CrossCheckError(
             f"staircase says finite={staircase_finite}, cone criterion says finite={cone_finite}"
         )
     if staircase_finite:
-        monomials = _standard_in_box(leads, bounds)
-        used_limit = None
-    else:
-        if limit is None:
-            raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
-        monomials = _standard_to_degree(leads, n, limit)
-        used_limit = limit
+        limit = None
+    elif limit is None:
+        raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
     degs = {}
-    for mono in monomials:
+    for mono in _standard_monomials(leads, p.n, limit):
         d = p.evaluate(mono)
         if d in degs:
             raise CrossCheckError(f"standard monomials {degs[d]} and {mono} share a degree")
         degs[d] = mono
     out = tuple(sorted(degs, key=lambda e: e.sort_key()))
-    return AperyResult(staircase_finite, out, len(out), used_limit)
+    return AperyResult(staircase_finite, out, len(out), limit)
 
 
 def apery_count(
@@ -214,9 +176,7 @@ def apery_count(
     order: TermOrder = GREVLEX,
 ) -> int:
     """Cardinality of a finite Apery set; InfiniteSet when it is not."""
-    p = _validated(p)
-    elems, facts = _resolve_b(p, elements, factorizations)
-    if not cones_equal(p, elems):
-        raise InfiniteSet("Apery set is infinite")
-    res = apery_set(p, elems, factorizations=facts, order=order)
-    return res.count
+    try:
+        return apery_set(p, elements, factorizations, order).count
+    except InfiniteWithoutLimit:
+        raise InfiniteSet("Apery set is infinite") from None

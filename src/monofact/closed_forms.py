@@ -30,7 +30,7 @@ from .errors import (
 )
 from .ideal import Binomial
 from .intlinalg import dot
-from .monoid import MonoidPresentation, is_minimal_generating, numerical, presentation
+from .monoid import MonoidPresentation, _integer, is_minimal_generating, numerical, presentation
 from .orders import GREVLEX, TermOrder
 from .same_length import (
     HomogenizedPresentation,
@@ -162,7 +162,7 @@ class UniqueBettiShiftFamily(Frozen):
         init_field(self, "t", t)
         _positive_int("b", self.b)
         _positive_int("t", self.t)
-        c = tuple(int(v) for v in c)
+        c = tuple(c)
         init_field(self, "c", c)
         n = len(c)
         if n < 2:
@@ -177,7 +177,7 @@ class UniqueBettiShiftFamily(Frozen):
                     raise HypothesisViolated(
                         f"(a) c_{i + 1} and c_{j + 1} are not coprime"
                     )
-        f = tuple(int(v) for v in f) if f is not None else (1,) * (n - 1)
+        f = tuple(f) if f is not None else (1,) * (n - 1)
         init_field(self, "f", f)
         if len(f) != n - 1:
             raise InvalidInput("need one multiplier f_i per index 1..n-1")
@@ -405,7 +405,7 @@ def normalized_presentation_transforms(values, operations):
     presentation, which is what makes the closed forms above tick.
     Returns the list of stages, the untouched presentation first.
     """
-    vals = [int(v) for v in values]
+    vals = [_integer(v) for v in values]
     if not vals or any(v <= 0 for v in vals):
         raise InvalidInput("transform input must be positive integers")
     if len(set(vals)) != len(vals):
@@ -414,9 +414,9 @@ def normalized_presentation_transforms(values, operations):
     for op in operations:
         try:
             name, lam = op
-            lam = int(lam)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed transform step {op!r}: {exc}") from None
+        lam = _integer(lam)
         if name == "subtract":
             if not 0 <= lam <= min(vals):
                 raise InvalidScalar(f"subtract needs 0 <= {lam} <= min of the values")

@@ -156,10 +156,6 @@ class BinomialBasis(Frozen):
         init_field(self, "is_reduced", is_reduced)
         init_field(self, "is_minimal_generating", is_minimal_generating)
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.elements
-
     def to_data(self):
         return {
             "order": self.order.describe(),
@@ -472,7 +468,10 @@ def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
 
 
 def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``."""
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    Each element's ``plus`` is its lead term under ``order``.
+    """
     pairs = [(b.plus, b.minus) for b in gens]
     n = len(pairs[0][0]) if pairs else 0
     basis = _buchberger(pairs, order, n)

@@ -43,11 +43,6 @@ class TorsionSpec(Frozen):
             raise InvalidInput("torsion moduli must all be >= 2")
         init_field(self, "moduli", moduli)
 
-    def reduce(self, residues) -> tuple[int, ...]:
-        if len(residues) != len(self.moduli):
-            raise DimensionMismatch("torsion residue count does not match moduli")
-        return tuple(r % t for r, t in zip(residues, self.moduli))
-
     def __len__(self):
         return len(self.moduli)
 
@@ -297,8 +292,10 @@ def presentation_from_data(obj) -> MonoidPresentation:
     except KeyError as exc:
         raise InvalidInput(f"malformed presentation object: {exc}") from None
     torsion = obj.get("torsion", [])
-    if not isinstance(gens, list) or not gens:
-        raise InvalidInput("generators must be a nonempty list")
+    if not isinstance(torsion, list):
+        raise InvalidInput("torsion must be a list")
+    if not isinstance(gens, list) or not gens or not all(isinstance(g, list) for g in gens):
+        raise InvalidInput("generators must be a nonempty list of lists")
     return presentation(rank, torsion, gens)
 
 
@@ -359,25 +356,31 @@ def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidP
     out = MonoidPresentation(p.rank, p.torsion, p.generators, validated=True)
     out.__dict__["pointing"] = tuple(w)
     if minimalize:
-        kept = list(out.generators)
-        order = sorted(range(len(kept)), key=lambda i: (dot(w, kept[i].free), kept[i].sort_key()), reverse=True)
-        for i in order:
-            rest = [g for j, g in enumerate(kept) if j != i and g is not None]
-            if not rest:
-                continue
-            sub = MonoidPresentation(out.rank, out.torsion, tuple(rest), validated=True)
-            sub.__dict__["pointing"] = tuple(w)
-            if member(sub, kept[i]) is not None:
-                kept[i] = None
-        out = MonoidPresentation(
-            out.rank, out.torsion, tuple(g for g in kept if g is not None), validated=True
-        )
+        out = MonoidPresentation(out.rank, out.torsion, _irredundant(out), validated=True)
         out.__dict__["pointing"] = tuple(w)
     return out
 
 
 def _validated(p: MonoidPresentation) -> MonoidPresentation:
     return p if p.validated else validate_reduced(p)
+
+
+def _irredundant(p: MonoidPresentation) -> tuple[GroupElement, ...]:
+    """The generators of a validated ``p`` left after dropping, heaviest
+    first, each one that lies in the monoid spanned by those still kept.
+    The set is minimal exactly when nothing is dropped."""
+    w = p.pointing
+    kept = list(p.generators)
+    order = sorted(range(len(kept)), key=lambda i: (dot(w, kept[i].free), kept[i].sort_key()), reverse=True)
+    for i in order:
+        rest = tuple(g for j, g in enumerate(kept) if j != i and g is not None)
+        if not rest:
+            continue
+        sub = MonoidPresentation(p.rank, p.torsion, rest, validated=True)
+        sub.__dict__["pointing"] = w
+        if member(sub, kept[i]) is not None:
+            kept[i] = None
+    return tuple(g for g in kept if g is not None)
 
 
 def extremal_rays(vectors) -> Cone:
@@ -483,12 +486,4 @@ def require_member(p: MonoidPresentation, x: GroupElement) -> Factorization:
 def is_minimal_generating(p: MonoidPresentation) -> bool:
     """Whether no generator lies in the monoid spanned by the others."""
     p = _validated(p)
-    if p.n == 1:
-        return True
-    for i in range(p.n):
-        rest = tuple(g for j, g in enumerate(p.generators) if j != i)
-        sub = MonoidPresentation(p.rank, p.torsion, rest, validated=True)
-        sub.__dict__["pointing"] = p.pointing
-        if member(sub, p.generators[i]) is not None:
-            return False
-    return True
+    return len(_irredundant(p)) == p.n

@@ -1,8 +1,11 @@
 """Apery sets relative to a finite subset B, finite and truncated."""
 
+from itertools import product
 from typing import get_type_hints
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from test_oracle import _small_presentations
 
 from monofact.apery import AperyResult, apery_count, apery_is_finite, apery_set
 from monofact.errors import (
@@ -10,10 +13,11 @@ from monofact.errors import (
     InfiniteWithoutLimit,
     InvalidInput,
     NotInMonoid,
+    NotReduced,
 )
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
-from monofact.monoid import GroupElement, numerical, presentation
-from monofact.orders import GREVLEX, wgrevlex
+from monofact.monoid import GroupElement, numerical, presentation, validate_reduced
+from monofact.orders import GREVLEX, LEX, wgrevlex
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
 W = wgrevlex((2, 2, 1, 2, 2))
@@ -161,3 +165,53 @@ def test_finite_verdict_matches_cone_criterion(numerical_instances):
 def test_apery_result_annotations_resolve():
     hints = get_type_hints(AperyResult)
     assert hints["elements"] == tuple[GroupElement, ...]
+
+
+@st.composite
+def _rank2_presentations(draw):
+    # rank 1 makes every nonzero B cover the cone; rank 2 has truncated sets
+    gens = draw(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return presentation(2, (), sorted(gens))
+
+
+def _divides(lead, exp):
+    return all(a <= b for a, b in zip(lead, exp))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@given(p=st.one_of(_small_presentations(), _rank2_presentations()), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_staircase_walk_matches_an_unpruned_filter(order, p, data):
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    exps = st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n).filter(any)
+    facts = data.draw(st.lists(exps, min_size=1, max_size=2))
+    limit = data.draw(st.integers(0, 4))
+    elems = [p.evaluate(f) for f in facts]
+    res = apery_set(p, elems, factorizations=facts, order=order, limit=limit)
+    gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
+    leads = [b.oriented(order)[0] for b in groebner(gens, order).elements]
+    powers = {}
+    for lead in leads:
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) == 1:
+            i = support[0]
+            powers[i] = min(powers.get(i, lead[i]), lead[i])
+    finite = len(powers) == p.n
+    if finite:
+        box = product(*(range(powers[i]) for i in range(p.n)))
+    else:
+        box = (e for e in product(range(limit + 1), repeat=p.n) if sum(e) <= limit)
+    standard = [e for e in box if not any(_divides(lead, e) for lead in leads)]
+    assert res.finite == finite
+    assert res.limit == (None if finite else limit)
+    assert res.elements == tuple(sorted((p.evaluate(e) for e in standard), key=GroupElement.sort_key))

@@ -80,8 +80,33 @@ def test_invalid_input_exits_2(capsys):
             "--b",
             "[[12.9,0]]",
         ),
+        ("lset", "--input", '{"rank":1,"torsion":5,"generators":[[1]]}'),
+        ("lset", "--input", '{"rank":1,"generators":[5,7]}'),
+        ("closed-form", "--family", "unique-betti", "--params", '{"b":5,"t":2,"c":[3.9,2]}'),
+        ("closed-form", "--family", "unique-betti", "--params", '{"b":5,"t":2,"c":[3,true]}'),
+        (
+            "closed-form",
+            "--family",
+            "unique-betti",
+            "--params",
+            '{"b":5,"t":2,"c":[3,2],"f":[1.5]}',
+        ),
+        ("transform", "--input", '{"numerical":[3,5,7]}', "--ops", '[["subtract",2.7]]'),
     ],
-    ids=["float", "bool", "word", "float-modulus", "float-rank", "float-element"],
+    ids=[
+        "float",
+        "bool",
+        "word",
+        "float-modulus",
+        "float-rank",
+        "float-element",
+        "scalar-torsion",
+        "scalar-generator",
+        "float-modulus-c",
+        "bool-modulus-c",
+        "float-multiplier-f",
+        "float-transform-scalar",
+    ],
 )
 def test_non_integer_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -124,7 +124,9 @@ def test_apery_feed_order_leaves_the_reduced_basis_unchanged(order, p, data):
     exps = st.lists(st.integers(0, 3), min_size=p.n, max_size=p.n).filter(any)
     monomials = [Binomial.monomial(e) for e in data.draw(st.lists(exps, min_size=1, max_size=3))]
     basis = list(lattice_ideal(p, order).elements)
-    assert groebner(monomials + basis, order) == groebner(basis + monomials, order)
+    reduced = groebner(monomials + basis, order)
+    assert reduced == groebner(basis + monomials, order)
+    assert all(b.plus == b.oriented(order)[0] for b in reduced.elements)
 
 
 def _minimal_generator_degrees(p, q, order):
