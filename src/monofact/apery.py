@@ -20,6 +20,7 @@ from .ideal import Binomial, groebner, lattice_ideal
 from .monoid import (
     GroupElement,
     MonoidPresentation,
+    _integer,
     _validated,
     cones_equal,
     element_from_data,
@@ -118,7 +119,7 @@ def _resolve_b(p, elements, factorizations):
         if len(factorizations) != len(elems):
             raise InvalidInput("one factorization per element required")
         for elem, fac in zip(elems, factorizations):
-            fac = tuple(int(c) for c in fac)
+            fac = tuple(_integer(c) for c in fac)
             if len(fac) != p.n or any(c < 0 for c in fac):
                 raise InvalidInput("malformed factorization")
             if p.evaluate(fac) != elem:

@@ -413,56 +413,71 @@ def _parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check reducedness, report the pointing data")
+    sp.set_defaults(handler=_cmd_validate)
     _add_common(sp, order=False)
 
-    for name, helptext in (
-        ("ideal", "Groebner basis of the lattice ideal"),
-        ("tilde-ideal", "Groebner basis of the length-homogenized lattice ideal"),
+    for name, helptext, handler in (
+        ("ideal", "Groebner basis of the lattice ideal", _cmd_ideal),
+        ("tilde-ideal", "Groebner basis of the length-homogenized lattice ideal", _cmd_tilde_ideal),
     ):
         sp = sub.add_parser(name, help=helptext)
+        sp.set_defaults(handler=handler)
         _add_common(sp)
         sp.add_argument("--minimal", action="store_true", help="trim to minimal generators")
 
     sp = sub.add_parser("kernel", help="Z-basis of the factorization-difference lattice")
+    sp.set_defaults(handler=_cmd_kernel)
     _add_common(sp, order=False)
 
     sp = sub.add_parser("apery", help="Apery set relative to --b")
+    sp.set_defaults(handler=_cmd_apery)
     _add_common(sp, limit=True)
     sp.add_argument("--b", required=True, help="JSON list of elements (path or inline)")
 
     sp = sub.add_parser("apery-finite", help="cone test for Apery finiteness")
+    sp.set_defaults(handler=_cmd_apery_finite)
     _add_common(sp, order=False)
     sp.add_argument("--b", required=True, help="JSON list of elements (path or inline)")
 
     sp = sub.add_parser("tset", help="generators of the two-factorizations ideal")
+    sp.set_defaults(handler=_cmd_tset)
     _add_common(sp)
     sp = sub.add_parser("lset", help="generators of the equal-length ideal")
+    sp.set_defaults(handler=_cmd_lset)
     _add_common(sp)
 
     sp = sub.add_parser("lset-complement", help="complement of the equal-length ideal")
+    sp.set_defaults(handler=_cmd_lset_complement)
     _add_common(sp, limit=True)
 
     sp = sub.add_parser("lset-finite", help="ray test for complement finiteness")
+    sp.set_defaults(handler=_cmd_lset_finite)
     _add_common(sp, order=False)
 
     sp = sub.add_parser("principal", help="is the equal-length ideal principal")
+    sp.set_defaults(handler=_cmd_principal)
     _add_common(sp)
 
     sp = sub.add_parser("f2l", help="largest integer without two equal-length factorizations")
+    sp.set_defaults(handler=_cmd_f2l)
     _add_common(sp)
 
     sp = sub.add_parser("ceq", help="equal catenary degree")
+    sp.set_defaults(handler=_cmd_ceq)
     _add_common(sp)
 
     sp = sub.add_parser("ceq-bound", help="consecutive-steps upper bound (numerical)")
+    sp.set_defaults(handler=_cmd_ceq_bound)
     _add_common(sp, order=False)
 
     sp = sub.add_parser("ceq-element", help="equal catenary degree of one element")
+    sp.set_defaults(handler=_cmd_ceq_element)
     _add_common(sp, order=False)
     sp.add_argument("--b", required=True, help="the element (path or inline JSON)")
     sp.add_argument("--cap", type=int, default=10**6)
 
     sp = sub.add_parser("closed-form", help="family formulas, optionally engine-verified")
+    sp.set_defaults(handler=_cmd_closed_form)
     sp.add_argument("--family", required=True, choices=("arithmetic", "almost", "unique-betti"))
     sp.add_argument("--params", required=True, help="JSON object (path or inline)")
     sp.add_argument("--verified", action="store_true", help="cross-check against the engine")
@@ -470,10 +485,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=("json", "text"), default="json")
 
     sp = sub.add_parser("transform", help="ideal-preserving rewrites of a numerical presentation")
+    sp.set_defaults(handler=_cmd_transform)
     _add_common(sp)
     sp.add_argument("--ops", required=True, help='JSON list like [["subtract",7],["divide",3]]')
 
     sp = sub.add_parser("oracle-check", help="engine vs brute force under a weight cap")
+    sp.set_defaults(handler=_cmd_oracle_check)
     _add_common(sp)
     sp.add_argument("--what", required=True, choices=("lset", "tset", "ceq", "f"))
     sp.add_argument("--cap", type=int, required=True)
@@ -481,32 +498,10 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "ideal": _cmd_ideal,
-    "tilde-ideal": _cmd_tilde_ideal,
-    "kernel": _cmd_kernel,
-    "apery": _cmd_apery,
-    "apery-finite": _cmd_apery_finite,
-    "tset": _cmd_tset,
-    "lset": _cmd_lset,
-    "lset-complement": _cmd_lset_complement,
-    "lset-finite": _cmd_lset_finite,
-    "principal": _cmd_principal,
-    "f2l": _cmd_f2l,
-    "ceq": _cmd_ceq,
-    "ceq-bound": _cmd_ceq_bound,
-    "ceq-element": _cmd_ceq_element,
-    "closed-form": _cmd_closed_form,
-    "transform": _cmd_transform,
-    "oracle-check": _cmd_oracle_check,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        out = _HANDLERS[args.command](args)
+        out = args.handler(args)
         data, code = out if isinstance(out, tuple) else (out, 0)
         _emit(data, args)
         return code

@@ -9,8 +9,11 @@ by the S-degrees of any generating set of I_{S~}.  Both are read off the
 memoized reduced Groebner bases and trimmed as monoid ideals; minimal
 binomial generators serve only the equal catenary degree and the
 ``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
-relative to the L_S generators, which makes it computable through the
-staircase machinery.
+relative to the L_S generators, walked through the staircase machinery.
+F_2l needs no staircase: with w_r the least element of a numerical S
+congruent to r modulo its smallest generator a, the table behind the
+gaps, x lies in L_S iff x >= m_{x mod a}, m_r = min_g (g + w_{(r - g) mod a})
+over the L_S generators g.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
 from .monoid import (
     GroupElement,
     MonoidPresentation,
+    _integer,
     _validated,
     element_from_data,
     extremal_rays,
@@ -203,60 +207,59 @@ def is_l_set_principal(
     return ideal.generators[0] if ideal.is_principal else None
 
 
-def gaps(values) -> tuple[int, ...]:
-    """Gaps of the numerical semigroup generated by ``values`` (gcd 1),
-    via least monoid elements per residue class of the smallest
-    generator."""
-    vals = sorted({int(v) for v in values})
+def _apery_residues(values) -> list[int]:
+    """[w_0, ..., w_{a-1}]: w_r is the least element of S = <values>
+    congruent to r modulo its smallest generator a, i.e. Ap(S, a), by
+    relaxing residue-class shortest paths (Boecker and Liptak, 2007)."""
+    vals = sorted({_integer(v) for v in values})
     if not vals or vals[0] <= 0:
         raise InvalidInput("generators must be positive")
-    g = 0
-    for v in vals:
-        g = gcd(g, v)
-    if g != 1:
+    if gcd(*vals) != 1:
         raise InvalidInput("generators must have gcd 1")
     a = vals[0]
-    if a == 1:
-        return ()
-    INF = None
-    dist = [INF] * a
-    dist[0] = 0
+    w = [0] + [a * vals[-1]] * (a - 1)  # above all: a shortest path takes < a steps
     changed = True
     while changed:
         changed = False
         for r in range(a):
-            if dist[r] is None:
-                continue
             for v in vals[1:]:
-                nr = (r + v) % a
-                nd = dist[r] + v
-                if dist[nr] is None or nd < dist[nr]:
-                    dist[nr] = nd
-                    changed = True
-    out = []
-    for r in range(a):
-        m = dist[r]
-        x = m - a
-        while x > 0:
-            out.append(x)
-            x -= a
-    return tuple(sorted(out))
+                s = (r + v) % a
+                if w[r] + v < w[s]:
+                    w[s], changed = w[r] + v, True
+    return w
+
+
+def _below_residue_bounds(bounds) -> tuple[int, ...]:
+    """The x >= 0 with x < bounds[x mod len(bounds)], ascending."""
+    a = len(bounds)
+    return tuple(sorted(x for r, m in enumerate(bounds) for x in range(r, m, a)))
+
+
+def gaps(values) -> tuple[int, ...]:
+    """Gaps of the numerical semigroup generated by ``values`` (gcd 1):
+    the x >= 0 with x < w_{x mod a}."""
+    return _below_residue_bounds(_apery_residues(values))
 
 
 def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> tuple[int, ...]:
     """The nonnegative integers without two distinct equal-length
     factorizations of a numerical semigroup, ascending: its gaps together
-    with S \\ L_S."""
+    with S \\ L_S.  These are the x >= 0 with x < m_{x mod a}: the union of
+    the g + S holds the x = r mod a from m_r = min_g (g + w_{(r - g) mod a})."""
     p = _validated(p)
     if not p.is_numerical:
         raise InvalidInput("F_2l is defined for numerical semigroups")
-    holes = gaps([g.free[0] for g in p.generators])  # also rejects gcd > 1
+    w = _apery_residues(g.free[0] for g in p.generators)  # also rejects gcd > 1
     if p.n <= 2:
         raise UndefinedForN2("L_S empty for n <= 2")
-    comp = l_set_complement(p, order=order)
-    if not comp.finite:
-        raise CrossCheckError("the complement of L_S is infinite for a numerical n >= 3")
-    return tuple(sorted({e.free[0] for e in comp.elements}.union(holes)))
+    ideal = l_set(p, order)
+    if ideal is None:
+        raise CrossCheckError("L_S is empty for a numerical semigroup with n >= 3")
+    a = len(w)
+    gens = [g.free[0] for g in ideal.generators]
+    if any(w[g % a] > g for g in gens):
+        raise CrossCheckError("an L_S generator lies outside S")
+    return _below_residue_bounds([min(g + w[(r - g) % a] for g in gens) for r in range(a)])
 
 
 def f2l(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:

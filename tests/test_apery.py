@@ -146,6 +146,14 @@ def test_apery_b_must_lie_in_monoid():
         apery_set(p, [10], factorizations=[])
 
 
+@pytest.mark.parametrize("fac", [(1.9, 0, 0), (True, 0, 0)], ids=["float", "bool"])
+def test_apery_refuses_non_integer_factorizations(fac):
+    # int() would read both as (1, 0, 0), a factorization of 3
+    with pytest.raises(InvalidInput):
+        apery_set(numerical([3, 5, 7]), [3], factorizations=[fac])
+    assert apery_set(numerical([3, 5, 7]), [3], factorizations=[("1", 0, 0)]).count == 3
+
+
 def test_apery_shares_the_memoized_lattice_ideal():
     p = numerical([3, 5, 7])
     gb = lattice_ideal(p)

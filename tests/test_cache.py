@@ -46,6 +46,27 @@ def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypat
     assert len(calls) == 2  # the other one is I_S, for the Apery set
 
 
+def test_f2l_reads_only_the_lifted_ideal(monkeypatch):
+    # F_2l comes from the L_S generators and the residue table of the gaps:
+    # no Apery staircase, no I_S
+    def refuse(*args, **kwargs):
+        raise AssertionError("apery_set called")
+
+    p = numerical([4, 7, 9])
+    calls = []
+    real = ideal.saturate
+
+    def counting(gens, order=GREVLEX, weights=None):
+        calls.append(gens)
+        return real(gens, order=order, weights=weights)
+
+    monkeypatch.setattr(same_length, "apery_set", refuse)
+    monkeypatch.setattr(ideal, "saturate", counting)
+    assert f2l(p) == 45
+    assert len(calls) == 1
+    assert all(sum(b.plus) == sum(b.minus) for b in calls[0])
+
+
 def test_t_and_l_sets_need_no_minimal_generators(monkeypatch):
     # T_S and L_S are read off the reduced bases; minimal binomial
     # generators only serve c_eq and the --minimal payloads

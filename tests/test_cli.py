@@ -338,14 +338,14 @@ def test_f2l_payload_matches_brute_force(capsys, values):
     assert data["complement"] == [x for x in range(data["value"] + 1) if x not in in_l]
 
 
-_F2L_ON_AN_INFINITE_COMPLEMENT = """
+_F2L_ON_A_GENERATOR_OUTSIDE_S = """
 import sys
 from monofact import cli, same_length
-from monofact.apery import AperyResult
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-same_length.l_set_complement = lambda p, limit=None, order=None: AperyResult(False, (), 0, limit)
+# the gap 1 as the only L_S generator: it lies outside S
+same_length.l_set = lambda p, order=None: same_length.MonoidIdeal(p, (p.element((1,)),))
 sys.exit(cli.main(["f2l", "--input", '{"numerical":[5,6,7,8]}']))
 """
 
@@ -354,7 +354,7 @@ def test_cli_cross_check_holds_under_python_O():
     # asserts vanish under -O; the F_2l guard is a typed error and must not
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _F2L_ON_AN_INFINITE_COMPLEMENT],
+        [sys.executable, "-O", "-c", _F2L_ON_A_GENERATOR_OUTSIDE_S],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

@@ -1,9 +1,11 @@
 """T_S, L_S, complements, and the numerical invariants built on them."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofact import same_length
-from monofact.apery import AperyResult
 from monofact.errors import (
     CrossCheckError,
     DimensionMismatch,
@@ -12,13 +14,14 @@ from monofact.errors import (
     UndefinedForN2,
 )
 from monofact.ideal import lattice_ideal, minimal_generators
-from monofact.monoid import member, numerical, presentation
+from monofact.monoid import is_minimal_generating, member, numerical, presentation
 from monofact.orders import wgrevlex
 from monofact.same_length import (
     MonoidIdeal,
     f2l,
     gaps,
     homogenize,
+    integers_outside_l_set,
     is_l_set_principal,
     l_set,
     l_set_complement,
@@ -145,6 +148,12 @@ def test_gaps():
         gaps([2, 4])
     with pytest.raises(InvalidInput):
         gaps([0, 3])
+    # int() would truncate 3.9 to 3 and read True as 1
+    with pytest.raises(InvalidInput):
+        gaps([3.9, 5])
+    with pytest.raises(InvalidInput):
+        gaps([True, 3])
+    assert gaps(["3", 5]) == (1, 2, 4, 7)
 
 
 def test_f2l_needs_numerical_gcd_one():
@@ -189,11 +198,36 @@ def test_l_subset_t_on_random_instances(reduced_instances):
 
 
 def test_f2l_rejects_an_infinite_complement(monkeypatch):
-    # a numerical semigroup with n >= 3 has a finite complement; the guard
-    # is a typed error, so it also holds under python -O
-    def infinite(p, limit=None, order=None):
-        return AperyResult(False, (), 0, limit)
-
-    monkeypatch.setattr(same_length, "l_set_complement", infinite)
+    # a numerical semigroup with n >= 3 has a nonempty L_S, so a finite
+    # complement; the guard is a typed error, so it also holds under python -O
+    monkeypatch.setattr(same_length, "l_set", lambda p, order=None: None)
     with pytest.raises(CrossCheckError):
         f2l(numerical([3, 5, 7]))
+
+
+def test_f2l_rejects_an_l_set_generator_outside_s(monkeypatch):
+    # the gap 1 cannot generate part of L_S; the residue bounds would be wrong
+    def gap_generator(p, order=None):
+        return MonoidIdeal(p, (p.element((1,)),))
+
+    monkeypatch.setattr(same_length, "l_set", gap_generator)
+    with pytest.raises(CrossCheckError):
+        f2l(numerical([3, 5, 7]))
+
+
+_minimal_numerical = (
+    st.lists(st.integers(3, 40), min_size=3, max_size=5, unique=True)
+    .map(sorted)
+    .filter(lambda vals: gcd(*vals) == 1)
+    .map(numerical)
+    .filter(is_minimal_generating)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_minimal_numerical)
+def test_integers_outside_l_set_match_the_apery_complement(p):
+    # the residue bounds against the staircase walk of S \ L_S plus the gaps
+    expected = set(gaps([g.free[0] for g in p.generators]))
+    expected |= {e.free[0] for e in l_set_complement(p).elements}
+    assert integers_outside_l_set(p) == tuple(sorted(expected))
