@@ -28,7 +28,9 @@ The pipeline for I_S:
      revlex order with x_i cheapest saturates at x_i by dividing each
      element by the largest power of x_i it contains.  Quotienting by
      each variable in turn equals quotienting by their product, so one
-     sweep over the variables saturates completely.
+     sweep over the variables saturates completely.  The sweep skips the
+     largest set supp(a) \\ supp(b) over the generators x^a - x^b: the
+     other passes already saturate there (see saturate).
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -47,7 +49,7 @@ from operator import mul
 from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
-from .monoid import MonoidPresentation, _validated
+from .monoid import MonoidPresentation, _integer, _validated
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 from .ratlp import solve_nonneg
 
@@ -65,11 +67,11 @@ class Binomial(Frozen):
     minus: tuple[int, ...] | None
 
     def __init__(self, plus, minus=None):
-        plus = tuple(map(int, plus))
+        plus = tuple(map(_integer, plus))
         if plus and min(plus) < 0:
             raise InvalidInput("exponents must be nonnegative")
         if minus is not None:
-            minus = tuple(map(int, minus))
+            minus = tuple(map(_integer, minus))
             if len(minus) != len(plus):
                 raise InvalidInput("exponent vectors differ in length")
             if minus and min(minus) < 0:
@@ -80,14 +82,14 @@ class Binomial(Frozen):
     @classmethod
     def difference(cls, a, b) -> "Binomial":
         """Canonical pure difference: strips the common monomial factor."""
-        a = tuple(int(x) for x in a)
-        b = tuple(int(x) for x in b)
+        a = tuple(map(_integer, a))
+        b = tuple(map(_integer, b))
         common = tuple(min(x, y) for x, y in zip(a, b))
         return cls(tuple(x - c for x, c in zip(a, common)), tuple(y - c for y, c in zip(b, common)))
 
     @classmethod
     def monomial(cls, a) -> "Binomial":
-        return cls(tuple(int(x) for x in a), None)
+        return cls(a, None)
 
     @property
     def is_monomial(self) -> bool:
@@ -135,6 +137,16 @@ class Binomial(Frozen):
         if self.minus is None:
             return side(self.plus)
         return f"{side(self.plus)} - {side(self.minus)}"
+
+
+def _stored(plus, minus) -> Binomial:
+    """A Binomial of exponent tuples built here, stored without the checks
+    of ``Binomial.__init__``: they are nonnegative ints of one length by
+    construction."""
+    b = Binomial.__new__(Binomial)
+    init_field(b, "plus", plus)
+    init_field(b, "minus", minus)
+    return b
 
 
 class BinomialBasis(Frozen):
@@ -458,13 +470,7 @@ def _buchberger_packed(lay: _Layout, elements):
 
 
 def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
-    out = []
-    for lead, tail in pairs:
-        if tail is None:
-            out.append(Binomial.monomial(lead))
-        else:
-            out.append(Binomial(lead, tail))
-    return tuple(out)
+    return tuple(_stored(lead, tail) for lead, tail in pairs)
 
 
 def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
@@ -491,11 +497,8 @@ def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
     red = _widening(pairs, basis.order, f.nvars, _normal_form_packed)
     if red is None:
         n = f.nvars
-        return Binomial((0,) * n, (0,) * n)
-    lead, tail = red
-    if tail is None:
-        return Binomial.monomial(lead)
-    return Binomial(lead, tail)
+        return _stored((0,) * n, (0,) * n)
+    return _stored(*red)
 
 
 def _normal_form_packed(lay: _Layout, elements):
@@ -575,6 +578,21 @@ def _grading_for(gens):
     return tuple((D + a) // g for a in s)
 
 
+def _covered(gens) -> frozenset:
+    """The largest supp(a) \\ supp(b) over the non-monomial generators
+    x^a - x^b of ``gens``, in both orientations: variables at which the
+    saturation of the others already saturates (see saturate)."""
+    best = frozenset()
+    for g in gens:
+        if g.minus is None:
+            continue
+        for a, b in ((g.plus, g.minus), (g.minus, g.plus)):
+            k = frozenset(j for j, (x, y) in enumerate(zip(a, b)) if x and not y)
+            if len(k) > len(best):
+                best = k
+    return best
+
+
 def saturate(
     gens,
     order: TermOrder = GREVLEX,
@@ -586,6 +604,16 @@ def saturate(
     (``weights`` when supplied, otherwise one is derived exactly); the
     saturation walks the variables once, dividing each out of a graded
     reverse-lex basis that makes it cheapest.
+
+    The walk skips the variables K = supp(a) \\ supp(b) of one
+    non-monomial generator x^a - x^b of I = <gens> (Hosten and Sturmfels,
+    IPCO 1995).  Let J = I : (x_sigma)^infty be the saturation at the
+    other variables sigma, so sigma contains supp(b).  Take j in K and f
+    with f x_j^k in J.  Since x_j^k divides x^{ka}, f x^{ka} lies in J;
+    x^{ka} = x^{kb} modulo I, so f x^{kb} lies in J, and then so does f,
+    J being saturated at every variable of b.  Hence J is saturated at
+    each j in K, and J = I : (x_1 ... x_n)^infty.  A monomial generator
+    supplies no K: the argument needs the other side x^b.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -602,16 +630,21 @@ def saturate(
 
     current = [(b.plus, b.minus) for b in gens]
     # quotienting by each variable in turn equals quotienting by their
-    # product, so a single pass saturates completely
+    # product, so a single pass saturates completely; covered variables
+    # need none
+    skipped = _covered(gens)
     for i in range(n):
+        if i in skipped:
+            continue
         round_order = wgrevlex(weights, perm=cheapest_last(n, i))
         current = _buchberger(current, round_order, n)
         stripped = []
         for lead, tail in current:
-            c = min(lead[i], tail[i]) if tail is not None else 0
+            c = lead[i] if tail is None else min(lead[i], tail[i])
             if c > 0:
                 lead = tuple(a - c if j == i else a for j, a in enumerate(lead))
-                tail = tuple(a - c if j == i else a for j, a in enumerate(tail))
+                if tail is not None:
+                    tail = tuple(a - c if j == i else a for j, a in enumerate(tail))
             stripped.append((lead, tail))
         current = stripped
     final = _buchberger(current, order, n)
@@ -638,7 +671,7 @@ def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     for gamma in lll_reduce(kernel_lattice(p).basis):
         plus = tuple(a if a > 0 else 0 for a in gamma)
         minus = tuple(-a if a < 0 else 0 for a in gamma)
-        gens.append(Binomial(plus, minus))
+        gens.append(_stored(plus, minus))
     if not gens:
         return BinomialBasis((), order, is_groebner=True, is_reduced=True)
     return saturate(gens, order=order, weights=p.weights)

@@ -230,6 +230,11 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         w = self.pointing
         return tuple(dot(w, g.free) for g in self.generators)
 
+    @cached_property
+    def cone(self) -> Cone:
+        """The extremal rays of the cone of the free parts, computed once."""
+        return extremal_rays([g.free for g in self.generators])
+
     def weight_of(self, x: GroupElement) -> int:
         return dot(self.pointing, x.free)
 
@@ -410,9 +415,8 @@ def cones_equal(p: MonoidPresentation, elements) -> bool:
     free part of some b.
     """
     p = _validated(p)
-    cone = extremal_rays([g.free for g in p.generators])
     directions = {primitive(b.free) for b in elements if any(a != 0 for a in b.free)}
-    return all(ray in directions for ray in cone.rays)
+    return all(ray in directions for ray in p.cone.rays)
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):

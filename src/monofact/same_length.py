@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import ge
 
 from ._frozen import Frozen, init_field
 from .apery import AperyResult, apery_set
@@ -31,7 +32,6 @@ from .monoid import (
     _integer,
     _validated,
     element_from_data,
-    extremal_rays,
     member,
     presentation,
     primitive,
@@ -112,14 +112,25 @@ def _homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
     return HomogenizedPresentation(p, _validated(presentation(p.rank + 1, p.torsion.moduli, gens)))
 
 
-def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:
+def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:
     """Keep the degrees (keys of ``witnesses``, each mapped to one of its
     factorizations) that do not lie in another degree plus S, ascending by
     weight.  Absorption only happens from strictly smaller weight, so one
     ascending pass against the kept set is complete.
+
+    ``known`` maps degrees to factorizations of them already in hand.  When
+    a known factorization of d is componentwise >= a known factorization
+    of a kept e, their difference factors d - e, so d is absorbed with no
+    search; otherwise ``member`` decides each kept e.
     """
+    known = known or {}
     kept = {}
     for d in sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key())):
+        mine = known.get(d, ())
+        if any(
+            all(map(ge, f, g)) for e in kept for g in known.get(e, ()) for f in mine
+        ):
+            continue
         if all(member(p, d - e) is None for e in kept):
             kept[d] = witnesses[d]
     return kept
@@ -145,11 +156,17 @@ def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> 
 
 def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: TermOrder) -> dict:
     """The minimal S-degrees of the cached reduced basis of I_q over the
-    generators of p, each mapped to a witness factorization; empty when
-    I_q = 0.  q = p gives T_S and q = S~ gives L_S.  Any binomial
-    generating set would do, since the degrees are minimalized here."""
-    basis = lattice_ideal(q, order)
-    return _minimalize_degrees(p, {p.evaluate(b.plus): b.plus for b in basis.elements})
+    generators of p, each mapped to a witness factorization (the ``plus``
+    of the last basis element of that degree); empty when I_q = 0.  q = p
+    gives T_S and q = S~ gives L_S.  Any binomial generating set would do,
+    since the degrees are minimalized here.  Both sides of every basis
+    element factor its degree, and all of them go to the minimalization."""
+    witnesses, known = {}, {}
+    for b in lattice_ideal(q, order).elements:
+        d = p.evaluate(b.plus)
+        witnesses[d] = b.plus
+        known.setdefault(d, []).extend((b.plus, b.minus))
+    return _minimalize_degrees(p, witnesses, known)
 
 
 def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
@@ -186,8 +203,7 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     carries two generators with equal free parts (2.a) or three
     generators (2.b).  No ideal computation involved."""
     p = _validated(p)
-    frees = [g.free for g in p.generators]
-    for ray in extremal_rays(frees).rays:
+    for ray in p.cone.rays:
         on_ray = [g for g in p.generators if primitive(g.free) == ray]
         if len(on_ray) >= 3:
             continue

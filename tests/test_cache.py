@@ -4,10 +4,11 @@ shared by every invariant of one presentation."""
 import pytest
 
 from monofact import ideal, monoid, same_length
+from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.errors import NotReduced
 from monofact.ideal import lattice_ideal
-from monofact.monoid import numerical, presentation, validate_reduced
+from monofact.monoid import numerical, presentation, presentation_from_data, validate_reduced
 from monofact.orders import GREVLEX, LEX
 from monofact.same_length import (
     f2l,
@@ -15,6 +16,7 @@ from monofact.same_length import (
     is_l_set_principal,
     l_set,
     l_set_complement,
+    l_set_complement_is_finite,
     t_set,
 )
 
@@ -124,3 +126,48 @@ def test_not_reduced_raises_on_every_call():
             lattice_ideal(p)
         with pytest.raises(NotReduced):
             homogeneous_minimal_generators(p)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
+    # rank 2 with torsion 4: every lattice ideal needs one Buchberger pass
+    # per uncovered variable plus the final one, and the degrees that a
+    # basis element's sides show to be absorbed need no member search
+    p = validate_reduced(
+        presentation_from_data(
+            {"rank": 2, "torsion": [4], "generators": [[-6, -6, 3], [-4, -5, 0], [0, -1, 1], [2, -4, 1]]}
+        )
+    )
+    engine = _counting(monkeypatch, ideal, "_buchberger")
+    searches = _counting(monkeypatch, same_length, "member")
+    assert [g.to_data() for g in t_set(p).generators] == [
+        [0, -18, 2],
+        [-16, -22, 2],
+        [-12, -28, 2],
+        [-30, -44, 1],
+        [-48, -60, 0],
+    ]
+    assert [g.to_data() for g in l_set(p).generators] == [[-112, -140, 0]]
+    assert len(engine) <= 5  # 10 with every variable swept
+    assert len(searches) <= 10  # 16 with every absorption searched
+
+
+def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
+    # the Apery cross-check and the ray criterion read one cached cone
+    p = validate_reduced(numerical([4, 7, 9]))
+    rays = _counting(monkeypatch, monoid, "extremal_rays")
+    assert apery_set(p, [4]).count == 4
+    assert apery_set(p, [16]).finite
+    assert l_set_complement_is_finite(p)
+    assert len(rays) == 1

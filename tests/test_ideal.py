@@ -1,11 +1,13 @@
 """Kernel lattices, Buchberger, saturation, and minimal generators."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofact.errors import InvalidInput, NotHomogeneous
 from monofact.ideal import (
     Binomial,
     BinomialBasis,
+    _buchberger,
     groebner,
     ideals_equal,
     in_ideal,
@@ -16,7 +18,7 @@ from monofact.ideal import (
     saturate,
 )
 from monofact.monoid import numerical, presentation, validate_reduced
-from monofact.orders import GREVLEX, LEX, wgrevlex
+from monofact.orders import GREVLEX, LEX, block, cheapest_last, wgrevlex
 
 
 def test_kernel_lattice_of_357():
@@ -134,6 +136,13 @@ def test_principal_ideal_single_generator():
     assert p.evaluate(mg.elements[0].plus).free[0] == 15
 
 
+def test_saturating_a_monomial_gives_the_unit_ideal():
+    # x1 x2 in I puts 1 in I : (x1 x2)^infty
+    one = Binomial.monomial((0, 0))
+    assert saturate([Binomial.monomial((1, 1))]).elements == (one,)
+    assert saturate([Binomial((1, 0), (0, 1)), Binomial.monomial((2, 0))]).elements == (one,)
+
+
 def test_saturate_rejects_inhomogeneous_input():
     # 1 - x1 admits no positive grading
     with pytest.raises(NotHomogeneous):
@@ -179,3 +188,86 @@ def test_random_instances_lattice_ideal_is_homogeneous(reduced_instances):
         gb = lattice_ideal(p)
         for b in gb.elements:
             assert p.evaluate(b.plus) == p.evaluate(b.minus)
+
+
+def _reference_saturate(gens, order, weights):
+    """The saturation loop before covered variables were skipped: one
+    Buchberger pass per variable, then the final pass.  Kept here unchanged
+    as the reference for binomial generators; returns (lead, tail) pairs."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    n = gens[0].nvars
+    current = [(b.plus, b.minus) for b in gens]
+    for i in range(n):
+        current = _buchberger(current, wgrevlex(weights, perm=cheapest_last(n, i)), n)
+        stripped = []
+        for lead, tail in current:
+            c = min(lead[i], tail[i]) if tail is not None else 0
+            if c > 0:
+                lead = tuple(a - c if j == i else a for j, a in enumerate(lead))
+                tail = tuple(a - c if j == i else a for j, a in enumerate(tail))
+            stripped.append((lead, tail))
+        current = stripped
+    return _buchberger(current, order, n)
+
+
+@st.composite
+def _homogeneous_generators(draw):
+    """Positive weights w and generators homogeneous for w: binomials built
+    from the moves w_j e_i - w_i e_j, some times a common monomial factor,
+    and at times a monomial."""
+    n = draw(st.integers(2, 4))
+    w = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    moves = [
+        tuple(w[j] if k == i else -w[i] if k == j else 0 for k in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    gens = []
+    for coeffs in draw(
+        st.lists(
+            st.lists(st.integers(-1, 1), min_size=len(moves), max_size=len(moves)),
+            min_size=1,
+            max_size=3,
+        )
+    ):
+        u = [sum(c * m[k] for c, m in zip(coeffs, moves)) for k in range(n)]
+        common = draw(exps) if draw(st.booleans()) else [0] * n
+        gens.append(
+            Binomial(
+                tuple(max(a, 0) + c for a, c in zip(u, common)),
+                tuple(max(-a, 0) + c for a, c in zip(u, common)),
+            )
+        )
+    gens += [Binomial.monomial(e) for e in draw(st.lists(exps.filter(any), max_size=1))]
+    return w, gens
+
+
+_ORDERS = {
+    "lex": lambda n: LEX,
+    "grevlex": lambda n: GREVLEX,
+    "wgrevlex": lambda n: wgrevlex(range(n, 0, -1)),
+    "block": lambda n: block(1, LEX, GREVLEX),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ORDERS))
+@given(case=_homogeneous_generators())
+@settings(max_examples=25, deadline=None)
+def test_saturate_matches_the_full_variable_sweep(kind, case):
+    # passes at the variables one binomial covers are skipped; the reduced
+    # basis must be the one every pass gives, whatever grading is used
+    w, gens = case
+    n = len(w)
+    order = _ORDERS[kind](n)
+    if any(g.is_monomial for g in gens):
+        # x^a in I makes 1 = x^a / x^a lie in the saturation; the reference
+        # loop never stripped monomials, so it is no reference here
+        expected = [((0,) * n, None)]
+    else:
+        expected = _reference_saturate(gens, order, w)
+    for weights in (w, None):
+        got = saturate(gens, order, weights=weights)
+        assert [(b.plus, b.minus) for b in got.elements] == expected

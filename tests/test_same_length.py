@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monofact import same_length
 from monofact.errors import (
@@ -11,11 +11,18 @@ from monofact.errors import (
     DimensionMismatch,
     EmptyLSet,
     InvalidInput,
+    NotReduced,
     UndefinedForN2,
 )
 from monofact.ideal import lattice_ideal, minimal_generators
-from monofact.monoid import is_minimal_generating, member, numerical, presentation
-from monofact.orders import wgrevlex
+from monofact.monoid import (
+    is_minimal_generating,
+    member,
+    numerical,
+    presentation,
+    validate_reduced,
+)
+from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     MonoidIdeal,
     f2l,
@@ -231,3 +238,44 @@ def test_integers_outside_l_set_match_the_apery_complement(p):
     expected = set(gaps([g.free[0] for g in p.generators]))
     expected |= {e.free[0] for e in l_set_complement(p).elements}
     assert integers_outside_l_set(p) == tuple(sorted(expected))
+
+
+def _search_only_minimalize(p, witnesses):
+    """_minimalize_degrees before known factorizations could certify an
+    absorption: one member search per (degree, kept degree) pair.  Kept
+    here unchanged as the reference."""
+    kept = {}
+    for d in sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key())):
+        if all(member(p, d - e) is None for e in kept):
+            kept[d] = witnesses[d]
+    return kept
+
+
+@st.composite
+def _presentations_up_to_rank_2(draw):
+    rank = draw(st.integers(1, 2))
+    moduli = draw(st.lists(st.integers(2, 4), max_size=1))
+    entry = st.tuples(
+        *[st.integers(-3, 6)] * rank, *[st.integers(0, t - 1) for t in moduli]
+    ).filter(lambda g: any(g[:rank]))
+    gens = draw(st.lists(entry, min_size=2, max_size=4, unique=True))
+    return presentation(rank, moduli, sorted(gens))
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@settings(max_examples=25, deadline=None)
+@given(_presentations_up_to_rank_2())
+def test_degree_generators_match_the_search_only_trimming(order, p):
+    # absorptions certified by the basis elements' own sides must keep the
+    # degrees, witnesses and their order the searches alone give
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    for q in (p, homogenize(p).lifted):
+        basis = lattice_ideal(q, order)
+        expected = _search_only_minimalize(
+            p, {p.evaluate(b.plus): b.plus for b in basis.elements}
+        )
+        got = same_length._degree_generators(p, q, order)
+        assert list(got.items()) == list(expected.items())

@@ -95,6 +95,21 @@ def test_constructor_checks_keep_their_order():
         Binomial((1, 0), (-1,))
 
 
+def test_binomial_exponents_are_read_as_integers():
+    # int() would truncate 1.5 to 1 and read True as 1
+    for bad in ((1.5, 0), (True, 0)):
+        with pytest.raises(InvalidInput):
+            Binomial(bad, (0, 0))
+        with pytest.raises(InvalidInput):
+            Binomial((0, 0), bad)
+        with pytest.raises(InvalidInput):
+            Binomial.monomial(bad)
+        with pytest.raises(InvalidInput):
+            Binomial.difference(bad, (0, 1))
+    assert Binomial(("2", "0"), ("0", "10")) == Binomial((2, 0), (0, 10))
+    assert Binomial.monomial(("3", 1)).plus == (3, 1)
+
+
 def test_pickle_and_copy_rebuild_equal_values():
     p = validate_reduced(numerical([3, 5, 7]))
     for value in (p, GroupElement((1, -2), (5,), (3,)), lattice_ideal(p)):
