@@ -26,15 +26,7 @@ import sys
 from . import closed_forms
 from .apery import apery_is_finite, apery_set
 from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
-from .errors import (
-    CrossCheckError,
-    EmptyLSet,
-    InfiniteSet,
-    InfiniteWithoutLimit,
-    InvalidInput,
-    MonoidError,
-    NotReduced,
-)
+from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
 from .monoid import element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
@@ -57,8 +49,11 @@ _INT64 = 1 << 63
 def _load_json(raw: str, flag: str):
     """Path-or-inline JSON."""
     if os.path.exists(raw):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(raw, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"{flag} names an unreadable file: {exc}") from None
     try:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -81,6 +76,13 @@ def _flat(value) -> str:
     return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
 
 
+def _nested(value) -> bool:
+    """A dict, or a list holding a dict or list: rendered over several lines."""
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(isinstance(v, (dict, list)) for v in value)
+    )
+
+
 def _render_text(value, indent=""):
     lines = []
     if isinstance(value, dict):
@@ -88,18 +90,14 @@ def _render_text(value, indent=""):
             return [indent + Binomial(value["plus"], value["minus"]).text()]
         for key in sorted(value):
             item = value[key]
-            if isinstance(item, dict) or (
-                isinstance(item, list) and any(isinstance(v, (dict, list)) for v in item)
-            ):
+            if _nested(item):
                 lines.append(f"{indent}{key}:")
                 lines.extend(_render_text(item, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {_flat(item)}")
     elif isinstance(value, list):
         for item in value:
-            if isinstance(item, dict) or (
-                isinstance(item, list) and any(isinstance(v, (dict, list)) for v in item)
-            ):
+            if _nested(item):
                 lines.extend(_render_text(item, indent))
             else:
                 lines.append(indent + _flat(item))
@@ -117,10 +115,6 @@ def _emit(data, args) -> None:
 
 def _presentation(args):
     return validate_reduced(presentation_from_data(_load_json(args.input, "--input")))
-
-
-def _order(args):
-    return parse_order(args.order)
 
 
 def _elements(p, args):
@@ -156,28 +150,28 @@ def _cmd_validate(args):
     }
 
 
-def _basis_payload(basis, p=None, degrees=False) -> dict:
+def _basis_payload(basis, p=None) -> dict:
     data = basis.to_data()
-    if degrees and p is not None:
+    if p is not None:
         data["degrees"] = [b.degree(p).to_data() for b in basis.elements]
     return data
 
 
 def _cmd_ideal(args):
     p = _presentation(args)
-    order = _order(args)
+    order = parse_order(args.order)
     gb = lattice_ideal(p, order=order)
     if args.minimal:
-        return _basis_payload(minimal_generators(gb, p, order), p, degrees=True)
+        return _basis_payload(minimal_generators(gb, p, order), p)
     return _basis_payload(gb)
 
 
 def _cmd_tilde_ideal(args):
     p = _presentation(args)
-    order = _order(args)
+    order = parse_order(args.order)
     lifted = homogenize(p).lifted
     if args.minimal:
-        return _basis_payload(homogeneous_minimal_generators(p, order), lifted, degrees=True)
+        return _basis_payload(homogeneous_minimal_generators(p, order), lifted)
     return _basis_payload(lattice_ideal(lifted, order=order))
 
 
@@ -187,7 +181,7 @@ def _cmd_kernel(args):
 
 def _cmd_apery(args):
     p = _presentation(args)
-    res = apery_set(p, _elements(p, args), order=_order(args), limit=args.limit)
+    res = apery_set(p, _elements(p, args), order=parse_order(args.order), limit=args.limit)
     return res.to_data()
 
 
@@ -197,16 +191,16 @@ def _cmd_apery_finite(args):
 
 
 def _cmd_tset(args):
-    return _ideal_payload(t_set(_presentation(args), order=_order(args)))
+    return _ideal_payload(t_set(_presentation(args), order=parse_order(args.order)))
 
 
 def _cmd_lset(args):
-    return _ideal_payload(l_set(_presentation(args), order=_order(args)))
+    return _ideal_payload(l_set(_presentation(args), order=parse_order(args.order)))
 
 
 def _cmd_lset_complement(args):
     p = _presentation(args)
-    return l_set_complement(p, limit=args.limit, order=_order(args)).to_data()
+    return l_set_complement(p, limit=args.limit, order=parse_order(args.order)).to_data()
 
 
 def _cmd_lset_finite(args):
@@ -214,7 +208,7 @@ def _cmd_lset_finite(args):
 
 
 def _cmd_principal(args):
-    ideal = l_set(_presentation(args), order=_order(args))
+    ideal = l_set(_presentation(args), order=parse_order(args.order))
     if ideal is None:
         raise EmptyLSet("L_S is empty")
     if ideal.is_principal:
@@ -223,12 +217,12 @@ def _cmd_principal(args):
 
 
 def _cmd_f2l(args):
-    outside = integers_outside_l_set(_presentation(args), order=_order(args))
+    outside = integers_outside_l_set(_presentation(args), order=parse_order(args.order))
     return {"value": max(outside), "complement": list(outside)}
 
 
 def _cmd_ceq(args):
-    return {"value": ceq(_presentation(args), order=_order(args))}
+    return {"value": ceq(_presentation(args), order=parse_order(args.order))}
 
 
 def _cmd_ceq_bound(args):
@@ -264,7 +258,7 @@ def _family_params(args) -> dict:
 
 def _cmd_closed_form(args):
     params = _family_params(args)
-    order = _order(args)
+    order = parse_order(args.order)
     if args.family == "arithmetic":
         fam = closed_forms.ArithmeticFamily(params["m1"], params["e"], params["n"])
         ideal = closed_forms.lset_arithmetic(fam, order=order, verified=args.verified)
@@ -311,7 +305,7 @@ def _cmd_transform(args):
         raise InvalidInput("--ops must be a JSON list of [name, scalar] pairs")
     values = [g.free[0] for g in p.generators]
     stages = closed_forms.normalized_presentation_transforms(values, ops)
-    order = _order(args)
+    order = parse_order(args.order)
     payload = []
     bases = []
     for stage in stages:
@@ -383,7 +377,7 @@ def _oracle_check_f(p, args, order):
 
 def _cmd_oracle_check(args):
     p = _presentation(args)
-    order = _order(args)
+    order = parse_order(args.order)
     if args.what in ("lset", "tset"):
         data = _oracle_check_sets(p, args, order)
     elif args.what == "ceq":
@@ -395,14 +389,63 @@ def _cmd_oracle_check(args):
 
 # --- parser ----------------------------------------------------------------
 
+# each spec is written once; a row may override some of its fields
+_FLAGS = {
+    "--input": {"required": True, "help": "file path or inline JSON"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+    "--order": {"default": None, "help": "lex | grevlex | wgrevlex:w1,w2,..."},
+    "--limit": {"type": int, "default": None, "help": "truncation degree for infinite sets"},
+    "--b": {"required": True, "help": "JSON list of elements (path or inline)"},
+    "--minimal": {"action": "store_true", "help": "trim to minimal generators"},
+    "--cap": {"type": int},
+}
 
-def _add_common(sp, order=True, limit=False):
-    sp.add_argument("--input", required=True, help="file path or inline JSON")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    if order:
-        sp.add_argument("--order", default=None, help="lex | grevlex | wgrevlex:w1,w2,...")
-    if limit:
-        sp.add_argument("--limit", type=int, default=None, help="truncation degree for infinite sets")
+# name, help, handler, flags in help order: a key of _FLAGS or (key, overrides)
+_COMMANDS = (
+    ("validate", "check reducedness, report the pointing data", _cmd_validate,
+     ("--input", "--format")),
+    ("ideal", "Groebner basis of the lattice ideal", _cmd_ideal,
+     ("--input", "--format", "--order", "--minimal")),
+    ("tilde-ideal", "Groebner basis of the length-homogenized lattice ideal", _cmd_tilde_ideal,
+     ("--input", "--format", "--order", "--minimal")),
+    ("kernel", "Z-basis of the factorization-difference lattice", _cmd_kernel,
+     ("--input", "--format")),
+    ("apery", "Apery set relative to --b", _cmd_apery,
+     ("--input", "--format", "--order", "--limit", "--b")),
+    ("apery-finite", "cone test for Apery finiteness", _cmd_apery_finite,
+     ("--input", "--format", "--b")),
+    ("tset", "generators of the two-factorizations ideal", _cmd_tset,
+     ("--input", "--format", "--order")),
+    ("lset", "generators of the equal-length ideal", _cmd_lset,
+     ("--input", "--format", "--order")),
+    ("lset-complement", "complement of the equal-length ideal", _cmd_lset_complement,
+     ("--input", "--format", "--order", "--limit")),
+    ("lset-finite", "ray test for complement finiteness", _cmd_lset_finite,
+     ("--input", "--format")),
+    ("principal", "is the equal-length ideal principal", _cmd_principal,
+     ("--input", "--format", "--order")),
+    ("f2l", "largest integer without two equal-length factorizations", _cmd_f2l,
+     ("--input", "--format", "--order")),
+    ("ceq", "equal catenary degree", _cmd_ceq,
+     ("--input", "--format", "--order")),
+    ("ceq-bound", "consecutive-steps upper bound (numerical)", _cmd_ceq_bound,
+     ("--input", "--format")),
+    ("ceq-element", "equal catenary degree of one element", _cmd_ceq_element,
+     ("--input", "--format", ("--b", {"help": "the element (path or inline JSON)"}),
+      ("--cap", {"default": 10**6}))),
+    ("closed-form", "family formulas, optionally engine-verified", _cmd_closed_form,
+     (("--family", {"required": True, "choices": tuple(_FAMILY_KEYS)}),
+      ("--params", {"required": True, "help": "JSON object (path or inline)"}),
+      ("--verified", {"action": "store_true", "help": "cross-check against the engine"}),
+      ("--order", {"help": None}), "--format")),
+    ("transform", "ideal-preserving rewrites of a numerical presentation", _cmd_transform,
+     ("--input", "--format", "--order",
+      ("--ops", {"required": True, "help": 'JSON list like [["subtract",7],["divide",3]]'}))),
+    ("oracle-check", "engine vs brute force under a weight cap", _cmd_oracle_check,
+     ("--input", "--format", "--order",
+      ("--what", {"required": True, "choices": ("lset", "tset", "ceq", "f")}),
+      ("--cap", {"required": True}))),
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -411,90 +454,12 @@ def _parser() -> argparse.ArgumentParser:
         description="factorization invariants of reduced monoids, exactly",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check reducedness, report the pointing data")
-    sp.set_defaults(handler=_cmd_validate)
-    _add_common(sp, order=False)
-
-    for name, helptext, handler in (
-        ("ideal", "Groebner basis of the lattice ideal", _cmd_ideal),
-        ("tilde-ideal", "Groebner basis of the length-homogenized lattice ideal", _cmd_tilde_ideal),
-    ):
+    for name, helptext, handler, flags in _COMMANDS:
         sp = sub.add_parser(name, help=helptext)
         sp.set_defaults(handler=handler)
-        _add_common(sp)
-        sp.add_argument("--minimal", action="store_true", help="trim to minimal generators")
-
-    sp = sub.add_parser("kernel", help="Z-basis of the factorization-difference lattice")
-    sp.set_defaults(handler=_cmd_kernel)
-    _add_common(sp, order=False)
-
-    sp = sub.add_parser("apery", help="Apery set relative to --b")
-    sp.set_defaults(handler=_cmd_apery)
-    _add_common(sp, limit=True)
-    sp.add_argument("--b", required=True, help="JSON list of elements (path or inline)")
-
-    sp = sub.add_parser("apery-finite", help="cone test for Apery finiteness")
-    sp.set_defaults(handler=_cmd_apery_finite)
-    _add_common(sp, order=False)
-    sp.add_argument("--b", required=True, help="JSON list of elements (path or inline)")
-
-    sp = sub.add_parser("tset", help="generators of the two-factorizations ideal")
-    sp.set_defaults(handler=_cmd_tset)
-    _add_common(sp)
-    sp = sub.add_parser("lset", help="generators of the equal-length ideal")
-    sp.set_defaults(handler=_cmd_lset)
-    _add_common(sp)
-
-    sp = sub.add_parser("lset-complement", help="complement of the equal-length ideal")
-    sp.set_defaults(handler=_cmd_lset_complement)
-    _add_common(sp, limit=True)
-
-    sp = sub.add_parser("lset-finite", help="ray test for complement finiteness")
-    sp.set_defaults(handler=_cmd_lset_finite)
-    _add_common(sp, order=False)
-
-    sp = sub.add_parser("principal", help="is the equal-length ideal principal")
-    sp.set_defaults(handler=_cmd_principal)
-    _add_common(sp)
-
-    sp = sub.add_parser("f2l", help="largest integer without two equal-length factorizations")
-    sp.set_defaults(handler=_cmd_f2l)
-    _add_common(sp)
-
-    sp = sub.add_parser("ceq", help="equal catenary degree")
-    sp.set_defaults(handler=_cmd_ceq)
-    _add_common(sp)
-
-    sp = sub.add_parser("ceq-bound", help="consecutive-steps upper bound (numerical)")
-    sp.set_defaults(handler=_cmd_ceq_bound)
-    _add_common(sp, order=False)
-
-    sp = sub.add_parser("ceq-element", help="equal catenary degree of one element")
-    sp.set_defaults(handler=_cmd_ceq_element)
-    _add_common(sp, order=False)
-    sp.add_argument("--b", required=True, help="the element (path or inline JSON)")
-    sp.add_argument("--cap", type=int, default=10**6)
-
-    sp = sub.add_parser("closed-form", help="family formulas, optionally engine-verified")
-    sp.set_defaults(handler=_cmd_closed_form)
-    sp.add_argument("--family", required=True, choices=("arithmetic", "almost", "unique-betti"))
-    sp.add_argument("--params", required=True, help="JSON object (path or inline)")
-    sp.add_argument("--verified", action="store_true", help="cross-check against the engine")
-    sp.add_argument("--order", default=None)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("transform", help="ideal-preserving rewrites of a numerical presentation")
-    sp.set_defaults(handler=_cmd_transform)
-    _add_common(sp)
-    sp.add_argument("--ops", required=True, help='JSON list like [["subtract",7],["divide",3]]')
-
-    sp = sub.add_parser("oracle-check", help="engine vs brute force under a weight cap")
-    sp.set_defaults(handler=_cmd_oracle_check)
-    _add_common(sp)
-    sp.add_argument("--what", required=True, choices=("lset", "tset", "ceq", "f"))
-    sp.add_argument("--cap", type=int, required=True)
-
+        for flag in flags:
+            flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+            sp.add_argument(flag, **{**_FLAGS.get(flag, {}), **overrides})
     return top
 
 
@@ -505,18 +470,9 @@ def main(argv=None) -> int:
         data, code = out if isinstance(out, tuple) else (out, 0)
         _emit(data, args)
         return code
-    except NotReduced as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InfiniteWithoutLimit, InfiniteSet) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except MonoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

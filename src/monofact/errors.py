@@ -1,11 +1,16 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes; the library raises them directly.
+The library raises them directly.  Each class carries the process exit
+code that the CLI returns for it in ``exit_code``: 2 invalid input (the
+base class and every class that does not override it), 3 monoid not
+reduced, 4 infinite answer without a limit, 5 a cross-check failed.
 """
 
 
 class MonoidError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class InvalidInput(MonoidError):
@@ -25,6 +30,8 @@ class NotReduced(MonoidError):
     to zero.
     """
 
+    exit_code = 3
+
     def __init__(self, message, *, generator=None, combination=None):
         super().__init__(message)
         self.generator = generator
@@ -42,9 +49,13 @@ class NotHomogeneous(MonoidError):
 class InfiniteWithoutLimit(MonoidError):
     """An infinite set was requested without a truncation limit."""
 
+    exit_code = 4
+
 
 class InfiniteSet(MonoidError):
     """A count was requested for a set that is infinite."""
+
+    exit_code = 4
 
 
 class EmptyLSet(MonoidError):
@@ -88,3 +99,5 @@ class NotStabilized(MonoidError):
 
 class CrossCheckError(MonoidError):
     """Two independent computations of the same value disagree."""
+
+    exit_code = 5

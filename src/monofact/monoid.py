@@ -358,11 +358,16 @@ def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidP
         raise NotReduced(
             "cone of free parts is not pointed", combination=tuple(witness)
         )
-    out = MonoidPresentation(p.rank, p.torsion, p.generators, validated=True)
+    out = _pointed(p.rank, p.torsion, p.generators, w)
+    return _pointed(p.rank, p.torsion, _irredundant(out), w) if minimalize else out
+
+
+def _pointed(rank, torsion, generators, w) -> MonoidPresentation:
+    """A validated presentation whose pointing vector ``w`` is already
+    known, so no LP is solved for it.  The caller vouches that the
+    generators are distinct and that w . pi(g) >= 1 for each of them."""
+    out = MonoidPresentation(rank, torsion, generators, validated=True)
     out.__dict__["pointing"] = tuple(w)
-    if minimalize:
-        out = MonoidPresentation(out.rank, out.torsion, _irredundant(out), validated=True)
-        out.__dict__["pointing"] = tuple(w)
     return out
 
 
@@ -381,9 +386,7 @@ def _irredundant(p: MonoidPresentation) -> tuple[GroupElement, ...]:
         rest = tuple(g for j, g in enumerate(kept) if j != i and g is not None)
         if not rest:
             continue
-        sub = MonoidPresentation(p.rank, p.torsion, rest, validated=True)
-        sub.__dict__["pointing"] = w
-        if member(sub, kept[i]) is not None:
+        if member(_pointed(p.rank, p.torsion, rest, w), kept[i]) is not None:
             kept[i] = None
     return tuple(g for g in kept if g is not None)
 

@@ -30,10 +30,10 @@ from .monoid import (
     GroupElement,
     MonoidPresentation,
     _integer,
+    _pointed,
     _validated,
     element_from_data,
     member,
-    presentation,
     primitive,
 )
 from .orders import GREVLEX, TermOrder
@@ -100,16 +100,17 @@ class HomogenizedPresentation(Frozen):
 
 def homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
     """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
-    the free part.  Always reduced: the new coordinate is a pointing.
-    Memoized per presentation in a bounded cache, so the lifted pointing
-    is solved once."""
+    the free part.  Always reduced: the new coordinate is a pointing, so
+    S~ is built validated with pointing (0, ..., 0, 1) and no LP; its
+    generators are distinct and never torsion-only because p's are validated.
+    Memoized per presentation in a bounded cache."""
     return _homogenize(_validated(p))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
-    gens = [list(g.free) + [1] + list(g.torsion) for g in p.generators]
-    return HomogenizedPresentation(p, _validated(presentation(p.rank + 1, p.torsion.moduli, gens)))
+    gens = tuple(GroupElement(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
+    return HomogenizedPresentation(p, _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,)))
 
 
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:

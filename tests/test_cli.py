@@ -59,6 +59,17 @@ def test_input_accepts_a_file_path(tmp_path, capsys):
     assert out == '{"generators":[10],"principal":true}\n'
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf-16"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "utf-16":
+        path = tmp_path / "m.json"
+        path.write_bytes('{"numerical":[3,5,7]}'.encode("utf-16"))  # starts with \xff\xfe
+    code, out, err = run(capsys, "lset", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --input names an unreadable file")
+
+
 def test_invalid_input_exits_2(capsys):
     code, _, err = run(capsys, "lset", "--input", '{"numerical":[]}')
     assert code == 2
