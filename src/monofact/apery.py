@@ -1,15 +1,27 @@
 """Apery sets of reduced monoids relative to a finite subset.
 
 Ap_S(B) = {s in S : s - b not in S for every b in B}.  With a factorization
-beta_i of each b_i, the quotient K[x]/(I_S + <x^beta_1, ..., x^beta_s>) has
-the standard monomials as a basis, and the degree map x^alpha -> sum alpha_i a_i
-restricts to a bijection from those onto Ap_S(B).  One walk lists the
-standard monomials from the leads of the reduced Groebner basis: the whole
-staircase when the set is finite, its slice of total degree at most a limit
-otherwise.  The set is finite exactly when every variable has a pure power
-among the leads; that verdict is compared on every run with the cone
-criterion, under which every extremal ray of the cone of S must carry some
-element of B.
+beta_i of each b_i, the quotient K[x]/J, J = I_S + <x^beta_1, ..., x^beta_s>,
+has the standard monomials as a basis, and the degree map
+x^alpha -> sum alpha_i a_i restricts to a bijection from those onto
+Ap_S(B).  J is graded by S: J_s = (I_S)_s when s is in Ap_S(B), since no
+multiple of an x^beta_i has degree s, and J_s = K[x]_s otherwise, since all
+monomials of one degree agree modulo I_S.  The lead of an element of J is
+the lead of one of its graded parts, so
+
+    std(J) = {x^alpha in std(I_S) : deg(alpha) in Ap_S(B)}.
+
+The set is finite exactly when every extremal ray of the cone of S carries
+some element of B (the cone criterion).  Then the reduced Groebner basis of
+J is built, every variable has a pure power among its leads, and one walk
+lists its whole staircase; the pure powers are what end the walk, and their
+presence is the staircase side of the cross-check.  Otherwise a truncation
+degree is required, and no basis of J is built: the walk runs over the
+staircase of the memoized I_S up to that total degree and cuts a branch
+where its monomial's degree s has s - b in S for some b (``member``), a
+condition that only gets truer for multiples.  Its cross-check is that
+some extremal ray carries no b and that each such ray carries a generator
+with no pure-power lead in the I_S basis.
 """
 
 from __future__ import annotations
@@ -24,7 +36,10 @@ from .monoid import (
     _validated,
     cones_equal,
     element_from_data,
+    member,
+    primitive,
     require_member,
+    uncovered_rays,
 )
 from .orders import GREVLEX, TermOrder
 
@@ -75,18 +90,20 @@ def _pure_power_variables(leads):
     return out
 
 
-def _standard_monomials(leads, n, limit):
+def _standard_monomials(leads, n, limit, outside=None):
     """All exponent vectors avoiding every lead, of total degree at most
-    ``limit`` unless it is None.
+    ``limit`` unless it is None, and failing ``outside`` when it is given.
 
     Leads are checked as soon as their topmost variable is assigned, and
     larger exponents at that position only stay divisible, so the walk can
-    cut the whole branch.  Without a limit every variable needs a pure-power
-    lead, which ends its loop.
+    cut the whole branch.  ``outside`` must hold for every multiple of a
+    monomial it holds for, and cuts the same way.  Without a limit every
+    variable needs a pure-power lead, which ends its loop.
     """
     by_top = [[] for _ in range(n)]
     for l in leads:
-        by_top[max(j for j, v in enumerate(l) if v > 0)].append(l)
+        if limit is None or sum(l) <= limit:  # a larger lead divides nothing walked
+            by_top[max(j for j, v in enumerate(l) if v > 0)].append(l)
     out = []
     exp = [0] * n
 
@@ -99,12 +116,37 @@ def _standard_monomials(leads, n, limit):
             exp[i] = e
             if any(all(exp[j] >= l[j] for j in range(i + 1)) for l in by_top[i]):
                 break
+            # e = 0 repeats the monomial its parent already tested
+            if e and outside is not None and outside(exp):
+                break
             walk(i + 1, None if remaining is None else remaining - e)
             e += 1
         exp[i] = 0
 
     walk(0, limit)
     return out
+
+
+def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
+    """The staircase side of an infinite Ap_S(B): some extremal ray rho of
+    the cone of S carries no b, and every such ray carries a generator x_i
+    with no pure power among ``leads``, the leads of the I_S basis.
+
+    Why this must hold: rho is a face, so a functional that vanishes on rho
+    and is positive on the rest of the cone shows that every factorization
+    of an element on rho uses only the generators R on rho.  A basis
+    element x_i^d - x^c with i in R therefore has x^c in K[x_R] as well, and
+    lies in I_S & K[x_R] = I_rho, the lattice ideal of the monoid S_rho that
+    R generates.  If each x_i, i in R, led such an element, K[x_R]/I_rho
+    would have finitely many standard monomials; but it is K[S_rho], of
+    Krull dimension 1 and with the infinite basis S_rho.
+    """
+    rays = uncovered_rays(p, elems)
+    powers = _pure_power_variables(leads)
+    return bool(rays) and all(
+        any(primitive(g.free) == ray and i not in powers for i, g in enumerate(p.generators))
+        for ray in rays
+    )
 
 
 def _resolve_b(p, elements, factorizations):
@@ -140,34 +182,50 @@ def apery_set(
     Factorizations are searched for when not supplied.  For an infinite
     Apery set a ``limit`` is required and the result truncates to the
     standard monomials of total degree at most ``limit``, which must not be
-    negative.  The staircase finiteness verdict is cross-checked against
-    the cone criterion.
+    negative.  The cone criterion decides finiteness, and the staircase
+    cross-checks it on every call:
+
+    - finite: the leads of the reduced basis of J = I_S + <x^beta> include
+      a pure power of every variable, and their staircase is the set;
+    - infinite: each extremal ray that carries no b carries a generator
+      with no pure-power lead in the I_S basis (see
+      ``_unbounded_on_uncovered_rays`` for why), and the set is read off
+      the I_S staircase by std(J) = {x^a in std(I_S) : deg(a) in Ap_S(B)},
+      with no basis of J.  Without a limit this raises
+      ``InfiniteWithoutLimit`` before any walk.
     """
     if limit is not None and limit < 0:
         raise InvalidInput("limit must be nonnegative")
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
-    # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
-    gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
-    leads = [b.plus for b in groebner(gens, order).elements]
-    staircase_finite = len(_pure_power_variables(leads)) == p.n
-    cone_finite = cones_equal(p, elems)
-    if staircase_finite != cone_finite:
-        raise CrossCheckError(
-            f"staircase says finite={staircase_finite}, cone criterion says finite={cone_finite}"
-        )
-    if staircase_finite:
+    if cones_equal(p, elems):
         limit = None
-    elif limit is None:
-        raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
+        # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
+        gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
+        leads = [b.plus for b in groebner(gens, order).elements]
+        if len(_pure_power_variables(leads)) != p.n:
+            raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
+        monomials = _standard_monomials(leads, p.n, None)
+    else:
+        leads = [b.plus for b in lattice_ideal(p, order).elements]
+        if not _unbounded_on_uncovered_rays(p, elems, leads):
+            raise CrossCheckError("cone criterion says infinite, the I_S staircase is bounded")
+        if limit is None:
+            raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
+
+        def outside(exp):
+            d = p.evaluate(exp)
+            return any(member(p, d - b) is not None for b in elems)
+
+        monomials = _standard_monomials(leads, p.n, limit, outside)
     degs = {}
-    for mono in _standard_monomials(leads, p.n, limit):
+    for mono in monomials:
         d = p.evaluate(mono)
         if d in degs:
             raise CrossCheckError(f"standard monomials {degs[d]} and {mono} share a degree")
         degs[d] = mono
     out = tuple(sorted(degs, key=lambda e: e.sort_key()))
-    return AperyResult(staircase_finite, out, len(out), limit)
+    return AperyResult(limit is None, out, len(out), limit)
 
 
 def apery_count(

@@ -437,7 +437,7 @@ _COMMANDS = (
      (("--family", {"required": True, "choices": tuple(_FAMILY_KEYS)}),
       ("--params", {"required": True, "help": "JSON object (path or inline)"}),
       ("--verified", {"action": "store_true", "help": "cross-check against the engine"}),
-      ("--order", {"help": None}), "--format")),
+      "--order", "--format")),
     ("transform", "ideal-preserving rewrites of a numerical presentation", _cmd_transform,
      ("--input", "--format", "--order",
       ("--ops", {"required": True, "help": 'JSON list like [["subtract",7],["divide",3]]'}))),

@@ -417,9 +417,15 @@ def cones_equal(p: MonoidPresentation, elements) -> bool:
     Equivalent to every extremal ray of the generator cone carrying the
     free part of some b.
     """
+    return not uncovered_rays(p, elements)
+
+
+def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ...]:
+    """The extremal rays of the cone of S that carry the free part of no
+    element of ``elements``."""
     p = _validated(p)
     directions = {primitive(b.free) for b in elements if any(a != 0 for a in b.free)}
-    return all(ray in directions for ray in p.cone.rays)
+    return tuple(ray for ray in p.cone.rays if ray not in directions)
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):

@@ -1,5 +1,6 @@
 """Apery sets relative to a finite subset B, finite and truncated."""
 
+import json
 from itertools import product
 from typing import get_type_hints
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from test_oracle import _small_presentations
 
+from monofact import apery, cli
 from monofact.apery import AperyResult, apery_count, apery_is_finite, apery_set
 from monofact.errors import (
+    CrossCheckError,
     InfiniteSet,
     InfiniteWithoutLimit,
     InvalidInput,
@@ -16,7 +19,13 @@ from monofact.errors import (
     NotReduced,
 )
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
-from monofact.monoid import GroupElement, numerical, presentation, validate_reduced
+from monofact.monoid import (
+    GroupElement,
+    numerical,
+    presentation,
+    presentation_from_data,
+    validate_reduced,
+)
 from monofact.orders import GREVLEX, LEX, wgrevlex
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
@@ -170,6 +179,38 @@ def test_finite_verdict_matches_cone_criterion(numerical_instances):
         assert res.finite
 
 
+# (presentation data, B, limit, forced cone verdict): the lie sends a truly
+# infinite set down the finite path and a finite one down the truncated path
+_LYING_CONES = [
+    ({"rank": 2, "generators": [[0, 2], [1, 2], [1, 1], [3, 2], [4, 2]]}, B3, 4, True),
+    ({"numerical": [3, 5, 7]}, [3], 2, False),
+]
+
+
+@pytest.mark.parametrize(
+    "data, b, limit, verdict", _LYING_CONES, ids=["says-finite", "says-infinite"]
+)
+def test_a_cone_verdict_the_staircase_contradicts_raises(
+    monkeypatch, capsys, data, b, limit, verdict
+):
+    p = presentation_from_data(data)
+    assert apery_is_finite(p, b) is not verdict
+    monkeypatch.setattr(apery, "cones_equal", lambda p, elements: verdict)
+    with pytest.raises(CrossCheckError):
+        apery_set(p, b, limit=limit)
+    argv = ["apery", "--input", json.dumps(data), "--b", json.dumps(b), "--limit", str(limit)]
+    assert cli.main(argv) == 5
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_an_uncovered_ray_bounded_in_the_staircase_raises(monkeypatch):
+    # the truncated path's check needs some generator on each uncovered ray
+    # without a pure-power lead in the I_S basis
+    monkeypatch.setattr(apery, "_pure_power_variables", lambda leads: set(range(RANK2.n)))
+    with pytest.raises(CrossCheckError):
+        apery_set(RANK2, B3, order=W, limit=4)
+
+
 def test_apery_result_annotations_resolve():
     hints = get_type_hints(AperyResult)
     assert hints["elements"] == tuple[GroupElement, ...]
@@ -189,12 +230,34 @@ def _rank2_presentations(draw):
     return presentation(2, (), sorted(gens))
 
 
+@st.composite
+def _rank2_torsion_presentations(draw):
+    # the small-report shape that takes the truncated path: negative
+    # entries and one torsion modulus, pointed by a drawn functional w
+    t = draw(st.integers(2, 6))
+    w = draw(st.sampled_from([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]))
+    gens = draw(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(0, t - 1)).filter(
+                lambda g: w[0] * g[0] + w[1] * g[1] >= 1
+            ),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return presentation(2, (t,), sorted(gens))
+
+
 def _divides(lead, exp):
     return all(a <= b for a, b in zip(lead, exp))
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
-@given(p=st.one_of(_small_presentations(), _rank2_presentations()), data=st.data())
+@given(
+    p=st.one_of(_small_presentations(), _rank2_presentations(), _rank2_torsion_presentations()),
+    data=st.data(),
+)
 @settings(max_examples=40, deadline=None)
 def test_staircase_walk_matches_an_unpruned_filter(order, p, data):
     try:

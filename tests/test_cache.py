@@ -3,13 +3,13 @@ shared by every invariant of one presentation."""
 
 import pytest
 
-from monofact import ideal, monoid, same_length
-from monofact.apery import apery_set
+from monofact import apery, ideal, monoid, same_length
+from monofact.apery import apery_count, apery_set
 from monofact.catenary import ceq
-from monofact.errors import NotReduced
+from monofact.errors import InfiniteSet, InfiniteWithoutLimit, NotReduced
 from monofact.ideal import lattice_ideal
 from monofact.monoid import numerical, presentation, presentation_from_data, validate_reduced
-from monofact.orders import GREVLEX, LEX
+from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
     homogeneous_minimal_generators,
@@ -172,3 +172,46 @@ def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     assert apery_set(p, [16]).finite
     assert l_set_complement_is_finite(p)
     assert len(rays) == 1
+
+
+
+@pytest.fixture
+def no_groebner(monkeypatch):
+    # an infinite Ap_S(B) is read off the cached I_S staircase, cut by
+    # membership: no basis of I_S + <x^beta> is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("groebner called")
+
+    monkeypatch.setattr(apery, "groebner", refuse)
+
+
+def test_a_truncated_complement_builds_no_groebner_basis(no_groebner):
+    # with the witness x3^300 the basis of I_S + <x^beta> has 241 elements,
+    # up to degree 250; the truncation is the 15 standard monomials of
+    # total degree <= 2
+    p = validate_reduced(
+        presentation_from_data(
+            {"rank": 2, "torsion": [5], "generators": [[-5, -4, 2], [-5, 6, 1], [-4, -3, 4], [1, 1, 4]]}
+        )
+    )
+    res = l_set_complement(p, limit=2)
+    assert not res.finite and res.limit == 2
+    assert [e.to_data() for e in res.elements] == [
+        [-10, -8, 4], [-10, 2, 3], [-10, 12, 2], [-9, -7, 1], [-9, 3, 0],
+        [-8, -6, 3], [-5, -4, 2], [-5, 6, 1], [-4, -3, 1], [-4, -3, 4],
+        [-4, 7, 0], [-3, -2, 3], [0, 0, 0], [1, 1, 4], [2, 2, 3],
+    ]  # fmt: skip
+
+
+RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
+B3 = [[3, 6], [4, 4], [9, 6]]
+
+
+def test_an_infinite_apery_set_without_limit_builds_no_groebner_basis(no_groebner):
+    with pytest.raises(InfiniteWithoutLimit):
+        apery_set(RANK2, B3, order=wgrevlex((2, 2, 1, 2, 2)))
+
+
+def test_an_infinite_apery_count_builds_no_groebner_basis(no_groebner):
+    with pytest.raises(InfiniteSet):
+        apery_count(RANK2, B3, order=wgrevlex((2, 2, 1, 2, 2)))

@@ -1,10 +1,11 @@
 """The table-built parser against a frozen copy of the hand-written one.
 
 ``_reference_parser`` is the parser as it was before the subcommands moved
-into one table, kept verbatim apart from the handler prefixes.  Help texts,
-argparse errors and parsed namespaces must not tell the two apart.  The
-texts are compared with each other, never with pinned strings, because
-argparse wording differs between Python versions.
+into one table, kept verbatim apart from the handler prefixes and the help
+of ``closed-form --order``, which had none and now reads like every other
+``--order``.  Help texts, argparse errors and parsed namespaces must not
+tell the two apart.  The texts are compared with each other, never with
+pinned strings, because argparse wording differs between Python versions.
 """
 
 import argparse
@@ -120,7 +121,7 @@ def _reference_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True, choices=("arithmetic", "almost", "unique-betti"))
     sp.add_argument("--params", required=True, help="JSON object (path or inline)")
     sp.add_argument("--verified", action="store_true", help="cross-check against the engine")
-    sp.add_argument("--order", default=None)
+    sp.add_argument("--order", default=None, help="lex | grevlex | wgrevlex:w1,w2,...")
     sp.add_argument("--format", choices=("json", "text"), default="json")
 
     sp = sub.add_parser("transform", help="ideal-preserving rewrites of a numerical presentation")
