@@ -150,13 +150,22 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
 
 
 def _resolve_b(p, elements, factorizations):
+    """B as group elements, and one factorization of each: the caller's,
+    checked, or else the unit vector of a b that is a generator and a
+    ``member`` search for any other b.  Any factorization serves, since
+    all those of one b agree modulo I_S and so give the same J."""
     elems = [element_from_data(p, b) for b in elements]
     if any(e.is_zero for e in elems):
         raise InvalidInput("members of B must be nonzero")
     facts = []
     if factorizations is None:
+        index = {g: i for i, g in enumerate(p.generators)}
         for elem in elems:
-            facts.append(tuple(require_member(p, elem)))
+            i = index.get(elem)
+            if i is None:
+                facts.append(tuple(require_member(p, elem)))
+            else:
+                facts.append(tuple(int(j == i) for j in range(p.n)))
     else:
         if len(factorizations) != len(elems):
             raise InvalidInput("one factorization per element required")

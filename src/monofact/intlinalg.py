@@ -108,6 +108,41 @@ def dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: each
+    division is exact, so every intermediate is an integer minor."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def adjugate(rows) -> list[list[int]]:
+    """The integer adjugate of a square matrix M, so M adj(M) = det(M) I:
+    entry (i, j) is (-1)^(i+j) times the minor of M without row j and
+    column i."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j)
+            * determinant([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
 def lll_reduce(basis) -> list[list[int]]:
     """LLL-reduced basis (delta = 3/4) of the lattice spanned by ``basis``.
 

@@ -13,8 +13,10 @@ factorization of x, which makes membership and the set of all
 factorizations finitely searchable: a depth-first search over exponent
 vectors pruned by remaining weight.  The search walks flat integer rows
 (free coordinates, then torsion residues) and reduces the residues mod t_j
-only at the leaves.  The last coefficient is solved, not searched: only
-remaining weight / its generator's weight can leave weight 0.
+only at the leaves.  The last s coefficients are solved, not searched: the
+lightest s generators have linearly independent free parts (s <= rank as
+large as they allow), so the free equations fix those coefficients by
+Cramer's rule once the others are chosen (see ``_search``).
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.
@@ -24,10 +26,11 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from ._frozen import Frozen, init_field
 from .errors import DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
-from .intlinalg import dot
+from .intlinalg import adjugate, determinant, dot, matrix_rank, row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
 
 
@@ -231,6 +234,46 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         return tuple(dot(w, g.free) for g in self.generators)
 
     @cached_property
+    def _search_plan(self) -> tuple:
+        """What ``_search`` reads of the generators, built once.
+
+        ``idxs`` is the search order (weight descending, then index) and
+        ``rows`` the flat [free..., torsion...] row of each generator in
+        that order, ``us`` its weight.  The last ``s`` generators have
+        linearly independent free parts, s <= rank as large as possible.
+        For s >= 2, ``pick`` names s free coordinates on which their
+        s x s minor M is nonsingular; ``det`` = |det M| and ``adj`` is
+        adj(M) times the sign of det M, so adj y / det solves M c = y.
+        ``checks`` lists every other coordinate as (index, modulus or 0
+        for a free one, the entries of the last s rows there).
+        """
+        weights = self.weights
+        idxs = sorted(range(self.n), key=lambda i: (-weights[i], i))
+        rows = [self.generators[i].free + self.generators[i].torsion for i in idxs]
+        us = [weights[i] for i in idxs]
+        frees = [self.generators[i].free for i in idxs]
+        s = 1
+        while s < min(self.rank, self.n) and matrix_rank(frees[-s - 1 :]) == s + 1:
+            s += 1
+        if s == 1:
+            return idxs, rows, us, 1, None, None, None, None
+        # row operations keep the column dependencies, so the pivot columns
+        # of an echelon form are independent columns of the last s rows
+        _, pick = row_echelon(frees[-s:])
+        minor = [[r[k] for r in rows[-s:]] for k in pick]
+        det = determinant(minor)
+        adj = adjugate(minor)
+        if det < 0:
+            det, adj = -det, [[-a for a in r] for r in adj]
+        moduli = (0,) * self.rank + self.torsion.moduli
+        checks = [
+            (k, moduli[k], [r[k] for r in rows[-s:]])
+            for k in range(len(moduli))
+            if k not in pick
+        ]
+        return idxs, rows, us, s, pick, adj, det, checks
+
+    @cached_property
     def cone(self) -> Cone:
         """The extremal rays of the cone of the free parts, computed once."""
         return extremal_rays([g.free for g in self.generators])
@@ -429,6 +472,22 @@ def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ..
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
+    """Factorizations of x, depth first over the generators in
+    ``_search_plan`` order with c ascending at each position.
+
+    The last s coefficients are solved, not searched.  Their generators
+    have linearly independent free parts, so once the others are fixed
+    the free equations admit at most one (c_1, ..., c_s) in Q^s; the leaf
+    computes it by Cramer's rule, adj(M) y / det(M) on the picked
+    coordinates y of the remainder, and keeps it when it is integral,
+    nonnegative and matches the other free coordinates and the torsion
+    residues.  A kept solution matches the free part, so its weight is
+    the remaining weight, and the loops it replaces (c ascending, up to
+    the remaining weight) would have reached it.  Those loops could
+    complete a prefix in at most this one way, so results come in the
+    same order as from searching every position.  For s = 1 the solved
+    value is the remaining weight over the generator's weight.
+    """
     p = _validated(p)
     if x.rank != p.rank or x.moduli != p.torsion.moduli:
         raise DimensionMismatch("element shape does not match presentation")
@@ -436,31 +495,50 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     results: list[tuple[int, ...]] = []
     if total < 0:
         return results
-    weights = p.weights
+    idxs, rows, us, s, pick, adj, det, checks = p._search_plan
     n = p.n
     m = p.rank
     moduli = p.torsion.moduli
-    idxs = sorted(range(n), key=lambda i: (-weights[i], i))
-    rows = [p.generators[i].free + p.generators[i].torsion for i in idxs]
-    us = [weights[i] for i in idxs]
-    last = n - 1
+    split = n - s
     coeffs = [0] * n
 
+    def found() -> bool:
+        out = [0] * n
+        for k, i in enumerate(idxs):
+            out[i] = coeffs[k]
+        results.append(tuple(out))
+        return not find_all
+
+    def weight_leaf(rem: tuple, rem_weight: int) -> bool:
+        c, r = divmod(rem_weight, us[split])
+        if r:
+            return False
+        left = [a - c * b for a, b in zip(rem, rows[split])]
+        if any(left[:m]) or any(a % t for a, t in zip(left[m:], moduli)):
+            return False
+        coeffs[split] = c
+        return found()
+
+    def cramer_leaf(rem: tuple, rem_weight: int) -> bool:
+        y = [rem[k] for k in pick]
+        cs = []
+        for arow in adj:
+            c, r = divmod(sum(map(mul, arow, y)), det)
+            if r or c < 0:
+                return False
+            cs.append(c)
+        for k, t, col in checks:
+            left = rem[k] - sum(map(mul, cs, col))
+            if left % t if t else left:
+                return False
+        coeffs[split:] = cs
+        return found()
+
+    leaf = weight_leaf if s == 1 else cramer_leaf
+
     def rec(pos: int, rem: tuple, rem_weight: int) -> bool:
-        if pos == last:
-            # only c = rem_weight / u leaves weight 0, so nothing is searched here
-            c, r = divmod(rem_weight, us[pos])
-            if r:
-                return False
-            left = [a - c * b for a, b in zip(rem, rows[pos])]
-            if any(left[:m]) or any(a % t for a, t in zip(left[m:], moduli)):
-                return False
-            coeffs[pos] = c
-            out = [0] * n
-            for k, i in enumerate(idxs):
-                out[i] = coeffs[k]
-            results.append(tuple(out))
-            return not find_all
+        if pos == split:
+            return leaf(rem, rem_weight)
         row = rows[pos]
         u = us[pos]
         cur = rem

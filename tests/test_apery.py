@@ -21,6 +21,7 @@ from monofact.errors import (
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import (
     GroupElement,
+    member,
     numerical,
     presentation,
     presentation_from_data,
@@ -153,6 +154,34 @@ def test_apery_b_must_lie_in_monoid():
         apery_set(p, [10], factorizations=[(1, 0, 0)])
     with pytest.raises(InvalidInput):
         apery_set(p, [10], factorizations=[])
+
+
+@pytest.mark.parametrize(
+    "p, limit",
+    [
+        (numerical([3, 5, 8]), None),
+        (presentation(2, (3,), [(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 0)]), None),
+        (presentation(2, (3,), [(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 0)]), 3),
+    ],
+    ids=["numerical", "torsion-finite", "torsion-truncated"],
+)
+def test_generators_in_b_factor_as_unit_vectors(monkeypatch, p, limit):
+    # a generator that is a sum of others has a searched factorization
+    # other than its unit vector; both give the same J
+    p = validate_reduced(p)
+    b = list(p.generators) if limit is None else [p.generators[2]]
+    searched = [member(p, g).coeffs for g in b]
+    assert (0, 0, 1) + (0,) * (p.n - 3) not in searched
+    expected = apery_set(p, b, factorizations=searched, limit=limit)
+
+    def no_search(p, x):
+        raise AssertionError("a generator of B was searched for")
+
+    monkeypatch.setattr(apery, "require_member", no_search)
+    assert apery_set(p, b, limit=limit) == expected
+    monkeypatch.undo()
+    with pytest.raises(NotInMonoid):
+        apery_set(p, b + [p.element((-1,) + (0,) * (p.rank - 1), (0,) * len(p.torsion))])
 
 
 @pytest.mark.parametrize("fac", [(1.9, 0, 0), (True, 0, 0)], ids=["float", "bool"])

@@ -1,13 +1,22 @@
-"""Integral LLL: same lattice, reduced basis, typed failure."""
+"""Integral LLL: same lattice, reduced basis, typed failure.  Determinant
+and adjugate against the Leibniz formula."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from monofact.errors import InvalidInput
 from monofact.ideal import kernel_lattice
-from monofact.intlinalg import dot, lattices_equal, lll_reduce, matrix_rank
+from monofact.intlinalg import (
+    adjugate,
+    determinant,
+    dot,
+    lattices_equal,
+    lll_reduce,
+    matrix_rank,
+)
 from monofact.monoid import numerical, presentation
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
@@ -80,3 +89,30 @@ def test_lll_small_inputs_come_back_unchanged():
 def test_lll_rejects_dependent_rows(rows):
     with pytest.raises(InvalidInput):
         lll_reduce(rows)
+
+
+def _leibniz(rows):
+    out = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        out += term
+    return out
+
+
+def test_determinant_and_adjugate_match_leibniz():
+    rng = random.Random(7)
+    cases = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]], [[2, 4], [1, 2]], [[5]]]
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        cases.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+    for rows in cases:
+        n = len(rows)
+        det = determinant(rows)
+        assert det == _leibniz(rows)
+        adj = adjugate(rows)
+        for i in range(n):
+            for j in range(n):
+                assert sum(rows[i][k] * adj[k][j] for k in range(n)) == (det if i == j else 0)

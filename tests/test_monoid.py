@@ -1,7 +1,9 @@
 """Presentations, reducedness, membership, and factorization search."""
 
+from math import prod
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monofact.errors import (
     BudgetExceeded,
@@ -12,6 +14,7 @@ from monofact.errors import (
 )
 from monofact.monoid import (
     GroupElement,
+    _search,
     all_factorizations,
     cones_equal,
     element_from_data,
@@ -299,3 +302,123 @@ def test_search_matches_the_oracle_fibers(p):
                 y = p.element(v[: p.rank], v[p.rank :])
                 if p.weight_of(y) < cap:
                     assert (member(p, y) is None) == (y not in fibers)
+
+
+def _one_leaf_search(p, x, find_all):
+    """The factorization search as it was before its leaf solved more than
+    the last coefficient, kept verbatim as the reference."""
+    total = p.weight_of(x)
+    results = []
+    if total < 0:
+        return results
+    weights = p.weights
+    n = p.n
+    m = p.rank
+    moduli = p.torsion.moduli
+    idxs = sorted(range(n), key=lambda i: (-weights[i], i))
+    rows = [p.generators[i].free + p.generators[i].torsion for i in idxs]
+    us = [weights[i] for i in idxs]
+    last = n - 1
+    coeffs = [0] * n
+
+    def rec(pos, rem, rem_weight):
+        if pos == last:
+            c, r = divmod(rem_weight, us[pos])
+            if r:
+                return False
+            left = [a - c * b for a, b in zip(rem, rows[pos])]
+            if any(left[:m]) or any(a % t for a, t in zip(left[m:], moduli)):
+                return False
+            coeffs[pos] = c
+            out = [0] * n
+            for k, i in enumerate(idxs):
+                out[i] = coeffs[k]
+            results.append(tuple(out))
+            return not find_all
+        row = rows[pos]
+        u = us[pos]
+        cur = rem
+        for c in range(rem_weight // u + 1):
+            coeffs[pos] = c
+            if rec(pos + 1, cur, rem_weight - c * u):
+                return True
+            cur = tuple(a - b for a, b in zip(cur, row))
+        return False
+
+    rec(0, x.free + x.torsion, total)
+    return results
+
+
+@st.composite
+def _rank_2_3_presentations(draw):
+    # rank 2-3, up to two torsion moduli, 1-5 generators with entries of
+    # both signs; a drawn flag adds a twin of the lightest generator, with
+    # the same free part when there is torsion, so the last two searched
+    # are parallel
+    rank = draw(st.integers(2, 3))
+    moduli = draw(st.lists(st.integers(2, 5), max_size=2))
+    entries = [st.integers(-4, 4)] * rank + [st.integers(0, t - 1) for t in moduli]
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*entries), min_size=n, max_size=n, unique=True))
+    assume(all(any(g[:rank]) for g in gens))
+    try:
+        p = validate_reduced(presentation(rank, moduli, gens))
+        if draw(st.booleans()):
+            g = gens[min(range(p.n), key=lambda i: (p.weights[i], -i))]
+            twin = g[:rank] + tuple((r + 1) % t for r, t in zip(g[rank:], moduli))
+            if twin == g:
+                twin = tuple(2 * a for a in g[:rank])
+            assume(twin not in gens)
+            p = validate_reduced(presentation(rank, moduli, gens + [twin]))
+    except NotReduced:
+        assume(False)
+    return p
+
+
+# weights (4, 1, 1, 1) under the pointing (1, 0): the last two searched are parallel
+_PARALLEL_LIGHTEST = presentation(2, (3,), [(4, 1, 2), (1, 4, 0), (1, 1, 0), (1, 1, 1)])
+_FEWER_THAN_RANK = presentation(3, (2,), [(1, 0, -1, 1), (0, 2, 1, 0)])
+_ONE_PER_COORDINATE = presentation(2, (), [(2, 1), (-1, 3)])
+
+
+@example(_PARALLEL_LIGHTEST, [[0, 1, 2, 3], [2, 2, 0, 1]])
+@example(_FEWER_THAN_RANK, [[3, 1], [0, 4]])
+@example(_ONE_PER_COORDINATE, [[2, 5], [1, 0]])
+@given(
+    _rank_2_3_presentations(),
+    st.lists(st.lists(st.integers(0, 3), min_size=6, max_size=6), min_size=1, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_solved_leaf_matches_the_one_coefficient_leaf(p, draws):
+    p = validate_reduced(p)
+    xs = set()
+    for coeffs in draws:
+        x = p.evaluate(coeffs[: p.n])
+        xs.add(x)
+        # one unit away in a free or torsion coordinate: mostly non-members
+        flat = x.free + x.torsion
+        for i in range(len(flat)):
+            for step in (1, -1):
+                v = list(flat)
+                v[i] += step
+                xs.add(p.element(v[: p.rank], v[p.rank :]))
+    us = sorted(p.weights, reverse=True)[:-1]
+    for x in xs:
+        # the reference walks up to this many nodes; pointing vectors with
+        # large entries would make some elements cost minutes
+        if prod(p.weight_of(x) // u + 1 for u in us) > 20_000:
+            continue
+        every = _one_leaf_search(p, x, True)
+        assert _search(p, x, True) == every
+        first = _one_leaf_search(p, x, False)
+        found = member(p, x)
+        assert (found and found.coeffs) == (first[0] if first else None)
+        assert [f.coeffs for f in all_factorizations(p, x)] == sorted(every)
+
+
+def test_search_plan_solves_as_many_coefficients_as_independence_allows():
+    # s: the lightest generators whose free parts are independent, <= rank
+    assert validate_reduced(_PARALLEL_LIGHTEST)._search_plan[3] == 1
+    assert validate_reduced(_FEWER_THAN_RANK)._search_plan[3] == 2
+    assert validate_reduced(_ONE_PER_COORDINATE)._search_plan[3] == 2
+    assert numerical([3, 5, 7])._search_plan[3] == 1

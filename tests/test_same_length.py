@@ -52,6 +52,36 @@ def test_357_t_and_l():
     assert l_set_complement_is_finite(p)
 
 
+# Two presentations left out of the small-report corpus for their cost, with
+# T_S as it was before the search solved its last coefficients by Cramer's
+# rule: almost every T_S candidate here is trimmed by a failing search.
+_SLOW_T_SETS = [
+    (
+        (2, (3,), [(-6, -5, 1), (-4, -5, 0), (2, -6, 1), (2, -3, 0)]),
+        [(-2, -11, 1), (-134, -173, 0), (-140, -175, 0), (-126, -174, 0),
+         (-118, -175, 0), (-110, -176, 0), (-102, -177, 0), (-94, -178, 0),
+         (-86, -179, 0), (-78, -180, 0), (-70, -181, 0), (-62, -182, 0), (-54, -183, 0),
+         (-46, -184, 0), (-38, -185, 0), (-30, -186, 0), (-22, -187, 0), (-14, -188, 0),
+         (-6, -189, 0), (2, -190, 0), (10, -191, 0), (18, -192, 0), (26, -193, 0),
+         (34, -194, 0), (42, -195, 0), (50, -196, 0), (58, -197, 0), (66, -198, 0)],
+    ),
+    (
+        (2, (6,), [(-2, 3, 2), (-1, 2, 4), (4, 5, 0), (5, 5, 2)]),
+        [(1, 11, 0), (92, 115, 0), (86, 113, 2), (78, 114, 0), (70, 115, 4),
+         (62, 116, 2), (54, 117, 0), (46, 118, 4), (38, 119, 2), (30, 120, 0),
+         (22, 121, 4), (14, 122, 2), (6, 123, 0), (-2, 124, 4), (-10, 125, 2),
+         (-18, 126, 0), (-26, 127, 4), (-34, 128, 2), (-42, 129, 0), (-50, 130, 4),
+         (-58, 131, 2), (-66, 132, 0)],
+    ),
+]
+
+
+@pytest.mark.parametrize("data, expected", _SLOW_T_SETS, ids=["excluded-11", "excluded-14"])
+def test_t_set_of_presentations_with_many_failing_searches(data, expected):
+    t = t_set(presentation(*data))
+    assert [tuple(g.free + g.torsion) for g in t.generators] == expected
+
+
 def test_two_generators_have_empty_l_set():
     p = numerical([3, 5])
     assert [g.free[0] for g in t_set(p).generators] == [15]
