@@ -240,12 +240,14 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         ``idxs`` is the search order (weight descending, then index) and
         ``rows`` the flat [free..., torsion...] row of each generator in
         that order, ``us`` its weight.  The last ``s`` generators have
-        linearly independent free parts, s <= rank as large as possible.
-        For s >= 2, ``pick`` names s free coordinates on which their
-        s x s minor M is nonsingular; ``det`` = |det M| and ``adj`` is
-        adj(M) times the sign of det M, so adj y / det solves M c = y.
-        ``checks`` lists every other coordinate as (index, modulus or 0
-        for a free one, the entries of the last s rows there).
+        linearly independent free parts, 1 <= s <= rank as large as
+        possible.  On s picked free coordinates their s x s minor M is
+        nonsingular; ``det`` = |det M| and ``adj`` is adj(M) times the sign
+        of det M, its columns spread to the picked coordinates of a flat
+        row and zero elsewhere, so adj r / det solves M c = y for the
+        picked coordinates y of r.  ``checks`` lists every other
+        coordinate as (index, modulus or 0 for a free one, the entries of
+        the last s rows there).
         """
         weights = self.weights
         idxs = sorted(range(self.n), key=lambda i: (-weights[i], i))
@@ -255,8 +257,6 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         s = 1
         while s < min(self.rank, self.n) and matrix_rank(frees[-s - 1 :]) == s + 1:
             s += 1
-        if s == 1:
-            return idxs, rows, us, 1, None, None, None, None
         # row operations keep the column dependencies, so the pivot columns
         # of an echelon form are independent columns of the last s rows
         _, pick = row_echelon(frees[-s:])
@@ -266,12 +266,16 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         if det < 0:
             det, adj = -det, [[-a for a in r] for r in adj]
         moduli = (0,) * self.rank + self.torsion.moduli
+        # spread rows let the leaf dot the remainder with no gather; for
+        # rank 1 that keeps it about as cheap as dividing the remaining weight
+        col = {k: j for j, k in enumerate(pick)}
+        adj = [[r[col[k]] if k in col else 0 for k in range(len(moduli))] for r in adj]
         checks = [
             (k, moduli[k], [r[k] for r in rows[-s:]])
             for k in range(len(moduli))
             if k not in pick
         ]
-        return idxs, rows, us, s, pick, adj, det, checks
+        return idxs, rows, us, s, adj, det, checks
 
     @cached_property
     def cone(self) -> Cone:
@@ -485,8 +489,7 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     the remaining weight, and the loops it replaces (c ascending, up to
     the remaining weight) would have reached it.  Those loops could
     complete a prefix in at most this one way, so results come in the
-    same order as from searching every position.  For s = 1 the solved
-    value is the remaining weight over the generator's weight.
+    same order as from searching every position.
     """
     p = _validated(p)
     if x.rank != p.rank or x.moduli != p.torsion.moduli:
@@ -495,10 +498,8 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     results: list[tuple[int, ...]] = []
     if total < 0:
         return results
-    idxs, rows, us, s, pick, adj, det, checks = p._search_plan
+    idxs, rows, us, s, adj, det, checks = p._search_plan
     n = p.n
-    m = p.rank
-    moduli = p.torsion.moduli
     split = n - s
     coeffs = [0] * n
 
@@ -509,21 +510,10 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
         results.append(tuple(out))
         return not find_all
 
-    def weight_leaf(rem: tuple, rem_weight: int) -> bool:
-        c, r = divmod(rem_weight, us[split])
-        if r:
-            return False
-        left = [a - c * b for a, b in zip(rem, rows[split])]
-        if any(left[:m]) or any(a % t for a, t in zip(left[m:], moduli)):
-            return False
-        coeffs[split] = c
-        return found()
-
-    def cramer_leaf(rem: tuple, rem_weight: int) -> bool:
-        y = [rem[k] for k in pick]
+    def leaf(rem: tuple) -> bool:
         cs = []
         for arow in adj:
-            c, r = divmod(sum(map(mul, arow, y)), det)
+            c, r = divmod(sum(map(mul, arow, rem)), det)
             if r or c < 0:
                 return False
             cs.append(c)
@@ -534,11 +524,9 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
         coeffs[split:] = cs
         return found()
 
-    leaf = weight_leaf if s == 1 else cramer_leaf
-
     def rec(pos: int, rem: tuple, rem_weight: int) -> bool:
         if pos == split:
-            return leaf(rem, rem_weight)
+            return leaf(rem)
         row = rows[pos]
         u = us[pos]
         cur = rem

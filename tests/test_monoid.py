@@ -3,7 +3,7 @@
 from math import prod
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from monofact.errors import (
     BudgetExceeded,
@@ -391,8 +391,12 @@ _ONE_PER_COORDINATE = presentation(2, (), [(2, 1), (-1, 3)])
 @settings(max_examples=60, deadline=None)
 def test_solved_leaf_matches_the_one_coefficient_leaf(p, draws):
     p = validate_reduced(p)
+    # the lightest generator costs the reference at most 2^(n-1) nodes, so
+    # every example compares at least that one element
+    lightest = [0] * p.n
+    lightest[min(range(p.n), key=lambda i: p.weights[i])] = 1
     xs = set()
-    for coeffs in draws:
+    for coeffs in [lightest] + draws:
         x = p.evaluate(coeffs[: p.n])
         xs.add(x)
         # one unit away in a free or torsion coordinate: mostly non-members
@@ -403,17 +407,21 @@ def test_solved_leaf_matches_the_one_coefficient_leaf(p, draws):
                 v[i] += step
                 xs.add(p.element(v[: p.rank], v[p.rank :]))
     us = sorted(p.weights, reverse=True)[:-1]
+    compared = 0
     for x in xs:
         # the reference walks up to this many nodes; pointing vectors with
         # large entries would make some elements cost minutes
         if prod(p.weight_of(x) // u + 1 for u in us) > 20_000:
             continue
+        compared += 1
         every = _one_leaf_search(p, x, True)
         assert _search(p, x, True) == every
         first = _one_leaf_search(p, x, False)
         found = member(p, x)
         assert (found and found.coeffs) == (first[0] if first else None)
         assert [f.coeffs for f in all_factorizations(p, x)] == sorted(every)
+    assert compared >= 1
+    event("every element compared" if compared == len(xs) else "some elements skipped")
 
 
 def test_search_plan_solves_as_many_coefficients_as_independence_allows():
