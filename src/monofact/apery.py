@@ -18,13 +18,21 @@ lists its whole staircase; the pure powers are what end the walk, and their
 presence is the staircase side of the cross-check.  Otherwise a truncation
 degree is required, and no basis of J is built: the walk runs over the
 staircase of the memoized I_S up to that total degree and cuts a branch
-where its monomial's degree s has s - b in S for some b (``member``), a
-condition that only gets truer for multiples.  Its cross-check is that
-some extremal ray carries no b and that each such ray carries a generator
-with no pure-power lead in the I_S basis.
+where its monomial's degree s has s - b in S for some b (a membership
+search), a condition that only gets truer for multiples.  Its cross-check
+is that some extremal ray carries no b and that each such ray carries a
+generator with no pure-power lead in the I_S basis.
+
+The walk carries each monomial's degree as a flat row (free coordinates,
+then unreduced torsion residues): a child's degree is its parent's plus
+one generator's row, so no monomial is evaluated.  The residues are
+reduced once per kept monomial, and a ``GroupElement`` is built only for
+the elements returned.
 """
 
 from __future__ import annotations
+
+from operator import add, sub
 
 from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
@@ -33,10 +41,10 @@ from .monoid import (
     GroupElement,
     MonoidPresentation,
     _integer,
+    _search_flat,
     _validated,
     cones_equal,
     element_from_data,
-    member,
     primitive,
     require_member,
     uncovered_rays,
@@ -90,40 +98,49 @@ def _pure_power_variables(leads):
     return out
 
 
-def _standard_monomials(leads, n, limit, outside=None):
-    """All exponent vectors avoiding every lead, of total degree at most
-    ``limit`` unless it is None, and failing ``outside`` when it is given.
+def _standard_monomials(leads, rows, limit, outside=None):
+    """Each exponent vector avoiding every lead, of total degree at most
+    ``limit`` unless it is None, and failing ``outside`` when it is given,
+    paired with its degree: the flat row sum(e_i rows[i]), which the walk
+    carries from parent to child.
 
-    Leads are checked as soon as their topmost variable is assigned, and
-    larger exponents at that position only stay divisible, so the walk can
-    cut the whole branch.  ``outside`` must hold for every multiple of a
-    monomial it holds for, and cuts the same way.  Without a limit every
-    variable needs a pure-power lead, which ends its loop.
+    A lead x^l cuts the walk at its topmost variable i: once the prefix
+    (e_0, ..., e_{i-1}) dominates that of l, every e_i >= l_i is
+    divisible, so each node stops at the smallest such l_i, and ``limit``
+    caps that stop.  ``outside`` takes a degree, must hold for every
+    multiple of a monomial it holds for, and cuts the same way.  Without
+    a limit every variable needs a pure-power lead, which ends its loop.
     """
+    n = len(rows)
     by_top = [[] for _ in range(n)]
     for l in leads:
         if limit is None or sum(l) <= limit:  # a larger lead divides nothing walked
-            by_top[max(j for j, v in enumerate(l) if v > 0)].append(l)
+            support = [(j, v) for j, v in enumerate(l) if v > 0]
+            top, power = support.pop()
+            by_top[top].append((power, support))
     out = []
     exp = [0] * n
 
-    def walk(i, remaining):
+    def walk(i, deg, remaining):
         if i == n:
-            out.append(tuple(exp))
+            out.append((tuple(exp), deg))
             return
-        e = 0
-        while remaining is None or e <= remaining:
+        stop = None if remaining is None else remaining + 1
+        for power, prefix in by_top[i]:
+            if (stop is None or power < stop) and all(exp[j] >= v for j, v in prefix):
+                stop = power
+        # e = 0 repeats the monomial its parent already tested
+        walk(i + 1, deg, remaining)
+        row = rows[i]
+        for e in range(1, stop):
+            deg = tuple(map(add, deg, row))
+            if outside is not None and outside(deg):
+                break
             exp[i] = e
-            if any(all(exp[j] >= l[j] for j in range(i + 1)) for l in by_top[i]):
-                break
-            # e = 0 repeats the monomial its parent already tested
-            if e and outside is not None and outside(exp):
-                break
-            walk(i + 1, None if remaining is None else remaining - e)
-            e += 1
+            walk(i + 1, deg, None if remaining is None else remaining - e)
         exp[i] = 0
 
-    walk(0, limit)
+    walk(0, (0,) * len(rows[0]), limit)
     return out
 
 
@@ -207,6 +224,7 @@ def apery_set(
         raise InvalidInput("limit must be nonnegative")
     p = _validated(p)
     elems, facts = _resolve_b(p, elements, factorizations)
+    rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None
         # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
@@ -214,7 +232,7 @@ def apery_set(
         leads = [b.plus for b in groebner(gens, order).elements]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
-        monomials = _standard_monomials(leads, p.n, None)
+        monomials = _standard_monomials(leads, rows, None)
     else:
         leads = [b.plus for b in lattice_ideal(p, order).elements]
         if not _unbounded_on_uncovered_rays(p, elems, leads):
@@ -222,18 +240,21 @@ def apery_set(
         if limit is None:
             raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
 
-        def outside(exp):
-            d = p.evaluate(exp)
-            return any(member(p, d - b) is not None for b in elems)
+        bflats = [b.free + b.torsion for b in elems]
 
-        monomials = _standard_monomials(leads, p.n, limit, outside)
+        def outside(deg):
+            return any(_search_flat(p, tuple(map(sub, deg, b)), False) for b in bflats)
+
+        monomials = _standard_monomials(leads, rows, limit, outside)
+    rank, moduli = p.rank, p.torsion.moduli
     degs = {}
-    for mono in monomials:
-        d = p.evaluate(mono)
-        if d in degs:
-            raise CrossCheckError(f"standard monomials {degs[d]} and {mono} share a degree")
-        degs[d] = mono
-    out = tuple(sorted(degs, key=lambda e: e.sort_key()))
+    for mono, deg in monomials:
+        deg = deg[:rank] + tuple([r % t for r, t in zip(deg[rank:], moduli)])
+        if deg in degs:
+            raise CrossCheckError(f"standard monomials {degs[deg]} and {mono} share a degree")
+        degs[deg] = mono
+    # the free part has a fixed length, so flat order is sort_key order
+    out = tuple(GroupElement._made(d[:rank], d[rank:], moduli) for d in sorted(degs))
     return AperyResult(limit is None, out, len(out), limit)
 
 

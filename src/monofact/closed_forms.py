@@ -451,7 +451,7 @@ def adjoin_generator_split(values, b, alpha) -> Binomial:
     if not vals:
         raise InvalidInput("need at least one base value")
     _positive_int("b", b)
-    alf = [int(v) for v in alpha]
+    alf = [_integer(v) for v in alpha]
     if len(alf) != len(vals) or any(v < 0 for v in alf):
         raise InvalidInput("alpha must give a natural number per base value")
     B = gcd(*vals) if len(vals) > 1 else vals[0]

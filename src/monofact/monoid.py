@@ -69,6 +69,16 @@ class GroupElement(Frozen):
         )
         init_field(self, "moduli", moduli)
 
+    @classmethod
+    def _made(cls, free, torsion, moduli) -> "GroupElement":
+        """An element from int tuples the library built itself, torsion
+        already reduced: no conversion and no check."""
+        self = object.__new__(cls)
+        init_field(self, "free", free)
+        init_field(self, "torsion", torsion)
+        init_field(self, "moduli", moduli)
+        return self
+
     @property
     def rank(self) -> int:
         return len(self.free)
@@ -442,19 +452,11 @@ def extremal_rays(vectors) -> Cone:
     """Extremal rays of the cone spanned by ``vectors`` (assumed pointed).
 
     A direction is extremal iff its primitive vector is not a nonnegative
-    combination of the input vectors pointing elsewhere.
+    combination of the vectors pointing elsewhere.  A vector spans the same
+    ray as its primitive, so each LP runs over the distinct primitives.
     """
-    prims = []
-    for v in vectors:
-        if any(a != 0 for a in v):
-            pv = primitive(v)
-            if pv not in prims:
-                prims.append(pv)
-    rays = []
-    for pv in prims:
-        others = [v for v in vectors if any(a != 0 for a in v) and primitive(v) != pv]
-        if not in_cone(others, pv):
-            rays.append(pv)
+    prims = list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
+    rays = [pv for pv in prims if not in_cone([q for q in prims if q != pv], pv)]
     return Cone(tuple(sorted(rays)))
 
 
@@ -494,7 +496,14 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     p = _validated(p)
     if x.rank != p.rank or x.moduli != p.torsion.moduli:
         raise DimensionMismatch("element shape does not match presentation")
-    total = p.weight_of(x)
+    return _search_flat(p, x.free + x.torsion, find_all)
+
+
+def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
+    """``_search`` of the element with flat row ``flat`` (free coordinates,
+    then torsion residues) in the validated ``p``, with no checks.  The
+    residues may be unreduced: the leaf reduces them mod t_j."""
+    total = dot(p.pointing, flat[: p.rank])
     results: list[tuple[int, ...]] = []
     if total < 0:
         return results
@@ -537,7 +546,7 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
             cur = tuple(a - b for a, b in zip(cur, row))
         return False
 
-    rec(0, x.free + x.torsion, total)
+    rec(0, flat, total)
     return results
 
 

@@ -21,6 +21,7 @@ from monofact.errors import (
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import (
     GroupElement,
+    MonoidPresentation,
     member,
     numerical,
     presentation,
@@ -154,6 +155,34 @@ def test_apery_b_must_lie_in_monoid():
         apery_set(p, [10], factorizations=[(1, 0, 0)])
     with pytest.raises(InvalidInput):
         apery_set(p, [10], factorizations=[])
+
+
+@pytest.mark.parametrize(
+    "p, b, order, limit",
+    [
+        (RANK2, B3, W, 4),
+        (presentation(1, (2,), [(2, 0), (3, 1), (4, 1)]), [[12, 0]], GREVLEX, None),
+    ],
+    ids=["truncated", "torsion-finite"],
+)
+def test_the_walk_evaluates_no_monomial(monkeypatch, p, b, order, limit):
+    # the walk carries each degree; before, the truncated case made 99
+    # evaluate calls for its 58 walked monomials
+    calls = []
+    evaluate = MonoidPresentation.evaluate
+
+    def counted(self, coeffs):
+        calls.append(coeffs)
+        return evaluate(self, coeffs)
+
+    monkeypatch.setattr(MonoidPresentation, "evaluate", counted)
+    res = apery_set(p, b, order=order, limit=limit)
+    assert len(calls) <= len(b)
+    monkeypatch.undo()
+    assert res.finite == (limit is None) and res.count == len(res.elements) > 0
+    for e in res.elements:
+        built = p.element(list(e.free), list(e.torsion))
+        assert e == built and hash(e) == hash(built)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ from monofact.closed_forms import (
     normalized_presentation_transforms,
     rational_normal_curve_relations,
 )
-from monofact.errors import HypothesisViolated, InvalidScalar, PreconditionFailed
+from monofact.errors import HypothesisViolated, InvalidInput, InvalidScalar, PreconditionFailed
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import numerical, presentation
 
@@ -169,6 +169,13 @@ def test_adjoin_generator_split():
         adjoin_generator_split([10, 15], 6, [6, 0])
     with pytest.raises(PreconditionFailed):
         adjoin_generator_split([10, 15], 7, [0, 2])
+
+
+@pytest.mark.parametrize("alpha", [[0, 1.5], [0, True]], ids=["float", "bool"])
+def test_adjoin_generator_split_refuses_non_integer_alpha(alpha):
+    # int() would read 1.5 as 1 and True as 1
+    with pytest.raises(InvalidInput):
+        adjoin_generator_split([10, 15], 6, alpha)
 
 
 def test_arithmetic_with_zero_relations_generate_t_ideal():

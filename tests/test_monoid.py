@@ -15,12 +15,14 @@ from monofact.errors import (
 from monofact.monoid import (
     GroupElement,
     _search,
+    _search_flat,
     all_factorizations,
     cones_equal,
     element_from_data,
     extremal_rays,
     is_minimal_generating,
     member,
+    primitive,
     numerical,
     presentation,
     presentation_from_data,
@@ -28,6 +30,7 @@ from monofact.monoid import (
     validate_reduced,
 )
 from monofact.oracle import EnumerationBudget, monoid_elements
+from monofact.ratlp import in_cone
 
 
 def test_numerical_rejects_nonpositive():
@@ -199,6 +202,54 @@ def test_group_element_arithmetic_reduces_torsion():
 def test_extremal_rays_of_flat_cone():
     rays = extremal_rays([(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)]).rays
     assert set(rays) == {(-2, 1), (2, 1)}
+
+
+def _extremal_rays_one_lp_per_vector(vectors):
+    """``extremal_rays`` as it was before its LPs ran over the distinct
+    primitives, kept verbatim as the reference."""
+    prims = []
+    for v in vectors:
+        if any(a != 0 for a in v):
+            pv = primitive(v)
+            if pv not in prims:
+                prims.append(pv)
+    rays = []
+    for pv in prims:
+        others = [v for v in vectors if any(a != 0 for a in v) and primitive(v) != pv]
+        if not in_cone(others, pv):
+            rays.append(pv)
+    return tuple(sorted(rays))
+
+
+@st.composite
+def _pointed_vectors_with_repeats(draw):
+    # rank 1-3 vectors positive on a drawn functional w, then positive
+    # multiples of some of them (repeats when the factor is 1) and perhaps
+    # a zero vector, all shuffled
+    rank = draw(st.integers(1, 3))
+    w = draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+    vectors = draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * rank).filter(
+                lambda v: sum(a * b for a, b in zip(w, v)) >= 1
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(vectors), st.integers(1, 3)), max_size=3))
+    vectors += [tuple(k * a for a in v) for v, k in picks]
+    if draw(st.booleans()):
+        vectors.append((0,) * rank)
+    return draw(st.permutations(vectors))
+
+
+@example([(1, 2), (2, 4), (-1, 1)])
+@example([(3,), (1,), (2,)])
+@given(_pointed_vectors_with_repeats())
+@settings(max_examples=60, deadline=None)
+def test_extremal_rays_match_one_lp_per_vector(vectors):
+    assert extremal_rays(vectors).rays == _extremal_rays_one_lp_per_vector(vectors)
 
 
 def test_cones_equal_checks_ray_coverage():
@@ -430,3 +481,33 @@ def test_search_plan_solves_as_many_coefficients_as_independence_allows():
     assert validate_reduced(_FEWER_THAN_RANK)._search_plan[3] == 2
     assert validate_reduced(_ONE_PER_COORDINATE)._search_plan[3] == 2
     assert numerical([3, 5, 7])._search_plan[3] == 1
+
+
+@st.composite
+def _torsion_presentations(draw):
+    # rank 1-2 with one or two torsion moduli, entries of both signs
+    rank = draw(st.integers(1, 2))
+    moduli = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+    entries = [st.integers(-4, 4)] * rank + [st.integers(0, t - 1) for t in moduli]
+    gens = draw(st.lists(st.tuples(*entries), min_size=1, max_size=4, unique=True))
+    assume(all(any(g[:rank]) for g in gens))
+    try:
+        return validate_reduced(presentation(rank, moduli, gens))
+    except NotReduced:
+        assume(False)
+
+
+@given(
+    _torsion_presentations(),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_flat_search_reads_unreduced_residues(p, coeffs, shifts):
+    x = p.evaluate(coeffs[: p.n])
+    # and one unit off in the first free coordinate: mostly a non-member
+    y = p.element((x.free[0] + 1,) + x.free[1:], x.torsion)
+    for z in (x, y):
+        flat = z.free + tuple(r + k * t for r, k, t in zip(z.torsion, shifts, p.torsion.moduli))
+        for find_all in (True, False):
+            assert _search_flat(p, flat, find_all) == _search(p, z, find_all)
