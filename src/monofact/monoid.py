@@ -16,7 +16,7 @@ vectors pruned by remaining weight.  The search walks flat integer rows
 only at the leaves.  The last s coefficients are solved, not searched: the
 lightest s generators have linearly independent free parts (s <= rank as
 large as they allow), so the free equations fix those coefficients by
-Cramer's rule once the others are chosen (see ``_search``).
+Cramer's rule once the others are chosen (see ``_search_flat``).
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.
@@ -245,7 +245,7 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
 
     @cached_property
     def _search_plan(self) -> tuple:
-        """What ``_search`` reads of the generators, built once.
+        """What ``_search_flat`` reads of the generators, built once.
 
         ``idxs`` is the search order (weight descending, then index) and
         ``rows`` the flat [free..., torsion...] row of each generator in
@@ -478,8 +478,20 @@ def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ..
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
-    """Factorizations of x, depth first over the generators in
-    ``_search_plan`` order with c ascending at each position.
+    """Factorizations of x: ``_search_flat`` of its flat row, once x is
+    checked to live in the group of the validated ``p``."""
+    p = _validated(p)
+    if x.rank != p.rank or x.moduli != p.torsion.moduli:
+        raise DimensionMismatch("element shape does not match presentation")
+    return _search_flat(p, x.free + x.torsion, find_all)
+
+
+def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
+    """Factorizations of the element with flat row ``flat`` (free
+    coordinates, then torsion residues) in the validated ``p``, unchecked;
+    the residues may be unreduced, since the leaf reduces them mod t_j.
+    The search runs depth first over the generators in ``_search_plan``
+    order with c ascending at each position.
 
     The last s coefficients are solved, not searched.  Their generators
     have linearly independent free parts, so once the others are fixed
@@ -493,16 +505,6 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     complete a prefix in at most this one way, so results come in the
     same order as from searching every position.
     """
-    p = _validated(p)
-    if x.rank != p.rank or x.moduli != p.torsion.moduli:
-        raise DimensionMismatch("element shape does not match presentation")
-    return _search_flat(p, x.free + x.torsion, find_all)
-
-
-def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
-    """``_search`` of the element with flat row ``flat`` (free coordinates,
-    then torsion residues) in the validated ``p``, with no checks.  The
-    residues may be unreduced: the leaf reduces them mod t_j."""
     total = dot(p.pointing, flat[: p.rank])
     results: list[tuple[int, ...]] = []
     if total < 0:

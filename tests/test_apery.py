@@ -166,8 +166,8 @@ def test_apery_b_must_lie_in_monoid():
     ids=["truncated", "torsion-finite"],
 )
 def test_the_walk_evaluates_no_monomial(monkeypatch, p, b, order, limit):
-    # the walk carries each degree; before, the truncated case made 99
-    # evaluate calls for its 58 walked monomials
+    # the walk carries each degree, so at most a factorization of each b
+    # is evaluated, never a walked monomial
     calls = []
     evaluate = MonoidPresentation.evaluate
 

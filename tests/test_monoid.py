@@ -22,10 +22,10 @@ from monofact.monoid import (
     extremal_rays,
     is_minimal_generating,
     member,
-    primitive,
     numerical,
     presentation,
     presentation_from_data,
+    primitive,
     require_member,
     validate_reduced,
 )
