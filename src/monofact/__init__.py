@@ -12,7 +12,6 @@ command line.
 
 from .apery import AperyResult, apery_count, apery_is_finite, apery_set
 from .catenary import (
-    ChainCertificate,
     ceq,
     ceq_element_bruteforce,
     ceq_upper_bound_numerical,

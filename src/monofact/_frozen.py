@@ -4,18 +4,22 @@ Every CLI request starts a fresh interpreter, and importing
 ``dataclasses`` (with ``inspect``) plus its per-class code generation cost
 that start about 20 ms; building these classes costs well under one.
 
-A subclass lists its fields as class annotations in constructor order,
-keeps them in ``__slots__`` and writes its own ``__init__``, which stores
-each field with :data:`init_field`.  From the field names :class:`Frozen`
-builds, once per class:
+A subclass lists its fields as class annotations and keeps them in
+``__slots__``.  The constructor comes from the fields: ``Frozen.__init__``
+takes one argument per field, positional in annotation order or by
+keyword, and stores them; a missing or unknown argument raises
+``TypeError``.  A subclass that checks or converts its arguments writes
+its own ``__init__`` and ends it with one ``super().__init__(...)``.  From
+the field names :class:`Frozen` also builds, once per class:
 
 * ``==`` on the tuple of compared fields, ``NotImplemented`` across
   classes, and ``hash`` of that same tuple;
 * ``repr`` as ``Name(field=value, ...)`` over every field;
 * pickling and copying through the constructor.
 
-Assigning or deleting an attribute raises ``AttributeError``.  The class
-keyword ``compare`` names the compared fields when not all of them are.
+Assigning or deleting an attribute raises ``AttributeError``;
+:data:`init_field` stores a field past that guard.  The class keyword
+``compare`` names the compared fields when not all of them are.
 """
 
 from operator import attrgetter
@@ -23,12 +27,29 @@ from operator import attrgetter
 init_field = object.__setattr__
 
 
+def _arguments(cls, args, kwargs) -> tuple:
+    """The field values of ``cls(*args, **kwargs)`` in annotation order;
+    ``kwargs`` is the call's own dict, emptied here."""
+    names = cls._fields
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments, got {len(args)}")
+    try:
+        args += tuple(map(kwargs.pop, names[len(args) :]))
+    except KeyError as exc:
+        raise TypeError(f"{cls.__qualname__}() is missing {exc.args[0]!r}") from None
+    if kwargs:
+        name = next(iter(kwargs))
+        raise TypeError(f"{cls.__qualname__}() got an unexpected or repeated argument {name!r}")
+    return args
+
+
 class Frozen:
     __slots__ = ()
+    _fields = ()
 
     def __init_subclass__(cls, compare=None, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(cls.__annotations__)
+        names = cls._fields = tuple(cls.__annotations__)
         compared = names if compare is None else tuple(compare)
         get = attrgetter(*compared)
         # attrgetter of one name returns the bare value, not a 1-tuple
@@ -53,6 +74,13 @@ class Frozen:
         cls.__hash__ = __hash__
         cls.__repr__ = __repr__
         cls.__reduce__ = __reduce__
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = _arguments(self.__class__, args, kwargs)
+        for name, value in zip(names, args):
+            init_field(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from operator import add, sub
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
 from .ideal import Binomial, groebner, lattice_ideal
 from .monoid import (
@@ -64,12 +64,6 @@ class AperyResult(Frozen):
     elements: tuple[GroupElement, ...]
     count: int
     limit: int | None
-
-    def __init__(self, finite, elements, count, limit=None):
-        init_field(self, "finite", finite)
-        init_field(self, "elements", elements)
-        init_field(self, "count", count)
-        init_field(self, "limit", limit)
 
     def to_data(self):
         return {

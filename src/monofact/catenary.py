@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from ._frozen import Frozen, init_field
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
-    Factorization,
-    GroupElement,
     MonoidPresentation,
     _validated,
     all_factorizations,
@@ -36,33 +33,6 @@ def distance(lam, nu) -> int:
     if sum(a) != sum(b):
         raise LengthMismatch("distance is defined for factorizations of equal length")
     return sum(x - min(x, y) for x, y in zip(a, b))
-
-
-class ChainCertificate(Frozen):
-    """An N-chain of equal-length factorizations of one element."""
-
-    __slots__ = ("presentation", "element", "chain", "bound")
-    presentation: MonoidPresentation
-    element: GroupElement
-    chain: tuple[Factorization, ...]
-    bound: int
-
-    def __init__(self, presentation, element, chain, bound):
-        if not chain:
-            raise InvalidInput("a chain needs at least one factorization")
-        lengths = {f.length for f in chain}
-        if len(lengths) != 1:
-            raise LengthMismatch("chain factorizations must share one length")
-        for f in chain:
-            if presentation.evaluate(tuple(f)) != element:
-                raise InvalidInput(f"{tuple(f)} does not factor the chain element")
-        for prev, cur in zip(chain, chain[1:]):
-            if distance(prev, cur) > bound:
-                raise InvalidInput("consecutive distance exceeds the stated bound")
-        init_field(self, "presentation", presentation)
-        init_field(self, "element", element)
-        init_field(self, "chain", chain)
-        init_field(self, "bound", bound)
 
 
 def ceq(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
@@ -92,32 +62,20 @@ class _UnionFind:
 
 def _class_threshold(facs):
     """Smallest N making the distance-at-most-N graph on ``facs``
-    connected; binary search over the sorted pairwise distances."""
+    connected: joining the pairs by ascending distance (Kruskal), the
+    distance of the pair that leaves one part."""
     k = len(facs)
-    if k <= 1:
-        return 0
-    pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            pairs.append((distance(facs[i], facs[j]), i, j))
-    values = sorted({d for d, _, _ in pairs})
-
-    def connected(bound):
-        uf = _UnionFind(k)
-        parts = k
-        for d, i, j in pairs:
-            if d <= bound and uf.union(i, j):
-                parts -= 1
-        return parts == 1
-
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if connected(values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return values[lo]
+    pairs = sorted(
+        (distance(facs[i], facs[j]), i, j) for i in range(k) for j in range(i + 1, k)
+    )
+    uf = _UnionFind(k)
+    parts = k
+    for d, i, j in pairs:
+        if uf.union(i, j):
+            parts -= 1
+            if parts == 1:
+                return d
+    return 0
 
 
 def ceq_of_factorizations(facs) -> int:

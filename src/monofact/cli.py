@@ -169,7 +169,7 @@ def _cmd_ideal(args):
 def _cmd_tilde_ideal(args):
     p = _presentation(args)
     order = parse_order(args.order)
-    lifted = homogenize(p).lifted
+    lifted = homogenize(p)
     if args.minimal:
         return _basis_payload(homogeneous_minimal_generators(p, order), lifted)
     return _basis_payload(lattice_ideal(lifted, order=order))
@@ -309,11 +309,11 @@ def _cmd_transform(args):
     payload = []
     bases = []
     for stage in stages:
-        gb = lattice_ideal(stage.lifted, order=order)
+        gb = lattice_ideal(stage, order=order)
         bases.append(gb)
         payload.append(
             {
-                "values": [g.free[0] for g in stage.lifted.generators],
+                "values": [g.free[0] for g in stage.generators],
                 "ideal": _basis_payload(gb),
             }
         )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen
 from .catenary import ceq
 from .errors import (
     CrossCheckError,
@@ -33,7 +33,6 @@ from .intlinalg import dot
 from .monoid import MonoidPresentation, _integer, is_minimal_generating, numerical, presentation
 from .orders import GREVLEX, TermOrder
 from .same_length import (
-    HomogenizedPresentation,
     MonoidIdeal,
     _minimalize_degrees,
     l_set,
@@ -63,16 +62,14 @@ class ArithmeticFamily(Frozen):
     n: int
 
     def __init__(self, m1, e, n):
-        init_field(self, "m1", m1)
-        init_field(self, "e", e)
-        init_field(self, "n", n)
-        _positive_int("m1", self.m1)
-        _positive_int("e", self.e)
-        _positive_int("n", self.n)
-        if self.n < 2:
+        _positive_int("m1", m1)
+        _positive_int("e", e)
+        _positive_int("n", n)
+        if n < 2:
             raise HypothesisViolated("an arithmetic family needs n >= 2 terms")
-        if gcd(self.m1, self.e) != 1:
+        if gcd(m1, e) != 1:
             raise HypothesisViolated("gcd(m1, e) must be 1")
+        super().__init__(m1, e, n)
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -92,18 +89,15 @@ class AlmostArithmeticFamily(Frozen):
     b: int
 
     def __init__(self, m1, e, n, b):
-        init_field(self, "m1", m1)
-        init_field(self, "e", e)
-        init_field(self, "n", n)
-        init_field(self, "b", b)
-        _positive_int("m1", self.m1)
-        _positive_int("e", self.e)
-        _positive_int("n", self.n)
-        _positive_int("b", self.b)
-        if self.n < 2:
+        _positive_int("m1", m1)
+        _positive_int("e", e)
+        _positive_int("n", n)
+        _positive_int("b", b)
+        if n < 2:
             raise HypothesisViolated("the arithmetic part needs n >= 2 terms")
-        if gcd(self.m1, self.e) != 1:
+        if gcd(m1, e) != 1:
             raise HypothesisViolated("gcd(m1, e) must be 1")
+        super().__init__(m1, e, n, b)
         if self.b in self.arithmetic_part:
             raise HypothesisViolated("b coincides with an arithmetic term")
         if not is_minimal_generating(self.presentation()):
@@ -158,12 +152,9 @@ class UniqueBettiShiftFamily(Frozen):
     f: tuple[int, ...] | None
 
     def __init__(self, b, t, c, f=None):
-        init_field(self, "b", b)
-        init_field(self, "t", t)
-        _positive_int("b", self.b)
-        _positive_int("t", self.t)
+        _positive_int("b", b)
+        _positive_int("t", t)
         c = tuple(c)
-        init_field(self, "c", c)
         n = len(c)
         if n < 2:
             raise HypothesisViolated("need at least two moduli c_i")
@@ -178,7 +169,6 @@ class UniqueBettiShiftFamily(Frozen):
                         f"(a) c_{i + 1} and c_{j + 1} are not coprime"
                     )
         f = tuple(f) if f is not None else (1,) * (n - 1)
-        init_field(self, "f", f)
         if len(f) != n - 1:
             raise InvalidInput("need one multiplier f_i per index 1..n-1")
         for v in f:
@@ -189,8 +179,9 @@ class UniqueBettiShiftFamily(Frozen):
             if f[i] * c[-1] >= c[i]:
                 # equivalent to m_n > m_i
                 raise HypothesisViolated(f"(c) m_{i + 1} is not below m_{len(c)}")
-        if gcd(self.b, self.t) != 1:
+        if gcd(b, t) != 1:
             raise HypothesisViolated("gcd(b, t) must be 1 to stay numerical")
+        super().__init__(b, t, c, f)
         if not is_minimal_generating(self.presentation()):
             raise HypothesisViolated("generator set is not minimal")
 
@@ -301,31 +292,8 @@ class CeqFormulaReport(Frozen):
     engine_matches_proof: bool
     engine_matches_printed: bool
 
-    def __init__(
-        self,
-        proof_form,
-        printed_form,
-        engine,
-        forms_agree,
-        engine_matches_proof,
-        engine_matches_printed,
-    ):
-        init_field(self, "proof_form", proof_form)
-        init_field(self, "printed_form", printed_form)
-        init_field(self, "engine", engine)
-        init_field(self, "forms_agree", forms_agree)
-        init_field(self, "engine_matches_proof", engine_matches_proof)
-        init_field(self, "engine_matches_printed", engine_matches_printed)
-
     def to_data(self):
-        return {
-            "proof_form": self.proof_form,
-            "printed_form": self.printed_form,
-            "engine": self.engine,
-            "forms_agree": self.forms_agree,
-            "engine_matches_proof": self.engine_matches_proof,
-            "engine_matches_printed": self.engine_matches_printed,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def ceq_almost_arithmetic(
@@ -388,12 +356,6 @@ def ceq_unique_betti_shift(
     return value
 
 
-def _transform_stage(vals) -> HomogenizedPresentation:
-    lifted = presentation(2, (), [(v, 1) for v in vals])
-    base = numerical(vals) if all(v > 0 for v in vals) else None
-    return HomogenizedPresentation(base, lifted)
-
-
 def normalized_presentation_transforms(values, operations):
     """Apply ideal-preserving rewrites to a numerical generator list.
 
@@ -403,14 +365,15 @@ def normalized_presentation_transforms(values, operations):
     lam >= max(a_i) to (lam - a_i, 1); divide/multiply rescale the first
     coordinate.  None of these change the lattice ideal of the lifted
     presentation, which is what makes the closed forms above tick.
-    Returns the list of stages, the untouched presentation first.
+    Returns the lifted presentation <(a_i, 1)> of each stage, the
+    untouched values first.
     """
     vals = [_integer(v) for v in values]
     if not vals or any(v <= 0 for v in vals):
         raise InvalidInput("transform input must be positive integers")
     if len(set(vals)) != len(vals):
         raise InvalidInput("transform input must be distinct")
-    stages = [_transform_stage(vals)]
+    stages = [vals]
     for op in operations:
         try:
             name, lam = op
@@ -435,8 +398,8 @@ def normalized_presentation_transforms(values, operations):
             vals = [v * lam for v in vals]
         else:
             raise InvalidInput(f"unknown transform {name!r}")
-        stages.append(_transform_stage(vals))
-    return stages
+        stages.append(vals)
+    return [presentation(2, (), [(v, 1) for v in stage]) for stage in stages]
 
 
 def adjoin_generator_split(values, b, alpha) -> Binomial:

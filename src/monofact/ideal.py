@@ -150,23 +150,25 @@ def _stored(plus, minus) -> Binomial:
 
 
 class BinomialBasis(Frozen):
-    """An ordered list of binomials with the term order used to produce it."""
+    """An ordered list of binomials with the term order used to produce it:
+    the reduced Groebner basis when ``groebner`` (``groebner``,
+    ``saturate``, ``lattice_ideal``), else a minimal generating set
+    (``minimal_generators``)."""
 
-    __slots__ = ("elements", "order", "is_groebner", "is_reduced", "is_minimal_generating")
+    __slots__ = ("elements", "order", "groebner")
     elements: tuple[Binomial, ...]
     order: TermOrder
-    is_groebner: bool
-    is_reduced: bool
-    is_minimal_generating: bool
+    groebner: bool
 
-    def __init__(
-        self, elements, order, is_groebner=False, is_reduced=False, is_minimal_generating=False
-    ):
-        init_field(self, "elements", elements)
-        init_field(self, "order", order)
-        init_field(self, "is_groebner", is_groebner)
-        init_field(self, "is_reduced", is_reduced)
-        init_field(self, "is_minimal_generating", is_minimal_generating)
+    @property
+    def is_groebner(self) -> bool:
+        return self.groebner
+
+    is_reduced = is_groebner
+
+    @property
+    def is_minimal_generating(self) -> bool:
+        return not self.groebner
 
     def to_data(self):
         return {
@@ -184,10 +186,6 @@ class KernelLattice(Frozen):
     __slots__ = ("basis", "nvars")
     basis: tuple[tuple[int, ...], ...]
     nvars: int
-
-    def __init__(self, basis, nvars):
-        init_field(self, "basis", basis)
-        init_field(self, "nvars", nvars)
 
     @property
     def rank(self) -> int:
@@ -481,7 +479,7 @@ def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
     pairs = [(b.plus, b.minus) for b in gens]
     n = len(pairs[0][0]) if pairs else 0
     basis = _buchberger(pairs, order, n)
-    return BinomialBasis(_binomials_from_pairs(basis), order, is_groebner=True, is_reduced=True)
+    return BinomialBasis(_binomials_from_pairs(basis), order, groebner=True)
 
 
 def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
@@ -617,7 +615,7 @@ def saturate(
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
-        return BinomialBasis((), order, is_groebner=True, is_reduced=True)
+        return BinomialBasis((), order, groebner=True)
     n = gens[0].nvars
     if weights is None:
         weights = _grading_for(gens)
@@ -648,7 +646,7 @@ def saturate(
             stripped.append((lead, tail))
         current = stripped
     final = _buchberger(current, order, n)
-    return BinomialBasis(_binomials_from_pairs(final), order, is_groebner=True, is_reduced=True)
+    return BinomialBasis(_binomials_from_pairs(final), order, groebner=True)
 
 
 # one session works on a presentation and its homogenization, a few orders each
@@ -673,7 +671,7 @@ def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
         minus = tuple(-a if a < 0 else 0 for a in gamma)
         gens.append(_stored(plus, minus))
     if not gens:
-        return BinomialBasis((), order, is_groebner=True, is_reduced=True)
+        return BinomialBasis((), order, groebner=True)
     return saturate(gens, order=order, weights=p.weights)
 
 
@@ -701,7 +699,7 @@ def minimal_generators(
         if p.evaluate(b.plus) != p.evaluate(b.minus):
             raise NotHomogeneous(f"{b.text()} is not homogeneous for the monoid grading")
     if not elements:
-        return BinomialBasis((), order, is_minimal_generating=True)
+        return BinomialBasis((), order, groebner=False)
 
     def weight(b):
         # plus is a factorization of the S-degree, so generator weights apply
@@ -719,4 +717,4 @@ def minimal_generators(
         if in_ideal(elements[i], gb):
             alive[i] = False
     kept = tuple(b for b, a in zip(elements, alive) if a)
-    return BinomialBasis(kept, order, is_minimal_generating=True)
+    return BinomialBasis(kept, order, groebner=False)

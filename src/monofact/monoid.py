@@ -41,10 +41,10 @@ class TorsionSpec(Frozen):
     moduli: tuple[int, ...]
 
     def __init__(self, moduli=()):
-        moduli = tuple(int(t) for t in moduli)
+        moduli = tuple(map(_integer, moduli))
         if any(t < 2 for t in moduli):
             raise InvalidInput("torsion moduli must all be >= 2")
-        init_field(self, "moduli", moduli)
+        super().__init__(moduli)
 
     def __len__(self):
         return len(self.moduli)
@@ -132,10 +132,10 @@ class Factorization(Frozen):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(map(_integer, coeffs))
         if coeffs and min(coeffs) < 0:
             raise InvalidInput("factorization coefficients must be nonnegative")
-        init_field(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @property
     def length(self) -> int:
@@ -149,16 +149,6 @@ class Factorization(Frozen):
 
     def __len__(self):
         return len(self.coeffs)
-
-
-class Cone(Frozen):
-    """A rational cone recorded by its extremal rays (primitive, sorted)."""
-
-    __slots__ = ("rays",)
-    rays: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rays):
-        init_field(self, "rays", rays)
 
 
 def primitive(vector) -> tuple[int, ...]:
@@ -196,10 +186,7 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
                 raise DimensionMismatch("generator shape does not match presentation")
             if g.is_zero:
                 raise InvalidInput("the zero element cannot be a generator")
-        init_field(self, "rank", rank)
-        init_field(self, "torsion", torsion)
-        init_field(self, "generators", generators)
-        init_field(self, "validated", validated)
+        super().__init__(rank, torsion, generators, validated)
 
     @property
     def n(self) -> int:
@@ -288,7 +275,7 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         return idxs, rows, us, s, adj, det, checks
 
     @cached_property
-    def cone(self) -> Cone:
+    def cone(self) -> tuple[tuple[int, ...], ...]:
         """The extremal rays of the cone of the free parts, computed once."""
         return extremal_rays([g.free for g in self.generators])
 
@@ -314,7 +301,7 @@ def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
     Each generator is a flat sequence: ``rank`` free coordinates followed by
     one residue per torsion modulus.  Entries are ints or decimal strings.
     """
-    tspec = TorsionSpec(tuple(_integer(t) for t in torsion))
+    tspec = TorsionSpec(torsion)
     k = len(tspec)
     gens = []
     for raw in generators:
@@ -390,13 +377,12 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
     return p.element(vals[: p.rank], vals[p.rank :])
 
 
-def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidPresentation:
+def validate_reduced(p: MonoidPresentation) -> MonoidPresentation:
     """Check that the presentation is reduced; return a validated copy.
 
     Raises :class:`NotReduced` with a witness otherwise: a generator whose
     free part vanishes, or a nonzero nonnegative combination of free parts
-    summing to zero.  With ``minimalize=True`` redundant generators (those
-    lying in the monoid spanned by the others) are dropped.
+    summing to zero.
     """
     seen = set()
     for g in p.generators:
@@ -415,8 +401,7 @@ def validate_reduced(p: MonoidPresentation, minimalize: bool = False) -> MonoidP
         raise NotReduced(
             "cone of free parts is not pointed", combination=tuple(witness)
         )
-    out = _pointed(p.rank, p.torsion, p.generators, w)
-    return _pointed(p.rank, p.torsion, _irredundant(out), w) if minimalize else out
+    return _pointed(p.rank, p.torsion, p.generators, w)
 
 
 def _pointed(rank, torsion, generators, w) -> MonoidPresentation:
@@ -432,24 +417,9 @@ def _validated(p: MonoidPresentation) -> MonoidPresentation:
     return p if p.validated else validate_reduced(p)
 
 
-def _irredundant(p: MonoidPresentation) -> tuple[GroupElement, ...]:
-    """The generators of a validated ``p`` left after dropping, heaviest
-    first, each one that lies in the monoid spanned by those still kept.
-    The set is minimal exactly when nothing is dropped."""
-    w = p.pointing
-    kept = list(p.generators)
-    order = sorted(range(len(kept)), key=lambda i: (dot(w, kept[i].free), kept[i].sort_key()), reverse=True)
-    for i in order:
-        rest = tuple(g for j, g in enumerate(kept) if j != i and g is not None)
-        if not rest:
-            continue
-        if member(_pointed(p.rank, p.torsion, rest, w), kept[i]) is not None:
-            kept[i] = None
-    return tuple(g for g in kept if g is not None)
-
-
-def extremal_rays(vectors) -> Cone:
-    """Extremal rays of the cone spanned by ``vectors`` (assumed pointed).
+def extremal_rays(vectors) -> tuple[tuple[int, ...], ...]:
+    """Extremal rays of the cone spanned by ``vectors`` (assumed pointed),
+    primitive and sorted.
 
     A direction is extremal iff its primitive vector is not a nonnegative
     combination of the vectors pointing elsewhere.  A vector spans the same
@@ -457,7 +427,7 @@ def extremal_rays(vectors) -> Cone:
     """
     prims = list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
     rays = [pv for pv in prims if not in_cone([q for q in prims if q != pv], pv)]
-    return Cone(tuple(sorted(rays)))
+    return tuple(sorted(rays))
 
 
 def cones_equal(p: MonoidPresentation, elements) -> bool:
@@ -474,7 +444,7 @@ def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ..
     element of ``elements``."""
     p = _validated(p)
     directions = {primitive(b.free) for b in elements if any(a != 0 for a in b.free)}
-    return tuple(ray for ray in p.cone.rays if ray not in directions)
+    return tuple(ray for ray in p.cone if ray not in directions)
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
@@ -574,6 +544,12 @@ def require_member(p: MonoidPresentation, x: GroupElement) -> Factorization:
 
 
 def is_minimal_generating(p: MonoidPresentation) -> bool:
-    """Whether no generator lies in the monoid spanned by the others."""
+    """Whether no generator lies in the monoid spanned by the others.
+    The heaviest, the likeliest to be redundant, are tried first."""
     p = _validated(p)
-    return len(_irredundant(p)) == p.n
+    gens, weights = p.generators, p.weights
+    for i in sorted(range(p.n), key=lambda i: (weights[i], gens[i].sort_key()), reverse=True):
+        rest = gens[:i] + gens[i + 1 :]
+        if rest and member(_pointed(p.rank, p.torsion, rest, p.pointing), gens[i]) is not None:
+            return False
+    return True

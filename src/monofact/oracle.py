@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
-from .monoid import GroupElement, MonoidPresentation, _validated
+from .monoid import GroupElement, MonoidPresentation, _integer, _validated
 
 
 class EnumerationBudget(Frozen):
@@ -33,10 +33,10 @@ class EnumerationBudget(Frozen):
     count_cap: int
 
     def __init__(self, weight_cap, count_cap=10**7):
+        weight_cap, count_cap = _integer(weight_cap), _integer(count_cap)
         if weight_cap <= 0 or count_cap <= 0:
             raise InvalidInput("budget caps must be positive")
-        init_field(self, "weight_cap", weight_cap)
-        init_field(self, "count_cap", count_cap)
+        super().__init__(weight_cap, count_cap)
 
 
 class _Tally:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen
 from .errors import InvalidInput
 
 
@@ -50,11 +50,7 @@ class TermOrder(Frozen):
                 raise InvalidInput("block order needs a split and two inner orders")
             if not _is_int(split) or split < 0:
                 raise InvalidInput("block split must be a nonnegative integer")
-        init_field(self, "kind", kind)
-        init_field(self, "weights", weights)
-        init_field(self, "perm", perm)
-        init_field(self, "split", split)
-        init_field(self, "inner", inner)
+        super().__init__(kind, weights, perm, split, inner)
 
     def rows(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The order's matrix for n variables; raises InvalidInput when the

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd
 from operator import ge
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen
 from .apery import AperyResult, apery_set
 from .errors import CrossCheckError, DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
 from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
@@ -52,9 +52,7 @@ class MonoidIdeal(Frozen):
             raise InvalidInput("a monoid ideal needs at least one generator")
         if any(g.is_zero for g in generators):
             raise InvalidInput("ideal generators must be nonzero")
-        init_field(self, "presentation", presentation)
-        init_field(self, "generators", generators)
-        init_field(self, "minimalized", minimalized)
+        super().__init__(presentation, generators, minimalized)
 
     @property
     def is_principal(self) -> bool:
@@ -85,20 +83,7 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     )
 
 
-class HomogenizedPresentation(Frozen):
-    """S~ together with the monoid it came from (None for transformed
-    presentations that only exist in homogenized form)."""
-
-    __slots__ = ("base", "lifted")
-    base: MonoidPresentation | None
-    lifted: MonoidPresentation
-
-    def __init__(self, base, lifted):
-        init_field(self, "base", base)
-        init_field(self, "lifted", lifted)
-
-
-def homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
+def homogenize(p: MonoidPresentation) -> MonoidPresentation:
     """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
     the free part.  Always reduced: the new coordinate is a pointing, so
     S~ is built validated with pointing (0, ..., 0, 1) and no LP; its
@@ -108,9 +93,9 @@ def homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _homogenize(p: MonoidPresentation) -> HomogenizedPresentation:
+def _homogenize(p: MonoidPresentation) -> MonoidPresentation:
     gens = tuple(GroupElement(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
-    return HomogenizedPresentation(p, _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,)))
+    return _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,))
 
 
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:
@@ -151,7 +136,7 @@ def homogeneous_minimal_generators(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    lifted = _homogenize(p).lifted
+    lifted = _homogenize(p)
     return minimal_generators(lattice_ideal(lifted, order), lifted, order)
 
 
@@ -182,7 +167,7 @@ def l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | No
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
     p = _validated(p)
-    degrees = _degree_generators(p, _homogenize(p).lifted, order)
+    degrees = _degree_generators(p, _homogenize(p), order)
     return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
 
@@ -193,7 +178,7 @@ def l_set_complement(
 ) -> AperyResult:
     """S \\ L_S as the Apery set relative to the L_S generators."""
     p = _validated(p)
-    witnesses = _degree_generators(p, _homogenize(p).lifted, order)
+    witnesses = _degree_generators(p, _homogenize(p), order)
     if not witnesses:
         raise EmptyLSet("L_S is empty; the complement is all of S")
     return apery_set(p, list(witnesses), list(witnesses.values()), order=order, limit=limit)
@@ -204,7 +189,7 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     carries two generators with equal free parts (2.a) or three
     generators (2.b).  No ideal computation involved."""
     p = _validated(p)
-    for ray in p.cone.rays:
+    for ray in p.cone:
         on_ray = [g for g in p.generators if primitive(g.free) == ray]
         if len(on_ray) >= 3:
             continue
@@ -258,11 +243,11 @@ def gaps(values) -> tuple[int, ...]:
     return _below_residue_bounds(_apery_residues(values))
 
 
-def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> tuple[int, ...]:
-    """The nonnegative integers without two distinct equal-length
-    factorizations of a numerical semigroup, ascending: its gaps together
-    with S \\ L_S.  These are the x >= 0 with x < m_{x mod a}: the union of
-    the g + S holds the x = r mod a from m_r = min_g (g + w_{(r - g) mod a})."""
+def _outside_l_set_bounds(p: MonoidPresentation, order: TermOrder) -> list[int]:
+    """[m_0, ..., m_{a-1}] for a numerical semigroup: the x >= 0 without
+    two distinct equal-length factorizations, its gaps together with
+    S \\ L_S, are the x < m_{x mod a}.  The union of the g + S holds the
+    x = r mod a from m_r = min_g (g + w_{(r - g) mod a})."""
     p = _validated(p)
     if not p.is_numerical:
         raise InvalidInput("F_2l is defined for numerical semigroups")
@@ -276,10 +261,21 @@ def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) ->
     gens = [g.free[0] for g in ideal.generators]
     if any(w[g % a] > g for g in gens):
         raise CrossCheckError("an L_S generator lies outside S")
-    return _below_residue_bounds([min(g + w[(r - g) % a] for g in gens) for r in range(a)])
+    return [min(g + w[(r - g) % a] for g in gens) for r in range(a)]
+
+
+def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> tuple[int, ...]:
+    """The nonnegative integers without two distinct equal-length
+    factorizations of a numerical semigroup, ascending: its gaps together
+    with S \\ L_S (see ``_outside_l_set_bounds``)."""
+    return _below_residue_bounds(_outside_l_set_bounds(p, order))
 
 
 def f2l(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
     """F_2l: the largest integer without two distinct equal-length
-    factorizations, i.e. max(Z \\ L_S) for a numerical semigroup."""
-    return max(integers_outside_l_set(p, order))
+    factorizations, i.e. max(Z \\ L_S) for a numerical semigroup.  Each
+    m_r = r mod a, so m_r - a is the largest x = r mod a below m_r, and
+    m_0 >= a keeps the largest of them nonnegative: F_2l = max m_r - a,
+    with nothing listed."""
+    bounds = _outside_l_set_bounds(p, order)
+    return max(bounds) - len(bounds)

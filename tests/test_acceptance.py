@@ -139,8 +139,8 @@ def test_criterion_3_homogenized_degrees_and_l_generators():
     def body():
         t0 = time.perf_counter()
         h = homogenize(RANK2)
-        mins = minimal_generators(lattice_ideal(h.lifted), h.lifted)
-        degs = sorted(b.degree(h.lifted).free[:2] for b in mins.elements)
+        mins = minimal_generators(lattice_ideal(h), h)
+        degs = sorted(b.degree(h).free[:2] for b in mins.elements)
         assert degs == sorted([(3, 6), (4, 4), (9, 6), (6, 6)])
         l = l_set(RANK2)
         assert sorted(g.free for g in l.generators) == [(3, 6), (4, 4), (9, 6)]

@@ -1,16 +1,18 @@
-"""Equal catenary degree: exact values, certificates, and the bound."""
+"""Equal catenary degree: exact values, connectivity thresholds, and the bound."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofact.catenary import (
-    ChainCertificate,
+    _class_threshold,
+    _UnionFind,
     ceq,
     ceq_element_bruteforce,
     ceq_upper_bound_numerical,
     distance,
 )
 from monofact.errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
-from monofact.monoid import Factorization, numerical, presentation
+from monofact.monoid import numerical, presentation
 
 
 def test_distance():
@@ -41,24 +43,62 @@ def test_ceq_bruteforce_agrees():
         ceq_element_bruteforce(p6, 145, cap=4)
 
 
-def test_chain_certificate():
-    p = numerical([3, 5, 7])
-    x = p.element((30,))
+def _class_threshold_by_bisection(facs):
+    """``_class_threshold`` as it was before it joined pairs by ascending
+    distance, kept verbatim as the reference: a binary search over the
+    sorted pairwise distances, rebuilding the union-find per probe."""
+    k = len(facs)
+    if k <= 1:
+        return 0
+    pairs = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            pairs.append((distance(facs[i], facs[j]), i, j))
+    values = sorted({d for d, _, _ in pairs})
 
-    def chain(*coeffs):
-        return tuple(Factorization(c) for c in coeffs)
+    def connected(bound):
+        uf = _UnionFind(k)
+        parts = k
+        for d, i, j in pairs:
+            if d <= bound and uf.union(i, j):
+                parts -= 1
+        return parts == 1
 
-    # the length-6 class of 30, stepped through at distance 2
-    cert = ChainCertificate(p, x, chain((0, 6, 0), (1, 4, 1), (2, 2, 2), (3, 0, 3)), 2)
-    assert cert.bound == 2
-    with pytest.raises(LengthMismatch):
-        ChainCertificate(p, x, chain((10, 0, 0), (0, 6, 0)), 10)
-    with pytest.raises(InvalidInput):
-        ChainCertificate(p, x, chain((9, 1, 0)), 2)  # factors 32, not 30
-    with pytest.raises(InvalidInput):
-        ChainCertificate(p, x, chain((0, 6, 0), (3, 0, 3)), 3)  # distance 6 > 3
-    with pytest.raises(InvalidInput):
-        ChainCertificate(p, x, (), 0)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connected(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return values[lo]
+
+
+@st.composite
+def _equal_length_classes(draw):
+    # up to 12 factorizations of one length over 1-4 generators, repeats allowed
+    nvars = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 9))
+    cuts = st.lists(st.integers(0, length), min_size=nvars - 1, max_size=nvars - 1).map(sorted)
+
+    def composition(cut):
+        bounds = [0, *cut, length]
+        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+    return draw(st.lists(cuts.map(composition), max_size=12))
+
+
+@given(_equal_length_classes())
+@settings(max_examples=200, deadline=None)
+def test_class_threshold_matches_the_bisection(facs):
+    assert _class_threshold(facs) == _class_threshold_by_bisection(facs)
+
+
+def test_class_threshold_values():
+    # the length-6 class of 30 in <3, 5, 7> is stepped through at distance 2
+    assert _class_threshold([(0, 6, 0), (1, 4, 1), (2, 2, 2), (3, 0, 3)]) == 2
+    assert _class_threshold([(0, 6, 0), (3, 0, 3)]) == 6
+    assert _class_threshold([(1, 1)]) == _class_threshold([]) == 0
 
 
 def test_upper_bound_values():

@@ -248,6 +248,55 @@ def test_closed_form_report_keys(capsys):
     assert data["lset"]["generators"] == [40, 43, 46, 49, 52, 102, 105]
 
 
+_357 = '{"numerical":[3,5,7]}'
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("ideal", "--minimal", "--input", _357),
+            '{"degrees":[10,12,14],"elements":[{"minus":[1,0,1],"plus":[0,2,0]},'
+            '{"minus":[0,1,1],"plus":[4,0,0]},{"minus":[0,0,2],"plus":[3,1,0]}],'
+            '"groebner":false,"minimal_generating":true,"order":"grevlex","reduced":false}',
+        ),
+        (
+            ("tilde-ideal", "--minimal", "--input", _357),
+            '{"degrees":[[10,2]],"elements":[{"minus":[1,0,1],"plus":[0,2,0]}],'
+            '"groebner":false,"minimal_generating":true,"order":"grevlex","reduced":false}',
+        ),
+        (("kernel", "--input", _357), '{"basis":[[1,-2,1],[0,7,-5]],"nvars":3}'),
+        (
+            (
+                "closed-form", "--family", "almost",
+                "--params", '{"m1":5,"e":2,"n":3,"b":8}', "--verified",
+            ),
+            '{"ceq":2,"ceq_forms":{"engine":2,"engine_matches_printed":true,'
+            '"engine_matches_proof":true,"forms_agree":true,"printed_form":2,"proof_form":2},'
+            '"family":"almost","generators":[5,7,8,9],'
+            '"lset":{"generators":[14,16],"principal":false}}',
+        ),
+        (
+            ("transform", "--input", _357, "--ops", '[["subtract",2],["reflect",5]]'),
+            '{"ideals_equal":true,"stages":['
+            + ",".join(
+                '{"ideal":{"elements":[{"minus":[1,0,1],"plus":[0,2,0]}],"groebner":true,'
+                '"minimal_generating":false,"order":"grevlex","reduced":true},"values":%s}' % v
+                for v in ("[3,5,7]", "[1,3,5]", "[4,2,0]")
+            )
+            + "]}",
+        ),
+    ],
+    ids=["ideal-minimal", "tilde-ideal-minimal", "kernel", "closed-form-report", "transform"],
+)
+def test_value_payloads_are_pinned(capsys, argv, expected):
+    # minimal-generator and Groebner bases, KernelLattice, CeqFormulaReport
+    # and the lifted transform stages, byte for byte
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected + "\n"
+
+
 def test_closed_form_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["closed-form", "--family", "mystery", "--params", "{}"])

@@ -85,11 +85,6 @@ def test_validate_accepts_mixed_signs_when_pointed():
         assert sum(a * b for a, b in zip(w, g.free)) > 0
 
 
-def test_minimalize_drops_redundant_generator():
-    p = validate_reduced(numerical([3, 5, 8]), minimalize=True)
-    assert [g.free[0] for g in p.generators] == [3, 5]
-
-
 def test_is_minimal_generating():
     assert is_minimal_generating(numerical([3, 5, 7]))
     assert not is_minimal_generating(numerical([3, 5, 8]))
@@ -200,7 +195,7 @@ def test_group_element_arithmetic_reduces_torsion():
 
 
 def test_extremal_rays_of_flat_cone():
-    rays = extremal_rays([(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)]).rays
+    rays = extremal_rays([(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)])
     assert set(rays) == {(-2, 1), (2, 1)}
 
 
@@ -249,7 +244,7 @@ def _pointed_vectors_with_repeats(draw):
 @given(_pointed_vectors_with_repeats())
 @settings(max_examples=60, deadline=None)
 def test_extremal_rays_match_one_lp_per_vector(vectors):
-    assert extremal_rays(vectors).rays == _extremal_rays_one_lp_per_vector(vectors)
+    assert extremal_rays(vectors) == _extremal_rays_one_lp_per_vector(vectors)
 
 
 def test_cones_equal_checks_ray_coverage():

@@ -1,5 +1,6 @@
 """T_S, L_S, complements, and the numerical invariants built on them."""
 
+import time
 from math import gcd
 
 import pytest
@@ -151,8 +152,8 @@ def test_almost_arithmetic_premultiset_of_ideal_degrees():
     # minimal generators; their degrees include the redundant tail
     p = numerical([7, 17, 20, 23, 26, 29])
     h = homogenize(p)
-    mins = minimal_generators(lattice_ideal(h.lifted), h.lifted)
-    degs = sorted(b.degree(h.lifted).free[0] for b in mins.elements)
+    mins = minimal_generators(lattice_ideal(h), h)
+    degs = sorted(b.degree(h).free[0] for b in mins.elements)
     assert degs == [40, 43, 46, 46, 49, 52, 102, 105, 108]
 
 
@@ -168,13 +169,17 @@ def test_345_principal():
 def test_homogenize_appends_length_coordinate():
     p = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
     h = homogenize(p)
-    assert h.base is p or h.base == p
-    assert [(g.free, g.torsion) for g in h.lifted.generators] == [
+    # S~ is memoized per presentation and drops back to p's generators
+    assert homogenize(p) is h
+    assert [(g.free[:-1], g.torsion) for g in h.generators] == [
+        (g.free, g.torsion) for g in p.generators
+    ]
+    assert [(g.free, g.torsion) for g in h.generators] == [
         ((2, 1), (0,)),
         ((3, 1), (1,)),
         ((4, 1), (1,)),
     ]
-    assert h.lifted.validated
+    assert h.validated
 
 
 def test_gaps():
@@ -268,6 +273,17 @@ def test_integers_outside_l_set_match_the_apery_complement(p):
     expected = set(gaps([g.free[0] for g in p.generators]))
     expected |= {e.free[0] for e in l_set_complement(p).elements}
     assert integers_outside_l_set(p) == tuple(sorted(expected))
+    # F_2l is read off the residue bounds without listing them
+    assert f2l(p) == max(expected)
+
+
+def test_f2l_lists_no_complement():
+    # the complement of L_S here has 16.7 million integers; listing them
+    # took 5.9 s and about 780 MB
+    p = numerical([10007, 10009, 10013])
+    t0 = time.perf_counter()
+    assert f2l(p) == 33423384
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _search_only_minimalize(p, witnesses):
@@ -302,7 +318,7 @@ def test_degree_generators_match_the_search_only_trimming(order, p):
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    for q in (p, homogenize(p).lifted):
+    for q in (p, homogenize(p)):
         basis = lattice_ideal(q, order)
         expected = _search_only_minimalize(
             p, {p.evaluate(b.plus): b.plus for b in basis.elements}

@@ -7,7 +7,8 @@ import pickle
 import pytest
 
 from monofact.errors import DimensionMismatch, InvalidInput
-from monofact.ideal import Binomial, BinomialBasis, lattice_ideal
+from monofact.apery import AperyResult, apery_set
+from monofact.ideal import Binomial, BinomialBasis, KernelLattice, kernel_lattice, lattice_ideal
 from monofact.monoid import (
     Factorization,
     GroupElement,
@@ -42,7 +43,7 @@ def test_validated_flag_is_outside_equality_and_hash():
     assert p == v and hash(p) == hash(v)
 
 
-@pytest.mark.parametrize("name", ["elements", "order", "is_groebner"])
+@pytest.mark.parametrize("name", ["elements", "order", "is_groebner", "groebner"])
 def test_cached_results_are_immutable(name):
     basis = lattice_ideal(numerical([3, 5, 7]))
     with pytest.raises(AttributeError):
@@ -70,15 +71,54 @@ def test_keyword_construction_and_defaults():
     fields = (order.kind, order.weights, order.perm, order.split, order.inner)
     assert fields == ("wgrevlex", (1, 2), (1, 0), None, None)
     b = Binomial((1, 0), (0, 1))
-    basis = BinomialBasis((b,), GREVLEX, is_groebner=True)
+    # one field: a reduced Groebner basis or a minimal generating set
+    basis = BinomialBasis((b,), GREVLEX, groebner=True)
     flags = (basis.is_groebner, basis.is_reduced, basis.is_minimal_generating)
-    assert flags == (True, False, False)
-    assert BinomialBasis(elements=(b,), order=GREVLEX) == BinomialBasis(
-        (b,), GREVLEX, False, False, False
+    assert flags == (True, True, False)
+    basis = BinomialBasis((b,), GREVLEX, groebner=False)
+    flags = (basis.is_groebner, basis.is_reduced, basis.is_minimal_generating)
+    assert flags == (False, False, True)
+    assert BinomialBasis(elements=(b,), order=GREVLEX, groebner=False) == BinomialBasis(
+        (b,), GREVLEX, False
     )
     budget = EnumerationBudget(weight_cap=5)
     assert (budget.weight_cap, budget.count_cap) == (5, 10**7)
     assert EnumerationBudget(5, count_cap=9).count_cap == 9
+
+
+def test_field_constructor_takes_each_field_once():
+    lattice = KernelLattice(((1, -2, 1),), 3)
+    assert lattice == KernelLattice(nvars=3, basis=((1, -2, 1),))
+    assert lattice == KernelLattice(((1, -2, 1),), nvars=3)
+    assert repr(lattice) == "KernelLattice(basis=((1, -2, 1),), nvars=3)"
+    for args, kwargs in [
+        ((((1, -2, 1),),), {}),  # nvars missing
+        ((((1, -2, 1),), 3, 4), {}),  # one argument too many
+        ((((1, -2, 1),), 3), {"rank": 1}),  # no such field
+        ((((1, -2, 1),), 3), {"nvars": 3}),  # nvars twice
+        ((), {}),
+    ]:
+        with pytest.raises(TypeError):
+            KernelLattice(*args, **kwargs)
+    result = AperyResult(True, (GroupElement((0,)),), 1, None)
+    assert (result.finite, result.count, result.limit) == (True, 1, None)
+    with pytest.raises(TypeError):
+        AperyResult(True, (), 0)
+
+
+def test_constructors_read_integers_without_truncating():
+    # int() would truncate 1.5 and 2.9 and read True as 1
+    for bad in [(1.5, True), (1.5,), (True,)]:
+        with pytest.raises(InvalidInput):
+            Factorization(bad)
+    for bad in [(2.9,), (True,)]:
+        with pytest.raises(InvalidInput):
+            TorsionSpec(bad)
+    for args in [(True, 2.5), (True,), (5, 2.5), (5.0,)]:
+        with pytest.raises(InvalidInput):
+            EnumerationBudget(*args)
+    assert Factorization(("2", 1)).coeffs == (2, 1)
+    assert TorsionSpec(("3",)).moduli == (3,)
 
 
 def test_constructor_checks_keep_their_order():
@@ -112,7 +152,14 @@ def test_binomial_exponents_are_read_as_integers():
 
 def test_pickle_and_copy_rebuild_equal_values():
     p = validate_reduced(numerical([3, 5, 7]))
-    for value in (p, GroupElement((1, -2), (5,), (3,)), lattice_ideal(p)):
+    values = (
+        p,
+        GroupElement((1, -2), (5,), (3,)),
+        lattice_ideal(p),
+        kernel_lattice(p),
+        apery_set(p, [p.element((3,))]),
+    )
+    for value in values:
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(p)).validated
