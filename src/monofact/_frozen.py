@@ -12,14 +12,13 @@ keyword, and stores them; a missing or unknown argument raises
 its own ``__init__`` and ends it with one ``super().__init__(...)``.  From
 the field names :class:`Frozen` also builds, once per class:
 
-* ``==`` on the tuple of compared fields, ``NotImplemented`` across
-  classes, and ``hash`` of that same tuple;
+* ``==`` on the tuple of fields, ``NotImplemented`` across classes, and
+  ``hash`` of that same tuple;
 * ``repr`` as ``Name(field=value, ...)`` over every field;
 * pickling and copying through the constructor.
 
 Assigning or deleting an attribute raises ``AttributeError``;
-:data:`init_field` stores a field past that guard.  The class keyword
-``compare`` names the compared fields when not all of them are.
+:data:`init_field` stores a field past that guard.
 """
 
 from operator import attrgetter
@@ -47,13 +46,12 @@ class Frozen:
     __slots__ = ()
     _fields = ()
 
-    def __init_subclass__(cls, compare=None, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls._fields = tuple(cls.__annotations__)
-        compared = names if compare is None else tuple(compare)
-        get = attrgetter(*compared)
+        get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple
-        key = get if len(compared) > 1 else (lambda obj: (get(obj),))
+        key = get if len(names) > 1 else (lambda obj: (get(obj),))
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:

@@ -42,12 +42,12 @@ from .monoid import (
     MonoidPresentation,
     _integer,
     _search_flat,
-    _validated,
     cones_equal,
     element_from_data,
     primitive,
     require_member,
     uncovered_rays,
+    validate_reduced,
 )
 from .orders import GREVLEX, TermOrder
 
@@ -77,7 +77,7 @@ class AperyResult(Frozen):
 def apery_is_finite(p: MonoidPresentation, elements) -> bool:
     """True when Ap_S(B) is finite: every extremal ray of the cone of S
     must carry some member of B."""
-    p = _validated(p)
+    validate_reduced(p)
     elems, _ = _resolve_b(p, elements, None)
     return cones_equal(p, elems)
 
@@ -216,7 +216,7 @@ def apery_set(
     """
     if limit is not None and limit < 0:
         raise InvalidInput("limit must be nonnegative")
-    p = _validated(p)
+    validate_reduced(p)
     elems, facts = _resolve_b(p, elements, factorizations)
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):

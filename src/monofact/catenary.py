@@ -15,9 +15,9 @@ from math import gcd
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
     MonoidPresentation,
-    _validated,
     all_factorizations,
     element_from_data,
+    validate_reduced,
 )
 from .orders import GREVLEX, TermOrder
 from .same_length import homogeneous_minimal_generators
@@ -90,7 +90,7 @@ def ceq_of_factorizations(facs) -> int:
 def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
     """c_eq(b) from first principles, over every factorization of b.
     CapExceeded when the answer would be larger than ``cap``."""
-    p = _validated(p)
+    validate_reduced(p)
     b = element_from_data(p, b)
     facs = all_factorizations(p, b)
     if not facs:
@@ -104,7 +104,7 @@ def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
 def ceq_upper_bound_numerical(p: MonoidPresentation) -> int:
     """Regularity-type bound max (a_{i+1}-a_i + a_{j+1}-a_j) / gcd of the
     differences, over pairs i < j < n of consecutive steps."""
-    p = _validated(p)
+    validate_reduced(p)
     if not p.is_numerical:
         raise InvalidInput("the bound is stated for numerical semigroups")
     vals = sorted(g.free[0] for g in p.generators)

@@ -162,7 +162,7 @@ def _cmd_ideal(args):
     order = parse_order(args.order)
     gb = lattice_ideal(p, order=order)
     if args.minimal:
-        return _basis_payload(minimal_generators(gb, p, order), p)
+        return _basis_payload(minimal_generators(gb, p), p)
     return _basis_payload(gb)
 
 

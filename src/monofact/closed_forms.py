@@ -274,8 +274,9 @@ def _ceq_printed_form(f: AlmostArithmeticFamily) -> int:
 
 class CeqFormulaReport(Frozen):
     """Both published shapes of the almost-arithmetic c_eq next to the
-    engine value.  The two shapes differ exactly when d(n-1) divides
-    M-m-d or M-m-d-1; the engine is authoritative."""
+    engine value.  The two shapes differ exactly when b is m or M and
+    d(n-1) divides M-m-d or M-m-d-1 (for an interior b both are e/d); the
+    engine is authoritative."""
 
     __slots__ = (
         "proof_form",

@@ -43,15 +43,13 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import count
-from math import gcd
 from operator import mul
 
 from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
-from .monoid import MonoidPresentation, _integer, _validated
+from .monoid import MonoidPresentation, _integer, validate_reduced
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
-from .ratlp import solve_nonneg
 
 
 class Binomial(Frozen):
@@ -534,7 +532,7 @@ def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
     modulus; the kernel of the stacked integer matrix projects bijectively
     onto its first n coordinates.
     """
-    p = _validated(p)
+    validate_reduced(p)
     n = p.n
     m = p.rank
     moduli = p.torsion.moduli
@@ -554,28 +552,6 @@ def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
     return KernelLattice(tuple(projected), n)
 
 
-def _grading_for(gens):
-    """Strictly positive integer weights making every pure difference in
-    ``gens`` weight-homogeneous; None if no such grading exists."""
-    if not gens:
-        return None
-    n = gens[0].nvars
-    diffs = []
-    for b in gens:
-        if b.is_monomial or b.is_zero:
-            continue
-        diffs.append([x - y for x, y in zip(b.plus, b.minus)])
-    # u = 1 + s with s >= 0 and u . diff = 0  <=>  s . diff = -(1 . diff)
-    rows = diffs
-    rhs = [-sum(d) for d in diffs]
-    sol = solve_nonneg(rows, rhs) if rows else ([0] * n, 1)
-    if sol is None:
-        return None
-    s, D = sol
-    g = gcd(D, *s)  # u = 1 + s scaled by the lcm of its denominators, D / g
-    return tuple((D + a) // g for a in s)
-
-
 def _covered(gens) -> frozenset:
     """The largest supp(a) \\ supp(b) over the non-monomial generators
     x^a - x^b of ``gens``, in both orientations: variables at which the
@@ -591,17 +567,13 @@ def _covered(gens) -> frozenset:
     return best
 
 
-def saturate(
-    gens,
-    order: TermOrder = GREVLEX,
-    weights: tuple[int, ...] | None = None,
-) -> BinomialBasis:
+def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> BinomialBasis:
     """Groebner basis of (<gens> : (x_1 ... x_n)^infty) under ``order``.
 
-    ``gens`` must be homogeneous for some strictly positive grading
-    (``weights`` when supplied, otherwise one is derived exactly); the
-    saturation walks the variables once, dividing each out of a graded
-    reverse-lex basis that makes it cheapest.
+    ``gens`` must be homogeneous for the strictly positive grading
+    ``weights`` (``NotHomogeneous`` otherwise); the saturation walks the
+    variables once, dividing each out of a graded reverse-lex basis that
+    makes it cheapest.
 
     The walk skips the variables K = supp(a) \\ supp(b) of one
     non-monomial generator x^a - x^b of I = <gens> (Hosten and Sturmfels,
@@ -617,14 +589,9 @@ def saturate(
     if not gens:
         return BinomialBasis((), order, groebner=True)
     n = gens[0].nvars
-    if weights is None:
-        weights = _grading_for(gens)
-        if weights is None:
-            raise NotHomogeneous("no positive grading makes the generators homogeneous")
-    else:
-        for b in gens:
-            if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
-                raise NotHomogeneous("generators are not homogeneous for the given weights")
+    for b in gens:
+        if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
+            raise NotHomogeneous("generators are not homogeneous for the given weights")
 
     current = [(b.plus, b.minus) for b in gens]
     # quotienting by each variable in turn equals quotienting by their
@@ -659,7 +626,7 @@ def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> Binomial
     Memoized per (presentation, order) in a bounded cache; the basis is
     immutable, so callers share it.
     """
-    return _lattice_ideal(_validated(p), order)
+    return _lattice_ideal(validate_reduced(p), order)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -675,24 +642,18 @@ def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     return saturate(gens, order=order, weights=p.weights)
 
 
-def minimal_generators(
-    basis, p: MonoidPresentation, order: TermOrder | None = None
-) -> BinomialBasis:
-    """Trim a homogeneous generating set to minimal generators.
+def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialBasis:
+    """Trim a homogeneous generating set to minimal generators, kept under
+    ``basis.order``.
 
     Candidates are processed in ascending (weight of S-degree, leading key)
     order; one is dropped exactly when it lies in the ideal generated by
     all the others still alive.  By graded Nakayama the surviving S-degree
     multiset does not depend on the term order.
     """
-    p = _validated(p)
-    if isinstance(basis, BinomialBasis):
-        elements = list(basis.elements)
-        order = order or basis.order
-    else:
-        elements = list(basis)
-        order = order or GREVLEX
-    elements = [b for b in elements if not b.is_zero]
+    validate_reduced(p)
+    order = basis.order
+    elements = [b for b in basis.elements if not b.is_zero]
     for b in elements:
         if b.is_monomial:
             raise NotHomogeneous("monomials cannot appear in a lattice ideal")

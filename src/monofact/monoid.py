@@ -160,23 +160,22 @@ def primitive(vector) -> tuple[int, ...]:
     return tuple(a // g for a in vector)
 
 
-class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
+class MonoidPresentation(Frozen):
     """Generators of S inside Z^rank + torsion.
 
-    ``validated`` is set by :func:`validate_reduced`; operations that need a
-    reduced presentation validate on demand when the flag is unset.  It
-    takes no part in equality or hashing.  Minimality of the generating set
-    is never silently enforced.
+    Each object proves itself reduced once, when its cached ``pointing`` is
+    first read; every operation that needs a reduced presentation reads it
+    (through :func:`validate_reduced` or ``weights``).  Minimality of the
+    generating set is never silently enforced.
     """
 
-    # __dict__ holds the cached_property values; validate_reduced presets pointing
-    __slots__ = ("rank", "torsion", "generators", "validated", "__dict__")
+    # __dict__ holds the cached_property values; _pointed presets pointing
+    __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
     torsion: TorsionSpec
     generators: tuple[GroupElement, ...]
-    validated: bool
 
-    def __init__(self, rank, torsion, generators, validated=False):
+    def __init__(self, rank, torsion, generators):
         if rank < 0:
             raise InvalidInput("rank must be nonnegative")
         if not generators:
@@ -186,7 +185,7 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
                 raise DimensionMismatch("generator shape does not match presentation")
             if g.is_zero:
                 raise InvalidInput("the zero element cannot be a generator")
-        super().__init__(rank, torsion, generators, validated)
+        super().__init__(rank, torsion, generators)
 
     @property
     def n(self) -> int:
@@ -202,9 +201,10 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
         return GroupElement((0,) * self.rank, (0,) * len(self.torsion), self.torsion.moduli)
 
     def element(self, free, torsion=()) -> GroupElement:
+        free = tuple(map(_integer, free))
         if len(free) != self.rank:
             raise DimensionMismatch("free part has wrong length")
-        return GroupElement(tuple(free), tuple(torsion), self.torsion.moduli)
+        return GroupElement(free, tuple(map(_integer, torsion)), self.torsion.moduli)
 
     def evaluate(self, coeffs) -> GroupElement:
         coeffs = tuple(coeffs)
@@ -218,11 +218,31 @@ class MonoidPresentation(Frozen, compare=("rank", "torsion", "generators")):
 
     @cached_property
     def pointing(self) -> tuple[int, ...]:
-        """A pointing vector; computing it re-proves reducedness."""
-        validated = self if self.validated else validate_reduced(self)
-        if validated is not self:
-            return validated.pointing
-        w = positive_functional([g.free for g in self.generators])
+        """A pointing vector w, with w . pi(g) >= 1 for every generator g;
+        computing it proves the presentation reduced.
+
+        Raises :class:`InvalidInput` for a duplicate generator, and
+        :class:`NotReduced` with a witness when S is not reduced: a
+        generator whose free part vanishes, or a nonzero nonnegative
+        combination of free parts summing to zero.
+        """
+        seen = set()
+        for g in self.generators:
+            if (g.free, g.torsion) in seen:
+                raise InvalidInput(f"duplicate generator {g.to_data()}")
+            seen.add((g.free, g.torsion))
+        for i, g in enumerate(self.generators):
+            if all(a == 0 for a in g.free):
+                raise NotReduced(
+                    f"generator {i} lies in the torsion subgroup", generator=g
+                )
+        free_parts = [g.free for g in self.generators]
+        w = positive_functional(free_parts)
+        if w is None:
+            witness = zero_combination(free_parts)
+            raise NotReduced(
+                "cone of free parts is not pointed", combination=tuple(witness)
+            )
         return tuple(w)
 
     @cached_property
@@ -296,7 +316,7 @@ def _integer(value) -> int:
 
 
 def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
-    """Build an unvalidated presentation from raw integer data.
+    """Build a presentation from raw integer data, not yet proved reduced.
 
     Each generator is a flat sequence: ``rank`` free coordinates followed by
     one residue per torsion modulus.  Entries are ints or decimal strings.
@@ -378,43 +398,20 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
 
 
 def validate_reduced(p: MonoidPresentation) -> MonoidPresentation:
-    """Check that the presentation is reduced; return a validated copy.
-
-    Raises :class:`NotReduced` with a witness otherwise: a generator whose
-    free part vanishes, or a nonzero nonnegative combination of free parts
-    summing to zero.
-    """
-    seen = set()
-    for g in p.generators:
-        if (g.free, g.torsion) in seen:
-            raise InvalidInput(f"duplicate generator {g.to_data()}")
-        seen.add((g.free, g.torsion))
-    for i, g in enumerate(p.generators):
-        if all(a == 0 for a in g.free):
-            raise NotReduced(
-                f"generator {i} lies in the torsion subgroup", generator=g
-            )
-    free_parts = [g.free for g in p.generators]
-    w = positive_functional(free_parts)
-    if w is None:
-        witness = zero_combination(free_parts)
-        raise NotReduced(
-            "cone of free parts is not pointed", combination=tuple(witness)
-        )
-    return _pointed(p.rank, p.torsion, p.generators, w)
+    """Prove the presentation reduced and return it: reading ``p.pointing``
+    runs the checks once per object (see there for the errors)."""
+    p.pointing
+    return p
 
 
 def _pointed(rank, torsion, generators, w) -> MonoidPresentation:
-    """A validated presentation whose pointing vector ``w`` is already
-    known, so no LP is solved for it.  The caller vouches that the
-    generators are distinct and that w . pi(g) >= 1 for each of them."""
-    out = MonoidPresentation(rank, torsion, generators, validated=True)
+    """A presentation whose pointing vector ``w`` is already known: it is
+    cached on the new object, so reading ``pointing`` solves no LP and runs
+    none of its checks.  The caller vouches that the generators are
+    distinct and that w . pi(g) >= 1 for each of them."""
+    out = MonoidPresentation(rank, torsion, generators)
     out.__dict__["pointing"] = tuple(w)
     return out
-
-
-def _validated(p: MonoidPresentation) -> MonoidPresentation:
-    return p if p.validated else validate_reduced(p)
 
 
 def extremal_rays(vectors) -> tuple[tuple[int, ...], ...]:
@@ -442,15 +439,15 @@ def cones_equal(p: MonoidPresentation, elements) -> bool:
 def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ...]:
     """The extremal rays of the cone of S that carry the free part of no
     element of ``elements``."""
-    p = _validated(p)
+    validate_reduced(p)
     directions = {primitive(b.free) for b in elements if any(a != 0 for a in b.free)}
     return tuple(ray for ray in p.cone if ray not in directions)
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
-    """Factorizations of x: ``_search_flat`` of its flat row, once x is
-    checked to live in the group of the validated ``p``."""
-    p = _validated(p)
+    """Factorizations of x: ``_search_flat`` of its flat row, once ``p``
+    is proved reduced and x is checked to live in its group."""
+    p.pointing  # the hot path reads it directly, not through validate_reduced
     if x.rank != p.rank or x.moduli != p.torsion.moduli:
         raise DimensionMismatch("element shape does not match presentation")
     return _search_flat(p, x.free + x.torsion, find_all)
@@ -458,7 +455,7 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
 
 def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
     """Factorizations of the element with flat row ``flat`` (free
-    coordinates, then torsion residues) in the validated ``p``, unchecked;
+    coordinates, then torsion residues) in the reduced ``p``, unchecked;
     the residues may be unreduced, since the leaf reduces them mod t_j.
     The search runs depth first over the generators in ``_search_plan``
     order with c ascending at each position.
@@ -546,7 +543,6 @@ def require_member(p: MonoidPresentation, x: GroupElement) -> Factorization:
 def is_minimal_generating(p: MonoidPresentation) -> bool:
     """Whether no generator lies in the monoid spanned by the others.
     The heaviest, the likeliest to be redundant, are tried first."""
-    p = _validated(p)
     gens, weights = p.generators, p.weights
     for i in sorted(range(p.n), key=lambda i: (weights[i], gens[i].sort_key()), reverse=True):
         rest = gens[:i] + gens[i + 1 :]

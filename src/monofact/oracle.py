@@ -22,7 +22,7 @@ from collections import Counter
 
 from ._frozen import Frozen
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
-from .monoid import GroupElement, MonoidPresentation, _integer, _validated
+from .monoid import GroupElement, MonoidPresentation, _integer, validate_reduced
 
 
 class EnumerationBudget(Frozen):
@@ -53,7 +53,6 @@ class _Tally:
 
 def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
     """element -> all its factorizations, complete below the weight cap."""
-    p = _validated(p)
     weights = p.weights
     n = p.n
     tally = _Tally(budget.count_cap)
@@ -139,7 +138,7 @@ def f_invariants(
     Certified by a_1 consecutive successes right above the returned
     value; NotStabilized when the weight cap runs out first.
     """
-    p = _validated(p)
+    validate_reduced(p)
     if p.rank != 1 or p.torsion.moduli:
         raise InvalidInput("F-invariants are about numerical semigroups")
     if isinstance(i, bool) or not isinstance(i, int) or i < 2:

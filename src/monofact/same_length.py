@@ -31,10 +31,10 @@ from .monoid import (
     MonoidPresentation,
     _integer,
     _pointed,
-    _validated,
     element_from_data,
     member,
     primitive,
+    validate_reduced,
 )
 from .orders import GREVLEX, TermOrder
 
@@ -86,10 +86,11 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
 def homogenize(p: MonoidPresentation) -> MonoidPresentation:
     """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
     the free part.  Always reduced: the new coordinate is a pointing, so
-    S~ is built validated with pointing (0, ..., 0, 1) and no LP; its
-    generators are distinct and never torsion-only because p's are validated.
-    Memoized per presentation in a bounded cache."""
-    return _homogenize(_validated(p))
+    S~ carries pointing (0, ..., 0, 1) from the start and no LP proves it;
+    its generators are distinct and never torsion-only because p, proved
+    reduced first, has none such.  Memoized per presentation in a bounded
+    cache."""
+    return _homogenize(validate_reduced(p))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -131,13 +132,13 @@ def homogeneous_minimal_generators(
     ``--minimal`` payload lists them.  Memoized per (presentation, order)
     in a bounded cache, like :func:`lattice_ideal`; the basis is immutable.
     """
-    return _homogeneous_minimal_generators(_validated(p), order)
+    return _homogeneous_minimal_generators(validate_reduced(p), order)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     lifted = _homogenize(p)
-    return minimal_generators(lattice_ideal(lifted, order), lifted, order)
+    return minimal_generators(lattice_ideal(lifted, order), lifted)
 
 
 def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: TermOrder) -> dict:
@@ -158,7 +159,7 @@ def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: Term
 def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
-    p = _validated(p)
+    validate_reduced(p)
     degrees = _degree_generators(p, p, order)
     return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
@@ -166,7 +167,7 @@ def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | No
 def l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
-    p = _validated(p)
+    validate_reduced(p)
     degrees = _degree_generators(p, _homogenize(p), order)
     return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
@@ -177,7 +178,7 @@ def l_set_complement(
     order: TermOrder = GREVLEX,
 ) -> AperyResult:
     """S \\ L_S as the Apery set relative to the L_S generators."""
-    p = _validated(p)
+    validate_reduced(p)
     witnesses = _degree_generators(p, _homogenize(p), order)
     if not witnesses:
         raise EmptyLSet("L_S is empty; the complement is all of S")
@@ -188,7 +189,7 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     """Ray criterion: finite iff every extremal ray of the cone of S
     carries two generators with equal free parts (2.a) or three
     generators (2.b).  No ideal computation involved."""
-    p = _validated(p)
+    validate_reduced(p)
     for ray in p.cone:
         on_ray = [g for g in p.generators if primitive(g.free) == ray]
         if len(on_ray) >= 3:
@@ -248,7 +249,7 @@ def _outside_l_set_bounds(p: MonoidPresentation, order: TermOrder) -> list[int]:
     two distinct equal-length factorizations, its gaps together with
     S \\ L_S, are the x < m_{x mod a}.  The union of the g + S holds the
     x = r mod a from m_r = min_g (g + w_{(r - g) mod a})."""
-    p = _validated(p)
+    validate_reduced(p)
     if not p.is_numerical:
         raise InvalidInput("F_2l is defined for numerical semigroups")
     w = _apery_residues(g.free[0] for g in p.generators)  # also rejects gcd > 1

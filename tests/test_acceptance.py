@@ -259,8 +259,8 @@ def test_criterion_8_order_independent_degrees(reduced_instances, numerical_inst
     def body():
         for rec in _corpus_records(reduced_instances, numerical_instances):
             p = rec["p"]
-            mg = minimal_generators(lattice_ideal(p, GREVLEX), p, GREVLEX)
-            ml = minimal_generators(lattice_ideal(p, LEX), p, LEX)
+            mg = minimal_generators(lattice_ideal(p, GREVLEX), p)
+            ml = minimal_generators(lattice_ideal(p, LEX), p)
             dg = sorted(p.evaluate(b.plus).sort_key() for b in mg.elements)
             dl = sorted(p.evaluate(b.plus).sort_key() for b in ml.elements)
             assert dg == dl

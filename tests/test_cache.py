@@ -113,11 +113,31 @@ def test_entries_are_keyed_by_order():
 
 
 def test_validated_and_unvalidated_presentations_share_an_entry():
-    p = numerical([4, 7, 9])
-    assert lattice_ideal(p) is lattice_ideal(validate_reduced(p))
+    p = validate_reduced(numerical([4, 7, 9]))
+    assert lattice_ideal(p) is lattice_ideal(numerical([4, 7, 9]))
     assert homogeneous_minimal_generators(p) is homogeneous_minimal_generators(
-        validate_reduced(p), GREVLEX
+        numerical([4, 7, 9]), GREVLEX
     )
+
+
+def test_one_presentation_proves_itself_reduced_once(monkeypatch):
+    # reducedness is cached on the object itself: five invariants of one
+    # presentation, never validated by the caller, solve one pointing LP
+    p = numerical([3, 5, 7])
+    calls = []
+    real = monoid.positive_functional
+
+    def counting(vectors):
+        calls.append(vectors)
+        return real(vectors)
+
+    monkeypatch.setattr(monoid, "positive_functional", counting)
+    t_set(p)
+    l_set(p)
+    ceq(p)
+    f2l(p)
+    l_set_complement(p)
+    assert calls == [[(3,), (5,), (7,)]]
 
 
 def test_not_reduced_raises_on_every_call():

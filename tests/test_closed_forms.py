@@ -5,6 +5,8 @@ import pytest
 from monofact.catenary import ceq
 from monofact.closed_forms import (
     AlmostArithmeticFamily,
+    _ceq_printed_form,
+    _ceq_proof_form,
     ArithmeticFamily,
     UniqueBettiShiftFamily,
     adjoin_generator_split,
@@ -30,6 +32,34 @@ def test_arithmetic_lset():
     assert [g.free[0] for g in ideal5.generators] == [40, 43, 46, 49, 52]
     # two generators: L is empty
     assert lset_arithmetic(ArithmeticFamily(3, 2, 2), verified=True) is None
+
+
+def _almost_arithmetic_grid():
+    """Every valid family with m1 in 3..15, e in 1..4, n in 2..4, b in 2..39."""
+    for m1 in range(3, 16):
+        for e in range(1, 5):
+            for n in range(2, 5):
+                for b in range(2, 40):
+                    try:
+                        yield AlmostArithmeticFamily(m1, e, n, b)
+                    except HypothesisViolated:
+                        pass
+
+
+def test_ceq_forms_differ_exactly_as_the_report_says():
+    # CeqFormulaReport: the printed and proof forms differ exactly when b
+    # is m or M and d(n-1) divides M-m-d or M-m-d-1; for an interior b
+    # both are e/d even when d(n-1) divides one of them
+    families = interior_divisible = 0
+    for f in _almost_arithmetic_grid():
+        families += 1
+        q = f.d * (f.n - 1)
+        divides = (f.M - f.m - f.d) % q == 0 or (f.M - f.m - f.d - 1) % q == 0
+        extreme = f.b in (f.m, f.M)
+        assert (_ceq_proof_form(f) != _ceq_printed_form(f)) == (extreme and divides)
+        interior_divisible += divides and not extreme
+    assert families == 1639
+    assert interior_divisible == 101
 
 
 def test_almost_arithmetic_interior_b():

@@ -139,20 +139,22 @@ def test_principal_ideal_single_generator():
 def test_saturating_a_monomial_gives_the_unit_ideal():
     # x1 x2 in I puts 1 in I : (x1 x2)^infty
     one = Binomial.monomial((0, 0))
-    assert saturate([Binomial.monomial((1, 1))]).elements == (one,)
-    assert saturate([Binomial((1, 0), (0, 1)), Binomial.monomial((2, 0))]).elements == (one,)
+    assert saturate([Binomial.monomial((1, 1))], weights=(1, 1)).elements == (one,)
+    gens = [Binomial((1, 0), (0, 1)), Binomial.monomial((2, 0))]
+    assert saturate(gens, weights=(1, 1)).elements == (one,)
 
 
 def test_saturate_rejects_inhomogeneous_input():
-    # 1 - x1 admits no positive grading
+    # 1 - x1 admits no positive grading, so not the one given
     with pytest.raises(NotHomogeneous):
-        saturate([Binomial((0,), (1,))])
+        saturate([Binomial((0,), (1,))], weights=(1,))
 
 
 def test_minimal_generators_rejects_wrong_grading():
     p = numerical([3, 5, 7])
+    basis = BinomialBasis((Binomial.difference((1, 0, 0), (0, 1, 0)),), GREVLEX, groebner=False)
     with pytest.raises(NotHomogeneous):
-        minimal_generators([Binomial.difference((1, 0, 0), (0, 1, 0))], p)
+        minimal_generators(basis, p)
 
 
 def test_binomial_basics():
@@ -268,6 +270,6 @@ def test_saturate_matches_the_full_variable_sweep(kind, case):
         expected = [((0,) * n, None)]
     else:
         expected = _reference_saturate(gens, order, w)
-    for weights in (w, None):
+    for weights in (w, tuple(2 * a for a in w)):
         got = saturate(gens, order, weights=weights)
         assert [(b.plus, b.minus) for b in got.elements] == expected

@@ -58,6 +58,17 @@ def test_duplicate_generators_rejected():
         validate_reduced(p)
 
 
+def test_element_refuses_floats_and_bools():
+    p = numerical([3, 5, 7])
+    for bad in (1.5, True):
+        with pytest.raises(InvalidInput):
+            p.element((bad,))
+    q = presentation(1, (3,), [(1, 0), (1, 1)])
+    with pytest.raises(InvalidInput):
+        q.element((1,), (2.0,))
+    assert p.element(("4",)) == p.element((4,)) == GroupElement((4,), (), ())
+
+
 def test_pure_torsion_generator_is_a_unit():
     p = presentation(1, (2,), [(0, 1), (3, 0)])
     with pytest.raises(NotReduced) as err:
@@ -77,8 +88,8 @@ def test_unpointed_cone_witnessed_by_zero_combination():
 
 
 def test_validate_accepts_mixed_signs_when_pointed():
-    p = validate_reduced(presentation(2, (), [(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)]))
-    assert p.validated
+    p = presentation(2, (), [(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)])
+    assert validate_reduced(p) is p and "pointing" in vars(p)
     # the pointing vector is strictly positive on every generator
     w = p.pointing
     for g in p.generators:

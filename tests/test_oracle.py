@@ -132,7 +132,7 @@ def test_apery_feed_order_leaves_the_reduced_basis_unchanged(order, p, data):
 def _minimal_generator_degrees(p, q, order):
     # reference route: the S-degrees of the minimal generators of I_q,
     # trimmed as an ideal of p (q is p for T_S and S~ for L_S)
-    mins = minimal_generators(lattice_ideal(q, order), q, order)
+    mins = minimal_generators(lattice_ideal(q, order), q)
     return tuple(_minimalize_degrees(p, {p.evaluate(b.plus): b.plus for b in mins.elements}))
 
 

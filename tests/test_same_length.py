@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from monofact import same_length
+from monofact import monoid, same_length
 from monofact.errors import (
     CrossCheckError,
     DimensionMismatch,
@@ -166,8 +166,14 @@ def test_345_principal():
     assert is_l_set_principal(numerical([3, 4, 5])).free[0] == 8
 
 
-def test_homogenize_appends_length_coordinate():
-    p = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
+def test_homogenize_appends_length_coordinate(monkeypatch):
+    p = validate_reduced(presentation(1, (2,), [(2, 0), (3, 1), (4, 1)]))
+
+    def refuse(vectors):
+        raise AssertionError("S~ solved a pointing LP")
+
+    monkeypatch.setattr(monoid, "positive_functional", refuse)
+    same_length._homogenize.cache_clear()
     h = homogenize(p)
     # S~ is memoized per presentation and drops back to p's generators
     assert homogenize(p) is h
@@ -179,7 +185,8 @@ def test_homogenize_appends_length_coordinate():
         ((3, 1), (1,)),
         ((4, 1), (1,)),
     ]
-    assert h.validated
+    # S~ carries its pointing from the start: no LP proves it reduced
+    assert h.pointing == (0, 1) and validate_reduced(h) is h
 
 
 def test_gaps():

@@ -12,6 +12,7 @@ from monofact.ideal import Binomial, BinomialBasis, KernelLattice, kernel_lattic
 from monofact.monoid import (
     Factorization,
     GroupElement,
+    MonoidPresentation,
     TorsionSpec,
     numerical,
     presentation,
@@ -36,11 +37,21 @@ def test_equality_is_per_class():
     assert g != ((3,), (), ())
 
 
-def test_validated_flag_is_outside_equality_and_hash():
+def test_validate_reduced_returns_the_presentation_itself():
     p = presentation(1, (2,), [(1, 0), (1, 1), (2, 1)])
-    v = validate_reduced(p)
-    assert v.validated and not p.validated
-    assert p == v and hash(p) == hash(v)
+    before = hash(p)
+    assert validate_reduced(p) is p
+    # the cached proof takes no part in equality or hashing
+    fresh = presentation(1, (2,), [(1, 0), (1, 1), (2, 1)])
+    assert p == fresh and hash(p) == hash(fresh) == before
+
+
+def test_presentations_take_no_validated_flag():
+    p = numerical([3, 5, 7])
+    with pytest.raises(TypeError):
+        MonoidPresentation(p.rank, p.torsion, p.generators, validated=True)
+    with pytest.raises(TypeError):
+        MonoidPresentation(p.rank, p.torsion, p.generators, True)
 
 
 @pytest.mark.parametrize("name", ["elements", "order", "is_groebner", "groebner"])
@@ -162,4 +173,5 @@ def test_pickle_and_copy_rebuild_equal_values():
     for value in values:
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
-    assert pickle.loads(pickle.dumps(p)).validated
+    copied = pickle.loads(pickle.dumps(p))
+    assert copied == p and copied.pointing == p.pointing
