@@ -11,6 +11,7 @@ serves as its independent witness.
 from __future__ import annotations
 
 from math import gcd
+from operator import sub
 
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
@@ -63,10 +64,14 @@ class _UnionFind:
 def _class_threshold(facs):
     """Smallest N making the distance-at-most-N graph on ``facs``
     connected: joining the pairs by ascending distance (Kruskal), the
-    distance of the pair that leaves one part."""
+    distance of the pair that leaves one part.  All of ``facs`` have one
+    length, so each distance is the positive part of the difference, with
+    none of :func:`distance`'s checks."""
     k = len(facs)
     pairs = sorted(
-        (distance(facs[i], facs[j]), i, j) for i in range(k) for j in range(i + 1, k)
+        (sum([d for d in map(sub, facs[i], facs[j]) if d > 0]), i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
     )
     uf = _UnionFind(k)
     parts = k
@@ -84,7 +89,7 @@ def ceq_of_factorizations(facs) -> int:
     classes = {}
     for f in facs:
         classes.setdefault(sum(f), []).append(tuple(f))
-    return max((_class_threshold(group) for group in classes.values()), default=0)
+    return max((_class_threshold(g) for g in classes.values() if len(g) > 1), default=0)
 
 
 def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:

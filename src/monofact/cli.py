@@ -30,7 +30,8 @@ from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
 from .monoid import element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
-from .oracle import EnumerationBudget, f_invariants, lset_bruteforce, monoid_elements, tset_bruteforce
+from .oracle import EnumerationBudget, f_invariants, ideal_members, lset_bruteforce
+from .oracle import monoid_elements, tset_bruteforce
 from .orders import parse_order
 from .same_length import (
     f2l,
@@ -330,7 +331,7 @@ def _oracle_check_sets(p, args, order):
         ideal, oracle = t_set(p, order=order), tset_bruteforce
     fibers = monoid_elements(p, EnumerationBudget(args.cap))
     brute = oracle(fibers)
-    engine = set() if ideal is None else {x for x in fibers if ideal.contains(x)}
+    engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
     missing = sorted(brute - engine, key=lambda e: e.sort_key())
     extra = sorted(engine - brute, key=lambda e: e.sort_key())
     return {

@@ -7,7 +7,15 @@ u_i the pointing weight of the i-th generator, which equals the weight
 of the element it factors; walking all vectors below a weight cap
 therefore produces the complete fiber of every element below the cap.
 :func:`monoid_elements` is that one walk; the brute-force L_S and T_S
-read the fiber map it returns and enumerate nothing themselves.
+read the fiber map it returns and enumerate nothing themselves.  The walk
+carries each vector's degree as a flat integer row, the free coordinates
+followed by the unreduced torsion residues, and builds one element per
+fiber at the end.
+
+The same map decides membership in an ideal g_1 + S u ... u g_s + S with
+nonzero g_j in S: x is a member iff some x - g_j lies in S, and x - g_j
+weighs less than x, so below the cap it lies in S iff it is a key of the
+map (:func:`ideal_members`).
 
 The F-invariants of the closing section are computed with a certified
 scan: for a numerical semigroup, having i factorizations (of equal
@@ -19,6 +27,7 @@ largest failure seen so far is the answer.
 from __future__ import annotations
 
 from collections import Counter
+from operator import add, sub
 
 from ._frozen import Frozen
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
@@ -52,28 +61,41 @@ class _Tally:
 
 
 def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
-    """element -> all its factorizations, complete below the weight cap."""
+    """element -> all its factorizations, complete below the weight cap.
+
+    The walk carries the degree of the coefficient vector as a flat row,
+    the free coordinates followed by the torsion residues, and each step
+    adds the generator's row.  Residues are reduced mod t_j at the leaf,
+    where vectors of one element meet under one key; an element is built
+    once per key, at the end.  Keys come in the order the walk first
+    reaches them, and each fiber lists its vectors in walk order.
+    """
     weights = p.weights
     n = p.n
+    rank, moduli = p.rank, p.torsion.moduli
+    rows = [g.free + g.torsion for g in p.generators]
     tally = _Tally(budget.count_cap)
-    out: dict[GroupElement, list] = {}
+    flat: dict[tuple, list] = {}
     coeffs = [0] * n
 
-    def rec(i, remaining, el):
+    def rec(i, remaining, deg):
         if i == n:
             tally.tick()
-            out.setdefault(el, []).append(tuple(coeffs))
+            if moduli:
+                deg = deg[:rank] + tuple([r % t for r, t in zip(deg[rank:], moduli)])
+            flat.setdefault(deg, []).append(tuple(coeffs))
             return
+        row = rows[i]
         c = 0
         while c * weights[i] <= remaining:
             coeffs[i] = c
-            rec(i + 1, remaining - c * weights[i], el)
-            el = el + p.generators[i]
+            rec(i + 1, remaining - c * weights[i], deg)
+            deg = tuple(map(add, deg, row))
             c += 1
         coeffs[i] = 0
 
-    rec(0, budget.weight_cap, p.zero())
-    return out
+    rec(0, budget.weight_cap, (0,) * (rank + len(moduli)))
+    return {GroupElement._made(d[:rank], d[rank:], moduli): facs for d, facs in flat.items()}
 
 
 def monoid_elements(p: MonoidPresentation, budget: EnumerationBudget):
@@ -96,6 +118,25 @@ def tset_bruteforce(fibers):
     """The elements of a fiber map from :func:`monoid_elements` having two
     factorizations: T_S below its weight cap."""
     return {el for el, facs in fibers.items() if len(facs) >= 2}
+
+
+def ideal_members(fibers, generators):
+    """The elements x of a fiber map from :func:`monoid_elements` with
+    x - g a key for some g of ``generators``.  When each g is a nonzero
+    element of S these are exactly the members, below the weight cap, of
+    the ideal the g generate (see the module docstring)."""
+    keys = {x.free + x.torsion for x in fibers}
+    gens = [(g.free, g.torsion) for g in generators]
+    out = set()
+    for x in fibers:
+        for free, torsion in gens:
+            row = tuple(map(sub, x.free, free))
+            if x.moduli:
+                row += tuple([(a - b) % t for a, b, t in zip(x.torsion, torsion, x.moduli)])
+            if row in keys:
+                out.add(x)
+                break
+    return out
 
 
 def _has_enough(vals, b, need, same_length, tally) -> bool:

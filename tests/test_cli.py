@@ -362,6 +362,25 @@ def test_oracle_check_lset_passes(capsys, what):
         assert data["missing_from_engine"] == [] and data["extra_in_engine"] == []
 
 
+@pytest.mark.parametrize(
+    "what, line",
+    [
+        (
+            "lset",
+            '{"cap":40,"engine_count":102,"extra_in_engine":[],"missing_from_engine":[],'
+            '"ok":true,"oracle_count":102,"what":"lset"}',
+        ),
+        ("ceq", '{"cap":40,"engine":6,"ok":true,"oracle":6,"what":"ceq","witness_covered":true}'),
+    ],
+)
+def test_oracle_check_with_torsion_is_pinned(capsys, what, line):
+    # engine membership is read off the fiber map, whose residues merge mod 3
+    data = '{"rank":1,"torsion":[3],"generators":[[-4,2],[-3,2],[-2,1],[-1,1]]}'
+    code, out, _ = run(capsys, "oracle-check", "--input", data, "--what", what, "--cap", "40")
+    assert code == 0
+    assert out == line + "\n"
+
+
 def test_oracle_check_mismatch_exits_5(capsys, monkeypatch):
     def fake(p, args, order):
         return {"ok": False, "missing_from_engine": [7]}

@@ -1,5 +1,7 @@
 """Closed-form family formulas, checked against the engine throughout."""
 
+from itertools import combinations
+
 import pytest
 
 from monofact.catenary import ceq
@@ -60,6 +62,17 @@ def test_ceq_forms_differ_exactly_as_the_report_says():
         interior_divisible += divides and not extreme
     assert families == 1639
     assert interior_divisible == 101
+
+
+def test_lset_almost_arithmetic_matches_the_engine_on_the_grid():
+    """Every 4th family of the grid: the published L_S generators and the
+    engine's l_set generate one ideal.  Budget 5 s; on 2 vCPUs with
+    Python 3.11 it takes about 1.6 s, 1 s of it drawing up the grid, and
+    checking all 1,639 families would add 1.9 s."""
+    families = list(_almost_arithmetic_grid())[::4]
+    assert len(families) == 410
+    for f in families:
+        lset_almost_arithmetic(f, verified=True)
 
 
 def test_almost_arithmetic_interior_b():
@@ -137,6 +150,25 @@ def test_unique_betti_shift_multipliers():
     assert ub.m_values == (6, 7)
     lset_unique_betti_shift(ub, verified=True)
     assert ceq_unique_betti_shift(ub, verified=True) == 7
+
+
+def test_unique_betti_shift_matches_the_engine_on_the_grid():
+    """b in 3..15, t in 1..3 and c every strictly decreasing pair or triple
+    from 7..1: L_S and c_eq from the formulas agree with the engine on
+    every valid family.  Budget 5 s; the 584 families take about 1 s on 2
+    vCPUs with Python 3.11."""
+    families = []
+    for b in range(3, 16):
+        for t in range(1, 4):
+            for c in [*combinations(range(7, 0, -1), 2), *combinations(range(7, 0, -1), 3)]:
+                try:
+                    families.append(UniqueBettiShiftFamily(b, t, c))
+                except HypothesisViolated:
+                    pass
+    assert len(families) == 584
+    for f in families:
+        lset_unique_betti_shift(f, verified=True)
+        ceq_unique_betti_shift(f, verified=True)
 
 
 def test_unique_betti_shift_rejects_bad_data():

@@ -1,23 +1,47 @@
 """The brute-force reference path, checked on its own terms."""
 
+import ast
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import monofact
 from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
 from monofact.errors import BudgetExceeded, InvalidInput, NotReduced, NotStabilized
 from monofact.ideal import Binomial, groebner, lattice_ideal, minimal_generators
 from monofact.monoid import all_factorizations, numerical, presentation, validate_reduced
 from monofact.oracle import (
     EnumerationBudget,
+    _Tally,
     f_invariants,
+    ideal_members,
     lset_bruteforce,
     monoid_elements,
     tset_bruteforce,
 )
 from monofact.orders import GREVLEX, LEX
 from monofact.same_length import _minimalize_degrees, homogenize, l_set, t_set
+
+
+def test_the_oracle_reaches_no_groebner_code():
+    # the oracle decides disagreements with the engine, so neither it nor
+    # a module it imports may use the Groebner side
+    src = Path(monofact.__file__).parent
+    seen, todo = set(), ["oracle"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+            todo += [
+                node.module
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            ]
+    assert "monoid" in seen
+    assert not seen & {"ideal", "same_length", "apery"}
 
 
 def test_monoid_elements_fibers_are_complete():
@@ -108,6 +132,84 @@ def test_engine_sets_match_the_oracle_on_generated_presentations(p):
     universe = set(fibers)
     assert _ideal_members(t_set(p), universe) == tset_bruteforce(fibers)
     assert _ideal_members(l_set(p), universe) == lset_bruteforce(fibers)
+
+
+def _frozen_fiber_map(p, budget):
+    # the fiber walk as it was before it carried flat rows: each step adds
+    # the generator as a GroupElement, which reduces the residues at once
+    weights = p.weights
+    n = p.n
+    tally = _Tally(budget.count_cap)
+    out = {}
+    coeffs = [0] * n
+
+    def rec(i, remaining, el):
+        if i == n:
+            tally.tick()
+            out.setdefault(el, []).append(tuple(coeffs))
+            return
+        c = 0
+        while c * weights[i] <= remaining:
+            coeffs[i] = c
+            rec(i + 1, remaining - c * weights[i], el)
+            el = el + p.generators[i]
+            c += 1
+        coeffs[i] = 0
+
+    rec(0, budget.weight_cap, p.zero())
+    return out
+
+
+_TORSION_CASE = presentation(1, (3,), [(-4, 2), (-3, 2), (-2, 1), (-1, 1)])
+
+
+@st.composite
+def _report_shaped(draw):
+    # the small-report recipe: rank 1-2, n <= 4, |entries| <= 6, mostly with
+    # a torsion modulus 2-6; a cap of up to 8 lightest generators makes raw
+    # residue sums pass the modulus, so vectors merge only once reduced
+    rank = draw(st.integers(1, 2))
+    torsion = (draw(st.integers(2, 6)),) if draw(st.integers(0, 4)) else ()
+    entry = st.tuples(*[st.integers(-6, 6)] * rank, *[st.integers(0, t - 1) for t in torsion])
+    gens = draw(st.lists(entry.filter(any), min_size=1, max_size=4, unique=True))
+    try:
+        p = validate_reduced(presentation(rank, torsion, sorted(gens)))
+    except NotReduced:
+        assume(False)
+    return p, min(p.weights) * draw(st.integers(1, 8))
+
+
+@given(_report_shaped())
+@example((_TORSION_CASE, 40))
+@settings(max_examples=60, deadline=None)
+def test_flat_fiber_walk_matches_the_group_element_walk(case):
+    p, cap = case
+    frozen = _frozen_fiber_map(p, EnumerationBudget(cap))
+    assert list(monoid_elements(p, EnumerationBudget(cap)).items()) == list(frozen.items())
+    vectors = sum(map(len, frozen.values()))
+    monoid_elements(p, EnumerationBudget(cap, count_cap=vectors))
+    if vectors > 1:
+        with pytest.raises(BudgetExceeded):
+            monoid_elements(p, EnumerationBudget(cap, count_cap=vectors - 1))
+
+
+def test_torsion_fibers_merge_unreduced_residues():
+    # 6 (-1, 1), 3 (-2, 1) and (-4, 2) + (-2, 1) reach free part -6 with raw
+    # residues 6, 3 and 3: one element, residue 0 mod 3, and one fiber
+    fibers = monoid_elements(_TORSION_CASE, EnumerationBudget(40))
+    assert fibers[_TORSION_CASE.element((-6,), (0,))] == [(0, 0, 0, 6), (0, 0, 3, 0), (1, 0, 1, 0)]
+
+
+@given(_report_shaped())
+@example((_TORSION_CASE, 40))
+@settings(max_examples=40, deadline=None)
+def test_ideal_members_matches_ideal_contains(case):
+    p, cap = case
+    fibers = monoid_elements(p, EnumerationBudget(cap))
+    for ideal in (l_set(p), t_set(p)):
+        if ideal is not None:
+            got = ideal_members(fibers, ideal.generators)
+            assert got == {x for x in fibers if ideal.contains(x)}
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
