@@ -252,14 +252,11 @@ def apery_set(
     return AperyResult(limit is None, out, len(out), limit)
 
 
-def apery_count(
-    p: MonoidPresentation,
-    elements,
-    factorizations=None,
-    order: TermOrder = GREVLEX,
-) -> int:
-    """Cardinality of a finite Apery set; InfiniteSet when it is not."""
+def apery_count(p: MonoidPresentation, elements, factorizations=None) -> int:
+    """Cardinality of a finite Apery set; InfiniteSet when it is not.  A
+    finite Ap_S(B) is the same set under every term order, so none is
+    taken."""
     try:
-        return apery_set(p, elements, factorizations, order).count
+        return apery_set(p, elements, factorizations).count
     except InfiniteWithoutLimit:
         raise InfiniteSet("Apery set is infinite") from None

@@ -5,7 +5,10 @@ N-chain when some sequence of equal-length factorizations connects them
 with consecutive distances at most N.  The equal catenary degree of the
 monoid is the largest degree in a minimal homogeneous generating set of
 the ideal of the homogenized monoid; the per-element brute force below
-serves as its independent witness.
+serves as its independent witness.  By graded Nakayama every minimal
+homogeneous generating set has the same degrees, so c_eq does not depend
+on the term order, and ``ceq`` takes none: it reads the GREVLEX minimal
+generators.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .monoid import (
     element_from_data,
     validate_reduced,
 )
-from .orders import GREVLEX, TermOrder
 from .same_length import homogeneous_minimal_generators
 
 
@@ -36,10 +38,10 @@ def distance(lam, nu) -> int:
     return sum(x - min(x, y) for x, y in zip(a, b))
 
 
-def ceq(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
+def ceq(p: MonoidPresentation) -> int:
     """Equal catenary degree: the maximum total degree among minimal
     generators of the homogenized ideal; 0 when that ideal is zero."""
-    mg = homogeneous_minimal_generators(p, order)
+    mg = homogeneous_minimal_generators(p)
     return max((b.total_degree() for b in mg.elements), default=0)
 
 

@@ -192,11 +192,11 @@ def _cmd_apery_finite(args):
 
 
 def _cmd_tset(args):
-    return _ideal_payload(t_set(_presentation(args), order=parse_order(args.order)))
+    return _ideal_payload(t_set(_presentation(args)))
 
 
 def _cmd_lset(args):
-    return _ideal_payload(l_set(_presentation(args), order=parse_order(args.order)))
+    return _ideal_payload(l_set(_presentation(args)))
 
 
 def _cmd_lset_complement(args):
@@ -209,7 +209,7 @@ def _cmd_lset_finite(args):
 
 
 def _cmd_principal(args):
-    ideal = l_set(_presentation(args), order=parse_order(args.order))
+    ideal = l_set(_presentation(args))
     if ideal is None:
         raise EmptyLSet("L_S is empty")
     if ideal.is_principal:
@@ -218,12 +218,12 @@ def _cmd_principal(args):
 
 
 def _cmd_f2l(args):
-    outside = integers_outside_l_set(_presentation(args), order=parse_order(args.order))
+    outside = integers_outside_l_set(_presentation(args))
     return {"value": max(outside), "complement": list(outside)}
 
 
 def _cmd_ceq(args):
-    return {"value": ceq(_presentation(args), order=parse_order(args.order))}
+    return {"value": ceq(_presentation(args))}
 
 
 def _cmd_ceq_bound(args):
@@ -259,10 +259,9 @@ def _family_params(args) -> dict:
 
 def _cmd_closed_form(args):
     params = _family_params(args)
-    order = parse_order(args.order)
     if args.family == "arithmetic":
         fam = closed_forms.ArithmeticFamily(params["m1"], params["e"], params["n"])
-        ideal = closed_forms.lset_arithmetic(fam, order=order, verified=args.verified)
+        ideal = closed_forms.lset_arithmetic(fam, verified=args.verified)
         return {
             "family": "arithmetic",
             "generators": list(fam.generators),
@@ -272,10 +271,10 @@ def _cmd_closed_form(args):
         fam = closed_forms.AlmostArithmeticFamily(
             params["m1"], params["e"], params["n"], params["b"]
         )
-        ideal = closed_forms.lset_almost_arithmetic(fam, order=order, verified=args.verified)
+        ideal = closed_forms.lset_almost_arithmetic(fam, verified=args.verified)
         # the engine value is authoritative for c_eq; the report carries
         # both formula forms so disagreements are visible, not guessed
-        report = closed_forms.ceq_almost_arithmetic_report(fam, order=order)
+        report = closed_forms.ceq_almost_arithmetic_report(fam)
         return {
             "family": "almost",
             "generators": list(fam.generators),
@@ -286,8 +285,8 @@ def _cmd_closed_form(args):
     fam = closed_forms.UniqueBettiShiftFamily(
         params["b"], params["t"], params["c"], params.get("f")
     )
-    ideal = closed_forms.lset_unique_betti_shift(fam, order=order, verified=args.verified)
-    value = closed_forms.ceq_unique_betti_shift(fam, order=order, verified=args.verified)
+    ideal = closed_forms.lset_unique_betti_shift(fam, verified=args.verified)
+    value = closed_forms.ceq_unique_betti_shift(fam, verified=args.verified)
     return {
         "family": "unique-betti",
         "generators": list(fam.generators),
@@ -324,11 +323,11 @@ def _cmd_transform(args):
     return {"stages": payload, "ideals_equal": True}
 
 
-def _oracle_check_sets(p, args, order):
+def _oracle_check_sets(p, args):
     if args.what == "lset":
-        ideal, oracle = l_set(p, order=order), lset_bruteforce
+        ideal, oracle = l_set(p), lset_bruteforce
     else:
-        ideal, oracle = t_set(p, order=order), tset_bruteforce
+        ideal, oracle = t_set(p), tset_bruteforce
     fibers = monoid_elements(p, EnumerationBudget(args.cap))
     brute = oracle(fibers)
     engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
@@ -345,9 +344,9 @@ def _oracle_check_sets(p, args, order):
     }
 
 
-def _oracle_check_ceq(p, args, order):
-    engine = ceq(p, order=order)
-    mg = homogeneous_minimal_generators(p, order)
+def _oracle_check_ceq(p, args):
+    engine = ceq(p)
+    mg = homogeneous_minimal_generators(p)
     witness = next((p.evaluate(b.plus) for b in mg.elements if b.total_degree() == engine), None)
     # below the cap every fiber is complete, so it is all_factorizations(p, el)
     fibers = monoid_elements(p, EnumerationBudget(args.cap))
@@ -364,8 +363,8 @@ def _oracle_check_ceq(p, args, order):
     }
 
 
-def _oracle_check_f(p, args, order):
-    engine = f2l(p, order=order)
+def _oracle_check_f(p, args):
+    engine = f2l(p)
     oracle = f_invariants(p, 2, True, EnumerationBudget(args.cap))
     return {
         "what": "f",
@@ -378,13 +377,12 @@ def _oracle_check_f(p, args, order):
 
 def _cmd_oracle_check(args):
     p = _presentation(args)
-    order = parse_order(args.order)
     if args.what in ("lset", "tset"):
-        data = _oracle_check_sets(p, args, order)
+        data = _oracle_check_sets(p, args)
     elif args.what == "ceq":
-        data = _oracle_check_ceq(p, args, order)
+        data = _oracle_check_ceq(p, args)
     else:
-        data = _oracle_check_f(p, args, order)
+        data = _oracle_check_f(p, args)
     return data, (0 if data["ok"] else 5)
 
 
@@ -416,19 +414,19 @@ _COMMANDS = (
     ("apery-finite", "cone test for Apery finiteness", _cmd_apery_finite,
      ("--input", "--format", "--b")),
     ("tset", "generators of the two-factorizations ideal", _cmd_tset,
-     ("--input", "--format", "--order")),
+     ("--input", "--format")),
     ("lset", "generators of the equal-length ideal", _cmd_lset,
-     ("--input", "--format", "--order")),
+     ("--input", "--format")),
     ("lset-complement", "complement of the equal-length ideal", _cmd_lset_complement,
      ("--input", "--format", "--order", "--limit")),
     ("lset-finite", "ray test for complement finiteness", _cmd_lset_finite,
      ("--input", "--format")),
     ("principal", "is the equal-length ideal principal", _cmd_principal,
-     ("--input", "--format", "--order")),
+     ("--input", "--format")),
     ("f2l", "largest integer without two equal-length factorizations", _cmd_f2l,
-     ("--input", "--format", "--order")),
+     ("--input", "--format")),
     ("ceq", "equal catenary degree", _cmd_ceq,
-     ("--input", "--format", "--order")),
+     ("--input", "--format")),
     ("ceq-bound", "consecutive-steps upper bound (numerical)", _cmd_ceq_bound,
      ("--input", "--format")),
     ("ceq-element", "equal catenary degree of one element", _cmd_ceq_element,
@@ -438,12 +436,12 @@ _COMMANDS = (
      (("--family", {"required": True, "choices": tuple(_FAMILY_KEYS)}),
       ("--params", {"required": True, "help": "JSON object (path or inline)"}),
       ("--verified", {"action": "store_true", "help": "cross-check against the engine"}),
-      "--order", "--format")),
+      "--format")),
     ("transform", "ideal-preserving rewrites of a numerical presentation", _cmd_transform,
      ("--input", "--format", "--order",
       ("--ops", {"required": True, "help": 'JSON list like [["subtract",7],["divide",3]]'}))),
     ("oracle-check", "engine vs brute force under a weight cap", _cmd_oracle_check,
-     ("--input", "--format", "--order",
+     ("--input", "--format",
       ("--what", {"required": True, "choices": ("lset", "tset", "ceq", "f")}),
       ("--cap", {"required": True}))),
 )

@@ -31,7 +31,6 @@ from .errors import (
 from .ideal import Binomial
 from .intlinalg import dot
 from .monoid import MonoidPresentation, _integer, is_minimal_generating, numerical, presentation
-from .orders import GREVLEX, TermOrder
 from .same_length import (
     MonoidIdeal,
     _minimalize_degrees,
@@ -219,9 +218,7 @@ def _require_same_ideal(tag, formula, engine) -> None:
         )
 
 
-def lset_arithmetic(
-    f: ArithmeticFamily, order: TermOrder = GREVLEX, verified: bool = False
-):
+def lset_arithmetic(f: ArithmeticFamily, verified: bool = False):
     """L_S = {2m1 + lambda*e : 2 <= lambda <= 2n-4} + S; empty for n <= 2."""
     p = f.presentation()
     vals = _h_set(f.m1, f.e, f.n)
@@ -229,13 +226,11 @@ def lset_arithmetic(
     if vals:
         result = MonoidIdeal(p, tuple(p.element((v,)) for v in vals))
     if verified:
-        _require_same_ideal("lset_arithmetic", result, l_set(p, order))
+        _require_same_ideal("lset_arithmetic", result, l_set(p))
     return result
 
 
-def lset_almost_arithmetic(
-    f: AlmostArithmeticFamily, order: TermOrder = GREVLEX, verified: bool = False
-) -> MonoidIdeal:
+def lset_almost_arithmetic(f: AlmostArithmeticFamily, verified: bool = False) -> MonoidIdeal:
     """The case formula: H plus extras decided by where b sits.
 
     The returned family is the published one; it generates L_S but is not
@@ -254,7 +249,7 @@ def lset_almost_arithmetic(
     p = f.presentation()
     result = MonoidIdeal(p, tuple(p.element((v,)) for v in vals))
     if verified:
-        _require_same_ideal("lset_almost_arithmetic", result, l_set(p, order))
+        _require_same_ideal("lset_almost_arithmetic", result, l_set(p))
     return result
 
 
@@ -297,25 +292,21 @@ class CeqFormulaReport(Frozen):
         return {name: getattr(self, name) for name in self._fields}
 
 
-def ceq_almost_arithmetic(
-    f: AlmostArithmeticFamily, order: TermOrder = GREVLEX, verified: bool = False
-) -> int:
+def ceq_almost_arithmetic(f: AlmostArithmeticFamily, verified: bool = False) -> int:
     """Equal catenary degree: beta + 1 for extreme b, e/d for interior b.
 
     verified=True recomputes with the engine and returns that value; use
     ceq_almost_arithmetic_report to see the formula variants side by side.
     """
     if verified:
-        return ceq(f.presentation(), order)
+        return ceq(f.presentation())
     return _ceq_proof_form(f)
 
 
-def ceq_almost_arithmetic_report(
-    f: AlmostArithmeticFamily, order: TermOrder = GREVLEX
-) -> CeqFormulaReport:
+def ceq_almost_arithmetic_report(f: AlmostArithmeticFamily) -> CeqFormulaReport:
     proof = _ceq_proof_form(f)
     printed = _ceq_printed_form(f)
-    engine = ceq(f.presentation(), order)
+    engine = ceq(f.presentation())
     return CeqFormulaReport(
         proof_form=proof,
         printed_form=printed,
@@ -326,9 +317,7 @@ def ceq_almost_arithmetic_report(
     )
 
 
-def lset_unique_betti_shift(
-    f: UniqueBettiShiftFamily, order: TermOrder = GREVLEX, verified: bool = False
-) -> MonoidIdeal:
+def lset_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -> MonoidIdeal:
     """L_S = union of c_i*(b + t*m_i) + S over i < n, minimalized.
 
     With all f_i = 1 the minimalization collapses the union to the single
@@ -339,17 +328,15 @@ def lset_unique_betti_shift(
     kept = _minimalize_degrees(p, dict.fromkeys(p.element((v,)) for v in degs))
     result = MonoidIdeal(p, tuple(kept), minimalized=True)
     if verified:
-        _require_same_ideal("lset_unique_betti_shift", result, l_set(p, order))
+        _require_same_ideal("lset_unique_betti_shift", result, l_set(p))
     return result
 
 
-def ceq_unique_betti_shift(
-    f: UniqueBettiShiftFamily, order: TermOrder = GREVLEX, verified: bool = False
-) -> int:
+def ceq_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -> int:
     """max c_i over i < n."""
     value = max(f.c[: f.n - 1])
     if verified:
-        got = ceq(f.presentation(), order)
+        got = ceq(f.presentation())
         if got != value:
             raise CrossCheckError(
                 f"ceq_unique_betti_shift: formula {value} vs engine {got}"

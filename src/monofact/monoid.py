@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from ._frozen import Frozen, init_field
 from .errors import DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
@@ -304,13 +304,22 @@ class MonoidPresentation(Frozen):
 
 
 def _integer(value) -> int:
-    """An integer read from input data: an int or a decimal string (the
-    CLI's encoding past 64 bits).  ``int`` would read ``true`` as 1 and
-    truncate 3.5 to 3, so bool and float are refused."""
-    if not isinstance(value, (bool, float)):
+    """An integer read from input data: an integer type other than bool,
+    or a string of ASCII digits with an optional sign (the CLI's encoding
+    past 64 bits).  ``int`` would read ``true`` as 1, truncate 3.5,
+    Fraction(35, 2) and Decimal("17.9") to 3, 17 and 17, and read "١٧",
+    "2_9" and " 37\\n" as 17, 29 and 37, so all of those are refused."""
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] in "+-" else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:  # more digits than int() reads
+                pass
+    elif not isinstance(value, bool):
         try:
-            return int(value)
-        except (TypeError, ValueError):
+            return index(value)
+        except TypeError:
             pass
     raise InvalidInput(f"expected an integer, got {value!r}")
 
@@ -379,14 +388,9 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
             raise DimensionMismatch("element belongs to a different ambient group")
         return obj
     k = len(p.torsion)
-    if isinstance(obj, bool):
-        raise InvalidInput("element data must be numeric")
     if isinstance(obj, (int, str)):
         if p.rank == 1 and k == 0:
-            try:
-                return p.element((int(obj),))
-            except ValueError:
-                raise InvalidInput(f"cannot parse element from {obj!r}") from None
+            return p.element((_integer(obj),))
         raise InvalidInput("scalar element data needs a rank-1 torsion-free monoid")
     try:
         vals = [_integer(v) for v in obj]

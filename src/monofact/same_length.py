@@ -14,6 +14,13 @@ F_2l needs no staircase: with w_r the least element of a numerical S
 congruent to r modulo its smallest generator a, the table behind the
 gaps, x lies in L_S iff x >= m_{x mod a}, m_r = min_g (g + w_{(r - g) mod a})
 over the L_S generators g.
+
+None of T_S, L_S and F_2l depends on a term order: the first two are
+ideals of S and the third is read off L_S.  Their functions take no order
+and read the GREVLEX bases.  The order matters only for which witness
+factorizations ``_degree_generators`` returns, which minimal binomials
+``homogeneous_minimal_generators`` returns, and which monomials a
+truncated ``l_set_complement`` keeps, so those three take one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from operator import ge
 
 from ._frozen import Frozen
 from .apery import AperyResult, apery_set
-from .errors import CrossCheckError, DimensionMismatch, EmptyLSet, InvalidInput, UndefinedForN2
+from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
+from .errors import InvalidInput, UndefinedForN2
 from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
 from .monoid import (
     GroupElement,
@@ -156,19 +164,19 @@ def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: Term
     return _minimalize_degrees(p, witnesses, known)
 
 
-def t_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
+def t_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
     validate_reduced(p)
-    degrees = _degree_generators(p, p, order)
+    degrees = _degree_generators(p, p, GREVLEX)
     return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
 
-def l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> MonoidIdeal | None:
+def l_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
     validate_reduced(p)
-    degrees = _degree_generators(p, _homogenize(p), order)
+    degrees = _degree_generators(p, _homogenize(p), GREVLEX)
     return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
 
 
@@ -200,11 +208,9 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     return True
 
 
-def is_l_set_principal(
-    p: MonoidPresentation, order: TermOrder = GREVLEX
-) -> GroupElement | None:
+def is_l_set_principal(p: MonoidPresentation) -> GroupElement | None:
     """The single minimal generator of L_S if there is exactly one."""
-    ideal = l_set(p, order)
+    ideal = l_set(p)
     if ideal is None:
         raise EmptyLSet("L_S is empty")
     return ideal.generators[0] if ideal.is_principal else None
@@ -232,10 +238,22 @@ def _apery_residues(values) -> list[int]:
     return w
 
 
+# The most integers ``gaps`` and ``integers_outside_l_set`` list.  CLI f2l
+# on <1981, 1983, 1985> lists 986,046 of them as 7 MB of JSON in 76 MB of
+# RSS; ``f2l`` itself lists nothing and has no cap.
+_LISTING_CAP = 10**6
+
+
 def _below_residue_bounds(bounds) -> tuple[int, ...]:
-    """The x >= 0 with x < bounds[x mod len(bounds)], ascending."""
+    """The x >= 0 with x < bounds[x mod len(bounds)], ascending: one
+    range per residue, whose lengths are summed before anything is listed.
+    More than ``_LISTING_CAP`` of them raise BudgetExceeded."""
     a = len(bounds)
-    return tuple(sorted(x for r, m in enumerate(bounds) for x in range(r, m, a)))
+    ranges = [range(r, m, a) for r, m in enumerate(bounds)]
+    count = sum(map(len, ranges))
+    if count > _LISTING_CAP:
+        raise BudgetExceeded(f"{count} integers to list, more than the cap of {_LISTING_CAP}")
+    return tuple(sorted(x for xs in ranges for x in xs))
 
 
 def gaps(values) -> tuple[int, ...]:
@@ -244,7 +262,7 @@ def gaps(values) -> tuple[int, ...]:
     return _below_residue_bounds(_apery_residues(values))
 
 
-def _outside_l_set_bounds(p: MonoidPresentation, order: TermOrder) -> list[int]:
+def _outside_l_set_bounds(p: MonoidPresentation) -> list[int]:
     """[m_0, ..., m_{a-1}] for a numerical semigroup: the x >= 0 without
     two distinct equal-length factorizations, its gaps together with
     S \\ L_S, are the x < m_{x mod a}.  The union of the g + S holds the
@@ -255,7 +273,7 @@ def _outside_l_set_bounds(p: MonoidPresentation, order: TermOrder) -> list[int]:
     w = _apery_residues(g.free[0] for g in p.generators)  # also rejects gcd > 1
     if p.n <= 2:
         raise UndefinedForN2("L_S empty for n <= 2")
-    ideal = l_set(p, order)
+    ideal = l_set(p)
     if ideal is None:
         raise CrossCheckError("L_S is empty for a numerical semigroup with n >= 3")
     a = len(w)
@@ -265,18 +283,18 @@ def _outside_l_set_bounds(p: MonoidPresentation, order: TermOrder) -> list[int]:
     return [min(g + w[(r - g) % a] for g in gens) for r in range(a)]
 
 
-def integers_outside_l_set(p: MonoidPresentation, order: TermOrder = GREVLEX) -> tuple[int, ...]:
+def integers_outside_l_set(p: MonoidPresentation) -> tuple[int, ...]:
     """The nonnegative integers without two distinct equal-length
     factorizations of a numerical semigroup, ascending: its gaps together
     with S \\ L_S (see ``_outside_l_set_bounds``)."""
-    return _below_residue_bounds(_outside_l_set_bounds(p, order))
+    return _below_residue_bounds(_outside_l_set_bounds(p))
 
 
-def f2l(p: MonoidPresentation, order: TermOrder = GREVLEX) -> int:
+def f2l(p: MonoidPresentation) -> int:
     """F_2l: the largest integer without two distinct equal-length
     factorizations, i.e. max(Z \\ L_S) for a numerical semigroup.  Each
     m_r = r mod a, so m_r - a is the largest x = r mod a below m_r, and
     m_0 >= a keeps the largest of them nonnegative: F_2l = max m_r - a,
     with nothing listed."""
-    bounds = _outside_l_set_bounds(p, order)
+    bounds = _outside_l_set_bounds(p)
     return max(bounds) - len(bounds)

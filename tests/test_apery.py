@@ -53,7 +53,7 @@ def test_rank2_apery_is_infinite_for_b3():
     with pytest.raises(InfiniteWithoutLimit):
         apery_set(RANK2, B3, order=W)
     with pytest.raises(InfiniteSet):
-        apery_count(RANK2, B3, order=W)
+        apery_count(RANK2, B3)
 
 
 def test_rank2_enlarged_ideal_leads():

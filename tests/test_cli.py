@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,10 @@ def test_invalid_input_exits_2(capsys):
             '{"b":5,"t":2,"c":[3,2],"f":[1.5]}',
         ),
         ("transform", "--input", '{"numerical":[3,5,7]}', "--ops", '[["subtract",2.7]]'),
+        ("lset", "--input", '{"numerical":["\u0661\u0667",29,37,47]}'),
+        ("lset", "--input", '{"numerical":["1_7",29,37,47]}'),
+        ("lset", "--input", '{"numerical":[" 17\\n",29,37,47]}'),
+        ("ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", '"1_2"'),
     ],
     ids=[
         "float",
@@ -117,6 +122,10 @@ def test_invalid_input_exits_2(capsys):
         "bool-modulus-c",
         "float-multiplier-f",
         "float-transform-scalar",
+        "non-ascii-digits",
+        "underscore-digits",
+        "padded-digits",
+        "underscore-scalar-element",
     ],
 )
 def test_non_integer_input_exits_2(capsys, argv):
@@ -382,7 +391,7 @@ def test_oracle_check_with_torsion_is_pinned(capsys, what, line):
 
 
 def test_oracle_check_mismatch_exits_5(capsys, monkeypatch):
-    def fake(p, args, order):
+    def fake(p, args):
         return {"ok": False, "missing_from_engine": [7]}
 
     monkeypatch.setattr(cli, "_oracle_check_sets", fake)
@@ -427,6 +436,27 @@ if not sys.flags.optimize:
 same_length.l_set = lambda p, order=None: same_length.MonoidIdeal(p, (p.element((1,)),))
 sys.exit(cli.main(["f2l", "--input", '{"numerical":[5,6,7,8]}']))
 """
+
+
+def _one_gigabyte_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_f2l_past_the_listing_cap_exits_2():
+    # the complement of L_S holds 1,667,166,685 integers; they are counted,
+    # not listed, so the run ends well inside its time and memory limits
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["f2l", "--input", '{"numerical":[100003,100005,100009]}']
+    proc = subprocess.run(
+        [sys.executable, "-m", "monofact.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_one_gigabyte_of_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_cli_cross_check_holds_under_python_O():

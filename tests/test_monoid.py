@@ -1,5 +1,7 @@
 """Presentations, reducedness, membership, and factorization search."""
 
+from decimal import Decimal
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -170,6 +172,16 @@ def test_presentation_from_data():
         ),
         lambda: element_from_data(presentation(1, (2,), [(2, 0), (3, 1)]), [12.9, 0]),
         lambda: element_from_data(presentation(1, (2,), [(2, 0), (3, 1)]), [12, True]),
+        lambda: numerical([Fraction(35, 2), 29, 37, 47]),
+        lambda: numerical([Decimal("17.9"), 29, 37, 47]),
+        lambda: numerical([Decimal("17"), 29, 37, 47]),
+        lambda: numerical(["\u0661\u0667", 29, 37, 47]),
+        lambda: numerical([17, "2_9", 37, 47]),
+        lambda: numerical([17, 29, " 37\n", 47]),
+        lambda: numerical([17, 29, "+-37", 47]),
+        lambda: numerical([17, 29, "", 47]),
+        lambda: element_from_data(numerical([3, 5, 7]), "1_2"),
+        lambda: element_from_data(numerical([3, 5, 7]), True),
     ],
     ids=[
         "float-generator",
@@ -181,6 +193,16 @@ def test_presentation_from_data():
         "bool-residue",
         "float-element",
         "bool-element",
+        "fraction-generator",
+        "decimal-generator",
+        "integral-decimal-generator",
+        "non-ascii-digits",
+        "underscore-digits",
+        "padded-digits",
+        "two-signs",
+        "empty-string",
+        "underscore-scalar-element",
+        "bool-scalar-element",
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(parse):
@@ -193,6 +215,16 @@ def test_decimal_strings_are_integers():
     q = presentation_from_data({"rank": "1", "torsion": ["2"], "generators": [["2", 0], [3, "1"]]})
     assert q == presentation(1, (2,), [(2, 0), (3, 1)])
     assert element_from_data(q, ["12", "1"]) == q.element((12,), (1,))
+
+
+def test_signed_digit_strings_and_index_types_are_integers():
+    class Index:
+        def __index__(self):
+            return 5
+
+    assert numerical(["+3", Index(), "7"]) == numerical([3, 5, 7])
+    assert presentation(1, (), [("-2",), ("+3",)]).generators[0].free == (-2,)
+    assert element_from_data(numerical([3, 5, 7]), "+12") == numerical([3, 5, 7]).element((12,))
 
 
 def test_group_element_arithmetic_reduces_torsion():

@@ -247,7 +247,7 @@ def test_engine_sets_match_the_minimal_generator_route(order, p):
     except NotReduced:
         assume(False)
     for engine, q in ((t_set, p), (l_set, homogenize(p))):
-        ideal = engine(p, order)
+        ideal = engine(p)
         got = ideal.generators if ideal is not None else ()
         assert got == _minimal_generator_degrees(p, q, order)
 

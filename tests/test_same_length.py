@@ -7,7 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from monofact import monoid, same_length
+from monofact.apery import apery_set
+from monofact.catenary import ceq
 from monofact.errors import (
+    BudgetExceeded,
     CrossCheckError,
     DimensionMismatch,
     EmptyLSet,
@@ -23,7 +26,7 @@ from monofact.monoid import (
     presentation,
     validate_reduced,
 )
-from monofact.orders import GREVLEX, LEX, wgrevlex
+from monofact.orders import GREVLEX, LEX, block, wgrevlex
 from monofact.same_length import (
     MonoidIdeal,
     f2l,
@@ -293,6 +296,30 @@ def test_f2l_lists_no_complement():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_f2l_past_the_listing_cap():
+    # 1,667,166,685 integers lie outside L_S; F_2l needs none of them, and
+    # the listing is refused from its count alone
+    assert f2l(numerical([100003, 100005, 100009])) == 3334000019
+    with pytest.raises(BudgetExceeded):
+        integers_outside_l_set(numerical([10007, 10009, 10013]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_minimal_numerical)
+def test_listing_cap_counts_exactly(p):
+    # the count taken before listing is the listing's length: a cap equal
+    # to it changes nothing and one below it refuses
+    values = [g.free[0] for g in p.generators]
+    for listing in (lambda: integers_outside_l_set(p), lambda: gaps(values)):
+        full = listing()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(same_length, "_LISTING_CAP", len(full))
+            assert listing() == full
+            mp.setattr(same_length, "_LISTING_CAP", len(full) - 1)
+            with pytest.raises(BudgetExceeded):
+                listing()
+
+
 def _search_only_minimalize(p, witnesses):
     """_minimalize_degrees before known factorizations could certify an
     absorption: one member search per (degree, kept degree) pair.  Kept
@@ -332,3 +359,26 @@ def test_degree_generators_match_the_search_only_trimming(order, p):
         )
         got = same_length._degree_generators(p, q, order)
         assert list(got.items()) == list(expected.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_presentations_up_to_rank_2())
+def test_the_answers_without_an_order_are_the_same_under_every_order(p):
+    # t_set, l_set, ceq and apery_count read the GREVLEX bases; any other
+    # order must give the same degrees, the same c_eq (graded Nakayama) and
+    # the same finite Apery set
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    lifted = homogenize(p)
+    orders = (LEX, GREVLEX, wgrevlex(tuple(range(1, p.n + 1))), block(1, GREVLEX, LEX))
+    for q in (p, lifted):
+        keys = list(same_length._degree_generators(p, q, GREVLEX))
+        for order in orders:
+            assert list(same_length._degree_generators(p, q, order)) == keys
+    apery = apery_set(p, p.generators).elements
+    for order in orders:
+        mins = minimal_generators(lattice_ideal(lifted, order), lifted)
+        assert max((b.total_degree() for b in mins.elements), default=0) == ceq(p)
+        assert apery_set(p, p.generators, order=order).elements == apery
