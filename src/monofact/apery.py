@@ -36,11 +36,14 @@ from operator import add, sub
 
 from ._frozen import Frozen
 from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
-from .ideal import Binomial, groebner, lattice_ideal
+from .ideal import _stored, groebner, lattice_ideal
 from .monoid import (
     GroupElement,
     MonoidPresentation,
     _integer,
+    _integers,
+    _is_row,
+    _reduced,
     _search_flat,
     cones_equal,
     element_from_data,
@@ -165,6 +168,8 @@ def _resolve_b(p, elements, factorizations):
     checked, or else the unit vector of a b that is a generator and a
     ``member`` search for any other b.  Any factorization serves, since
     all those of one b agree modulo I_S and so give the same J."""
+    if not _is_row(elements):
+        raise InvalidInput(f"expected a list of elements, got {elements!r}")
     elems = [element_from_data(p, b) for b in elements]
     if any(e.is_zero for e in elems):
         raise InvalidInput("members of B must be nonzero")
@@ -181,7 +186,7 @@ def _resolve_b(p, elements, factorizations):
         if len(factorizations) != len(elems):
             raise InvalidInput("one factorization per element required")
         for elem, fac in zip(elems, factorizations):
-            fac = tuple(_integer(c) for c in fac)
+            fac = _integers(fac)
             if len(fac) != p.n or any(c < 0 for c in fac):
                 raise InvalidInput("malformed factorization")
             if p.evaluate(fac) != elem:
@@ -214,15 +219,17 @@ def apery_set(
       with no basis of J.  Without a limit this raises
       ``InfiniteWithoutLimit`` before any walk.
     """
-    if limit is not None and limit < 0:
-        raise InvalidInput("limit must be nonnegative")
+    if limit is not None:
+        limit = _integer(limit)
+        if limit < 0:
+            raise InvalidInput("limit must be nonnegative")
     validate_reduced(p)
     elems, facts = _resolve_b(p, elements, factorizations)
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None
         # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
-        gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
+        gens = [_stored(f, None) for f in facts] + list(lattice_ideal(p, order).elements)
         leads = [b.plus for b in groebner(gens, order).elements]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
@@ -243,7 +250,7 @@ def apery_set(
     rank, moduli = p.rank, p.torsion.moduli
     degs = {}
     for mono, deg in monomials:
-        deg = deg[:rank] + tuple([r % t for r, t in zip(deg[rank:], moduli)])
+        deg = deg[:rank] + _reduced(deg[rank:], moduli)
         if deg in degs:
             raise CrossCheckError(f"standard monomials {degs[deg]} and {mono} share a degree")
         degs[deg] = mono

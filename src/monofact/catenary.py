@@ -19,6 +19,7 @@ from operator import sub
 from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
     MonoidPresentation,
+    _integer,
     all_factorizations,
     element_from_data,
     validate_reduced,
@@ -97,6 +98,7 @@ def ceq_of_factorizations(facs) -> int:
 def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
     """c_eq(b) from first principles, over every factorization of b.
     CapExceeded when the answer would be larger than ``cap``."""
+    cap = _integer(cap)
     validate_reduced(p)
     b = element_from_data(p, b)
     facs = all_factorizations(p, b)

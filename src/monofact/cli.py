@@ -28,7 +28,7 @@ from .apery import apery_is_finite, apery_set
 from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
 from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
-from .monoid import element_from_data, presentation_from_data, validate_reduced
+from .monoid import _keys, element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
 from .oracle import EnumerationBudget, f_invariants, ideal_members, lset_bruteforce
 from .oracle import monoid_elements, tset_bruteforce
@@ -247,13 +247,7 @@ def _family_params(args) -> dict:
     params = _load_json(args.params, "--params")
     if not isinstance(params, dict):
         raise InvalidInput("--params must be a JSON object")
-    required, optional = _FAMILY_KEYS[args.family]
-    unknown = set(params) - required - optional
-    if unknown:
-        raise InvalidInput(f"unknown params for {args.family}: {sorted(unknown)}")
-    missing = required - set(params)
-    if missing:
-        raise InvalidInput(f"missing params for {args.family}: {sorted(missing)}")
+    _keys(params, *_FAMILY_KEYS[args.family], f"params for {args.family}")
     return params
 
 

@@ -30,21 +30,14 @@ from .errors import (
 )
 from .ideal import Binomial
 from .intlinalg import dot
-from .monoid import MonoidPresentation, _integer, is_minimal_generating, numerical, presentation
+from .monoid import MonoidPresentation, _integer, _integers, is_minimal_generating
+from .monoid import numerical, presentation
 from .same_length import (
     MonoidIdeal,
     _minimalize_degrees,
     l_set,
     monoid_ideals_equal,
 )
-
-
-def _positive_int(name, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"{name} must be an integer")
-    if value <= 0:
-        raise InvalidInput(f"{name} must be positive")
-    return value
 
 
 def _h_set(m1: int, e: int, n: int) -> list[int]:
@@ -61,9 +54,9 @@ class ArithmeticFamily(Frozen):
     n: int
 
     def __init__(self, m1, e, n):
-        _positive_int("m1", m1)
-        _positive_int("e", e)
-        _positive_int("n", n)
+        m1, e, n = _integers((m1, e, n))
+        if min(m1, e, n) <= 0:
+            raise InvalidInput("m1, e and n must be positive")
         if n < 2:
             raise HypothesisViolated("an arithmetic family needs n >= 2 terms")
         if gcd(m1, e) != 1:
@@ -88,10 +81,9 @@ class AlmostArithmeticFamily(Frozen):
     b: int
 
     def __init__(self, m1, e, n, b):
-        _positive_int("m1", m1)
-        _positive_int("e", e)
-        _positive_int("n", n)
-        _positive_int("b", b)
+        m1, e, n, b = _integers((m1, e, n, b))
+        if min(m1, e, n, b) <= 0:
+            raise InvalidInput("m1, e, n and b must be positive")
         if n < 2:
             raise HypothesisViolated("the arithmetic part needs n >= 2 terms")
         if gcd(m1, e) != 1:
@@ -151,14 +143,13 @@ class UniqueBettiShiftFamily(Frozen):
     f: tuple[int, ...] | None
 
     def __init__(self, b, t, c, f=None):
-        _positive_int("b", b)
-        _positive_int("t", t)
-        c = tuple(c)
+        b, t, c = _integer(b), _integer(t), _integers(c)
         n = len(c)
+        f = (1,) * (n - 1) if f is None else _integers(f)
+        if min(b, t, *c, *f) <= 0:
+            raise InvalidInput("b, t and every c_i and f_i must be positive")
         if n < 2:
             raise HypothesisViolated("need at least two moduli c_i")
-        for v in c:
-            _positive_int("c_i", v)
         if any(c[i] <= c[i + 1] for i in range(n - 1)):
             raise HypothesisViolated("moduli must decrease strictly")
         for i in range(n):
@@ -167,11 +158,8 @@ class UniqueBettiShiftFamily(Frozen):
                     raise HypothesisViolated(
                         f"(a) c_{i + 1} and c_{j + 1} are not coprime"
                     )
-        f = tuple(f) if f is not None else (1,) * (n - 1)
         if len(f) != n - 1:
             raise InvalidInput("need one multiplier f_i per index 1..n-1")
-        for v in f:
-            _positive_int("f_i", v)
         for i in range(n - 1):
             if gcd(f[i], c[i]) != 1:
                 raise HypothesisViolated(f"(b) gcd(f_{i + 1}, c_{i + 1}) != 1")
@@ -356,7 +344,7 @@ def normalized_presentation_transforms(values, operations):
     Returns the lifted presentation <(a_i, 1)> of each stage, the
     untouched values first.
     """
-    vals = [_integer(v) for v in values]
+    vals = _integers(values)
     if not vals or any(v <= 0 for v in vals):
         raise InvalidInput("transform input must be positive integers")
     if len(set(vals)) != len(vals):
@@ -398,11 +386,9 @@ def adjoin_generator_split(values, b, alpha) -> Binomial:
     binomial x_{n+1}^B - x_1^(B - sum(alpha)) * prod x_i^alpha_i, where
     x_1 is the zero generator and the adjoined variable comes last.
     """
-    vals = [_positive_int("a_i", v) for v in values]
-    if not vals:
-        raise InvalidInput("need at least one base value")
-    _positive_int("b", b)
-    alf = [_integer(v) for v in alpha]
+    vals, b, alf = _integers(values), _integer(b), _integers(alpha)
+    if not vals or min(vals) <= 0 or b <= 0:
+        raise InvalidInput("need positive base values a_i and a positive b")
     if len(alf) != len(vals) or any(v < 0 for v in alf):
         raise InvalidInput("alpha must give a natural number per base value")
     B = gcd(*vals) if len(vals) > 1 else vals[0]
@@ -423,7 +409,8 @@ def rational_normal_curve_relations(n: int):
     These cut out the ideal of <(0,1), (1,1), ..., (n-1,1)> and, degree
     for degree, of any arithmetic progression lifted the same way.
     """
-    if not isinstance(n, int) or n < 2:
+    n = _integer(n)
+    if n < 2:
         raise InvalidInput("need n >= 2 variables")
     out = []
     for i in range(2, n):

@@ -48,7 +48,7 @@ from operator import mul
 from ._frozen import Frozen, init_field
 from .errors import CrossCheckError, InvalidInput, NotHomogeneous
 from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
-from .monoid import MonoidPresentation, _integer, validate_reduced
+from .monoid import MonoidPresentation, _integers, validate_reduced
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 
 
@@ -65,11 +65,11 @@ class Binomial(Frozen):
     minus: tuple[int, ...] | None
 
     def __init__(self, plus, minus=None):
-        plus = tuple(map(_integer, plus))
+        plus = _integers(plus)
         if plus and min(plus) < 0:
             raise InvalidInput("exponents must be nonnegative")
         if minus is not None:
-            minus = tuple(map(_integer, minus))
+            minus = _integers(minus)
             if len(minus) != len(plus):
                 raise InvalidInput("exponent vectors differ in length")
             if minus and min(minus) < 0:
@@ -80,8 +80,8 @@ class Binomial(Frozen):
     @classmethod
     def difference(cls, a, b) -> "Binomial":
         """Canonical pure difference: strips the common monomial factor."""
-        a = tuple(map(_integer, a))
-        b = tuple(map(_integer, b))
+        a = _integers(a)
+        b = _integers(b)
         common = tuple(min(x, y) for x, y in zip(a, b))
         return cls(tuple(x - c for x, c in zip(a, common)), tuple(y - c for y, c in zip(b, common)))
 

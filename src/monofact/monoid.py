@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from operator import index, mul
+from operator import add, index, mul, sub
 
 from ._frozen import Frozen, init_field
 from .errors import DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
@@ -41,7 +41,7 @@ class TorsionSpec(Frozen):
     moduli: tuple[int, ...]
 
     def __init__(self, moduli=()):
-        moduli = tuple(map(_integer, moduli))
+        moduli = _integers(moduli)
         if any(t < 2 for t in moduli):
             raise InvalidInput("torsion moduli must all be >= 2")
         super().__init__(moduli)
@@ -59,20 +59,15 @@ class GroupElement(Frozen):
     moduli: tuple[int, ...]
 
     def __init__(self, free, torsion=(), moduli=()):
-        free = tuple(map(int, free))
-        moduli = tuple(map(int, moduli))
+        free, torsion, moduli = _integers(free), _integers(torsion), TorsionSpec(moduli).moduli
         if len(torsion) != len(moduli):
             raise DimensionMismatch("torsion residue count does not match moduli")
-        init_field(self, "free", free)
-        init_field(
-            self, "torsion", tuple([int(r) % t for r, t in zip(torsion, moduli)]) if moduli else ()
-        )
-        init_field(self, "moduli", moduli)
+        super().__init__(free, _reduced(torsion, moduli), moduli)
 
     @classmethod
     def _made(cls, free, torsion, moduli) -> "GroupElement":
         """An element from int tuples the library built itself, torsion
-        already reduced: no conversion and no check."""
+        already reduced: nothing is read again and nothing is checked."""
         self = object.__new__(cls)
         init_field(self, "free", free)
         init_field(self, "torsion", torsion)
@@ -93,23 +88,26 @@ class GroupElement(Frozen):
 
     def __add__(self, other):
         self._check(other)
-        return GroupElement(
-            tuple(a + b for a, b in zip(self.free, other.free)),
-            tuple(a + b for a, b in zip(self.torsion, other.torsion)),
+        return GroupElement._made(
+            tuple(map(add, self.free, other.free)),
+            _reduced(map(add, self.torsion, other.torsion), self.moduli),
             self.moduli,
         )
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElement(
-            tuple(a - b for a, b in zip(self.free, other.free)),
-            tuple(a - b for a, b in zip(self.torsion, other.torsion)),
+        return GroupElement._made(
+            tuple(map(sub, self.free, other.free)),
+            _reduced(map(sub, self.torsion, other.torsion), self.moduli),
             self.moduli,
         )
 
     def __mul__(self, c: int):
-        return GroupElement(
-            tuple(c * a for a in self.free), tuple(c * r for r in self.torsion), self.moduli
+        c = _integer(c)
+        return GroupElement._made(
+            tuple(c * a for a in self.free),
+            _reduced([c * r for r in self.torsion], self.moduli),
+            self.moduli,
         )
 
     __rmul__ = __mul__
@@ -132,7 +130,7 @@ class Factorization(Frozen):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs):
-        coeffs = tuple(map(_integer, coeffs))
+        coeffs = _integers(coeffs)
         if coeffs and min(coeffs) < 0:
             raise InvalidInput("factorization coefficients must be nonnegative")
         super().__init__(coeffs)
@@ -198,15 +196,17 @@ class MonoidPresentation(Frozen):
         )
 
     def zero(self) -> GroupElement:
-        return GroupElement((0,) * self.rank, (0,) * len(self.torsion), self.torsion.moduli)
+        return GroupElement._made((0,) * self.rank, (0,) * len(self.torsion), self.torsion.moduli)
 
     def element(self, free, torsion=()) -> GroupElement:
-        free = tuple(map(_integer, free))
-        if len(free) != self.rank:
+        x = GroupElement(free, torsion, self.torsion.moduli)
+        if x.rank != self.rank:
             raise DimensionMismatch("free part has wrong length")
-        return GroupElement(free, tuple(map(_integer, torsion)), self.torsion.moduli)
+        return x
 
     def evaluate(self, coeffs) -> GroupElement:
+        """The element sum(c_i a_i) of int coefficients the library built
+        (exponent vectors, factorizations already read)."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n:
             raise DimensionMismatch("coefficient vector has wrong length")
@@ -214,7 +214,10 @@ class MonoidPresentation(Frozen):
             sum(c * a for c, a in zip(coeffs, column))
             for column in zip(*(g.free + g.torsion for g in self.generators))
         ]
-        return GroupElement(flat[: self.rank], flat[self.rank :], self.torsion.moduli)
+        moduli = self.torsion.moduli
+        return GroupElement._made(
+            tuple(flat[: self.rank]), _reduced(flat[self.rank :], moduli), moduli
+        )
 
     @cached_property
     def pointing(self) -> tuple[int, ...]:
@@ -324,28 +327,58 @@ def _integer(value) -> int:
     raise InvalidInput(f"expected an integer, got {value!r}")
 
 
+def _is_row(values) -> bool:
+    """Whether input data is a row of entries: an iterable, but neither a
+    mapping nor a string, which would be read character by character
+    ("357" as (3, 5, 7))."""
+    return hasattr(values, "__iter__") and not isinstance(values, (str, bytes, dict))
+
+
+def _integers(values) -> tuple[int, ...]:
+    """A row of integers, each read by ``_integer``."""
+    if not _is_row(values):
+        raise InvalidInput(f"expected a list of integers, got {values!r}")
+    return tuple(map(_integer, values))
+
+
+def _reduced(residues, moduli) -> tuple[int, ...]:
+    """Torsion residues reduced mod their moduli."""
+    return tuple([r % t for r, t in zip(residues, moduli)])
+
+
+def _keys(obj: dict, required: set, optional: set, what: str) -> None:
+    """Refuse a JSON object with a key outside ``required`` and
+    ``optional``, or without one of ``required``."""
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise InvalidInput(f"unknown {what}: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise InvalidInput(f"missing {what}: {sorted(missing)}")
+
+
 def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
     """Build a presentation from raw integer data, not yet proved reduced.
 
     Each generator is a flat sequence: ``rank`` free coordinates followed by
     one residue per torsion modulus.  Entries are ints or decimal strings.
     """
-    tspec = TorsionSpec(torsion)
-    k = len(tspec)
+    rank, tspec = _integer(rank), TorsionSpec(torsion)
+    moduli, k = tspec.moduli, len(tspec)
     gens = []
     for raw in generators:
-        raw = tuple(_integer(a) for a in raw)
+        raw = _integers(raw)
         if len(raw) != rank + k:
             raise DimensionMismatch(
                 f"generator {raw} has length {len(raw)}, expected {rank + k}"
             )
-        gens.append(GroupElement(raw[:rank], raw[rank:], tspec.moduli))
+        gens.append(GroupElement._made(raw[:rank], _reduced(raw[rank:], moduli), moduli))
     return MonoidPresentation(rank, tspec, tuple(gens))
 
 
 def numerical(values) -> MonoidPresentation:
     """Rank-1 torsion-free presentation from positive integers."""
-    vals = [_integer(v) for v in values]
+    vals = _integers(values)
     if any(v <= 0 for v in vals):
         raise InvalidInput("numerical generators must be positive")
     return presentation(1, (), [(v,) for v in vals])
@@ -360,21 +393,16 @@ def presentation_from_data(obj) -> MonoidPresentation:
     if not isinstance(obj, dict):
         raise InvalidInput("presentation must be a JSON object")
     if "numerical" in obj:
+        _keys(obj, {"numerical"}, set(), "presentation keys")
         vals = obj["numerical"]
         if not isinstance(vals, list) or not vals:
             raise InvalidInput("numerical presentation needs a nonempty list")
         return numerical(vals)
-    try:
-        rank = _integer(obj["rank"])
-        gens = obj["generators"]
-    except KeyError as exc:
-        raise InvalidInput(f"malformed presentation object: {exc}") from None
-    torsion = obj.get("torsion", [])
-    if not isinstance(torsion, list):
-        raise InvalidInput("torsion must be a list")
+    _keys(obj, {"rank", "generators"}, {"torsion"}, "presentation keys")
+    gens = obj["generators"]
     if not isinstance(gens, list) or not gens or not all(isinstance(g, list) for g in gens):
         raise InvalidInput("generators must be a nonempty list of lists")
-    return presentation(rank, torsion, gens)
+    return presentation(obj["rank"], obj.get("torsion", ()), gens)
 
 
 def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
@@ -388,14 +416,11 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
             raise DimensionMismatch("element belongs to a different ambient group")
         return obj
     k = len(p.torsion)
-    if isinstance(obj, (int, str)):
+    if not _is_row(obj):
         if p.rank == 1 and k == 0:
-            return p.element((_integer(obj),))
+            return p.element((obj,))
         raise InvalidInput("scalar element data needs a rank-1 torsion-free monoid")
-    try:
-        vals = [_integer(v) for v in obj]
-    except (TypeError, InvalidInput):
-        raise InvalidInput(f"cannot parse element from {obj!r}") from None
+    vals = tuple(obj)
     if len(vals) != p.rank + k:
         raise InvalidInput("element data has wrong length")
     return p.element(vals[: p.rank], vals[p.rank :])

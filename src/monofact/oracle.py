@@ -182,7 +182,8 @@ def f_invariants(
     validate_reduced(p)
     if p.rank != 1 or p.torsion.moduli:
         raise InvalidInput("F-invariants are about numerical semigroups")
-    if isinstance(i, bool) or not isinstance(i, int) or i < 2:
+    i = _integer(i)
+    if i < 2:
         raise InvalidInput("need an integer i >= 2")
     vals = [g.free[0] for g in p.generators]
     window = min(vals)

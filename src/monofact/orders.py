@@ -25,10 +25,7 @@ from operator import mul
 
 from ._frozen import Frozen
 from .errors import InvalidInput
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+from .monoid import _integer, _integers
 
 
 class TermOrder(Frozen):
@@ -42,13 +39,14 @@ class TermOrder(Frozen):
     def __init__(self, kind, weights=None, perm=None, split=None, inner=None):
         if kind not in ("lex", "grevlex", "wgrevlex", "block"):
             raise InvalidInput(f"unknown term order kind {kind!r}")
-        if kind == "wgrevlex":
-            if not weights or any(not _is_int(w) or w <= 0 for w in weights):
-                raise InvalidInput("wgrevlex needs strictly positive integer weights")
+        weights, perm = (None if v is None else _integers(v) for v in (weights, perm))
+        split = None if split is None else _integer(split)
+        if kind == "wgrevlex" and (not weights or min(weights) <= 0):
+            raise InvalidInput("wgrevlex needs strictly positive integer weights")
         if kind == "block":
             if split is None or inner is None:
                 raise InvalidInput("block order needs a split and two inner orders")
-            if not _is_int(split) or split < 0:
+            if split < 0:
                 raise InvalidInput("block split must be a nonnegative integer")
         super().__init__(kind, weights, perm, split, inner)
 
@@ -109,26 +107,19 @@ GREVLEX = TermOrder("grevlex")
 
 
 def lex(perm=None) -> TermOrder:
-    return TermOrder("lex", perm=None if perm is None else tuple(perm))
+    return TermOrder("lex", perm=perm)
 
 
 def grevlex(perm=None) -> TermOrder:
-    return TermOrder("grevlex", perm=None if perm is None else tuple(perm))
+    return TermOrder("grevlex", perm=perm)
 
 
 def wgrevlex(weights, perm=None) -> TermOrder:
-    return TermOrder(
-        "wgrevlex", weights=tuple(weights), perm=None if perm is None else tuple(perm)
-    )
+    return TermOrder("wgrevlex", weights=weights, perm=perm)
 
 
 def block(split: int, inner_first: TermOrder, inner_second: TermOrder, perm=None) -> TermOrder:
-    return TermOrder(
-        "block",
-        split=split,
-        inner=(inner_first, inner_second),
-        perm=None if perm is None else tuple(perm),
-    )
+    return TermOrder("block", split=split, inner=(inner_first, inner_second), perm=perm)
 
 
 def cheapest_last(n: int, i: int) -> tuple[int, ...]:
@@ -143,15 +134,7 @@ def parse_order(descriptor: str | None) -> TermOrder:
     if descriptor == "lex":
         return LEX
     if descriptor.startswith("wgrevlex:"):
-        try:
-            weights = tuple(int(w) for w in descriptor.split(":", 1)[1].split(","))
-        except ValueError:
-            raise InvalidInput(f"bad weight list in {descriptor!r}") from None
-        return wgrevlex(weights)
+        return wgrevlex(descriptor.split(":", 1)[1].split(","))
     if descriptor.startswith("block:"):
-        try:
-            split = int(descriptor.split(":", 1)[1])
-        except ValueError:
-            raise InvalidInput(f"bad block split in {descriptor!r}") from None
-        return block(split, GREVLEX, GREVLEX)
+        return block(descriptor.split(":", 1)[1], GREVLEX, GREVLEX)
     raise InvalidInput(f"unknown term order {descriptor!r}")

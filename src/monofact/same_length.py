@@ -37,7 +37,7 @@ from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
 from .monoid import (
     GroupElement,
     MonoidPresentation,
-    _integer,
+    _integers,
     _pointed,
     element_from_data,
     member,
@@ -103,7 +103,7 @@ def homogenize(p: MonoidPresentation) -> MonoidPresentation:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogenize(p: MonoidPresentation) -> MonoidPresentation:
-    gens = tuple(GroupElement(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
+    gens = tuple(GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
     return _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,))
 
 
@@ -220,7 +220,7 @@ def _apery_residues(values) -> list[int]:
     """[w_0, ..., w_{a-1}]: w_r is the least element of S = <values>
     congruent to r modulo its smallest generator a, i.e. Ap(S, a), by
     relaxing residue-class shortest paths (Boecker and Liptak, 2007)."""
-    vals = sorted({_integer(v) for v in values})
+    vals = sorted(set(_integers(values)))
     if not vals or vals[0] <= 0:
         raise InvalidInput("generators must be positive")
     if gcd(*vals) != 1:

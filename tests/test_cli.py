@@ -108,6 +108,10 @@ def test_invalid_input_exits_2(capsys):
         ("lset", "--input", '{"numerical":["1_7",29,37,47]}'),
         ("lset", "--input", '{"numerical":[" 17\\n",29,37,47]}'),
         ("ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", '"1_2"'),
+        ("ideal", "--input", '{"numerical":[3,5,7]}', "--order", "block:\u0661"),
+        ("validate", "--input", '{"numerical":[3,5,7],"rank":1}'),
+        ("closed-form", "--family", "unique-betti", "--params", '{"b":5,"t":2,"c":"32"}'),
+        ("closed-form", "--family", "unique-betti", "--params", '{"b":5,"t":2,"c":32}'),
     ],
     ids=[
         "float",
@@ -126,12 +130,25 @@ def test_invalid_input_exits_2(capsys):
         "underscore-digits",
         "padded-digits",
         "underscore-scalar-element",
+        "non-ascii-block-split",
+        "unknown-presentation-key",
+        "string-modulus-row-c",
+        "scalar-modulus-row-c",
     ],
 )
 def test_non_integer_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+def test_closed_form_reads_decimal_strings_like_presentations(capsys):
+    # "b":"7" is 7, as a presentation's "7" is; only the reader differs from "b":7
+    assert AlmostArithmeticFamily(3, 2, 2, "7") == AlmostArithmeticFamily(3, 2, 2, 7)
+    family = ("closed-form", "--family", "almost", "--params")
+    code, out, _ = run(capsys, *family, '{"m1":3,"e":2,"n":2,"b":"7"}')
+    assert (code, out) == run(capsys, *family, '{"m1":3,"e":2,"n":2,"b":7}')[:2]
+    assert code == 0
 
 
 def test_not_reduced_exits_3(capsys):

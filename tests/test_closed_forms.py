@@ -235,9 +235,9 @@ def test_adjoin_generator_split():
         adjoin_generator_split([10, 15], 7, [0, 2])
 
 
-@pytest.mark.parametrize("alpha", [[0, 1.5], [0, True]], ids=["float", "bool"])
+@pytest.mark.parametrize("alpha", [[0, 1.5], [0, True], "02"], ids=["float", "bool", "string"])
 def test_adjoin_generator_split_refuses_non_integer_alpha(alpha):
-    # int() would read 1.5 as 1 and True as 1
+    # int() would read 1.5 as 1 and True as 1, and a string digit by digit
     with pytest.raises(InvalidInput):
         adjoin_generator_split([10, 15], 6, alpha)
 

@@ -7,6 +7,8 @@ from math import prod
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from monofact.apery import apery_set
+from monofact.catenary import ceq_element_bruteforce
 from monofact.errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -156,6 +158,8 @@ def test_presentation_from_data():
         presentation_from_data([3, 5, 7])
     with pytest.raises(InvalidInput):
         presentation_from_data({"rank": 1})
+    with pytest.raises(InvalidInput, match="unknown presentation keys"):
+        presentation_from_data({"numerical": [3, 5, 7], "rank": 1})
 
 
 @pytest.mark.parametrize(
@@ -182,6 +186,13 @@ def test_presentation_from_data():
         lambda: numerical([17, 29, "", 47]),
         lambda: element_from_data(numerical([3, 5, 7]), "1_2"),
         lambda: element_from_data(numerical([3, 5, 7]), True),
+        lambda: GroupElement((17.5,)),
+        lambda: GroupElement(("\u0661\u0667",)),
+        lambda: numerical("357"),
+        lambda: apery_set(presentation(2, (), [(1, 0), (0, 1)]), [[1, 0]], limit=1.5),
+        lambda: apery_set(presentation(2, (), [(1, 0), (0, 1)]), [[1, 0]], limit=True),
+        lambda: ceq_element_bruteforce(numerical([3, 5, 7]), 30, cap=True),
+        lambda: apery_set(numerical([3, 5, 7]), "37"),
     ],
     ids=[
         "float-generator",
@@ -203,6 +214,13 @@ def test_presentation_from_data():
         "empty-string",
         "underscore-scalar-element",
         "bool-scalar-element",
+        "float-group-element",
+        "non-ascii-group-element",
+        "string-row",
+        "float-limit",
+        "bool-limit",
+        "bool-cap",
+        "string-element-list",
     ],
 )
 def test_non_integer_input_is_rejected_not_truncated(parse):
