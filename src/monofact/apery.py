@@ -23,6 +23,17 @@ search), a condition that only gets truer for multiples.  Its cross-check
 is that some extremal ray carries no b and that each such ray carries a
 generator with no pure-power lead in the I_S basis.
 
+A b that is the generator a_u has the factorization e_u, so x_u lies in J.
+With U the set of such u, J = <x_U> + J' K[x], where J' is generated in
+K[x] minus x_U by the images under x_U -> 0 of the other x^beta and of the
+reduced basis of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a basis of
+J' involves x_U, and x_u is coprime to every lead, so the reduced basis of
+J is {x_u : u in U} together with the reduced basis of J'.  Buchberger runs
+on J' only, and not at all when J' = 0: for B holding every generator, each
+side of each I_S binomial involves x_U, and its image is 0.  The finite
+branch builds its leads this way, and the cone test and the pure-power
+check run on them as on any others.
+
 The walk carries each monomial's degree as a flat row (free coordinates,
 then unreduced torsion residues): a child's degree is its parent's plus
 one generator's row, so no monomial is evaluated.  The residues are
@@ -163,6 +174,30 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     )
 
 
+def _eliminated(n, facts, basis):
+    """Split J = I_S + <x^beta> by the set U of variables x_u with u the
+    factorization of some b.  Returns the leads x_u, and generators of
+    J': the images under x_U -> 0 of the other x^beta and of the reduced
+    I_S ``basis``, monomials first, so that the binomials, reduced among
+    themselves, never re-form their own S-pairs.  See the module
+    docstring for why the reduced basis of J is the x_u together with
+    that of J'."""
+    units = {f.index(1) for f in facts if sum(f) == 1}
+    leads = [tuple(int(j == u) for j in range(n)) for u in sorted(units)]
+
+    def kept(v):
+        return not any(v[u] for u in units)
+
+    monomials = [f for f in facts if kept(f)]
+    binomials = []
+    for b in basis:
+        if kept(b.plus) and kept(b.minus):
+            binomials.append(b)
+        elif kept(b.plus) or kept(b.minus):
+            monomials.append(b.plus if kept(b.plus) else b.minus)
+    return leads, [_stored(m, None) for m in monomials] + binomials
+
+
 def _resolve_b(p, elements, factorizations):
     """B as group elements, and one factorization of each: the caller's,
     checked, or else the unit vector of a b that is a generator and a
@@ -228,9 +263,9 @@ def apery_set(
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None
-        # monomials first: the reduced basis of I_S then never re-forms its own S-pairs
-        gens = [_stored(f, None) for f in facts] + list(lattice_ideal(p, order).elements)
-        leads = [b.plus for b in groebner(gens, order).elements]
+        leads, rest = _eliminated(p.n, facts, lattice_ideal(p, order).elements)
+        if rest:
+            leads += [b.plus for b in groebner(rest, order).elements]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
         monomials = _standard_monomials(leads, rows, None)

@@ -28,7 +28,7 @@ from .apery import apery_is_finite, apery_set
 from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
 from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
-from .monoid import _keys, element_from_data, presentation_from_data, validate_reduced
+from .monoid import _integer, _keys, element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
 from .oracle import EnumerationBudget, f_invariants, ideal_members, lset_bruteforce
 from .oracle import monoid_elements, tset_bruteforce
@@ -382,15 +382,26 @@ def _cmd_oracle_check(args):
 
 # --- parser ----------------------------------------------------------------
 
+
+def _integer_flag(raw: str) -> int:
+    """``--limit`` and ``--cap``, read by the library's one integer reader
+    (``monoid._integer``); a refused string is argparse's usage error,
+    exit 2."""
+    try:
+        return _integer(raw)
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # each spec is written once; a row may override some of its fields
 _FLAGS = {
     "--input": {"required": True, "help": "file path or inline JSON"},
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--order": {"default": None, "help": "lex | grevlex | wgrevlex:w1,w2,..."},
-    "--limit": {"type": int, "default": None, "help": "truncation degree for infinite sets"},
+    "--limit": {"type": _integer_flag, "default": None, "help": "truncation degree for infinite sets"},
     "--b": {"required": True, "help": "JSON list of elements (path or inline)"},
     "--minimal": {"action": "store_true", "help": "trim to minimal generators"},
-    "--cap": {"type": int},
+    "--cap": {"type": _integer_flag},
 }
 
 # name, help, handler, flags in help order: a key of _FLAGS or (key, overrides)

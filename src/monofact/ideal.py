@@ -13,9 +13,12 @@ never depends on the packing.  Binomial and BinomialBasis keep tuples.
 
 The pipeline for I_S:
 
-  1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed via an
-     integer kernel of the free rows stacked with torsion rows augmented
-     by their moduli.
+  1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed once per
+     presentation via an integer kernel of the free rows stacked with
+     torsion rows augmented by their moduli.  For the length lift S~ of
+     S (same_length.homogenize) it is read off the basis B of S instead:
+     ker S~ = {gamma in ker S : sum gamma_i = 0} has the basis C B, C a
+     basis of the integer kernel of the one row (sum v for v in B).
   2. lll_reduce: an LLL-reduced basis of the same lattice.  The echelon
      basis has entries as large as the generators; the reduced one has
      small entries, which keeps every saturation pass small.  The change of
@@ -30,7 +33,10 @@ The pipeline for I_S:
      each variable in turn equals quotienting by their product, so one
      sweep over the variables saturates completely.  The sweep skips the
      largest set supp(a) \\ supp(b) over the generators x^a - x^b: the
-     other passes already saturate there (see saturate).
+     other passes already saturate there.  It skips every variable that
+     no generator involves, and a single generator x^a - x^b with
+     disjoint supports, the whole input of a rank-1 lattice, needs no
+     pass at all (see saturate for the proofs).
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -46,8 +52,8 @@ from itertools import count
 from operator import mul
 
 from ._frozen import Frozen, init_field
-from .errors import CrossCheckError, InvalidInput, NotHomogeneous
-from .intlinalg import dot, kernel_basis, lattice_contains, lll_reduce, matrix_rank
+from .errors import InvalidInput, NotHomogeneous
+from .intlinalg import dot, lattice_contains, lll_reduce
 from .monoid import MonoidPresentation, _integers, validate_reduced
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 
@@ -526,30 +532,12 @@ def ideals_equal(basis_a: BinomialBasis, basis_b: BinomialBasis) -> bool:
 
 
 def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
-    """Z-basis of {gamma : sum gamma_i a_i = 0 in Z^m + T}.
-
-    Torsion congruences become exact rows with one auxiliary unknown per
-    modulus; the kernel of the stacked integer matrix projects bijectively
-    onto its first n coordinates.
-    """
-    validate_reduced(p)
-    n = p.n
-    m = p.rank
-    moduli = p.torsion.moduli
-    k = len(moduli)
-    rows = []
-    for d in range(m):
-        rows.append([g.free[d] for g in p.generators] + [0] * k)
-    for j, t in enumerate(moduli):
-        row = [g.torsion[j] for g in p.generators] + [0] * k
-        row[n + j] = t
-        rows.append(row)
-    full = kernel_basis(rows)
-    projected = [tuple(r[:n]) for r in full]
-    free_rows = [[g.free[d] for g in p.generators] for d in range(m)]
-    if len(projected) != n - matrix_rank(free_rows):
-        raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
-    return KernelLattice(tuple(projected), n)
+    """Z-basis of {gamma : sum gamma_i a_i = 0 in Z^m + T}, memoized on
+    the presentation (``MonoidPresentation.kernel``).  The lattice of a
+    lift homogenize(p) is read off the basis of p, so its rows may differ
+    from those of the same S~ built from data; the lattice, and every
+    ideal built from it, is the same."""
+    return KernelLattice(validate_reduced(p).kernel, p.n)
 
 
 def _covered(gens) -> frozenset:
@@ -584,6 +572,13 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
     J being saturated at every variable of b.  Hence J is saturated at
     each j in K, and J = I : (x_1 ... x_n)^infty.  A monomial generator
     supplies no K: the argument needs the other side x^b.
+
+    Two more rules skip passes.  A variable x_i in no generator needs
+    none: I, and so its saturation J at the other variables, is extended
+    from K[x_{-i}], so K[x]/J = (K[x_{-i}]/J_0)[x_i], where x_i divides
+    no zero.  A single binomial x^a - x^b with disjoint supports needs no
+    pass at all: no x_i divides it, so in the factorial ring K[x] it
+    divides g whenever it divides x_i g.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -592,16 +587,20 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
     for b in gens:
         if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
             raise NotHomogeneous("generators are not homogeneous for the given weights")
+    weights = wgrevlex(weights).weights  # read and checked once for every pass
 
     current = [(b.plus, b.minus) for b in gens]
     # quotienting by each variable in turn equals quotienting by their
-    # product, so a single pass saturates completely; covered variables
-    # need none
-    skipped = _covered(gens)
-    for i in range(n):
-        if i in skipped:
-            continue
-        round_order = wgrevlex(weights, perm=cheapest_last(n, i))
+    # product, so a single pass saturates completely; covered and unused
+    # variables need none
+    one = gens[0]
+    if len(gens) == 1 and not one.is_monomial and not any(map(min, one.plus, one.minus)):
+        passes = []
+    else:
+        used = {i for b in gens for side in (b.plus, b.minus or ()) for i, e in enumerate(side) if e}
+        passes = sorted(used - _covered(gens))
+    for i in passes:
+        round_order = TermOrder._made("wgrevlex", weights, cheapest_last(n, i))
         current = _buchberger(current, round_order, n)
         stripped = []
         for lead, tail in current:

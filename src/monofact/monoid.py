@@ -29,8 +29,8 @@ from math import gcd
 from operator import add, index, mul, sub
 
 from ._frozen import Frozen, init_field
-from .errors import DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
-from .intlinalg import adjugate, determinant, dot, matrix_rank, row_echelon
+from .errors import CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
+from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
 
 
@@ -167,11 +167,14 @@ class MonoidPresentation(Frozen):
     generating set is never silently enforced.
     """
 
-    # __dict__ holds the cached_property values; _pointed presets pointing
+    # __dict__ holds the cached_property values; _pointed presets pointing,
+    # and same_length._homogenize sets _base on the lifts it builds
     __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
     torsion: TorsionSpec
     generators: tuple[GroupElement, ...]
+    # the S whose length lift S~ this is, or None (see kernel); not a field
+    _base = None
 
     def __init__(self, rank, torsion, generators):
         if rank < 0:
@@ -247,6 +250,43 @@ class MonoidPresentation(Frozen):
                 "cone of free parts is not pointed", combination=tuple(witness)
             )
         return tuple(w)
+
+    @cached_property
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """A Z-basis of ker(Z^n -> Z^rank + T), gamma -> sum gamma_i a_i,
+        computed once per object.
+
+        Torsion congruences become exact rows with one auxiliary unknown
+        per modulus; the kernel of the stacked integer matrix projects
+        bijectively onto its first n coordinates.  A length lift S~ reads
+        its kernel off that of its ``_base`` S instead: ker S~ is
+        {gamma in ker S : sum gamma_i = 0}, so with B the basis of ker S
+        and C a basis of the integer kernel of the row (sum v for v in B),
+        the rows of C B are a basis of ker S~, B having independent rows.
+        That basis spans the lattice of S~ built from data, not
+        necessarily with the same rows.  Either way the rank is checked
+        against n minus the rank of the free rows.
+        """
+        n, gens = self.n, self.generators
+        base = self._base
+        if base is None:
+            moduli = self.torsion.moduli
+            k = len(moduli)
+            rows = [[g.free[d] for g in gens] + [0] * k for d in range(self.rank)]
+            for j, t in enumerate(moduli):
+                row = [g.torsion[j] for g in gens] + [0] * k
+                row[n + j] = t
+                rows.append(row)
+            basis = [tuple(r[:n]) for r in kernel_basis(rows)]
+        else:
+            b = base.kernel
+            basis = [
+                tuple(sum(c * v[i] for c, v in zip(cs, b)) for i in range(n))
+                for cs in kernel_basis([[sum(v) for v in b]])
+            ]
+        if len(basis) != n - matrix_rank([[g.free[d] for g in gens] for d in range(self.rank)]):
+            raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
+        return tuple(basis)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:

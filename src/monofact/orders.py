@@ -50,6 +50,15 @@ class TermOrder(Frozen):
                 raise InvalidInput("block split must be a nonnegative integer")
         super().__init__(kind, weights, perm, split, inner)
 
+    @classmethod
+    def _made(cls, kind, weights=None, perm=None, split=None, inner=None) -> "TermOrder":
+        """An order from int tuples the library built itself, such as the
+        round orders of ``ideal.saturate``: nothing is read again and
+        nothing is checked."""
+        self = object.__new__(cls)
+        Frozen.__init__(self, kind, weights, perm, split, inner)
+        return self
+
     def rows(self, n: int) -> tuple[tuple[int, ...], ...]:
         """The order's matrix for n variables; raises InvalidInput when the
         order does not fit n variables."""

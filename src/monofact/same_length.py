@@ -96,15 +96,18 @@ def homogenize(p: MonoidPresentation) -> MonoidPresentation:
     the free part.  Always reduced: the new coordinate is a pointing, so
     S~ carries pointing (0, ..., 0, 1) from the start and no LP proves it;
     its generators are distinct and never torsion-only because p, proved
-    reduced first, has none such.  Memoized per presentation in a bounded
-    cache."""
+    reduced first, has none such.  It records p as its base, so its
+    kernel lattice is read off that of p (``MonoidPresentation.kernel``).
+    Memoized per presentation in a bounded cache."""
     return _homogenize(validate_reduced(p))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogenize(p: MonoidPresentation) -> MonoidPresentation:
     gens = tuple(GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
-    return _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,))
+    lifted = _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,))
+    lifted.__dict__["_base"] = p
+    return lifted
 
 
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:

@@ -28,7 +28,7 @@ from monofact.monoid import (
     presentation_from_data,
     validate_reduced,
 )
-from monofact.orders import GREVLEX, LEX, wgrevlex
+from monofact.orders import GREVLEX, LEX, block, wgrevlex
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
 W = wgrevlex((2, 2, 1, 2, 2))
@@ -344,3 +344,51 @@ def test_staircase_walk_matches_an_unpruned_filter(order, p, data):
     assert res.finite == finite
     assert res.limit == (None if finite else limit)
     assert res.elements == tuple(sorted((p.evaluate(e) for e in standard), key=GroupElement.sort_key))
+
+
+def _groebner_route(p, facts, order):
+    """A finite Ap_S(B) as it was built before generator variables were
+    eliminated: the reduced basis of I_S + <x^beta> in full, its standard
+    monomials listed in the box of its pure powers."""
+    gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
+    leads = [b.plus for b in groebner(gens, order).elements]
+    powers = {}
+    for lead in leads:
+        support = [i for i, e in enumerate(lead) if e]
+        if len(support) == 1:
+            i = support[0]
+            powers[i] = min(powers.get(i, lead[i]), lead[i])
+    assert len(powers) == p.n
+    box = product(*(range(powers[i]) for i in range(p.n)))
+    standard = [e for e in box if not any(_divides(lead, e) for lead in leads)]
+    return tuple(sorted((p.evaluate(e) for e in standard), key=GroupElement.sort_key))
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, block(1, LEX, GREVLEX)], ids=["grevlex", "lex", "block"]
+)
+@given(
+    p=st.one_of(_small_presentations(), _rank2_presentations(), _rank2_torsion_presentations()),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_eliminated_generators_match_the_groebner_route(order, p, data):
+    # B = {one generator}, B = every generator (no Buchberger at all), and
+    # generators mixed with other elements, whose factorizations are searched
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    n = p.n
+    one = data.draw(st.integers(0, n - 1))
+    some = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda e: sum(e) >= 2)
+    others = [tuple(e) for e in data.draw(st.lists(exps, min_size=1, max_size=2))]
+    for idxs, extra in (([one], []), (range(n), []), (some, others)):
+        facts = [tuple(int(j == i) for j in range(n)) for i in idxs] + extra
+        elems = [p.evaluate(f) for f in facts]
+        if not apery_is_finite(p, elems):
+            continue
+        res = apery_set(p, elems, order=order)
+        assert res.finite
+        assert res.elements == _groebner_route(p, facts, order)

@@ -3,7 +3,7 @@ shared by every invariant of one presentation."""
 
 import pytest
 
-from monofact import apery, ideal, monoid, same_length
+from monofact import apery, ideal, intlinalg, monoid, same_length
 from monofact.apery import apery_count, apery_set
 from monofact.catenary import ceq
 from monofact.errors import InfiniteSet, InfiniteWithoutLimit, NotReduced
@@ -184,6 +184,49 @@ def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
     assert len(searches) <= 10  # 16 with every absorption searched
 
 
+def test_one_integer_kernel_per_presentation(monkeypatch):
+    # the lift S~ reads its kernel off that of S: the full stacked matrix
+    # (n + k columns) is echelonized once, for S, whichever module calls it
+    p = validate_reduced(
+        presentation_from_data(
+            {"rank": 2, "torsion": [4], "generators": [[-6, -6, 3], [-4, -5, 0], [0, -1, 1], [2, -4, 1]]}
+        )
+    )
+    calls = []
+    real = intlinalg.kernel_basis
+
+    def counting(rows):
+        calls.append([list(r) for r in rows])
+        return real(rows)
+
+    for module in (ideal, monoid, same_length):
+        if hasattr(module, "kernel_basis"):
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    t_set(p)
+    l_set(p)
+    ceq(p)
+    l_set_complement(p, limit=2)
+    stacked = [r for r in calls if len(r[0]) == p.n + len(p.torsion)]
+    assert stacked == [
+        [[-6, -4, 0, 2, 0], [-6, -5, -1, -4, 0], [3, 0, 1, 1, 4]]
+    ]  # rank rows of S, then its torsion row with the modulus
+
+
+def test_saturation_runs_no_pass_it_can_prove_idle(monkeypatch):
+    # <3, 5>: the lattice has rank 1, and the one binomial x1^5 - x2^3 is
+    # saturated as it is; only the final Buchberger run is left.  In the
+    # second, no relation involves x4, and x1 x2 - x3 covers x1 and x2, so
+    # x3 is the one variable with a pass
+    engine = _counting(monkeypatch, ideal, "_buchberger")
+    assert [(b.plus, b.minus) for b in lattice_ideal(numerical([3, 5])).elements] == [
+        ((5, 0), (0, 3))
+    ]
+    assert len(engine) == 1
+    engine.clear()
+    assert len(lattice_ideal(presentation(2, (), [(1, 0), (2, 0), (3, 0), (0, 1)])).elements) == 3
+    assert len(engine) == 2
+
+
 def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     # the Apery cross-check and the ray criterion read one cached cone
     p = validate_reduced(numerical([4, 7, 9]))
@@ -235,3 +278,33 @@ def test_an_infinite_apery_set_without_limit_builds_no_groebner_basis(no_groebne
 def test_an_infinite_apery_count_builds_no_groebner_basis(no_groebner):
     with pytest.raises(InfiniteSet):
         apery_count(RANK2, B3)
+
+
+def test_an_apery_set_of_every_generator_runs_no_buchberger(no_groebner):
+    # x_i is in J for every i: J = <x_1, ..., x_n>, I_S drops out, and the
+    # set is {0}, read off the staircase of the x_i
+    for p in (
+        presentation_from_data(
+            {"rank": 1, "torsion": [3], "generators": [[-4, 2], [-3, 2], [-2, 1], [-1, 1]]}
+        ),
+        numerical([4, 7, 9]),
+        RANK2,
+    ):
+        res = apery_set(p, p.generators)
+        assert res.finite and res.elements == (p.zero(),)
+
+
+def test_a_generator_in_b_leaves_buchberger_its_variable(monkeypatch):
+    # Ap_S(4) in <4, 7, 9>: x1 is in J, so the basis is built for the
+    # images of the I_S binomials under x1 -> 0, in x2 and x3 alone
+    p = numerical([4, 7, 9])
+    gens = []
+    real = apery.groebner
+
+    def recording(elements, order):
+        gens.extend(elements)
+        return real(elements, order)
+
+    monkeypatch.setattr(apery, "groebner", recording)
+    assert [e.free[0] for e in apery_set(p, [4]).elements] == [0, 7, 9, 14]
+    assert gens and all(b.plus[0] == 0 and (b.minus or (0,))[0] == 0 for b in gens)

@@ -142,6 +142,26 @@ def test_non_integer_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", "7", "--cap", "\u0665"),
+        ("oracle-check", "--input", '{"numerical":[3,5,7]}', "--what", "lset", "--cap", "3_0"),
+        ("lset-complement", "--input", '{"numerical":[3,5,7]}', "--limit", "2.0"),
+    ],
+    ids=["non-ascii-cap", "underscore-cap", "decimal-limit"],
+)
+def test_integer_flags_are_read_like_input_data(capsys, argv):
+    # --limit and --cap go through the reader of every other integer, so
+    # "٥" and "3_0" are refused (exit 2) instead of read as 5 and 30
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "expected an integer" in err and "Traceback" not in err
+    assert run(capsys, *argv[:-1], "30" if argv[-2] == "--cap" else "2")[0] == 0
+
+
 def test_closed_form_reads_decimal_strings_like_presentations(capsys):
     # "b":"7" is 7, as a presentation's "7" is; only the reader differs from "b":7
     assert AlmostArithmeticFamily(3, 2, 2, "7") == AlmostArithmeticFamily(3, 2, 2, 7)

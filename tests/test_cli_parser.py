@@ -1,8 +1,10 @@
 """The table-built parser against a frozen copy of the hand-written one.
 
 ``_reference_parser`` is the parser as it was before the subcommands moved
-into one table, kept verbatim apart from the handler prefixes and
-``--order``.  ``closed-form --order`` had no help and then read like every
+into one table, kept verbatim apart from the handler prefixes, ``--order``, and the
+type of ``--limit`` and ``--cap``: argparse's ``int`` there read "٥" as 5
+and "3_0" as 30, and both flags now go through the library's integer
+reader (``cli._integer_flag``), here as in the CLI.  ``closed-form --order`` had no help and then read like every
 other ``--order``; it is gone now, with the ``--order`` of ``tset``,
 ``lset``, ``principal``, ``f2l``, ``ceq`` and ``oracle-check``, whose
 answers no term order changes.  Help texts, argparse errors and parsed namespaces must not
@@ -44,7 +46,7 @@ def _reference_add_common(sp, order=True, limit=False):
     if order:
         sp.add_argument("--order", default=None, help="lex | grevlex | wgrevlex:w1,w2,...")
     if limit:
-        sp.add_argument("--limit", type=int, default=None, help="truncation degree for infinite sets")
+        sp.add_argument("--limit", type=cli._integer_flag, default=None, help="truncation degree for infinite sets")
 
 
 def _reference_parser() -> argparse.ArgumentParser:
@@ -116,7 +118,7 @@ def _reference_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cli._cmd_ceq_element)
     _reference_add_common(sp, order=False)
     sp.add_argument("--b", required=True, help="the element (path or inline JSON)")
-    sp.add_argument("--cap", type=int, default=10**6)
+    sp.add_argument("--cap", type=cli._integer_flag, default=10**6)
 
     sp = sub.add_parser("closed-form", help="family formulas, optionally engine-verified")
     sp.set_defaults(handler=cli._cmd_closed_form)
@@ -134,7 +136,7 @@ def _reference_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cli._cmd_oracle_check)
     _reference_add_common(sp, order=False)
     sp.add_argument("--what", required=True, choices=("lset", "tset", "ceq", "f"))
-    sp.add_argument("--cap", type=int, required=True)
+    sp.add_argument("--cap", type=cli._integer_flag, required=True)
 
     return top
 
@@ -185,6 +187,9 @@ def test_help_matches_the_reference_parser(capsys, argv):
         ["ceq", "--input", "{}", "--order", "lex"],
         ["closed-form", "--family", "almost", "--params", "{}", "--order", "lex"],
         ["oracle-check", "--input", "{}", "--what", "f", "--cap", "9", "--order", "lex"],
+        ["ceq-element", "--input", "{}", "--b", "7", "--cap", "\u0665"],
+        ["oracle-check", "--input", "{}", "--what", "lset", "--cap", "3_0"],
+        ["apery", "--input", "{}", "--b", "[7]", "--limit", " 2"],
     ],
     ids=[
         "no-command",
@@ -204,6 +209,9 @@ def test_help_matches_the_reference_parser(capsys, argv):
         "ceq-order",
         "closed-form-order",
         "oracle-check-order",
+        "non-ascii-cap",
+        "underscore-cap",
+        "padded-limit",
     ],
 )
 def test_argparse_errors_match_the_reference_parser(capsys, argv):

@@ -1,5 +1,7 @@
 """Kernel lattices, Buchberger, saturation, and minimal generators."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +19,10 @@ from monofact.ideal import (
     normal_form,
     saturate,
 )
+from monofact.intlinalg import kernel_basis, lattices_equal, lll_reduce
 from monofact.monoid import numerical, presentation, validate_reduced
 from monofact.orders import GREVLEX, LEX, block, cheapest_last, wgrevlex
+from monofact.same_length import homogenize
 
 
 def test_kernel_lattice_of_357():
@@ -218,21 +222,29 @@ def _reference_saturate(gens, order, weights):
 def _homogeneous_generators(draw):
     """Positive weights w and generators homogeneous for w: binomials built
     from the moves w_j e_i - w_i e_j, some times a common monomial factor,
-    and at times a monomial."""
+    and at times a monomial.  Some draws leave variables out of every
+    generator, and some are one binomial, with disjoint supports or not:
+    the inputs for which saturate skips passes beyond the covered ones."""
     n = draw(st.integers(2, 4))
     w = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    unused = draw(st.sets(st.integers(0, n - 1), max_size=n - 2))
+    live = [i for i in range(n) if i not in unused]
     moves = [
         tuple(w[j] if k == i else -w[i] if k == j else 0 for k in range(n))
-        for i in range(n)
-        for j in range(i + 1, n)
+        for i in live
+        for j in live
+        if i < j
     ]
-    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    single = draw(st.booleans())
+    exps = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda e: [0 if k in unused else a for k, a in enumerate(e)]
+    )
     gens = []
     for coeffs in draw(
         st.lists(
             st.lists(st.integers(-1, 1), min_size=len(moves), max_size=len(moves)),
             min_size=1,
-            max_size=3,
+            max_size=1 if single else 3,
         )
     ):
         u = [sum(c * m[k] for c, m in zip(coeffs, moves)) for k in range(n)]
@@ -243,7 +255,8 @@ def _homogeneous_generators(draw):
                 tuple(max(-a, 0) + c for a, c in zip(u, common)),
             )
         )
-    gens += [Binomial.monomial(e) for e in draw(st.lists(exps.filter(any), max_size=1))]
+    if not single:
+        gens += [Binomial.monomial(e) for e in draw(st.lists(exps.filter(any), max_size=1))]
     return w, gens
 
 
@@ -273,3 +286,60 @@ def test_saturate_matches_the_full_variable_sweep(kind, case):
     for weights in (w, tuple(2 * a for a in w)):
         got = saturate(gens, order, weights=weights)
         assert [(b.plus, b.minus) for b in got.elements] == expected
+
+
+@st.composite
+def _presentations_with_torsion(draw):
+    """Rank 1-2, at most one torsion modulus, 1-5 generators pointed by a
+    drawn functional w: kernels of rank 0 (for S, or only for S~)
+    included."""
+    rank = draw(st.integers(1, 2))
+    moduli = draw(st.lists(st.integers(2, 6), max_size=1))
+    w = draw(st.sampled_from([w for w in product((-1, 0, 1), repeat=rank) if any(w)]))
+    entry = st.tuples(
+        *[st.integers(-5, 6)] * rank, *[st.integers(0, t - 1) for t in moduli]
+    ).filter(lambda g: sum(a * b for a, b in zip(w, g)) >= 1)
+    n = draw(st.sampled_from((5, 4, 3, 2, 1)))
+    gens = draw(st.lists(entry, min_size=n, max_size=n, unique=True))
+    return validate_reduced(presentation(rank, moduli, sorted(gens)))
+
+
+def _stacked_kernel(q):
+    """The kernel of the integer matrix of q's free rows stacked with its
+    torsion rows augmented by their moduli, cut to the n generator
+    coordinates: the route every presentation took before a lift read its
+    kernel off its base."""
+    n, k = q.n, len(q.torsion)
+    rows = [[g.free[d] for g in q.generators] + [0] * k for d in range(q.rank)]
+    for j, t in enumerate(q.torsion.moduli):
+        rows.append([g.torsion[j] for g in q.generators] + [t * (i == j) for i in range(k)])
+    return [r[:n] for r in kernel_basis(rows)]
+
+
+@given(_presentations_with_torsion())
+@settings(max_examples=60, deadline=None)
+def test_the_lifted_kernel_spans_the_kernel_of_the_lifted_matrix(p):
+    # C B, read off the kernel B of S, against the full kernel of S~'s matrix
+    lifted = homogenize(p)
+    derived = kernel_lattice(lifted)
+    direct = _stacked_kernel(lifted)
+    assert derived.nvars == p.n and derived.rank == len(direct)
+    assert lattices_equal([list(v) for v in derived.basis], direct)
+    assert all(sum(v) == 0 and kernel_lattice(p).contains(v) for v in derived.basis)
+
+
+@pytest.mark.parametrize("kind", list(_ORDERS))
+@given(p=_presentations_with_torsion())
+@settings(max_examples=25, deadline=None)
+def test_the_lifted_lattice_ideal_matches_the_stacked_kernel_route(kind, p):
+    # the reduced basis is unique, so the derived kernel must give the basis
+    # the full kernel of S~ gave, saturated at every variable
+    lifted = homogenize(p)
+    order = _ORDERS[kind](p.n)
+    gens = [
+        Binomial(tuple(max(a, 0) for a in g), tuple(max(-a, 0) for a in g))
+        for g in lll_reduce(_stacked_kernel(lifted))
+    ]
+    expected = _reference_saturate(gens, order, lifted.weights)
+    got = lattice_ideal(lifted, order)
+    assert [(b.plus, b.minus) for b in got.elements] == expected

@@ -1,11 +1,13 @@
-"""Term orders reject what their matrix rows cannot represent."""
+"""Term orders reject what their matrix rows cannot represent; the
+orders the library builds itself skip the reader."""
 
 import pytest
 
+from monofact import orders
 from monofact.errors import InvalidInput
-from monofact.ideal import lattice_ideal
+from monofact.ideal import Binomial, lattice_ideal, saturate
 from monofact.monoid import numerical
-from monofact.orders import GREVLEX, LEX, TermOrder, block, lex, parse_order, wgrevlex
+from monofact.orders import GREVLEX, LEX, TermOrder, block, cheapest_last, lex, parse_order, wgrevlex
 
 
 @pytest.mark.parametrize(
@@ -43,3 +45,32 @@ def test_block_split_past_the_variables_is_rejected():
     assert lattice_ideal(numerical([3, 5, 7]), block(3, GREVLEX, LEX)).elements == (
         lattice_ideal(numerical([3, 5, 7]), GREVLEX).elements
     )
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    calls = []
+    real = orders._integers
+
+    def counting(values):
+        calls.append(values)
+        return real(values)
+
+    monkeypatch.setattr(orders, "_integers", counting)
+    return calls
+
+
+def test_a_made_order_is_the_read_order_without_the_reader(reads):
+    made = TermOrder._made("wgrevlex", (5, 3, 2, 7), cheapest_last(4, 2))
+    assert reads == []
+    read = wgrevlex((5, 3, 2, 7), perm=(0, 1, 3, 2))
+    assert made == read and hash(made) == hash(read)
+    assert made.rows(4) == read.rows(4)
+
+
+def test_saturate_reads_its_grading_once(reads):
+    # passes at x_2 and x_3, the variables x1 x4 - x2 x3 leaves uncovered,
+    # and one read of the weights for both
+    gens = [Binomial((1, 0, 0, 1), (0, 1, 1, 0)), Binomial((2, 0, 0, 0), (0, 1, 0, 1))]
+    assert saturate(gens, weights=(1, 1, 1, 1)).order == GREVLEX
+    assert reads == [(1, 1, 1, 1)]
