@@ -2,9 +2,11 @@
 
 Everything here works on plain Python integers, so there is no overflow and
 no rounding anywhere.  The central routine is an integer row echelon form
-obtained by unimodular row operations (Euclidean pivoting); kernels, ranks
-and lattice membership all reduce to it.  ``lll_reduce`` shortens a lattice
-basis without changing the lattice.
+obtained by unimodular row operations (Euclidean pivoting); kernels and
+lattice membership reduce to it, since they need the Z-span of the rows.
+A rank over Q needs no such span, so ``matrix_rank`` and ``determinant``
+use fraction-free Bareiss elimination instead.  ``lll_reduce`` shortens a
+lattice basis without changing the lattice.
 """
 
 from __future__ import annotations
@@ -23,23 +25,23 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
     work = [list(r) for r in rows]
     if not work:
         return [], []
-    ncols = len(work[0])
+    nrows, ncols = len(work), len(work[0])
     limit = ncols if pivot_cols is None else pivot_cols
     pivots = []
     top = 0
     for col in range(limit):
         # Euclid on the entries of this column below `top` until one remains.
         while True:
-            live = [i for i in range(top, len(work)) if work[i][col] != 0]
+            live = [i for i in range(top, nrows) if work[i][col]]
             if len(live) <= 1:
                 break
             live.sort(key=lambda i: abs(work[i][col]))
-            base = live[0]
+            base = work[live[0]]
+            b = base[col]
             for i in live[1:]:
-                q = work[i][col] // work[base][col]
-                if q:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[base])]
-        live = [i for i in range(top, len(work)) if work[i][col] != 0]
+                row = work[i]
+                q = row[col] // b  # nonzero: |row[col]| >= |b|
+                work[i] = [x - q * y for x, y in zip(row, base)]
         if not live:
             continue
         i = live[0]
@@ -56,8 +58,26 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
 
 
 def matrix_rank(rows) -> int:
-    ech, pivots = row_echelon([list(r) for r in rows])
-    return len(pivots)
+    """Rank over Q by fraction-free (Bareiss) elimination: after k pivots
+    every entry below them is a (k+1)-minor of the input (Sylvester's
+    identity), so each update divides exactly by the previous pivot."""
+    work = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        i = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if i is None:
+            continue
+        pivot_row = work[i]
+        work[i] = work[rank]
+        work[rank] = pivot_row
+        pivot = pivot_row[col]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            f = row[col]
+            work[i] = [(x * pivot - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+        rank += 1
+    return rank
 
 
 def kernel_basis(rows) -> list[list[int]]:

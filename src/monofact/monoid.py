@@ -165,10 +165,18 @@ class MonoidPresentation(Frozen):
     first read; every operation that needs a reduced presentation reads it
     (through :func:`validate_reduced` or ``weights``).  Minimality of the
     generating set is never silently enforced.
+
+    The fixed geometry of S is cached on the object, each part built the
+    first time it is read: the pointing (one LP), the kernel lattice, the
+    distinct primitive ``directions`` of the free parts, whether each
+    direction is extremal (one cone LP per direction, and only for the
+    directions asked about, see :meth:`is_extremal`), and the hash that
+    keys the memoized ideals.
     """
 
-    # __dict__ holds the cached_property values; _pointed presets pointing,
-    # and same_length._homogenize sets _base on the lifts it builds
+    # __dict__ holds the cached_property values and the extremality memo;
+    # _pointed presets pointing, and same_length._homogenize sets _base on
+    # the lifts it builds
     __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
     torsion: TorsionSpec
@@ -338,12 +346,42 @@ class MonoidPresentation(Frozen):
         return idxs, rows, us, s, adj, det, checks
 
     @cached_property
+    def directions(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct primitive vectors of the nonzero free parts, in
+        generator order: the directions that may span extremal rays."""
+        return tuple(dict.fromkeys(primitive(g.free) for g in self.generators if any(g.free)))
+
+    def is_extremal(self, direction: tuple[int, ...]) -> bool:
+        """Whether ``direction``, one of ``directions``, spans an extremal
+        ray of the cone of the free parts.  One LP decides it the first
+        time it is asked on this object; the answer is kept."""
+        memo = self.__dict__.setdefault("_extremal", {})
+        if direction not in memo:
+            memo[direction] = _is_extremal(self.directions, direction)
+        return memo[direction]
+
+    @cached_property
     def cone(self) -> tuple[tuple[int, ...], ...]:
-        """The extremal rays of the cone of the free parts, computed once."""
-        return extremal_rays([g.free for g in self.generators])
+        """The extremal rays of the cone of the free parts, sorted."""
+        return tuple(sorted(d for d in self.directions if self.is_extremal(d)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rank, self.torsion, self.generators))
 
     def weight_of(self, x: GroupElement) -> int:
         return dot(self.pointing, x.free)
+
+
+def _presentation_hash(self: MonoidPresentation) -> int:
+    """The hash of the fields, computed once per object: a presentation
+    keys the memoized ideals of a session and is hashed on every lookup."""
+    return self._hash
+
+
+# Frozen.__init_subclass__ installs the field hash over any __hash__ of the
+# class body, so this one goes in after the class is built
+MonoidPresentation.__hash__ = _presentation_hash
 
 
 def _integer(value) -> int:
@@ -487,13 +525,18 @@ def extremal_rays(vectors) -> tuple[tuple[int, ...], ...]:
     """Extremal rays of the cone spanned by ``vectors`` (assumed pointed),
     primitive and sorted.
 
-    A direction is extremal iff its primitive vector is not a nonnegative
-    combination of the vectors pointing elsewhere.  A vector spans the same
-    ray as its primitive, so each LP runs over the distinct primitives.
+    A vector spans the same ray as its primitive, so each LP runs over the
+    distinct primitives (see ``_is_extremal``).
     """
-    prims = list(dict.fromkeys(primitive(v) for v in vectors if any(v)))
-    rays = [pv for pv in prims if not in_cone([q for q in prims if q != pv], pv)]
-    return tuple(sorted(rays))
+    prims = tuple(dict.fromkeys(primitive(v) for v in vectors if any(v)))
+    return tuple(sorted(pv for pv in prims if _is_extremal(prims, pv)))
+
+
+def _is_extremal(prims, direction) -> bool:
+    """Whether ``direction``, one of the distinct primitive vectors
+    ``prims`` of a pointed cone, spans an extremal ray of their cone: it
+    is not a nonnegative combination of the others."""
+    return not in_cone([q for q in prims if q != direction], direction)
 
 
 def cones_equal(p: MonoidPresentation, elements) -> bool:
@@ -507,10 +550,14 @@ def cones_equal(p: MonoidPresentation, elements) -> bool:
 
 def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ...]:
     """The extremal rays of the cone of S that carry the free part of no
-    element of ``elements``."""
+    element of ``elements``, sorted.  Only the generator directions that B
+    leaves uncovered are tested for extremality, so a B that covers all of
+    them solves no LP."""
     validate_reduced(p)
-    directions = {primitive(b.free) for b in elements if any(a != 0 for a in b.free)}
-    return tuple(ray for ray in p.cone if ray not in directions)
+    covered = {primitive(b.free) for b in elements if any(b.free)}
+    return tuple(
+        sorted(d for d in p.directions if d not in covered and p.is_extremal(d))
+    )
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):

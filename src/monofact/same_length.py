@@ -199,15 +199,17 @@ def l_set_complement(
 def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     """Ray criterion: finite iff every extremal ray of the cone of S
     carries two generators with equal free parts (2.a) or three
-    generators (2.b).  No ideal computation involved."""
+    generators (2.b).  No ideal computation involved, and extremality is
+    tested only for the directions that carry neither."""
     validate_reduced(p)
-    for ray in p.cone:
-        on_ray = [g for g in p.generators if primitive(g.free) == ray]
+    for d in p.directions:
+        on_ray = [g for g in p.generators if primitive(g.free) == d]
         if len(on_ray) >= 3:
             continue
         if len(on_ray) == 2 and on_ray[0].free == on_ray[1].free:
             continue
-        return False
+        if p.is_extremal(d):
+            return False
     return True
 
 

@@ -3,7 +3,7 @@ shared by every invariant of one presentation."""
 
 import pytest
 
-from monofact import apery, ideal, intlinalg, monoid, same_length
+from monofact import apery, ideal, intlinalg, monoid, ratlp, same_length
 from monofact.apery import apery_count, apery_set
 from monofact.catenary import ceq
 from monofact.errors import InfiniteSet, InfiniteWithoutLimit, NotReduced
@@ -228,14 +228,39 @@ def test_saturation_runs_no_pass_it_can_prove_idle(monkeypatch):
 
 
 def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
-    # the Apery cross-check and the ray criterion read one cached cone
+    # the Apery cone test and cross-check, the ray criterion and the cone
+    # read one extremality memo: at most one LP per distinct generator
+    # direction of a presentation object, and none for a covered direction
+    lps = _counting(monkeypatch, monoid, "_is_extremal")
     p = validate_reduced(numerical([4, 7, 9]))
-    rays = _counting(monkeypatch, monoid, "extremal_rays")
     assert apery_set(p, [4]).count == 4
     assert apery_set(p, [16]).finite
     assert l_set_complement_is_finite(p)
-    assert len(rays) == 1
+    assert lps == []  # B covers (1,), and three generators lie on it
+    assert p.cone == ((1,),)
+    assert len(lps) == 1
+    lps.clear()
+    q = validate_reduced(presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)]))
+    b = [[3, 6], [4, 4], [9, 6]]  # covers (1, 2), (1, 1) and (3, 2) only
+    assert not apery_set(q, b, limit=2).finite
+    assert apery_set(q, b + [[0, 2], [4, 2]]).finite
+    assert not l_set_complement_is_finite(q)
+    assert q.cone == ((0, 1), (2, 1))
+    asked = [direction for _, direction in lps]
+    assert len(asked) == len(set(asked)) == len(q.directions)
 
+
+def test_an_apery_set_over_every_generator_solves_no_lp(monkeypatch):
+    # B covers every generator direction, so no extremality is asked;
+    # the pointing LP is solved before the count starts
+    p = validate_reduced(
+        presentation_from_data(
+            {"rank": 2, "torsion": [5], "generators": [[-5, -3, 3], [2, -3, 3], [5, -5, 3], [6, -4, 0]]}
+        )
+    )
+    lps = _counting(monkeypatch, ratlp, "solve_nonneg")
+    assert apery_set(p, p.generators).finite
+    assert lps == []
 
 
 @pytest.fixture

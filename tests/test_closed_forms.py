@@ -1,6 +1,6 @@
 """Closed-form family formulas, checked against the engine throughout."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -25,6 +25,8 @@ from monofact.closed_forms import (
 from monofact.errors import HypothesisViolated, InvalidInput, InvalidScalar, PreconditionFailed
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import numerical, presentation
+from monofact.oracle import EnumerationBudget, f_invariants
+from monofact.same_length import f2l, gaps, integers_outside_l_set, is_l_set_principal, l_set
 
 
 def test_arithmetic_lset():
@@ -152,23 +154,59 @@ def test_unique_betti_shift_multipliers():
     assert ceq_unique_betti_shift(ub, verified=True) == 7
 
 
+def _unique_betti_grid(bs, ts, multipliers=False):
+    """Every valid family with b in ``bs``, t in ``ts`` and c a strictly
+    decreasing pair or triple from 7..1; the default f, or with
+    ``multipliers`` every f from 1..6 but the default."""
+    families = []
+    for b in bs:
+        for t in ts:
+            for c in [*combinations(range(7, 0, -1), 2), *combinations(range(7, 0, -1), 3)]:
+                fs = [None]
+                if multipliers:
+                    fs = [f for f in product(range(1, 7), repeat=len(c) - 1) if set(f) != {1}]
+                for f in fs:
+                    try:
+                        families.append(UniqueBettiShiftFamily(b, t, c, f))
+                    except HypothesisViolated:
+                        pass
+    return families
+
+
 def test_unique_betti_shift_matches_the_engine_on_the_grid():
     """b in 3..15, t in 1..3 and c every strictly decreasing pair or triple
     from 7..1: L_S and c_eq from the formulas agree with the engine on
     every valid family.  Budget 5 s; the 584 families take about 1 s on 2
     vCPUs with Python 3.11."""
-    families = []
-    for b in range(3, 16):
-        for t in range(1, 4):
-            for c in [*combinations(range(7, 0, -1), 2), *combinations(range(7, 0, -1), 3)]:
-                try:
-                    families.append(UniqueBettiShiftFamily(b, t, c))
-                except HypothesisViolated:
-                    pass
+    families = _unique_betti_grid(range(3, 16), range(1, 4))
     assert len(families) == 584
     for f in families:
         lset_unique_betti_shift(f, verified=True)
         ceq_unique_betti_shift(f, verified=True)
+
+
+def test_a_principal_l_set_shifts_the_frobenius_number_on_the_grid():
+    """The paper's result (3) on the 584 families of the grid above: L_S
+    is principal, L_S = g + S, so F_2l = g + F(S), and the integers
+    outside L_S are [0, g) together with g + gaps(S)."""
+    for f in _unique_betti_grid(range(3, 16), range(1, 4)):
+        p = f.presentation()
+        g = is_l_set_principal(p).free[0]
+        holes = gaps(f.generators)
+        assert f2l(p) == g + max(holes)
+        assert integers_outside_l_set(p) == tuple(range(g)) + tuple(g + x for x in holes)
+
+
+def test_f2l_matches_the_oracle_on_families_with_multipliers():
+    """With some f_i > 1, L_S need not be principal (5 of these 136
+    families): F_2l from the residue bounds agrees with the brute-force
+    oracle, whose weight cap 1000 is above every F_2l here."""
+    families = _unique_betti_grid(range(3, 8), (1, 2), multipliers=True)
+    assert len(families) == 136
+    assert sum(not l_set(f.presentation()).is_principal for f in families) == 5
+    for f in families:
+        p = f.presentation()
+        assert f2l(p) == f_invariants(p, 2, True, EnumerationBudget(1000))
 
 
 def test_unique_betti_shift_rejects_bad_data():

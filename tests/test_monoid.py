@@ -31,6 +31,7 @@ from monofact.monoid import (
     presentation_from_data,
     primitive,
     require_member,
+    uncovered_rays,
     validate_reduced,
 )
 from monofact.oracle import EnumerationBudget, monoid_elements
@@ -306,6 +307,50 @@ def _pointed_vectors_with_repeats(draw):
 @settings(max_examples=60, deadline=None)
 def test_extremal_rays_match_one_lp_per_vector(vectors):
     assert extremal_rays(vectors) == _extremal_rays_one_lp_per_vector(vectors)
+
+
+@st.composite
+def _pointed_presentations_and_b(draw):
+    # rank 1-3 free parts positive on a drawn functional, then positive
+    # multiples of some (parallel directions), copies with another torsion
+    # residue (repeated free parts) and B: some generator multiples and
+    # some free vectors on no generator direction, zero ones included
+    rank = draw(st.integers(1, 3))
+    w = draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+    moduli = draw(st.sampled_from([(), (2,), (3,), (2, 3)]))
+    frees = draw(
+        st.lists(
+            st.tuples(*[st.integers(-3, 3)] * rank).filter(
+                lambda v: sum(a * b for a, b in zip(w, v)) >= 1
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.tuples(st.sampled_from(frees), st.integers(1, 3)), max_size=3))
+    frees += [tuple(k * a for a in v) for v, k in picks]
+    gens = [v + tuple(draw(st.integers(0, t - 1)) for t in moduli) for v in frees]
+    p = validate_reduced(presentation(rank, moduli, sorted(set(gens))))
+    b = [
+        p.element(tuple(k * a for a in g.free), g.torsion)
+        for g, k in draw(st.lists(st.tuples(st.sampled_from(p.generators), st.integers(1, 3)), max_size=4))
+    ]
+    others = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rank), max_size=2))
+    b += [p.element(v, (0,) * len(moduli)) for v in others]
+    return p, draw(st.permutations(b))
+
+
+@example((validate_reduced(presentation(2, (), [(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)])), []))
+@given(_pointed_presentations_and_b())
+@settings(max_examples=80, deadline=None)
+def test_uncovered_rays_match_extremal_rays_filtered_by_b(case):
+    # the definition before extremality was decided per uncovered
+    # direction: every extremal ray of the generators, minus B's directions
+    p, b = case
+    covered = {primitive(e.free) for e in b if any(e.free)}
+    rays = extremal_rays([g.free for g in p.generators])
+    assert uncovered_rays(p, b) == tuple(r for r in rays if r not in covered)
+    assert p.cone == rays
 
 
 def test_cones_equal_checks_ray_coverage():

@@ -208,6 +208,36 @@ def test_gaps():
     assert gaps(["3", 5]) == (1, 2, 4, 7)
 
 
+@st.composite
+def _numerical_values(draw):
+    # 2-5 distinct generators up to 60 with gcd 1; some are a m - 1 or
+    # a m - 3 for the smallest a, the steps -1 and -3 mod a that move the
+    # relaxation's bound down one residue class per sweep
+    a = draw(st.integers(2, 30))
+    values = {a, *draw(st.lists(st.integers(a + 1, 60), max_size=4))}
+    for k in draw(st.lists(st.sampled_from([1, 3]), max_size=2)):
+        values.add(a * draw(st.integers(2, 61 // a)) - k)
+    values = sorted(v for v in values if a <= v <= 60)[:5]
+    assume(len(values) >= 2 and gcd(*values) == 1)
+    return values
+
+
+@given(_numerical_values())
+@settings(max_examples=150, deadline=None)
+def test_apery_residues_are_the_least_members_of_their_classes(values):
+    # the membership search is an oracle independent of the relaxation:
+    # w_r lies in S, and since S + a lies in S, w_r - a outside S (or
+    # negative) means no smaller x = r mod a lies in S
+    w = same_length._apery_residues(values)
+    p = numerical(values)
+    a = values[0]
+    assert len(w) == a
+    for r, x in enumerate(w):
+        assert x % a == r
+        assert member(p, p.element((x,))) is not None
+        assert x < a or member(p, p.element((x - a,))) is None
+
+
 def test_f2l_needs_numerical_gcd_one():
     with pytest.raises(InvalidInput):
         f2l(presentation(2, (), [(1, 0), (0, 1), (1, 1)]))
