@@ -19,6 +19,9 @@ the field names :class:`Frozen` also builds, once per class:
 
 Assigning or deleting an attribute raises ``AttributeError``;
 :data:`init_field` stores a field past that guard.
+
+:class:`computed_once` caches a derived value in the ``__dict__`` of a
+subclass that keeps one.
 """
 
 from operator import attrgetter
@@ -85,3 +88,31 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class computed_once:
+    """A method read as an attribute whose value is computed on the first
+    read and kept in the instance ``__dict__`` under the same name.
+
+    ``functools.cached_property`` does the same, but before Python 3.12 it
+    takes a lock on every first read, which costs a small object more than
+    many of its values take to compute.  This one takes none: two threads
+    may both compute a first value, and the one stored last wins.  It is a
+    non-data descriptor, so a value already in ``__dict__`` (stored there
+    before the first read, or by that read) is found ahead of it, and a
+    computation that raises stores nothing.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value

@@ -30,9 +30,9 @@ reduced basis of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a basis of
 J' involves x_U, and x_u is coprime to every lead, so the reduced basis of
 J is {x_u : u in U} together with the reduced basis of J'.  Buchberger runs
 on J' only, and not at all when J' = 0: for B holding every generator, each
-side of each I_S binomial involves x_U, and its image is 0.  The finite
-branch builds its leads this way, and the cone test and the pure-power
-check run on them as on any others.
+side of each I_S binomial involves x_U, and its image is 0, so I_S is not
+even read.  The finite branch builds its leads this way, and the cone test
+and the pure-power check run on them as on any others.
 
 The walk carries each monomial's degree as a flat row (free coordinates,
 then unreduced torsion residues): a child's degree is its parent's plus
@@ -155,7 +155,9 @@ def _standard_monomials(leads, rows, limit, outside=None):
 def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     """The staircase side of an infinite Ap_S(B): some extremal ray rho of
     the cone of S carries no b, and every such ray carries a generator x_i
-    with no pure power among ``leads``, the leads of the I_S basis.
+    with no pure power among ``leads``, the leads of the I_S basis.  Each
+    ray ``uncovered_rays`` names is checked against the free parts of B
+    here, since the second condition holds on covered rays as well.
 
     Why this must hold: rho is a face, so a functional that vanishes on rho
     and is positive on the rest of the cone shows that every factorization
@@ -167,35 +169,46 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     Krull dimension 1 and with the infinite basis S_rho.
     """
     rays = uncovered_rays(p, elems)
+    covered = {primitive(b.free) for b in elems}
     powers = _pure_power_variables(leads)
     return bool(rays) and all(
-        any(primitive(g.free) == ray and i not in powers for i, g in enumerate(p.generators))
+        ray not in covered
+        and any(primitive(g.free) == ray and i not in powers for i, g in enumerate(p.generators))
         for ray in rays
     )
 
 
-def _eliminated(n, facts, basis):
+def _eliminated(p, facts, order):
     """Split J = I_S + <x^beta> by the set U of variables x_u with u the
     factorization of some b.  Returns the leads x_u, and generators of
     J': the images under x_U -> 0 of the other x^beta and of the reduced
-    I_S ``basis``, monomials first, so that the binomials, reduced among
-    themselves, never re-form their own S-pairs.  See the module
-    docstring for why the reduced basis of J is the x_u together with
-    that of J'."""
+    basis of I_S under ``order``, monomials first, so that the binomials,
+    reduced among themselves, never re-form their own S-pairs.  See the
+    module docstring for why the reduced basis of J is the x_u together
+    with that of J'.  When U holds every variable, J' = 0 and I_S is not
+    read: no side of an I_S binomial is 1, S being reduced."""
+    n = p.n
     units = {f.index(1) for f in facts if sum(f) == 1}
-    leads = [tuple(int(j == u) for j in range(n)) for u in sorted(units)]
+    leads = [_unit(n, u) for u in sorted(units)]
+    if len(units) == n:
+        return leads, []
 
     def kept(v):
         return not any(v[u] for u in units)
 
     monomials = [f for f in facts if kept(f)]
     binomials = []
-    for b in basis:
+    for b in lattice_ideal(p, order).elements:
         if kept(b.plus) and kept(b.minus):
             binomials.append(b)
         elif kept(b.plus) or kept(b.minus):
             monomials.append(b.plus if kept(b.plus) else b.minus)
     return leads, [_stored(m, None) for m in monomials] + binomials
+
+
+def _unit(n, i) -> tuple[int, ...]:
+    """The exponent vector of x_i among n variables."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def _resolve_b(p, elements, factorizations):
@@ -216,7 +229,7 @@ def _resolve_b(p, elements, factorizations):
             if i is None:
                 facts.append(tuple(require_member(p, elem)))
             else:
-                facts.append(tuple(int(j == i) for j in range(p.n)))
+                facts.append(_unit(p.n, i))
     else:
         if len(factorizations) != len(elems):
             raise InvalidInput("one factorization per element required")
@@ -263,7 +276,7 @@ def apery_set(
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None
-        leads, rest = _eliminated(p.n, facts, lattice_ideal(p, order).elements)
+        leads, rest = _eliminated(p, facts, order)
         if rest:
             leads += [b.plus for b in groebner(rest, order).elements]
         if len(_pure_power_variables(leads)) != p.n:

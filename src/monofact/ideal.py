@@ -36,7 +36,9 @@ The pipeline for I_S:
      other passes already saturate there.  It skips every variable that
      no generator involves, and a single generator x^a - x^b with
      disjoint supports, the whole input of a rank-1 lattice, needs no
-     pass at all (see saturate for the proofs).
+     pass at all (see saturate for the proofs).  Its final Buchberger run
+     is no run either: a principal ideal is its own reduced basis, so one
+     generator comes back oriented under the order, with no engine loop.
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -383,11 +385,26 @@ def _buchberger(pairs, order, n):
 
     Elements are pairs (a, b) of exponent vectors for x^a - x^b, b None for
     the monomial x^a, in either orientation.  The result is (lead, tail)
-    pairs sorted by lead in ``order``.
+    pairs sorted by lead in ``order``.  One generator is its own reduced
+    basis, oriented (see ``_principal``).
     """
     if not pairs:
         return []
+    if len(pairs) == 1:
+        return _widening(pairs, order, n, _principal)
     return _widening(pairs, order, n, _buchberger_packed)
+
+
+def _principal(lay: _Layout, elements):
+    """The reduced basis of one generator: itself with its larger term
+    leading, and nothing for a zero binomial.  No tail term of x^a - x^b,
+    a > b, is a multiple of the lead, a multiple never being smaller, so
+    nothing reduces it."""
+    (el,) = elements
+    if el is None:
+        return []
+    lead, tail = el
+    return [(lay.unpack(lead), None if tail is None else lay.unpack(tail))]
 
 
 def _buchberger_packed(lay: _Layout, elements):

@@ -4,6 +4,9 @@ Everything here works on plain Python integers, so there is no overflow and
 no rounding anywhere.  The central routine is an integer row echelon form
 obtained by unimodular row operations (Euclidean pivoting); kernels and
 lattice membership reduce to it, since they need the Z-span of the rows.
+Each pivot column is cleared in one sweep: the rows live in that column
+are found once, and a Euclid round hands on only the rows it left
+nonzero there, since a row that reaches zero is never touched again.
 A rank over Q needs no such span, so ``matrix_rank`` and ``determinant``
 use fraction-free Bareiss elimination instead.  ``lll_reduce`` shortens a
 lattice basis without changing the lattice.
@@ -30,11 +33,11 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
     pivots = []
     top = 0
     for col in range(limit):
-        # Euclid on the entries of this column below `top` until one remains.
-        while True:
-            live = [i for i in range(top, nrows) if work[i][col]]
-            if len(live) <= 1:
-                break
+        # Euclid on the entries of this column below `top` until one remains;
+        # a row that reaches zero there stays zero, so each round takes only
+        # the rows the last one left nonzero, in index order for the stable sort
+        live = [i for i in range(top, nrows) if work[i][col]]
+        while len(live) > 1:
             live.sort(key=lambda i: abs(work[i][col]))
             base = work[live[0]]
             b = base[col]
@@ -42,6 +45,7 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
                 row = work[i]
                 q = row[col] // b  # nonzero: |row[col]| >= |b|
                 work[i] = [x - q * y for x, y in zip(row, base)]
+            live = sorted(i for i in live if work[i][col])
         if not live:
             continue
         i = live[0]
@@ -50,6 +54,8 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
             work[top] = [-a for a in work[top]]
         pivots.append(col)
         top += 1
+        if top == nrows:  # every row holds a pivot
+            break
     # Drop all-zero rows beyond the echelon body only when every column was
     # eligible; with restricted pivots the tail rows carry information.
     if pivot_cols is None:
@@ -62,21 +68,26 @@ def matrix_rank(rows) -> int:
     every entry below them is a (k+1)-minor of the input (Sylvester's
     identity), so each update divides exactly by the previous pivot."""
     work = [list(r) for r in rows]
+    nrows = len(work)
     rank, prev = 0, 1
     for col in range(len(work[0]) if work else 0):
-        i = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if i is None:
+        for i in range(rank, nrows):
+            if work[i][col]:
+                break
+        else:
             continue
         pivot_row = work[i]
         work[i] = work[rank]
         work[rank] = pivot_row
         pivot = pivot_row[col]
-        for i in range(rank + 1, len(work)):
+        for i in range(rank + 1, nrows):
             row = work[i]
             f = row[col]
             work[i] = [(x * pivot - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
         rank += 1
+        if rank == nrows:  # every row holds a pivot
+            break
     return rank
 
 
@@ -92,11 +103,12 @@ def kernel_basis(rows) -> list[list[int]]:
         return []
     nrows = len(rows)
     ncols = len(rows[0])
-    aug = []
-    for j in range(ncols):
-        aug.append([rows[i][j] for i in range(nrows)] + [1 if k == j else 0 for k in range(ncols)])
+    aug = [
+        list(column) + [0] * j + [1] + [0] * (ncols - j - 1)
+        for j, column in enumerate(zip(*rows))
+    ]
     ech, pivots = row_echelon(aug, pivot_cols=nrows)
-    tails = [r[nrows:] for r in ech if all(a == 0 for a in r[:nrows])]
+    tails = [r[nrows:] for r in ech if not any(r[:nrows])]
     basis, _ = row_echelon(tails)
     return basis
 

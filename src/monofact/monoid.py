@@ -24,11 +24,10 @@ nothing here floats.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd
 from operator import add, index, mul, sub
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen, computed_once, init_field
 from .errors import CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
 from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
@@ -150,10 +149,8 @@ class Factorization(Frozen):
 
 
 def primitive(vector) -> tuple[int, ...]:
-    g = 0
-    for a in vector:
-        g = gcd(g, a)
-    if g == 0:
+    g = gcd(*vector)
+    if g <= 1:  # 0 for the zero vector
         return tuple(vector)
     return tuple(a // g for a in vector)
 
@@ -174,7 +171,7 @@ class MonoidPresentation(Frozen):
     keys the memoized ideals.
     """
 
-    # __dict__ holds the cached_property values and the extremality memo;
+    # __dict__ holds the computed_once values and the extremality memo;
     # _pointed presets pointing, and same_length._homogenize sets _base on
     # the lifts it builds
     __slots__ = ("rank", "torsion", "generators", "__dict__")
@@ -221,16 +218,19 @@ class MonoidPresentation(Frozen):
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n:
             raise DimensionMismatch("coefficient vector has wrong length")
-        flat = [
-            sum(c * a for c, a in zip(coeffs, column))
-            for column in zip(*(g.free + g.torsion for g in self.generators))
-        ]
+        flat = [sum(map(mul, coeffs, column)) for column in self._columns]
         moduli = self.torsion.moduli
         return GroupElement._made(
             tuple(flat[: self.rank]), _reduced(flat[self.rank :], moduli), moduli
         )
 
-    @cached_property
+    @computed_once
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The flat [free..., torsion...] rows of the generators, transposed:
+        one tuple per coordinate, read by ``evaluate``."""
+        return tuple(zip(*(g.free + g.torsion for g in self.generators)))
+
+    @computed_once
     def pointing(self) -> tuple[int, ...]:
         """A pointing vector w, with w . pi(g) >= 1 for every generator g;
         computing it proves the presentation reduced.
@@ -259,7 +259,7 @@ class MonoidPresentation(Frozen):
             )
         return tuple(w)
 
-    @cached_property
+    @computed_once
     def kernel(self) -> tuple[tuple[int, ...], ...]:
         """A Z-basis of ker(Z^n -> Z^rank + T), gamma -> sum gamma_i a_i,
         computed once per object.
@@ -296,12 +296,12 @@ class MonoidPresentation(Frozen):
             raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
         return tuple(basis)
 
-    @cached_property
+    @computed_once
     def weights(self) -> tuple[int, ...]:
         w = self.pointing
         return tuple(dot(w, g.free) for g in self.generators)
 
-    @cached_property
+    @computed_once
     def _search_plan(self) -> tuple:
         """What ``_search_flat`` reads of the generators, built once.
 
@@ -345,7 +345,7 @@ class MonoidPresentation(Frozen):
         ]
         return idxs, rows, us, s, adj, det, checks
 
-    @cached_property
+    @computed_once
     def directions(self) -> tuple[tuple[int, ...], ...]:
         """The distinct primitive vectors of the nonzero free parts, in
         generator order: the directions that may span extremal rays."""
@@ -360,12 +360,12 @@ class MonoidPresentation(Frozen):
             memo[direction] = _is_extremal(self.directions, direction)
         return memo[direction]
 
-    @cached_property
+    @computed_once
     def cone(self) -> tuple[tuple[int, ...], ...]:
         """The extremal rays of the cone of the free parts, sorted."""
         return tuple(sorted(d for d in self.directions if self.is_extremal(d)))
 
-    @cached_property
+    @computed_once
     def _hash(self) -> int:
         return hash((self.rank, self.torsion, self.generators))
 

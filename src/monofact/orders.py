@@ -23,13 +23,14 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from ._frozen import Frozen
+from ._frozen import Frozen, init_field
 from .errors import InvalidInput
 from .monoid import _integer, _integers
 
 
 class TermOrder(Frozen):
-    __slots__ = ("kind", "weights", "perm", "split", "inner")
+    # _hash is not a field: the hash of the fields, stored on first use
+    __slots__ = ("kind", "weights", "perm", "split", "inner", "_hash")
     kind: str
     weights: tuple[int, ...] | None
     perm: tuple[int, ...] | None
@@ -73,6 +74,23 @@ class TermOrder(Frozen):
         if self.kind == "block":
             return f"block:{self.split}:{self.inner[0].describe()}:{self.inner[1].describe()}"
         return self.kind
+
+
+def _order_hash(self: TermOrder) -> int:
+    """The hash of the fields, computed once per object: an order keys the
+    memoized ideals, layouts and matrix rows, and is hashed on every
+    lookup."""
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash((self.kind, self.weights, self.perm, self.split, self.inner))
+        init_field(self, "_hash", value)
+        return value
+
+
+# Frozen.__init_subclass__ installs the field hash over any __hash__ of the
+# class body, so this one goes in after the class is built
+TermOrder.__hash__ = _order_hash
 
 
 # a session uses a few dozen (order, n) pairs: saturation builds one order

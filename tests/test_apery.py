@@ -261,6 +261,16 @@ def test_a_cone_verdict_the_staircase_contradicts_raises(
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_covered_ray_called_uncovered_raises(monkeypatch):
+    # B = [3] covers the one ray of <3, 5, 7>; a cone test that lies on
+    # both counts must still be caught by the truncated path's check
+    p = numerical([3, 5, 7])
+    monkeypatch.setattr(apery, "cones_equal", lambda p, elements: False)
+    monkeypatch.setattr(apery, "uncovered_rays", lambda p, elements: ((1,),))
+    with pytest.raises(CrossCheckError):
+        apery_set(p, [3], limit=3)
+
+
 def test_an_uncovered_ray_bounded_in_the_staircase_raises(monkeypatch):
     # the truncated path's check needs some generator on each uncovered ray
     # without a pure-power lead in the I_S basis

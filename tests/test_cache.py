@@ -319,6 +319,20 @@ def test_an_apery_set_of_every_generator_runs_no_buchberger(no_groebner):
         assert res.finite and res.elements == (p.zero(),)
 
 
+def test_an_apery_set_of_every_generator_reads_no_lattice_ideal(monkeypatch):
+    # J = <x_1, ..., x_n> whatever I_S is, so a fresh presentation never
+    # has its I_S built; the cone verdict and the walk still run
+    built = _counting(monkeypatch, ideal, "_lattice_ideal")
+    for data in (
+        {"rank": 2, "torsion": [5], "generators": [[-5, -3, 3], [2, -3, 3], [5, -5, 3], [6, -4, 0]]},
+        {"numerical": [4, 7, 9]},
+    ):
+        p = presentation_from_data(data)
+        res = apery_set(p, p.generators)
+        assert res.finite and res.elements == (p.zero(),)
+    assert built == []
+
+
 def test_a_generator_in_b_leaves_buchberger_its_variable(monkeypatch):
     # Ap_S(4) in <4, 7, 9>: x1 is in J, so the basis is built for the
     # images of the I_S binomials under x1 -> 0, in x2 and x3 alone

@@ -10,6 +10,8 @@ from monofact.ideal import (
     Binomial,
     BinomialBasis,
     _buchberger,
+    _buchberger_packed,
+    _widening,
     groebner,
     ideals_equal,
     in_ideal,
@@ -343,3 +345,37 @@ def test_the_lifted_lattice_ideal_matches_the_stacked_kernel_route(kind, p):
     expected = _reference_saturate(gens, order, lifted.weights)
     got = lattice_ideal(lifted, order)
     assert [(b.plus, b.minus) for b in got.elements] == expected
+
+
+@st.composite
+def _one_generator(draw):
+    """One pair (a, b) of exponent vectors on 1-4 variables: a binomial
+    with or without a common factor, a zero binomial or a monomial, in
+    either orientation, its exponents at times past the first packing
+    width."""
+    n = draw(st.integers(1, 4))
+    exp = st.one_of(st.integers(0, 3), st.integers(250, 300), st.integers(2**20, 2**20 + 3))
+    a = tuple(draw(st.lists(exp, min_size=n, max_size=n)))
+    shape = draw(st.sampled_from(["binomial", "common", "zero", "monomial"]))
+    if shape == "monomial":
+        return (a, None), n
+    if shape == "zero":
+        return (a, a), n
+    b = tuple(draw(st.lists(exp, min_size=n, max_size=n)))
+    if shape == "binomial":  # disjoint supports
+        a, b = (
+            tuple(x if x > y else 0 for x, y in zip(a, b)),
+            tuple(y if y >= x else 0 for x, y in zip(a, b)),
+        )
+    return (a, b), n
+
+
+@pytest.mark.parametrize("kind", list(_ORDERS))
+@given(case=_one_generator())
+@settings(max_examples=60, deadline=None)
+def test_one_generator_is_the_engines_reduced_basis(kind, case):
+    # a principal ideal skips the engine loop: the pair comes back
+    # oriented exactly as the full Buchberger run leaves it
+    pair, n = case
+    order = _ORDERS[kind](n)
+    assert _buchberger([pair], order, n) == _widening([pair], order, n, _buchberger_packed)

@@ -2,7 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -254,6 +254,18 @@ def test_group_element_arithmetic_reduces_torsion():
     assert (2 * a).torsion == (0,)
     with pytest.raises(DimensionMismatch):
         a + GroupElement((1, 1))
+
+
+@example([0, 0])
+@example([-4, 6, 0])
+@example([7])
+@given(st.lists(st.one_of(st.integers(-12, 12), st.integers(-(10**20), 10**20)), min_size=1, max_size=4))
+def test_primitive_divides_by_the_gcd_of_the_entries(vector):
+    g = 0
+    for a in vector:
+        g = gcd(g, a)
+    assert primitive(vector) == (tuple(a // g for a in vector) if g else tuple(vector))
+    assert primitive(list(vector)) == primitive(tuple(vector))
 
 
 def test_extremal_rays_of_flat_cone():

@@ -1,5 +1,9 @@
 """Term orders reject what their matrix rows cannot represent; the
-orders the library builds itself skip the reader."""
+orders the library builds itself skip the reader; an order hashes as its
+fields."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -74,3 +78,24 @@ def test_saturate_reads_its_grading_once(reads):
     gens = [Binomial((1, 0, 0, 1), (0, 1, 1, 0)), Binomial((2, 0, 0, 0), (0, 1, 0, 1))]
     assert saturate(gens, weights=(1, 1, 1, 1)).order == GREVLEX
     assert reads == [(1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        LEX,
+        GREVLEX,
+        wgrevlex((5, 3, 2), perm=(2, 0, 1)),
+        block(1, LEX, wgrevlex((1, 2))),
+        TermOrder._made("wgrevlex", (5, 3, 2, 7), cheapest_last(4, 2)),
+    ],
+    ids=["lex", "grevlex", "wgrevlex", "block", "made"],
+)
+def test_an_order_hashes_as_its_fields(order):
+    # the hash is computed once per object, and is the one of the field tuple
+    fields = (order.kind, order.weights, order.perm, order.split, order.inner)
+    assert hash(order) == hash(fields)
+    twin = TermOrder(*fields)
+    assert twin == order and hash(twin) == hash(order)
+    for other in (pickle.loads(pickle.dumps(order)), copy.copy(order), copy.deepcopy(order)):
+        assert other == order and hash(other) == hash(order)

@@ -4,7 +4,7 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from monofact import monoid, same_length
 from monofact.apery import apery_set
@@ -211,8 +211,8 @@ def test_gaps():
 @st.composite
 def _numerical_values(draw):
     # 2-5 distinct generators up to 60 with gcd 1; some are a m - 1 or
-    # a m - 3 for the smallest a, the steps -1 and -3 mod a that move the
-    # relaxation's bound down one residue class per sweep
+    # a m - 3 for the smallest a, the steps -1 and -3 mod a, which walk
+    # the residue classes downward
     a = draw(st.integers(2, 30))
     values = {a, *draw(st.lists(st.integers(a + 1, 60), max_size=4))}
     for k in draw(st.lists(st.sampled_from([1, 3]), max_size=2)):
@@ -225,7 +225,7 @@ def _numerical_values(draw):
 @given(_numerical_values())
 @settings(max_examples=150, deadline=None)
 def test_apery_residues_are_the_least_members_of_their_classes(values):
-    # the membership search is an oracle independent of the relaxation:
+    # the membership search is an oracle independent of the round robin:
     # w_r lies in S, and since S + a lies in S, w_r - a outside S (or
     # negative) means no smaller x = r mod a lies in S
     w = same_length._apery_residues(values)
@@ -236,6 +236,59 @@ def test_apery_residues_are_the_least_members_of_their_classes(values):
         assert x % a == r
         assert member(p, p.element((x,))) is not None
         assert x < a or member(p, p.element((x - a,))) is None
+
+
+def _relaxed_residues(values):
+    """``_apery_residues`` as it was before the round robin: relax every
+    residue class by every generator until nothing changes, kept verbatim
+    as the reference."""
+    vals = sorted(set(values))
+    a = vals[0]
+    w = [0] + [a * vals[-1]] * (a - 1)
+    changed = True
+    while changed:
+        changed = False
+        for r in range(a):
+            for v in vals[1:]:
+                s = (r + v) % a
+                if w[r] + v < w[s]:
+                    w[s], changed = w[r] + v, True
+    return w
+
+
+@st.composite
+def _residue_inputs(draw):
+    # smallest generator a in 1-40 (1 and 2 included), the others up to
+    # 12 a, some a m - 1 or a m - 3 (the steps -1 and -3 mod a), repeated
+    # values, and any order
+    a = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 40)))
+    values = [a] + draw(st.lists(st.integers(a + 1, 12 * a + 1), max_size=4))
+    for k in draw(st.lists(st.sampled_from([1, 3]), max_size=2)):
+        m = draw(st.integers(2, 12))
+        if a * m - k > a:
+            values.append(a * m - k)
+    values += draw(st.lists(st.sampled_from(values), max_size=2))
+    values = draw(st.permutations(values))
+    assume(gcd(*values) == 1)
+    return values
+
+
+@example([1])
+@example([2, 3])
+@example([7, 13, 13, 11])
+@given(_residue_inputs())
+@settings(max_examples=300, deadline=None)
+def test_round_robin_residues_match_the_relaxation(values):
+    assert same_length._apery_residues(values) == _relaxed_residues(values)
+
+
+def test_residues_of_a_large_smallest_generator_take_linear_time():
+    # steps -1 and -3 mod 10007: the relaxation took 13.8 s here
+    start = time.perf_counter()
+    w = same_length._apery_residues([10007, 20013, 20011])
+    assert time.perf_counter() - start < 2.0
+    assert len(w) == 10007 and w[0] == 0
+    assert w[10006] == 20013 and w[10005] == 2 * 20013 and w[10004] == 20011
 
 
 def test_f2l_needs_numerical_gcd_one():

@@ -6,11 +6,13 @@ import pickle
 
 import pytest
 
+from monofact._frozen import computed_once
 from monofact.errors import DimensionMismatch, InvalidInput
 from monofact.apery import AperyResult, apery_set
 from monofact.ideal import Binomial, BinomialBasis, KernelLattice, kernel_lattice, lattice_ideal
 from monofact.monoid import (
     Factorization,
+    _pointed,
     GroupElement,
     MonoidPresentation,
     TorsionSpec,
@@ -20,6 +22,7 @@ from monofact.monoid import (
 )
 from monofact.oracle import EnumerationBudget
 from monofact.orders import GREVLEX, LEX, TermOrder
+from monofact.same_length import homogenize
 
 
 def test_hash_is_the_hash_of_the_field_tuple():
@@ -175,3 +178,35 @@ def test_pickle_and_copy_rebuild_equal_values():
         assert copy.deepcopy(value) == value
     copied = pickle.loads(pickle.dumps(p))
     assert copied == p and copied.pointing == p.pointing
+
+
+def test_computed_values_are_kept_and_presets_win():
+    # a value preset in __dict__ is read before any computation
+    p = numerical([3, 5, 7])
+    assert "pointing" not in p.__dict__
+    w = p.pointing
+    assert p.__dict__["pointing"] is w and p.pointing is w
+    assert _pointed(1, p.torsion, p.generators, (2,)).pointing == (2,)
+    lifted = homogenize(p)
+    assert lifted.pointing == (0, 1) and lifted._base == p
+    assert MonoidPresentation.pointing.__doc__ and MonoidPresentation._base is None
+
+
+def test_a_computation_that_raises_keeps_nothing():
+    class Flaky:
+        def __init__(self):
+            self.calls = 0
+
+        @computed_once
+        def value(self):
+            self.calls += 1
+            if self.calls == 1:
+                raise ValueError("first read")
+            return self.calls
+
+    obj = Flaky()
+    with pytest.raises(ValueError):
+        obj.value
+    assert "value" not in obj.__dict__
+    assert obj.value == 2 and obj.value == 2 and obj.calls == 2
+    assert isinstance(Flaky.value, computed_once)
