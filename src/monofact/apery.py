@@ -15,13 +15,16 @@ The set is finite exactly when every extremal ray of the cone of S carries
 some element of B (the cone criterion).  Then the reduced Groebner basis of
 J is built, every variable has a pure power among its leads, and one walk
 lists its whole staircase; the pure powers are what end the walk, and their
-presence is the staircase side of the cross-check.  Otherwise a truncation
-degree is required, and no basis of J is built: the walk runs over the
-staircase of the memoized I_S up to that total degree and cuts a branch
-where its monomial's degree s has s - b in S for some b (a membership
-search), a condition that only gets truer for multiples.  Its cross-check
-is that some extremal ray carries no b and that each such ray carries a
-generator with no pure-power lead in the I_S basis.
+presence is the staircase side of the cross-check.  The set is the same
+under every term order, so that basis is built under GREVLEX from the
+memoized GREVLEX basis of I_S, whatever order is asked for.  Otherwise a
+truncation degree is required, and no basis of J is built: the walk runs
+over the staircase of the memoized I_S, under the order asked for, up to
+that total degree and cuts a branch where its monomial's degree s has
+s - b in S for some b (a membership search), a condition that only gets
+truer for multiples.  Its cross-check is that some extremal ray carries
+no b and that each such ray carries a generator with no pure-power lead
+in the I_S basis.
 
 A b that is the generator a_u has the factorization e_u, so x_u lies in J.
 With U the set of such u, J = <x_U> + J' K[x], where J' is generated in
@@ -178,11 +181,11 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     )
 
 
-def _eliminated(p, facts, order):
+def _eliminated(p, facts):
     """Split J = I_S + <x^beta> by the set U of variables x_u with u the
     factorization of some b.  Returns the leads x_u, and generators of
-    J': the images under x_U -> 0 of the other x^beta and of the reduced
-    basis of I_S under ``order``, monomials first, so that the binomials,
+    J': the images under x_U -> 0 of the other x^beta and of the cached
+    reduced GREVLEX basis of I_S, monomials first, so that the binomials,
     reduced among themselves, never re-form their own S-pairs.  See the
     module docstring for why the reduced basis of J is the x_u together
     with that of J'.  When U holds every variable, J' = 0 and I_S is not
@@ -198,7 +201,7 @@ def _eliminated(p, facts, order):
 
     monomials = [f for f in facts if kept(f)]
     binomials = []
-    for b in lattice_ideal(p, order).elements:
+    for b in lattice_ideal(p).elements:
         if kept(b.plus) and kept(b.minus):
             binomials.append(b)
         elif kept(b.plus) or kept(b.minus):
@@ -254,12 +257,16 @@ def apery_set(
 
     Factorizations are searched for when not supplied.  For an infinite
     Apery set a ``limit`` is required and the result truncates to the
-    standard monomials of total degree at most ``limit``, which must not be
-    negative.  The cone criterion decides finiteness, and the staircase
-    cross-checks it on every call:
+    standard monomials under ``order`` of total degree at most ``limit``,
+    which must not be negative.  A finite set is the same under every
+    order, and is read off GREVLEX bases whatever ``order`` is; an order
+    that does not fit the n variables is refused either way.  The cone
+    criterion decides finiteness, and the staircase cross-checks it on
+    every call:
 
-    - finite: the leads of the reduced basis of J = I_S + <x^beta> include
-      a pure power of every variable, and their staircase is the set;
+    - finite: the leads of the reduced GREVLEX basis of J = I_S + <x^beta>
+      include a pure power of every variable, and their staircase is the
+      set;
     - infinite: each extremal ray that carries no b carries a generator
       with no pure-power lead in the I_S basis (see
       ``_unbounded_on_uncovered_rays`` for why), and the set is read off
@@ -272,13 +279,14 @@ def apery_set(
         if limit < 0:
             raise InvalidInput("limit must be nonnegative")
     validate_reduced(p)
+    order.rows(p.n)  # raises InvalidInput for an order that does not fit
     elems, facts = _resolve_b(p, elements, factorizations)
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None
-        leads, rest = _eliminated(p, facts, order)
+        leads, rest = _eliminated(p, facts)
         if rest:
-            leads += [b.plus for b in groebner(rest, order).elements]
+            leads += [b.plus for b in groebner(rest).elements]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
         monomials = _standard_monomials(leads, rows, None)

@@ -16,7 +16,7 @@ The pipeline for I_S:
   1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed once per
      presentation via an integer kernel of the free rows stacked with
      torsion rows augmented by their moduli.  For the length lift S~ of
-     S (same_length.homogenize) it is read off the basis B of S instead:
+     S (MonoidPresentation.lift) it is read off the basis B of S instead:
      ker S~ = {gamma in ker S : sum gamma_i = 0} has the basis C B, C a
      basis of the integer kernel of the one row (sum v for v in B).
   2. lll_reduce: an LLL-reduced basis of the same lattice.  The echelon
@@ -551,7 +551,7 @@ def ideals_equal(basis_a: BinomialBasis, basis_b: BinomialBasis) -> bool:
 def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
     """Z-basis of {gamma : sum gamma_i a_i = 0 in Z^m + T}, memoized on
     the presentation (``MonoidPresentation.kernel``).  The lattice of a
-    lift homogenize(p) is read off the basis of p, so its rows may differ
+    lift p.lift is read off the basis of p, so its rows may differ
     from those of the same S~ built from data; the lattice, and every
     ideal built from it, is the same."""
     return KernelLattice(validate_reduced(p).kernel, p.n)

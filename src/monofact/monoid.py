@@ -165,21 +165,18 @@ class MonoidPresentation(Frozen):
 
     The fixed geometry of S is cached on the object, each part built the
     first time it is read: the pointing (one LP), the kernel lattice, the
-    distinct primitive ``directions`` of the free parts, whether each
-    direction is extremal (one cone LP per direction, and only for the
-    directions asked about, see :meth:`is_extremal`), and the hash that
-    keys the memoized ideals.
+    length lift S~ (see :attr:`lift`), the distinct primitive
+    ``directions`` of the free parts, whether each direction is extremal
+    (one cone LP per direction, and only for the directions asked about,
+    see :meth:`is_extremal`), and the hash that keys the memoized ideals.
     """
 
     # __dict__ holds the computed_once values and the extremality memo;
-    # _pointed presets pointing, and same_length._homogenize sets _base on
-    # the lifts it builds
+    # _pointed presets pointing, and lift presets the kernel of S~
     __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
     torsion: TorsionSpec
     generators: tuple[GroupElement, ...]
-    # the S whose length lift S~ this is, or None (see kernel); not a field
-    _base = None
 
     def __init__(self, rank, torsion, generators):
         if rank < 0:
@@ -266,35 +263,50 @@ class MonoidPresentation(Frozen):
 
         Torsion congruences become exact rows with one auxiliary unknown
         per modulus; the kernel of the stacked integer matrix projects
-        bijectively onto its first n coordinates.  A length lift S~ reads
-        its kernel off that of its ``_base`` S instead: ker S~ is
+        bijectively onto its first n coordinates.  A length lift S~ has its
+        kernel preset by :attr:`lift`.
+        """
+        n, moduli = self.n, self.torsion.moduli
+        k = len(moduli)
+        rows = [[g.free[d] for g in self.generators] + [0] * k for d in range(self.rank)]
+        for j, t in enumerate(moduli):
+            row = [g.torsion[j] for g in self.generators] + [0] * k
+            row[n + j] = t
+            rows.append(row)
+        return self._checked_kernel([tuple(r[:n]) for r in kernel_basis(rows)])
+
+    def _checked_kernel(self, basis) -> tuple[tuple[int, ...], ...]:
+        """``basis`` as a tuple, once its rank is checked against n minus
+        the rank of the free rows."""
+        free = [[g.free[d] for g in self.generators] for d in range(self.rank)]
+        if len(basis) != self.n - matrix_rank(free):
+            raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
+        return tuple(basis)
+
+    @computed_once
+    def lift(self) -> "MonoidPresentation":
+        """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended
+        to the free part, built once S is proved reduced.
+
+        S~ is always reduced: the new coordinate is a pointing, so S~
+        carries pointing (0, ..., 0, 1) from the start and no LP proves it;
+        its generators are distinct and never torsion-only because S has
+        none such.  Its kernel is preset from that of S: ker S~ is
         {gamma in ker S : sum gamma_i = 0}, so with B the basis of ker S
         and C a basis of the integer kernel of the row (sum v for v in B),
         the rows of C B are a basis of ker S~, B having independent rows.
         That basis spans the lattice of S~ built from data, not
-        necessarily with the same rows.  Either way the rank is checked
-        against n minus the rank of the free rows.
+        necessarily with the same rows.  Its rank is checked as for S.
         """
-        n, gens = self.n, self.generators
-        base = self._base
-        if base is None:
-            moduli = self.torsion.moduli
-            k = len(moduli)
-            rows = [[g.free[d] for g in gens] + [0] * k for d in range(self.rank)]
-            for j, t in enumerate(moduli):
-                row = [g.torsion[j] for g in gens] + [0] * k
-                row[n + j] = t
-                rows.append(row)
-            basis = [tuple(r[:n]) for r in kernel_basis(rows)]
-        else:
-            b = base.kernel
-            basis = [
-                tuple(sum(c * v[i] for c, v in zip(cs, b)) for i in range(n))
-                for cs in kernel_basis([[sum(v) for v in b]])
-            ]
-        if len(basis) != n - matrix_rank([[g.free[d] for g in gens] for d in range(self.rank)]):
-            raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
-        return tuple(basis)
+        self.pointing  # proves S reduced
+        gens = [GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in self.generators]
+        lifted = _pointed(self.rank + 1, self.torsion, tuple(gens), (0,) * self.rank + (1,))
+        b = self.kernel
+        lifted.__dict__["kernel"] = lifted._checked_kernel([
+            tuple(sum(c * v[i] for c, v in zip(cs, b)) for i in range(self.n))
+            for cs in kernel_basis([[sum(v) for v in b]])
+        ])
+        return lifted
 
     @computed_once
     def weights(self) -> tuple[int, ...]:

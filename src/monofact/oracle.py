@@ -146,8 +146,6 @@ def _has_enough(vals, b, need, same_length, tally) -> bool:
     state = {"total": 0, "found": False}
 
     def rec(idx, remaining, length):
-        if state["found"]:
-            return
         v = vals[idx]
         if idx == len(vals) - 1:
             tally.tick()

@@ -6,7 +6,8 @@ when nonempty: T_S is generated by the S-degrees of any binomial
 generating set of I_S, and L_S, the projection of T_{S~} for the
 homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
 by the S-degrees of any generating set of I_{S~}.  Both are read off the
-memoized reduced Groebner bases and trimmed as monoid ideals; minimal
+memoized reduced GREVLEX bases and trimmed as monoid ideals, each trimming
+memoized per presentation, so every reader of L_S shares one; minimal
 binomial generators serve only the equal catenary degree and the
 ``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
 relative to the L_S generators, walked through the staircase machinery.
@@ -17,10 +18,11 @@ over the L_S generators g.
 
 None of T_S, L_S and F_2l depends on a term order: the first two are
 ideals of S and the third is read off L_S.  Their functions take no order
-and read the GREVLEX bases.  The order matters only for which witness
-factorizations ``_degree_generators`` returns, which minimal binomials
-``homogeneous_minimal_generators`` returns, and which monomials a
-truncated ``l_set_complement`` keeps, so those three take one.
+and read the GREVLEX bases.  Nor do the witness factorizations of the L_S
+generators need one: all factorizations of one degree give the same
+Apery ideal J = I_S + <x^beta>.  The order matters only for which minimal
+binomials ``homogeneous_minimal_generators`` returns and which monomials a
+truncated ``l_set_complement`` keeps, so those two take one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .monoid import (
     GroupElement,
     MonoidPresentation,
     _integers,
-    _pointed,
     element_from_data,
     member,
     primitive,
@@ -93,21 +94,10 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
 
 def homogenize(p: MonoidPresentation) -> MonoidPresentation:
     """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
-    the free part.  Always reduced: the new coordinate is a pointing, so
-    S~ carries pointing (0, ..., 0, 1) from the start and no LP proves it;
-    its generators are distinct and never torsion-only because p, proved
-    reduced first, has none such.  It records p as its base, so its
-    kernel lattice is read off that of p (``MonoidPresentation.kernel``).
-    Memoized per presentation in a bounded cache."""
-    return _homogenize(validate_reduced(p))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _homogenize(p: MonoidPresentation) -> MonoidPresentation:
-    gens = tuple(GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in p.generators)
-    lifted = _pointed(p.rank + 1, p.torsion, gens, (0,) * p.rank + (1,))
-    lifted.__dict__["_base"] = p
-    return lifted
+    the free part: ``p.lift``, built once per presentation after p is
+    proved reduced, with its pointing and kernel preset (see
+    ``MonoidPresentation.lift``)."""
+    return p.lift
 
 
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:
@@ -148,39 +138,42 @@ def homogeneous_minimal_generators(
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    lifted = _homogenize(p)
+    lifted = p.lift
     return minimal_generators(lattice_ideal(lifted, order), lifted)
 
 
-def _degree_generators(p: MonoidPresentation, q: MonoidPresentation, order: TermOrder) -> dict:
-    """The minimal S-degrees of the cached reduced basis of I_q over the
-    generators of p, each mapped to a witness factorization (the ``plus``
-    of the last basis element of that degree); empty when I_q = 0.  q = p
-    gives T_S and q = S~ gives L_S.  Any binomial generating set would do,
-    since the degrees are minimalized here.  Both sides of every basis
-    element factor its degree, and all of them go to the minimalization."""
+@lru_cache(maxsize=_CACHE_SIZE)
+def _degree_generators(p: MonoidPresentation, q: MonoidPresentation) -> tuple:
+    """The minimal S-degrees of the cached reduced GREVLEX basis of I_q
+    over the generators of p, ascending by weight, each paired with a
+    witness factorization (the ``plus`` of the last basis element of that
+    degree); empty when I_q = 0.  q = p gives T_S and q = S~ gives L_S.
+    Any binomial generating set would do, since the degrees are
+    minimalized here, and any witness would do, since all factorizations
+    of one degree give the same Apery set.  Both sides of every basis
+    element factor its degree, and all of them go to the minimalization.
+    Memoized per (p, q) in a bounded cache, so every reader of L_S shares
+    one trimming; the pairs are immutable."""
     witnesses, known = {}, {}
-    for b in lattice_ideal(q, order).elements:
+    for b in lattice_ideal(q).elements:
         d = p.evaluate(b.plus)
         witnesses[d] = b.plus
         known.setdefault(d, []).extend((b.plus, b.minus))
-    return _minimalize_degrees(p, witnesses, known)
+    return tuple(_minimalize_degrees(p, witnesses, known).items())
 
 
 def t_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
-    validate_reduced(p)
-    degrees = _degree_generators(p, p, GREVLEX)
-    return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
+    degrees = _degree_generators(validate_reduced(p), p)
+    return MonoidIdeal(p, tuple(d for d, _ in degrees), minimalized=True) if degrees else None
 
 
 def l_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
-    validate_reduced(p)
-    degrees = _degree_generators(p, _homogenize(p), GREVLEX)
-    return MonoidIdeal(p, tuple(degrees), minimalized=True) if degrees else None
+    degrees = _degree_generators(p, p.lift)
+    return MonoidIdeal(p, tuple(d for d, _ in degrees), minimalized=True) if degrees else None
 
 
 def l_set_complement(
@@ -188,12 +181,15 @@ def l_set_complement(
     limit: int | None = None,
     order: TermOrder = GREVLEX,
 ) -> AperyResult:
-    """S \\ L_S as the Apery set relative to the L_S generators."""
-    validate_reduced(p)
-    witnesses = _degree_generators(p, _homogenize(p), order)
+    """S \\ L_S as the Apery set relative to the L_S generators, each
+    with the witness factorization that trimmed it.  A finite complement
+    is the same set under every order; ``order`` picks the staircase a
+    truncated one is read off (see ``apery_set``)."""
+    witnesses = _degree_generators(p, p.lift)
     if not witnesses:
         raise EmptyLSet("L_S is empty; the complement is all of S")
-    return apery_set(p, list(witnesses), list(witnesses.values()), order=order, limit=limit)
+    elements, facts = zip(*witnesses)
+    return apery_set(p, elements, facts, order=order, limit=limit)
 
 
 def l_set_complement_is_finite(p: MonoidPresentation) -> bool:

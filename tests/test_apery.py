@@ -221,6 +221,17 @@ def test_apery_refuses_non_integer_factorizations(fac):
     assert apery_set(numerical([3, 5, 7]), [3], factorizations=[("1", 0, 0)]).count == 3
 
 
+def test_an_order_that_does_not_fit_is_refused_on_every_branch():
+    # a finite set reads no basis under the order, and Ap_S(all
+    # generators) reads none at all; the order is checked all the same
+    p = numerical([3, 5, 7])
+    for b in (p.generators, [3], [10]):
+        with pytest.raises(InvalidInput, match="weight vector"):
+            apery_set(p, b, order=wgrevlex((1, 2)))
+    with pytest.raises(InvalidInput, match="split"):
+        apery_set(RANK2, B3, order=block(6, GREVLEX, LEX), limit=2)
+
+
 def test_apery_shares_the_memoized_lattice_ideal():
     p = numerical([3, 5, 7])
     gb = lattice_ideal(p)

@@ -1,5 +1,6 @@
-"""The memoized I_S, homogenization and homogenized minimal generators,
-shared by every invariant of one presentation."""
+"""The memoized I_S, L_S trimming and homogenized minimal generators, and
+the lift S~ kept on its presentation, shared by every invariant of one
+presentation."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
     homogeneous_minimal_generators,
+    integers_outside_l_set,
     is_l_set_principal,
     l_set,
     l_set_complement,
@@ -24,7 +26,7 @@ from monofact.same_length import (
 @pytest.fixture(autouse=True)
 def empty_caches():
     ideal._lattice_ideal.cache_clear()
-    same_length._homogenize.cache_clear()
+    same_length._degree_generators.cache_clear()
     same_length._homogeneous_minimal_generators.cache_clear()
 
 
@@ -340,10 +342,42 @@ def test_a_generator_in_b_leaves_buchberger_its_variable(monkeypatch):
     gens = []
     real = apery.groebner
 
-    def recording(elements, order):
+    def recording(elements, order=GREVLEX):
         gens.extend(elements)
         return real(elements, order)
 
     monkeypatch.setattr(apery, "groebner", recording)
     assert [e.free[0] for e in apery_set(p, [4]).elements] == [0, 7, 9, 14]
     assert gens and all(b.plus[0] == 0 and (b.minus or (0,))[0] == 0 for b in gens)
+
+
+def test_finite_sets_under_lex_reach_only_grevlex_bases(monkeypatch):
+    # Ap_S(35) in <4, 7, 9> is S \ L_S, and Ap_S(4) eliminates x1: both
+    # are the same sets under every order, so I_S and J are built under
+    # GREVLEX however they are asked for
+    p = numerical([4, 7, 9])
+    built = _counting(monkeypatch, ideal, "_lattice_ideal")
+    orders = []
+    real = apery.groebner
+
+    def recording(elements, order=GREVLEX):
+        orders.append(order)
+        return real(elements, order)
+
+    monkeypatch.setattr(apery, "groebner", recording)
+    assert [e.free[0] for e in apery_set(p, [4], order=LEX).elements] == [0, 7, 9, 14]
+    comp = l_set_complement(p, order=LEX)
+    assert comp.finite and comp == l_set_complement(p)
+    assert {order for _, order in built} == set(orders) == {GREVLEX}
+
+
+def test_every_reader_of_l_s_shares_one_trimming(monkeypatch):
+    p = numerical([4, 7, 9])
+    trims = _counting(monkeypatch, same_length, "_minimalize_degrees")
+    assert [g.free[0] for g in l_set(p).generators] == [35]
+    assert is_l_set_principal(p).free[0] == 35
+    for order in (GREVLEX, LEX):
+        assert l_set_complement(p, order=order).finite
+    assert integers_outside_l_set(p)[-3:] == (40, 41, 45)
+    assert f2l(p) == 45
+    assert len(trims) == 1

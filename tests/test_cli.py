@@ -232,6 +232,47 @@ def test_block_order_ideal_is_pinned(capsys):
     )
 
 
+RANK2_FREE = '{"rank":2,"generators":[[-5,2],[-4,4],[1,-6],[4,-5]]}'
+TORSION3 = '{"rank":1,"torsion":[3],"generators":[[-4,2],[-3,2],[-2,1],[-1,1]]}'
+
+
+def test_a_truncated_complement_under_lex_is_pinned(capsys):
+    # the truncation follows the order: 29 elements under lex, 35 under grevlex
+    args = ("lset-complement", "--input", RANK2_FREE, "--limit", "3")
+    code, out, _ = run(capsys, *args, "--order", "lex")
+    assert code == 0
+    assert out == (
+        '{"count":29,"elements":[[-14,8],[-13,10],[-12,12],[-10,4],[-9,6],[-8,8],[-7,2],'
+        "[-6,-1],[-5,1],[-5,2],[-4,3],[-4,4],[-3,-2],[-2,-8],[-1,-3],[0,-1],[0,0],[1,-7],"
+        "[1,-6],[2,-12],[3,-18],[3,-8],[4,-6],[4,-5],[5,-11],[6,-17],[8,-10],[9,-16],"
+        '[12,-15]],"finite":false,"limit":3}\n'
+    )
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and json.loads(out)["count"] == 35
+
+
+def test_a_finite_apery_set_under_lex_is_pinned(capsys):
+    args = ("apery", "--input", TORSION3, "--b", "[[-2,1]]")
+    expected = (
+        '{"count":6,"elements":[[-5,2],[-4,1],[-3,0],[-2,2],[-1,1],[0,0]],'
+        '"finite":true,"limit":null}\n'
+    )
+    assert run(capsys, *args, "--order", "lex") == (0, expected, "")
+    assert run(capsys, *args) == (0, expected, "")
+
+
+def test_a_wgrevlex_ideal_names_its_weights(capsys):
+    code, out, _ = run(
+        capsys, "ideal", "--input", '{"numerical":[3,5,7]}', "--order", "wgrevlex:1,2,3"
+    )
+    assert code == 0
+    assert out == (
+        '{"elements":[{"minus":[1,0,1],"plus":[0,2,0]},{"minus":[4,0,0],"plus":[0,1,1]},'
+        '{"minus":[3,1,0],"plus":[0,0,2]}],"groebner":true,"minimal_generating":false,'
+        '"order":"wgrevlex:1,2,3","reduced":true}\n'
+    )
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["lset", "--input", "{}", "--frobnicate"])

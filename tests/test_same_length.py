@@ -2,11 +2,12 @@
 
 import time
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from monofact import monoid, same_length
+from monofact import apery, ideal, monoid, same_length
 from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.errors import (
@@ -14,6 +15,7 @@ from monofact.errors import (
     CrossCheckError,
     DimensionMismatch,
     EmptyLSet,
+    InfiniteWithoutLimit,
     InvalidInput,
     NotReduced,
     UndefinedForN2,
@@ -24,6 +26,7 @@ from monofact.monoid import (
     member,
     numerical,
     presentation,
+    primitive,
     validate_reduced,
 )
 from monofact.orders import GREVLEX, LEX, block, wgrevlex
@@ -131,6 +134,29 @@ def test_torsion_example_l_and_complement():
     assert comp.finite and comp.count == 24
 
 
+@pytest.mark.parametrize(
+    "rank, generators, count",
+    [
+        (1, [(1, 0), (1, 1)], 4),
+        (2, [(1, 0, 0), (1, 0, 1), (0, 1, 0), (0, 1, 1)], 7),
+        (2, [(1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 0)], None),
+    ],
+    ids=["rank1", "rank2", "rank2-one-ray-bare"],
+)
+def test_a_ray_with_two_generators_of_equal_free_part_is_covered(rank, generators, count):
+    # criterion (2.a): two generators with equal free parts, differing in
+    # their torsion, make a ray carry an L_S generator; in the last case
+    # the ray (0, 1) carries one generator only, and (1, 1) is not extremal
+    p = presentation(rank, (2,), generators)
+    assert l_set_complement_is_finite(p) is (count is not None)
+    if count is None:
+        with pytest.raises(InfiniteWithoutLimit):
+            l_set_complement(p)
+    else:
+        comp = l_set_complement(p)
+        assert comp.finite and comp.count == count
+
+
 def test_l_set_complement_rejects_a_negative_limit():
     with pytest.raises(InvalidInput, match="limit"):
         l_set_complement(numerical([3, 5, 7]), limit=-1)
@@ -176,10 +202,9 @@ def test_homogenize_appends_length_coordinate(monkeypatch):
         raise AssertionError("S~ solved a pointing LP")
 
     monkeypatch.setattr(monoid, "positive_functional", refuse)
-    same_length._homogenize.cache_clear()
     h = homogenize(p)
-    # S~ is memoized per presentation and drops back to p's generators
-    assert homogenize(p) is h
+    # S~ is kept on its presentation and drops back to p's generators
+    assert homogenize(p) is h and p.lift is h
     assert [(g.free[:-1], g.torsion) for g in h.generators] == [
         (g.free, g.torsion) for g in p.generators
     ]
@@ -430,18 +455,61 @@ def _presentations_up_to_rank_2(draw):
 @given(_presentations_up_to_rank_2())
 def test_degree_generators_match_the_search_only_trimming(order, p):
     # absorptions certified by the basis elements' own sides must keep the
-    # degrees, witnesses and their order the searches alone give
+    # degrees, witnesses and their order the searches alone give on the
+    # GREVLEX basis; the basis under any order trims to the same degrees
     try:
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
     for q in (p, homogenize(p)):
-        basis = lattice_ideal(q, order)
-        expected = _search_only_minimalize(
-            p, {p.evaluate(b.plus): b.plus for b in basis.elements}
-        )
-        got = same_length._degree_generators(p, q, order)
-        assert list(got.items()) == list(expected.items())
+        got = same_length._degree_generators(p, q)
+        for o in (order, GREVLEX):
+            basis = lattice_ideal(q, o)
+            expected = _search_only_minimalize(
+                p, {p.evaluate(b.plus): b.plus for b in basis.elements}
+            )
+            assert [d for d, _ in got] == list(expected)
+        # the witnesses are those of the GREVLEX basis, trimmed last
+        assert got == tuple(expected.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(_presentations_up_to_rank_2(), st.data())
+def test_finite_sets_are_read_off_grevlex_bases_under_every_order(p, data):
+    # a finite Ap_S(B), B covering the cone, and a finite S \ L_S are the
+    # same sets under every order, and only GREVLEX bases are built for them
+    try:
+        p = validate_reduced(p)
+    except NotReduced:
+        assume(False)
+    b = []
+    for ray in p.cone:
+        b.append(data.draw(st.sampled_from([g for g in p.generators if primitive(g.free) == ray])))
+    exps = st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n).filter(any)
+    b += [p.evaluate(e) for e in data.draw(st.lists(exps, max_size=2))]
+    finite_complement = l_set_complement_is_finite(p) and l_set(p) is not None
+
+    def answers(order=GREVLEX):
+        comp = l_set_complement(p, order=order) if finite_complement else None
+        return apery_set(p, b, order=order), comp
+
+    expected = answers()
+    orders = (LEX, GREVLEX, wgrevlex(tuple(range(1, p.n + 1))), block(1, GREVLEX, LEX))
+    seen = []
+
+    def seeing(module, name):
+        real = getattr(module, name)
+
+        def wrapper(arg, order=GREVLEX):
+            seen.append(order)
+            return real(arg, order)
+
+        return mock.patch.object(module, name, wrapper)
+
+    with seeing(ideal, "_lattice_ideal"), seeing(apery, "groebner"):
+        for order in orders:
+            assert answers(order) == expected
+    assert set(seen) <= {GREVLEX}
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,11 +525,13 @@ def test_the_answers_without_an_order_are_the_same_under_every_order(p):
     lifted = homogenize(p)
     orders = (LEX, GREVLEX, wgrevlex(tuple(range(1, p.n + 1))), block(1, GREVLEX, LEX))
     for q in (p, lifted):
-        keys = list(same_length._degree_generators(p, q, GREVLEX))
+        keys = [d for d, _ in same_length._degree_generators(p, q)]
         for order in orders:
-            assert list(same_length._degree_generators(p, q, order)) == keys
-    apery = apery_set(p, p.generators).elements
+            basis = lattice_ideal(q, order)
+            witnesses = {p.evaluate(b.plus): b.plus for b in basis.elements}
+            assert list(same_length._minimalize_degrees(p, witnesses)) == keys
+    expected = apery_set(p, p.generators).elements
     for order in orders:
         mins = minimal_generators(lattice_ideal(lifted, order), lifted)
         assert max((b.total_degree() for b in mins.elements), default=0) == ceq(p)
-        assert apery_set(p, p.generators, order=order).elements == apery
+        assert apery_set(p, p.generators, order=order).elements == expected

@@ -188,8 +188,9 @@ def test_computed_values_are_kept_and_presets_win():
     assert p.__dict__["pointing"] is w and p.pointing is w
     assert _pointed(1, p.torsion, p.generators, (2,)).pointing == (2,)
     lifted = homogenize(p)
-    assert lifted.pointing == (0, 1) and lifted._base == p
-    assert MonoidPresentation.pointing.__doc__ and MonoidPresentation._base is None
+    assert {"pointing", "kernel"} <= lifted.__dict__.keys()  # preset by the lift
+    assert lifted.pointing == (0, 1) and lifted.kernel == ((1, -2, 1),)
+    assert MonoidPresentation.pointing.__doc__ and MonoidPresentation.lift.__doc__
 
 
 def test_a_computation_that_raises_keeps_nothing():
