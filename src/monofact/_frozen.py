@@ -21,7 +21,8 @@ Assigning or deleting an attribute raises ``AttributeError``;
 :data:`init_field` stores a field past that guard.
 
 :class:`computed_once` caches a derived value in the ``__dict__`` of a
-subclass that keeps one.
+subclass that keeps one, and :func:`kept` a value that depends on
+arguments as well, under a key of the caller's choosing.
 """
 
 from operator import attrgetter
@@ -115,4 +116,18 @@ class computed_once:
         if obj is None:
             return self
         value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+def kept(obj, key, build, *args):
+    """``build(*args)``, built the first time ``key`` is asked for on
+    ``obj`` and kept in its ``__dict__`` under that key; a build that
+    raises keeps nothing.  ``key`` is a tuple, so it never meets an
+    attribute name: a string key equal to a method's name would be found
+    ahead of the method.  Like :class:`computed_once` it takes no lock."""
+    memo = obj.__dict__
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build(*args)
         return value

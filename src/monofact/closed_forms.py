@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from ._frozen import Frozen
+from ._frozen import Frozen, kept
 from .catenary import ceq
 from .errors import (
     CrossCheckError,
@@ -45,7 +45,18 @@ def _h_set(m1: int, e: int, n: int) -> list[int]:
     return [2 * m1 + lam * e for lam in range(2, 2 * n - 3)]
 
 
-class ArithmeticFamily(Frozen):
+class _NumericalFamily:
+    """A family object with ``generators``, whose presentation is built
+    once and kept on the object: the formulas, their verification and the
+    engine read the ideals of one presentation."""
+
+    __slots__ = ("__dict__",)
+
+    def presentation(self) -> MonoidPresentation:
+        return kept(self, ("presentation",), numerical, self.generators)
+
+
+class ArithmeticFamily(Frozen, _NumericalFamily):
     """m1, m1+e, ..., m1+(n-1)e with gcd(m1, e) = 1."""
 
     __slots__ = ("m1", "e", "n")
@@ -67,11 +78,8 @@ class ArithmeticFamily(Frozen):
     def generators(self) -> tuple[int, ...]:
         return tuple(self.m1 + i * self.e for i in range(self.n))
 
-    def presentation(self) -> MonoidPresentation:
-        return numerical(self.generators)
 
-
-class AlmostArithmeticFamily(Frozen):
+class AlmostArithmeticFamily(Frozen, _NumericalFamily):
     """Arithmetic part m1..m1+(n-1)e plus one extra generator b."""
 
     __slots__ = ("m1", "e", "n", "b")
@@ -102,9 +110,6 @@ class AlmostArithmeticFamily(Frozen):
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted(self.arithmetic_part + (self.b,)))
 
-    def presentation(self) -> MonoidPresentation:
-        return numerical(self.generators)
-
     # notation of the source results: extremes of the whole sequence,
     # the gcd d, and the box count beta
     @property
@@ -123,12 +128,8 @@ class AlmostArithmeticFamily(Frozen):
     def beta(self) -> int:
         return (self.M - self.m - self.d) // (self.d * (self.n - 1))
 
-    @property
-    def h_set(self) -> tuple[int, ...]:
-        return tuple(_h_set(self.m1, self.e, self.n))
 
-
-class UniqueBettiShiftFamily(Frozen):
+class UniqueBettiShiftFamily(Frozen, _NumericalFamily):
     """S = <b, b+t*m_1, ..., b+t*m_n> with m_i = f_i * prod(c_j, j != i).
 
     The c_i are pairwise coprime and strictly decreasing (only the last
@@ -190,9 +191,6 @@ class UniqueBettiShiftFamily(Frozen):
     @property
     def generators(self) -> tuple[int, ...]:
         return (self.b,) + tuple(self.b + self.t * m for m in self.m_values)
-
-    def presentation(self) -> MonoidPresentation:
-        return numerical(self.generators)
 
 
 def _require_same_ideal(tag, formula, engine) -> None:

@@ -53,7 +53,7 @@ from heapq import heappop, heappush
 from itertools import count
 from operator import mul
 
-from ._frozen import Frozen, init_field
+from ._frozen import Frozen, init_field, kept
 from .errors import InvalidInput, NotHomogeneous
 from .intlinalg import dot, lattice_contains, lll_reduce
 from .monoid import MonoidPresentation, _integers, validate_reduced
@@ -632,20 +632,16 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
     return BinomialBasis(_binomials_from_pairs(final), order, groebner=True)
 
 
-# one session works on a presentation and its homogenization, a few orders each
-_CACHE_SIZE = 8
-
-
 def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> BinomialBasis:
     """Reduced Groebner basis of I_S under ``order``.
 
-    Memoized per (presentation, order) in a bounded cache; the basis is
-    immutable, so callers share it.
+    Built once per order and kept on the presentation object, under the
+    key ("ideal", order); the basis is immutable, so callers share it.
+    An equal but distinct presentation object builds its own.
     """
-    return _lattice_ideal(validate_reduced(p), order)
+    return kept(validate_reduced(p), ("ideal", order), _lattice_ideal, p, order)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     # any basis of the lattice gives the same I_S; a short one saturates fast
     gens = []

@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd
 from operator import add, index, mul, sub
 
-from ._frozen import Frozen, computed_once, init_field
+from ._frozen import Frozen, computed_once, init_field, kept
 from .errors import CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
 from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
@@ -166,13 +166,16 @@ class MonoidPresentation(Frozen):
     The fixed geometry of S is cached on the object, each part built the
     first time it is read: the pointing (one LP), the kernel lattice, the
     length lift S~ (see :attr:`lift`), the distinct primitive
-    ``directions`` of the free parts, whether each direction is extremal
-    (one cone LP per direction, and only for the directions asked about,
-    see :meth:`is_extremal`), and the hash that keys the memoized ideals.
+    ``directions`` of the free parts, and whether each direction is
+    extremal (one cone LP per direction, and only for the directions asked
+    about, see :meth:`is_extremal`).  The lattice ideals, minimal
+    generators and T_S / L_S trimmings built from it are kept on the
+    object too (see ``_frozen.kept``), so they live and die with it.
     """
 
-    # __dict__ holds the computed_once values and the extremality memo;
-    # _pointed presets pointing, and lift presets the kernel of S~
+    # __dict__ holds the computed_once values under their names and the
+    # values of _frozen.kept under tuple keys; _pointed presets pointing,
+    # and lift presets the kernel of S~
     __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
     torsion: TorsionSpec
@@ -367,33 +370,10 @@ class MonoidPresentation(Frozen):
         """Whether ``direction``, one of ``directions``, spans an extremal
         ray of the cone of the free parts.  One LP decides it the first
         time it is asked on this object; the answer is kept."""
-        memo = self.__dict__.setdefault("_extremal", {})
-        if direction not in memo:
-            memo[direction] = _is_extremal(self.directions, direction)
-        return memo[direction]
-
-    @computed_once
-    def cone(self) -> tuple[tuple[int, ...], ...]:
-        """The extremal rays of the cone of the free parts, sorted."""
-        return tuple(sorted(d for d in self.directions if self.is_extremal(d)))
-
-    @computed_once
-    def _hash(self) -> int:
-        return hash((self.rank, self.torsion, self.generators))
+        return kept(self, ("extremal", direction), _is_extremal, self.directions, direction)
 
     def weight_of(self, x: GroupElement) -> int:
         return dot(self.pointing, x.free)
-
-
-def _presentation_hash(self: MonoidPresentation) -> int:
-    """The hash of the fields, computed once per object: a presentation
-    keys the memoized ideals of a session and is hashed on every lookup."""
-    return self._hash
-
-
-# Frozen.__init_subclass__ installs the field hash over any __hash__ of the
-# class body, so this one goes in after the class is built
-MonoidPresentation.__hash__ = _presentation_hash
 
 
 def _integer(value) -> int:
@@ -533,17 +513,6 @@ def _pointed(rank, torsion, generators, w) -> MonoidPresentation:
     return out
 
 
-def extremal_rays(vectors) -> tuple[tuple[int, ...], ...]:
-    """Extremal rays of the cone spanned by ``vectors`` (assumed pointed),
-    primitive and sorted.
-
-    A vector spans the same ray as its primitive, so each LP runs over the
-    distinct primitives (see ``_is_extremal``).
-    """
-    prims = tuple(dict.fromkeys(primitive(v) for v in vectors if any(v)))
-    return tuple(sorted(pv for pv in prims if _is_extremal(prims, pv)))
-
-
 def _is_extremal(prims, direction) -> bool:
     """Whether ``direction``, one of the distinct primitive vectors
     ``prims`` of a pointed cone, spans an extremal ray of their cone: it
@@ -562,9 +531,9 @@ def cones_equal(p: MonoidPresentation, elements) -> bool:
 
 def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ...]:
     """The extremal rays of the cone of S that carry the free part of no
-    element of ``elements``, sorted.  Only the generator directions that B
-    leaves uncovered are tested for extremality, so a B that covers all of
-    them solves no LP."""
+    element of ``elements``, sorted; with no elements, every extremal ray
+    of the cone.  Only the generator directions that B leaves uncovered are
+    tested for extremality, so a B that covers all of them solves no LP."""
     validate_reduced(p)
     covered = {primitive(b.free) for b in elements if any(b.free)}
     return tuple(

@@ -78,8 +78,8 @@ class TermOrder(Frozen):
 
 def _order_hash(self: TermOrder) -> int:
     """The hash of the fields, computed once per object: an order keys the
-    memoized ideals, layouts and matrix rows, and is hashed on every
-    lookup."""
+    ideals kept on a presentation and the memoized layouts and matrix
+    rows, and is hashed on every lookup."""
     try:
         return self._hash
     except AttributeError:

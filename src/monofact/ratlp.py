@@ -73,17 +73,13 @@ def solve_nonneg(rows, rhs):
     return x, D
 
 
-def nonneg_combination(vectors, target):
-    """c >= 0 with sum c_i v_i = target as ``(numerators, D)``, or None."""
-    if not vectors:
-        return ([], 1) if all(t == 0 for t in target) else None
-    dim = len(target)
-    rows = [[v[d] for v in vectors] for d in range(dim)]
-    return solve_nonneg(rows, list(target))
-
-
 def in_cone(vectors, target) -> bool:
-    return nonneg_combination(vectors, target) is not None
+    """Whether some c >= 0 has sum c_i v_i = target; with no vectors,
+    whether the target is zero."""
+    if not vectors:
+        return not any(target)
+    rows = [[v[d] for v in vectors] for d in range(len(target))]
+    return solve_nonneg(rows, list(target)) is not None
 
 
 def positive_functional(vectors):

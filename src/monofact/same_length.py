@@ -6,9 +6,9 @@ when nonempty: T_S is generated by the S-degrees of any binomial
 generating set of I_S, and L_S, the projection of T_{S~} for the
 homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
 by the S-degrees of any generating set of I_{S~}.  Both are read off the
-memoized reduced GREVLEX bases and trimmed as monoid ideals, each trimming
-memoized per presentation, so every reader of L_S shares one; minimal
-binomial generators serve only the equal catenary degree and the
+reduced GREVLEX bases kept on the presentation and trimmed as monoid
+ideals, each trimming kept there too, so every reader of L_S shares one;
+minimal binomial generators serve only the equal catenary degree and the
 ``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
 relative to the L_S generators, walked through the staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
@@ -27,15 +27,14 @@ truncated ``l_set_complement`` keeps, so those two take one.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from operator import ge
 
-from ._frozen import Frozen
+from ._frozen import Frozen, kept
 from .apery import AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
-from .ideal import _CACHE_SIZE, BinomialBasis, lattice_ideal, minimal_generators
+from .ideal import BinomialBasis, lattice_ideal, minimal_generators
 from .monoid import (
     GroupElement,
     MonoidPresentation,
@@ -130,30 +129,34 @@ def homogeneous_minimal_generators(
     """Minimal generators of the lattice ideal of S~ = homogenize(p).
 
     Their largest total degree is the equal catenary degree, and the CLI
-    ``--minimal`` payload lists them.  Memoized per (presentation, order)
-    in a bounded cache, like :func:`lattice_ideal`; the basis is immutable.
+    ``--minimal`` payload lists them.  Built once per order and kept on
+    p under the key ("minimal", order), like :func:`lattice_ideal`; the
+    basis is immutable.
     """
-    return _homogeneous_minimal_generators(validate_reduced(p), order)
+    return kept(validate_reduced(p), ("minimal", order), _homogeneous_minimal_generators, p, order)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     lifted = p.lift
     return minimal_generators(lattice_ideal(lifted, order), lifted)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _degree_generators(p: MonoidPresentation, q: MonoidPresentation) -> tuple:
-    """The minimal S-degrees of the cached reduced GREVLEX basis of I_q
-    over the generators of p, ascending by weight, each paired with a
-    witness factorization (the ``plus`` of the last basis element of that
-    degree); empty when I_q = 0.  q = p gives T_S and q = S~ gives L_S.
-    Any binomial generating set would do, since the degrees are
-    minimalized here, and any witness would do, since all factorizations
-    of one degree give the same Apery set.  Both sides of every basis
-    element factor its degree, and all of them go to the minimalization.
-    Memoized per (p, q) in a bounded cache, so every reader of L_S shares
-    one trimming; the pairs are immutable."""
+def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
+    """The minimal S-degrees of the reduced GREVLEX basis of I_q over the
+    generators of p, q = S~ (p.lift) when ``lifted`` and q = p otherwise,
+    ascending by weight, each paired with a witness factorization (the
+    ``plus`` of the last basis element of that degree); empty when
+    I_q = 0.  q = p gives T_S and q = S~ gives L_S.  Any binomial
+    generating set would do, since the degrees are minimalized here, and
+    any witness would do, since all factorizations of one degree give the
+    same Apery set.  Both sides of every basis element factor its degree,
+    and all of them go to the minimalization.  Built once and kept on p
+    under the key ("degrees", lifted), so every reader of L_S shares one
+    trimming; the pairs are immutable."""
+    return kept(p, ("degrees", lifted), _trimmed_degrees, p, p.lift if lifted else p)
+
+
+def _trimmed_degrees(p: MonoidPresentation, q: MonoidPresentation) -> tuple:
     witnesses, known = {}, {}
     for b in lattice_ideal(q).elements:
         d = p.evaluate(b.plus)
@@ -165,14 +168,14 @@ def _degree_generators(p: MonoidPresentation, q: MonoidPresentation) -> tuple:
 def t_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of T_S = {x : at least two factorizations}; None when
     every element factors uniquely (I_S = 0)."""
-    degrees = _degree_generators(validate_reduced(p), p)
+    degrees = _degree_generators(validate_reduced(p), False)
     return MonoidIdeal(p, tuple(d for d, _ in degrees), minimalized=True) if degrees else None
 
 
 def l_set(p: MonoidPresentation) -> MonoidIdeal | None:
     """Generators of L_S = {x : two distinct factorizations of equal
     length}; None when I of the homogenized monoid is zero."""
-    degrees = _degree_generators(p, p.lift)
+    degrees = _degree_generators(p, True)
     return MonoidIdeal(p, tuple(d for d, _ in degrees), minimalized=True) if degrees else None
 
 
@@ -185,7 +188,7 @@ def l_set_complement(
     with the witness factorization that trimmed it.  A finite complement
     is the same set under every order; ``order`` picks the staircase a
     truncated one is read off (see ``apery_set``)."""
-    witnesses = _degree_generators(p, p.lift)
+    witnesses = _degree_generators(p, True)
     if not witnesses:
         raise EmptyLSet("L_S is empty; the complement is all of S")
     elements, facts = zip(*witnesses)

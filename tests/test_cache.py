@@ -1,15 +1,21 @@
-"""The memoized I_S, L_S trimming and homogenized minimal generators, and
-the lift S~ kept on its presentation, shared by every invariant of one
-presentation."""
+"""I_S, the T_S and L_S trimmings, the homogenized minimal generators and
+the lift S~, each built once and kept on its presentation object, shared by
+every invariant of that object and by nothing else."""
 
 import pytest
 
-from monofact import apery, ideal, intlinalg, monoid, ratlp, same_length
+from monofact import apery, cli, ideal, intlinalg, monoid, ratlp, same_length
 from monofact.apery import apery_count, apery_set
 from monofact.catenary import ceq
 from monofact.errors import InfiniteSet, InfiniteWithoutLimit, NotReduced
 from monofact.ideal import lattice_ideal
-from monofact.monoid import numerical, presentation, presentation_from_data, validate_reduced
+from monofact.monoid import (
+    numerical,
+    presentation,
+    presentation_from_data,
+    uncovered_rays,
+    validate_reduced,
+)
 from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
@@ -23,15 +29,7 @@ from monofact.same_length import (
 )
 
 
-@pytest.fixture(autouse=True)
-def empty_caches():
-    ideal._lattice_ideal.cache_clear()
-    same_length._degree_generators.cache_clear()
-    same_length._homogeneous_minimal_generators.cache_clear()
-
-
-def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypatch):
-    p = numerical([4, 7, 9])
+def _counting_saturations(monkeypatch):
     calls = []
     real = ideal.saturate
 
@@ -40,6 +38,12 @@ def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypat
         return real(gens, order=order, weights=weights)
 
     monkeypatch.setattr(ideal, "saturate", counting)
+    return calls
+
+
+def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypatch):
+    p = numerical([4, 7, 9])
+    calls = _counting_saturations(monkeypatch)
     assert [g.free[0] for g in l_set(p).generators] == [35]
     assert ceq(p) == 5
     assert l_set_complement(p).finite
@@ -57,15 +61,8 @@ def test_f2l_reads_only_the_lifted_ideal(monkeypatch):
         raise AssertionError("apery_set called")
 
     p = numerical([4, 7, 9])
-    calls = []
-    real = ideal.saturate
-
-    def counting(gens, order=GREVLEX, weights=None):
-        calls.append(gens)
-        return real(gens, order=order, weights=weights)
-
     monkeypatch.setattr(same_length, "apery_set", refuse)
-    monkeypatch.setattr(ideal, "saturate", counting)
+    calls = _counting_saturations(monkeypatch)
     assert f2l(p) == 45
     assert len(calls) == 1
     assert all(sum(b.plus) == sum(b.minus) for b in calls[0])
@@ -115,11 +112,13 @@ def test_entries_are_keyed_by_order():
 
 
 def test_validated_and_unvalidated_presentations_share_an_entry():
-    p = validate_reduced(numerical([4, 7, 9]))
-    assert lattice_ideal(p) is lattice_ideal(numerical([4, 7, 9]))
-    assert homogeneous_minimal_generators(p) is homogeneous_minimal_generators(
-        numerical([4, 7, 9]), GREVLEX
-    )
+    # one object read before and after it is proved reduced; an equal but
+    # distinct object builds its own entries
+    p = numerical([4, 7, 9])
+    basis, minimal = lattice_ideal(p), homogeneous_minimal_generators(p)
+    assert validate_reduced(p) is p
+    assert lattice_ideal(p) is basis
+    assert homogeneous_minimal_generators(p, GREVLEX) is minimal
 
 
 def test_one_presentation_proves_itself_reduced_once(monkeypatch):
@@ -231,7 +230,7 @@ def test_saturation_runs_no_pass_it_can_prove_idle(monkeypatch):
 
 def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     # the Apery cone test and cross-check, the ray criterion and the cone
-    # read one extremality memo: at most one LP per distinct generator
+    # (the rays no element covers) read one extremality memo: at most one LP per distinct generator
     # direction of a presentation object, and none for a covered direction
     lps = _counting(monkeypatch, monoid, "_is_extremal")
     p = validate_reduced(numerical([4, 7, 9]))
@@ -239,7 +238,7 @@ def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     assert apery_set(p, [16]).finite
     assert l_set_complement_is_finite(p)
     assert lps == []  # B covers (1,), and three generators lie on it
-    assert p.cone == ((1,),)
+    assert uncovered_rays(p, ()) == ((1,),)
     assert len(lps) == 1
     lps.clear()
     q = validate_reduced(presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)]))
@@ -247,7 +246,7 @@ def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     assert not apery_set(q, b, limit=2).finite
     assert apery_set(q, b + [[0, 2], [4, 2]]).finite
     assert not l_set_complement_is_finite(q)
-    assert q.cone == ((0, 1), (2, 1))
+    assert uncovered_rays(q, ()) == ((0, 1), (2, 1))
     asked = [direction for _, direction in lps]
     assert len(asked) == len(set(asked)) == len(q.directions)
 
@@ -381,3 +380,27 @@ def test_every_reader_of_l_s_shares_one_trimming(monkeypatch):
     assert integers_outside_l_set(p)[-3:] == (40, 41, 45)
     assert f2l(p) == 45
     assert len(trims) == 1
+
+
+def test_interleaved_presentations_keep_their_lifted_ideals(monkeypatch):
+    # each object keeps its own entries, so a session that goes back to a
+    # presentation after eight others builds nothing again
+    ps = [numerical([a, a + 1, a + 3]) for a in range(4, 13)]
+    calls = _counting_saturations(monkeypatch)
+    first = [l_set(p) for p in ps]
+    assert [l_set(p) for p in ps] == first
+    assert len(calls) == len(ps) == 9
+
+
+def test_a_verified_closed_form_saturates_once(monkeypatch, capsys):
+    # the family hands out one presentation, so the verified L_S and the
+    # engine c_eq read one lifted ideal; I_S is never built
+    calls = _counting_saturations(monkeypatch)
+    params = '{"m1":5,"e":3,"n":3,"b":7}'
+    assert cli.main(["closed-form", "--family", "almost", "--params", params, "--verified"]) == 0
+    assert capsys.readouterr().out == (
+        '{"ceq":3,"ceq_forms":{"engine":3,"engine_matches_printed":true,'
+        '"engine_matches_proof":true,"forms_agree":true,"printed_form":3,"proof_form":3},'
+        '"family":"almost","generators":[5,7,8,11],"lset":{"generators":[16,21],"principal":false}}\n'
+    )
+    assert len(calls) == 1

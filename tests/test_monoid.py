@@ -23,7 +23,6 @@ from monofact.monoid import (
     all_factorizations,
     cones_equal,
     element_from_data,
-    extremal_rays,
     is_minimal_generating,
     member,
     numerical,
@@ -269,13 +268,15 @@ def test_primitive_divides_by_the_gcd_of_the_entries(vector):
 
 
 def test_extremal_rays_of_flat_cone():
-    rays = extremal_rays([(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)])
-    assert set(rays) == {(-2, 1), (2, 1)}
+    vectors = [(-2, 1), (-1, 1), (0, 1), (1, 1), (2, 1)]
+    rays = uncovered_rays(presentation(2, (), vectors), ())
+    assert rays == _extremal_rays_one_lp_per_vector(vectors) == ((-2, 1), (2, 1))
 
 
 def _extremal_rays_one_lp_per_vector(vectors):
-    """``extremal_rays`` as it was before its LPs ran over the distinct
-    primitives, kept verbatim as the reference."""
+    """The extremal rays of the cone of ``vectors``, primitive and sorted,
+    as computed before the LPs ran over the distinct primitives, kept
+    verbatim as the reference."""
     prims = []
     for v in vectors:
         if any(a != 0 for a in v):
@@ -318,7 +319,13 @@ def _pointed_vectors_with_repeats(draw):
 @given(_pointed_vectors_with_repeats())
 @settings(max_examples=60, deadline=None)
 def test_extremal_rays_match_one_lp_per_vector(vectors):
-    assert extremal_rays(vectors) == _extremal_rays_one_lp_per_vector(vectors)
+    # each nonzero vector is the free part of its own generator, told apart
+    # by a distinct torsion residue, so that repeated vectors stay distinct
+    # generators; the cone of the presentation is the rays B = () leaves
+    nonzero = [v for v in vectors if any(v)]
+    gens = [v + (i,) for i, v in enumerate(nonzero)]
+    p = presentation(len(vectors[0]), (len(nonzero) + 1,), gens)
+    assert uncovered_rays(p, ()) == _extremal_rays_one_lp_per_vector(vectors)
 
 
 @st.composite
@@ -360,9 +367,9 @@ def test_uncovered_rays_match_extremal_rays_filtered_by_b(case):
     # direction: every extremal ray of the generators, minus B's directions
     p, b = case
     covered = {primitive(e.free) for e in b if any(e.free)}
-    rays = extremal_rays([g.free for g in p.generators])
+    rays = _extremal_rays_one_lp_per_vector([g.free for g in p.generators])
     assert uncovered_rays(p, b) == tuple(r for r in rays if r not in covered)
-    assert p.cone == rays
+    assert uncovered_rays(p, ()) == rays
 
 
 def test_cones_equal_checks_ray_coverage():
