@@ -46,10 +46,12 @@ the elements returned.
 
 from __future__ import annotations
 
+from math import gcd
 from operator import add, sub
 
 from ._frozen import Frozen
-from .errors import CrossCheckError, InfiniteSet, InfiniteWithoutLimit, InvalidInput
+from .errors import BudgetExceeded, CrossCheckError, InfiniteSet, InfiniteWithoutLimit
+from .errors import InvalidInput
 from .ideal import _stored, groebner, lattice_ideal
 from .monoid import (
     GroupElement,
@@ -67,6 +69,12 @@ from .monoid import (
     validate_reduced,
 )
 from .orders import GREVLEX, TermOrder
+
+# The most elements one listing holds: the Apery set of a numerical S and
+# one b, and ``same_length``'s gaps and integers outside L_S.  CLI f2l on
+# <1981, 1983, 1985> lists 986,046 integers as 7 MB of JSON in 76 MB of
+# RSS; ``same_length.f2l`` itself lists nothing and has no cap.
+_LISTING_CAP = 10**6
 
 
 class AperyResult(Frozen):
@@ -95,7 +103,8 @@ def apery_is_finite(p: MonoidPresentation, elements) -> bool:
     """True when Ap_S(B) is finite: every extremal ray of the cone of S
     must carry some member of B."""
     validate_reduced(p)
-    elems, _ = _resolve_b(p, elements, None)
+    elems = _b_elements(p, elements)
+    _b_factorizations(p, elems, None)  # B must lie in S
     return cones_equal(p, elems)
 
 
@@ -214,16 +223,21 @@ def _unit(n, i) -> tuple[int, ...]:
     return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
-def _resolve_b(p, elements, factorizations):
-    """B as group elements, and one factorization of each: the caller's,
-    checked, or else the unit vector of a b that is a generator and a
-    ``member`` search for any other b.  Any factorization serves, since
-    all those of one b agree modulo I_S and so give the same J."""
+def _b_elements(p, elements):
+    """B as nonzero group elements."""
     if not _is_row(elements):
         raise InvalidInput(f"expected a list of elements, got {elements!r}")
     elems = [element_from_data(p, b) for b in elements]
     if any(e.is_zero for e in elems):
         raise InvalidInput("members of B must be nonzero")
+    return elems
+
+
+def _b_factorizations(p, elems, factorizations):
+    """One factorization of each b: the caller's, checked, or else the
+    unit vector of a b that is a generator and a ``member`` search for
+    any other b.  Any factorization serves, since all those of one b
+    agree modulo I_S and so give the same J."""
     facts = []
     if factorizations is None:
         index = {g: i for i, g in enumerate(p.generators)}
@@ -243,7 +257,19 @@ def _resolve_b(p, elements, factorizations):
             if p.evaluate(fac) != elem:
                 raise InvalidInput(f"{fac} does not factor {elem.to_data()}")
             facts.append(fac)
-    return elems, facts
+    return facts
+
+
+def _refuse_a_long_numerical_listing(p, elems) -> None:
+    """A numerical S = d<a_1/d, ..., a_n/d> and one b in S: Ap_S(b) holds
+    one element per residue of S modulo b, b/d of them.  More than
+    ``_LISTING_CAP`` raise BudgetExceeded before any search or walk."""
+    if p.is_numerical and len(elems) == 1:
+        count = elems[0].free[0] // gcd(*(g.free[0] for g in p.generators))
+        if count > _LISTING_CAP:
+            raise BudgetExceeded(
+                f"Ap(S, b) holds {count} elements, more than the cap of {_LISTING_CAP}"
+            )
 
 
 def apery_set(
@@ -280,7 +306,9 @@ def apery_set(
             raise InvalidInput("limit must be nonnegative")
     validate_reduced(p)
     order.rows(p.n)  # raises InvalidInput for an order that does not fit
-    elems, facts = _resolve_b(p, elements, factorizations)
+    elems = _b_elements(p, elements)
+    _refuse_a_long_numerical_listing(p, elems)
+    facts = _b_factorizations(p, elems, factorizations)
     rows = [g.free + g.torsion for g in p.generators]
     if cones_equal(p, elems):
         limit = None

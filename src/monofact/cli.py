@@ -12,18 +12,22 @@ integers beyond 64 bits rendered as decimal strings, one trailing
 newline.  ``--format text`` prints plain lines instead.  Identical
 inputs and flags produce byte-identical output.
 
+A plain command line (the subcommand, then each of its flags spelled out
+once with its value as the next token) is read off the subcommand table
+by ``_read``; argparse is imported only for help, usage errors and the
+other forms it accepts, such as abbreviations or ``--flag=value``.
+
 Exit codes: 0 ok, 2 invalid input, 3 monoid not reduced, 4 infinite
 answer without --limit, 5 a cross-check or oracle comparison failed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
-from . import closed_forms
 from .apery import apery_is_finite, apery_set
 from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
 from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
@@ -252,6 +256,8 @@ def _family_params(args) -> dict:
 
 
 def _cmd_closed_form(args):
+    from . import closed_forms
+
     params = _family_params(args)
     if args.family == "arithmetic":
         fam = closed_forms.ArithmeticFamily(params["m1"], params["e"], params["n"])
@@ -291,6 +297,8 @@ def _cmd_closed_form(args):
 
 
 def _cmd_transform(args):
+    from . import closed_forms
+
     p = _presentation(args)
     if not p.is_numerical:
         raise InvalidInput("transform expects a numerical presentation")
@@ -390,6 +398,8 @@ def _integer_flag(raw: str) -> int:
     try:
         return _integer(raw)
     except InvalidInput as exc:
+        import argparse
+
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -452,7 +462,15 @@ _COMMANDS = (
 )
 
 
-def _parser() -> argparse.ArgumentParser:
+def _spec(flag) -> tuple[str, dict]:
+    """A row's flag entry as the flag and its ``add_argument`` keywords."""
+    flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+    return flag, {**_FLAGS.get(flag, {}), **overrides}
+
+
+def _parser():
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="monofact",
         description="factorization invariants of reduced monoids, exactly",
@@ -461,15 +479,57 @@ def _parser() -> argparse.ArgumentParser:
     for name, helptext, handler, flags in _COMMANDS:
         sp = sub.add_parser(name, help=helptext)
         sp.set_defaults(handler=handler)
-        for flag in flags:
-            flag, overrides = (flag, {}) if isinstance(flag, str) else flag
-            sp.add_argument(flag, **{**_FLAGS.get(flag, {}), **overrides})
+        for flag, spec in map(_spec, flags):
+            sp.add_argument(flag, **spec)
     return top
 
 
+def _read(argv):
+    """The namespace ``_parser()`` gives a plain command line, read off the
+    table without argparse: an exact command name, then exact flags of
+    that command, each at most once, each value flag followed by a value
+    that does not start with "-", lies in the flag's choices and, for
+    ``--limit`` and ``--cap``, passes ``monoid._integer``, and every
+    required flag present.  Anything else is None and goes to argparse,
+    which keeps help, abbreviations, ``--flag=value``, repeats, "--" and
+    every usage error with its message and exit code."""
+    row = next((r for r in _COMMANDS if argv[:1] == [r[0]]), None)
+    if row is None:
+        return None
+    name, _, handler, flags = row
+    specs = dict(map(_spec, flags))
+    values = {f: s.get("default", False if "action" in s else None) for f, s in specs.items()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        spec = specs.get(flag)
+        if spec is None or flag in seen:
+            return None
+        seen.add(flag)
+        if "action" in spec:  # store_true
+            values[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if "type" in spec:
+            try:
+                value = _integer(value)
+            except InvalidInput:
+                return None
+        values[flag] = value
+    if any(s.get("required") and f not in seen for f, s in specs.items()):
+        return None
+    fields = {f[2:].replace("-", "_"): v for f, v in values.items()}
+    return SimpleNamespace(command=name, handler=handler, **fields)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _read(argv) or _parser().parse_args(argv)
         out = args.handler(args)
         data, code = out if isinstance(out, tuple) else (out, 0)
         _emit(data, args)

@@ -31,7 +31,7 @@ from math import gcd
 from operator import ge
 
 from ._frozen import Frozen, kept
-from .apery import AperyResult, apery_set
+from .apery import _LISTING_CAP, AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
 from .ideal import BinomialBasis, lattice_ideal, minimal_generators
@@ -258,12 +258,6 @@ def _apery_residues(values) -> list[int]:
                 else:
                     w[r] = m
     return w
-
-
-# The most integers ``gaps`` and ``integers_outside_l_set`` list.  CLI f2l
-# on <1981, 1983, 1985> lists 986,046 of them as 7 MB of JSON in 76 MB of
-# RSS; ``f2l`` itself lists nothing and has no cap.
-_LISTING_CAP = 10**6
 
 
 def _below_residue_bounds(bounds) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import json
 from itertools import product
+from math import gcd
 from typing import get_type_hints
 
 import pytest
@@ -11,6 +12,7 @@ from test_oracle import _small_presentations
 from monofact import apery, cli
 from monofact.apery import AperyResult, apery_count, apery_is_finite, apery_set
 from monofact.errors import (
+    BudgetExceeded,
     CrossCheckError,
     InfiniteSet,
     InfiniteWithoutLimit,
@@ -143,6 +145,27 @@ def test_numerical_apery_of_single_generator():
     assert res.finite
     assert sorted(e.free[0] for e in res.elements) == [0, 5, 7]
     assert apery_count(p, [3]) == 3
+
+
+@pytest.mark.parametrize("values", [[3, 5, 7], [4, 6, 9], [6, 10, 15], [4, 6]])
+def test_a_numerical_apery_set_is_refused_from_its_count(monkeypatch, values):
+    # Ap_S(b) of a numerical S with gcd d holds b/d elements: a cap equal
+    # to that count changes nothing, one below it refuses before any
+    # member search for b
+    p = numerical(values)
+    d = gcd(*values)
+    for b in range(d, 40, d):
+        if member(p, p.element((b,))) is None:
+            continue
+        res = apery_set(p, [[b]])
+        assert res.count == b // d
+        with monkeypatch.context() as mp:
+            mp.setattr(apery, "_LISTING_CAP", b // d)
+            assert apery_set(p, [[b]]) == res
+            mp.setattr(apery, "_LISTING_CAP", b // d - 1)
+            mp.setattr(apery, "require_member", None)
+            with pytest.raises(BudgetExceeded):
+                apery_set(p, [[b]])
 
 
 def test_apery_b_must_lie_in_monoid():

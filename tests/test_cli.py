@@ -537,6 +537,52 @@ def test_f2l_past_the_listing_cap_exits_2():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_apery_past_the_listing_cap_exits_2():
+    # a numerical Ap(S, b) has b elements: 10^9 are refused from that
+    # count, before the member search for b and the staircase walk
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["apery", "--input", '{"numerical":[3,5,7]}', "--b", "[[1000000000]]"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "monofact.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_one_gigabyte_of_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+_ONE_REQUEST = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from monofact import cli
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+loaded = [m for m in ("argparse", "monofact.closed_forms") if m in sys.modules]
+sys.stderr.write(" ".join(loaded))
+sys.exit(code)
+"""
+
+
+def test_a_plain_request_imports_neither_argparse_nor_closed_forms():
+    # a plain command line is read off the table; an abbreviation goes
+    # through argparse, and both answer with the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    plain, abbreviated = [
+        subprocess.run(
+            [sys.executable, "-I", "-c", _ONE_REQUEST, src, "tset", flag, '{"numerical":[3,5,7]}'],
+            capture_output=True,
+            timeout=60,
+        )
+        for flag in ("--input", "--inp")
+    ]
+    assert (plain.returncode, plain.stderr) == (0, b"")
+    assert (abbreviated.returncode, abbreviated.stderr) == (0, b"argparse")
+    assert plain.stdout == abbreviated.stdout == b'{"generators":[10,12,14],"principal":false}\n'
+
+
 def test_cli_cross_check_holds_under_python_O():
     # asserts vanish under -O; the F_2l guard is a typed error and must not
     src = Path(__file__).resolve().parents[1] / "src"

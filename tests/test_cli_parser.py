@@ -10,11 +10,18 @@ other ``--order``; it is gone now, with the ``--order`` of ``tset``,
 answers no term order changes.  Help texts, argparse errors and parsed namespaces must not
 tell the two apart.  The texts are compared with each other, never with
 pinned strings, because argparse wording differs between Python versions.
+
+A plain command line is read by ``cli._read`` without argparse; whatever
+it accepts must parse to the reference parser's namespace, and whatever
+the reference parser refuses it must leave to argparse.
 """
 
 import argparse
+import contextlib
+import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monofact import cli
 
@@ -220,30 +227,126 @@ def test_argparse_errors_match_the_reference_parser(capsys, argv):
     assert new[0] == 2 and new[1] == "" and "error:" in new[2]
 
 
+_PLAIN = [
+    ["validate", "--input", "x"],
+    ["ideal", "--input", "x", "--minimal", "--order", "lex"],
+    ["tilde-ideal", "--input", "x", "--format", "text"],
+    ["kernel", "--input", "x"],
+    ["apery", "--input", "x", "--b", "y", "--limit", "3"],
+    ["apery-finite", "--input", "x", "--b", "y"],
+    ["tset", "--input", "x"],
+    ["lset", "--input", "x", "--format", "text"],
+    ["lset-complement", "--input", "x"],
+    ["lset-finite", "--input", "x"],
+    ["principal", "--input", "x"],
+    ["f2l", "--input", "x"],
+    ["ceq", "--input", "x"],
+    ["ceq-bound", "--input", "x"],
+    ["ceq-element", "--input", "x", "--b", "y"],
+    ["closed-form", "--family", "almost", "--params", "{}", "--verified"],
+    ["transform", "--input", "x", "--ops", "[]"],
+    ["oracle-check", "--input", "x", "--what", "f", "--cap", "7"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["validate", "--input", "x"],
-        ["ideal", "--input", "x", "--minimal", "--order", "lex"],
-        ["tilde-ideal", "--input", "x", "--format", "text"],
-        ["kernel", "--input", "x"],
-        ["apery", "--input", "x", "--b", "y", "--limit", "3"],
-        ["apery-finite", "--input", "x", "--b", "y"],
-        ["tset", "--input", "x"],
-        ["lset", "--input", "x", "--format", "text"],
-        ["lset-complement", "--input", "x"],
-        ["lset-finite", "--input", "x"],
-        ["principal", "--input", "x"],
-        ["f2l", "--input", "x"],
-        ["ceq", "--input", "x"],
-        ["ceq-bound", "--input", "x"],
-        ["ceq-element", "--input", "x", "--b", "y"],
-        ["closed-form", "--family", "almost", "--params", "{}", "--verified"],
-        ["transform", "--input", "x", "--ops", "[]"],
-        ["oracle-check", "--input", "x", "--what", "f", "--cap", "7"],
-    ],
+    _PLAIN,
     ids=COMMANDS,
 )
 def test_parsed_arguments_match_the_reference_parser(argv):
     # defaults, types and the handler of each subcommand
     assert vars(cli._parser().parse_args(argv)) == vars(_reference_parser().parse_args(argv))
+
+
+# each command's flags with values its spec takes, and the forms and
+# values only argparse reads, or nothing reads
+_OWN_FLAGS = {
+    name: {
+        flag: () if "action" in spec  # store_true
+        else spec.get("choices") or (("7", "+7") if "type" in spec else ("x", "{}", ""))
+        for flag, spec in map(cli._spec, flags)
+    }
+    for name, _, _, flags in cli._COMMANDS
+}
+_ALL_FLAGS = sorted({f for flags in _OWN_FLAGS.values() for f in flags})
+_OTHER_TOKENS = ["--inp", "--form", "--input=x", "--format=json", "-h", "--help", "--", "-i"]
+_VALUES = ["x", "", "-3", "3_0", "\u0665", "json", "xml", "7", "lex"]
+
+
+@st.composite
+def _argv(draw):
+    """A command, then its flags in shuffled order, most with a value its
+    spec takes, sometimes with another value, a missing value or flag,
+    another command's flag, an abbreviation, a repeat or a token only
+    argparse reads."""
+    command = draw(st.sampled_from(COMMANDS + ("frobnicate", "lse", "-h", "")))
+    own = _OWN_FLAGS.get(command, {})
+    flags = [f for f in draw(st.permutations(sorted(own))) if draw(st.integers(0, 7))]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        odd = draw(st.sampled_from(sorted(own) + _ALL_FLAGS + _OTHER_TOKENS))
+        flags.insert(draw(st.integers(0, len(flags))), odd)
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        good = own.get(flag)
+        if (good != ()) == bool(draw(st.integers(0, 7))):  # else a missing or stray value
+            argv.append(draw(st.sampled_from(good if good and draw(st.integers(0, 3)) else _VALUES)))
+    return argv
+
+
+_REFERENCE = _reference_parser()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_argv())
+def test_the_reader_agrees_with_the_reference_parser(argv):
+    read = cli._read(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = _REFERENCE.parse_args(argv)
+        except SystemExit:
+            expected = None
+    if read is not None:
+        assert expected is not None and vars(read) == vars(expected)
+
+
+@pytest.mark.parametrize("argv", _PLAIN, ids=COMMANDS)
+def test_the_reader_takes_every_plain_command_line(argv):
+    read = cli._read(argv)
+    assert read is not None and vars(read) == vars(_reference_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tset", "--help"],
+        ["tset", "-h"],
+        ["tset", "--inp", "x"],
+        ["tset", "--input=x"],
+        ["tset", "--input", "x", "--input", "y"],
+        ["ideal", "--input", "x", "--minimal", "--minimal"],
+        ["tset", "--", "--input", "x"],
+        ["tset", "--input", "x", "--"],
+        ["lset-complement", "--input", "x", "--limit", "-3"],
+        ["lse", "--input", "x"],
+        ["--help"],
+        [],
+    ],
+    ids=[
+        "help",
+        "h",
+        "abbreviation",
+        "equals",
+        "repeat",
+        "repeated-switch",
+        "double-dash",
+        "trailing-double-dash",
+        "dash-value",
+        "command-prefix",
+        "top-help",
+        "empty",
+    ],
+)
+def test_the_reader_leaves_other_forms_to_argparse(argv):
+    assert cli._read(argv) is None

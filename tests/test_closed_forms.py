@@ -1,6 +1,7 @@
 """Closed-form family formulas, checked against the engine throughout."""
 
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -195,6 +196,22 @@ def test_a_principal_l_set_shifts_the_frobenius_number_on_the_grid():
         holes = gaps(f.generators)
         assert f2l(p) == g + max(holes)
         assert integers_outside_l_set(p) == tuple(range(g)) + tuple(g + x for x in holes)
+
+
+def test_three_generated_l_sets_are_principal_on_the_grid():
+    """Chapman, Garcia-Sanchez, Llena and Marshall (Canad. Math. Bull. 54,
+    2011), the case n = 3 that the paper generalizes: the lattice of S~
+    has rank 1, spanned by gamma = (a2 - a3, a3 - a1, a1 - a2)/gcd, so L_S
+    is principal, generated by the degree of gamma^+ = ((a3 - a1)/gcd) e_2.
+    Every triple 3 <= a1 < a2 < a3 <= 30 with gcd 1."""
+    checked = 0
+    for a1, a2, a3 in combinations(range(3, 31), 3):
+        if gcd(a1, a2, a3) == 1:
+            ideal = l_set(numerical([a1, a2, a3]))
+            gamma_plus = (a3 - a1) // gcd(a2 - a3, a3 - a1, a1 - a2)
+            assert [g.free[0] for g in ideal.generators] == [a2 * gamma_plus], (a1, a2, a3)
+            checked += 1
+    assert checked == 2779
 
 
 def test_f2l_matches_the_oracle_on_families_with_multipliers():
