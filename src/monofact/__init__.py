@@ -10,7 +10,7 @@ T_S and L_S (:mod:`monofact.same_length`), the equal catenary degree
 command line.
 """
 
-from .apery import AperyResult, apery_count, apery_is_finite, apery_set
+from .apery import AperyResult, apery_is_finite, apery_set
 from .catenary import (
     ceq,
     ceq_element_bruteforce,
@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatch,
     EmptyLSet,
     HypothesisViolated,
-    InfiniteSet,
     InfiniteWithoutLimit,
     InvalidInput,
     InvalidScalar,
@@ -34,7 +33,6 @@ from .errors import (
     NotInMonoid,
     NotReduced,
     NotStabilized,
-    PreconditionFailed,
     UndefinedForN2,
 )
 from .ideal import (

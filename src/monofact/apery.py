@@ -50,8 +50,7 @@ from math import gcd
 from operator import add, sub
 
 from ._frozen import Frozen
-from .errors import BudgetExceeded, CrossCheckError, InfiniteSet, InfiniteWithoutLimit
-from .errors import InvalidInput
+from .errors import BudgetExceeded, CrossCheckError, InfiniteWithoutLimit, InvalidInput
 from .ideal import _stored, groebner, lattice_ideal
 from .monoid import (
     GroupElement,
@@ -341,13 +340,3 @@ def apery_set(
     # the free part has a fixed length, so flat order is sort_key order
     out = tuple(GroupElement._made(d[:rank], d[rank:], moduli) for d in sorted(degs))
     return AperyResult(limit is None, out, len(out), limit)
-
-
-def apery_count(p: MonoidPresentation, elements, factorizations=None) -> int:
-    """Cardinality of a finite Apery set; InfiniteSet when it is not.  A
-    finite Ap_S(B) is the same set under every term order, so none is
-    taken."""
-    try:
-        return apery_set(p, elements, factorizations).count
-    except InfiniteWithoutLimit:
-        raise InfiniteSet("Apery set is infinite") from None

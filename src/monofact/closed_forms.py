@@ -4,15 +4,14 @@ Three families admit explicit answers: arithmetic sequences (the
 homogenized ideal is the rational normal curve ideal), almost arithmetic
 sequences (one extra generator b), and shifted families b + t*m_i whose
 m_i are built from pairwise coprime moduli.  The formulas rest on
-presentation transforms that keep the homogenized ideal fixed; those
-transforms and the generating families they produce are exposed here as
-well, so tests can replay the derivations against the general engine.
+presentation transforms that keep the homogenized ideal fixed, which
+``normalized_presentation_transforms`` applies.
 
 Every formula operation accepts verified=True to recompute the answer
-with the engine and raise CrossCheckError on disagreement.  The one
-exception is the almost-arithmetic c_eq, where the published closed form
-itself is suspect: there verified mode returns the engine value and
-ceq_almost_arithmetic_report lays out both formula variants next to it.
+with the engine and raise CrossCheckError on disagreement.  The
+almost-arithmetic c_eq has no such operation, since the published closed
+form itself is suspect: ceq_almost_arithmetic_report lays out both
+formula variants next to the engine value.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ from math import gcd, prod
 
 from ._frozen import Frozen, kept
 from .catenary import ceq
-from .errors import (
-    CrossCheckError,
-    HypothesisViolated,
-    InvalidInput,
-    InvalidScalar,
-    PreconditionFailed,
-)
-from .ideal import Binomial
-from .intlinalg import dot
+from .errors import CrossCheckError, HypothesisViolated, InvalidInput, InvalidScalar
 from .monoid import MonoidPresentation, _integer, _integers, is_minimal_generating
 from .monoid import numerical, presentation
 from .same_length import (
@@ -278,17 +269,6 @@ class CeqFormulaReport(Frozen):
         return {name: getattr(self, name) for name in self._fields}
 
 
-def ceq_almost_arithmetic(f: AlmostArithmeticFamily, verified: bool = False) -> int:
-    """Equal catenary degree: beta + 1 for extreme b, e/d for interior b.
-
-    verified=True recomputes with the engine and returns that value; use
-    ceq_almost_arithmetic_report to see the formula variants side by side.
-    """
-    if verified:
-        return ceq(f.presentation())
-    return _ceq_proof_form(f)
-
-
 def ceq_almost_arithmetic_report(f: AlmostArithmeticFamily) -> CeqFormulaReport:
     proof = _ceq_proof_form(f)
     printed = _ceq_printed_form(f)
@@ -374,80 +354,3 @@ def normalized_presentation_transforms(values, operations):
             raise InvalidInput(f"unknown transform {name!r}")
         stages.append(vals)
     return [presentation(2, (), [(v, 1) for v in stage]) for stage in stages]
-
-
-def adjoin_generator_split(values, b, alpha) -> Binomial:
-    """The extra relation that adjoining b to <0, a_2, ..., a_n> costs.
-
-    With B = gcd(a_2..a_n) and B*b = sum(alpha_i a_i), sum(alpha) <= B,
-    the ideal of the extended monoid is the old ideal plus the single
-    binomial x_{n+1}^B - x_1^(B - sum(alpha)) * prod x_i^alpha_i, where
-    x_1 is the zero generator and the adjoined variable comes last.
-    """
-    vals, b, alf = _integers(values), _integer(b), _integers(alpha)
-    if not vals or min(vals) <= 0 or b <= 0:
-        raise InvalidInput("need positive base values a_i and a positive b")
-    if len(alf) != len(vals) or any(v < 0 for v in alf):
-        raise InvalidInput("alpha must give a natural number per base value")
-    B = gcd(*vals) if len(vals) > 1 else vals[0]
-    if sum(alf) > B:
-        raise PreconditionFailed(f"sum(alpha) = {sum(alf)} exceeds B = {B}")
-    if B * b != dot(alf, vals):
-        raise PreconditionFailed(f"B*b = {B * b} is not the given combination")
-    nvars = len(vals) + 2
-    plus = [0] * nvars
-    plus[-1] = B
-    minus = [B - sum(alf), *alf, 0]
-    return Binomial(tuple(plus), tuple(minus))
-
-
-def rational_normal_curve_relations(n: int):
-    """The 2x2-minor binomials x_i x_j - x_{i-1} x_{j+1}, 2 <= i <= j <= n-1.
-
-    These cut out the ideal of <(0,1), (1,1), ..., (n-1,1)> and, degree
-    for degree, of any arithmetic progression lifted the same way.
-    """
-    n = _integer(n)
-    if n < 2:
-        raise InvalidInput("need n >= 2 variables")
-    out = []
-    for i in range(2, n):
-        for j in range(i, n):
-            plus = [0] * n
-            minus = [0] * n
-            plus[i - 1] += 1
-            plus[j - 1] += 1
-            minus[i - 2] += 1
-            minus[j] += 1
-            out.append(Binomial(tuple(plus), tuple(minus)))
-    return out
-
-
-def arithmetic_with_zero_relations(m1: int, e: int, n: int):
-    """Generators of the ideal of <(m_1,1), ..., (m_n,1), (0,1)>.
-
-    The curve relations above, plus a second block of k relations
-    x_1^alpha x_i - x_{n-k+i} x_n^(alpha-e) x_{n+1}^e, with
-    alpha = floor((m_n - 1)/(n - 1)) and k = n - 1 - ((m_1 - 1) mod (n - 1)).
-    The zero generator is the last variable.
-    """
-    fam = ArithmeticFamily(m1, e, n)
-    mn = fam.generators[-1]
-    k = (1 - mn) % (n - 1) if n > 2 else 0
-    if k == 0:
-        k = n - 1
-    alpha = (mn - 1) // (n - 1)
-    out = [
-        Binomial(b.plus + (0,), b.minus + (0,))
-        for b in rational_normal_curve_relations(n)
-    ]
-    for i in range(1, k + 1):
-        plus = [0] * (n + 1)
-        minus = [0] * (n + 1)
-        plus[0] += alpha
-        plus[i - 1] += 1
-        minus[n - k + i - 1] += 1
-        minus[n - 1] += alpha - e
-        minus[n] += e
-        out.append(Binomial(tuple(plus), tuple(minus)))
-    return out

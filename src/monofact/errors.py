@@ -52,12 +52,6 @@ class InfiniteWithoutLimit(MonoidError):
     exit_code = 4
 
 
-class InfiniteSet(MonoidError):
-    """A count was requested for a set that is infinite."""
-
-    exit_code = 4
-
-
 class EmptyLSet(MonoidError):
     """The same-length ideal is empty, so the requested value is undefined."""
 
@@ -79,10 +73,6 @@ class CapExceeded(MonoidError):
 class HypothesisViolated(MonoidError):
     """Closed-form family constructor arguments violate the family's
     hypotheses."""
-
-
-class PreconditionFailed(MonoidError):
-    """An operation's arithmetic precondition does not hold."""
 
 
 class InvalidScalar(MonoidError):

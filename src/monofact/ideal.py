@@ -55,7 +55,7 @@ from operator import mul
 
 from ._frozen import Frozen, init_field, kept
 from .errors import InvalidInput, NotHomogeneous
-from .intlinalg import dot, lattice_contains, lll_reduce
+from .intlinalg import dot, lll_reduce
 from .monoid import MonoidPresentation, _integers, validate_reduced
 from .orders import GREVLEX, TermOrder, cheapest_last, wgrevlex
 
@@ -196,9 +196,6 @@ class KernelLattice(Frozen):
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, vector) -> bool:
-        return lattice_contains([list(r) for r in self.basis], list(vector))
 
     def to_data(self):
         return {"basis": [list(r) for r in self.basis], "nvars": self.nvars}

@@ -2,8 +2,8 @@
 
 Everything here works on plain Python integers, so there is no overflow and
 no rounding anywhere.  The central routine is an integer row echelon form
-obtained by unimodular row operations (Euclidean pivoting); kernels and
-lattice membership reduce to it, since they need the Z-span of the rows.
+obtained by unimodular row operations (Euclidean pivoting); kernels
+reduce to it, since they need the Z-span of the rows.
 Each pivot column is cleared in one sweep: the rows live in that column
 are found once, and a Euclid round hands on only the rows it left
 nonzero there, since a row that reaches zero is never touched again.
@@ -111,29 +111,6 @@ def kernel_basis(rows) -> list[list[int]]:
     tails = [r[nrows:] for r in ech if not any(r[:nrows])]
     basis, _ = row_echelon(tails)
     return basis
-
-
-def lattice_contains(basis: list[list[int]], vector) -> bool:
-    """Whether ``vector`` lies in the Z-span of ``basis``.
-
-    ``basis`` need not be echelonized; it is reduced here.
-    """
-    ech, pivots = row_echelon([list(r) for r in basis])
-    v = list(vector)
-    for row, col in zip(ech, pivots):
-        if v[col] != 0:
-            q, r = divmod(v[col], row[col])
-            if r != 0:
-                return False
-            v = [a - q * b for a, b in zip(v, row)]
-    return all(a == 0 for a in v)
-
-
-def lattices_equal(basis_a, basis_b) -> bool:
-    """Mutual membership in both directions."""
-    return all(lattice_contains(basis_b, v) for v in basis_a) and all(
-        lattice_contains(basis_a, v) for v in basis_b
-    )
 
 
 def dot(u, v) -> int:

@@ -35,13 +35,17 @@ from .monoid import GroupElement, MonoidPresentation, _integer, validate_reduced
 
 
 class EnumerationBudget(Frozen):
-    """weight_cap bounds w.pi(x); count_cap bounds enumerated vectors."""
+    """weight_cap bounds w.pi(x); count_cap bounds enumerated vectors.
+
+    The fiber map stores every vector it walks, up to about 300 bytes
+    each when the fibers are singletons, so the default of 10^6 vectors
+    ends an oversized walk in BudgetExceeded before it exhausts memory."""
 
     __slots__ = ("weight_cap", "count_cap")
     weight_cap: int
     count_cap: int
 
-    def __init__(self, weight_cap, count_cap=10**7):
+    def __init__(self, weight_cap, count_cap=10**6):
         weight_cap, count_cap = _integer(weight_cap), _integer(count_cap)
         if weight_cap <= 0 or count_cap <= 0:
             raise InvalidInput("budget caps must be positive")

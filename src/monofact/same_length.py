@@ -212,14 +212,6 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     return True
 
 
-def is_l_set_principal(p: MonoidPresentation) -> GroupElement | None:
-    """The single minimal generator of L_S if there is exactly one."""
-    ideal = l_set(p)
-    if ideal is None:
-        raise EmptyLSet("L_S is empty")
-    return ideal.generators[0] if ideal.is_principal else None
-
-
 def _apery_residues(values) -> list[int]:
     """[w_0, ..., w_{a-1}]: w_r is the least element of S = <values>
     congruent to r modulo its smallest generator a, i.e. Ap(S, a), by the

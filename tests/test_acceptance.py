@@ -10,12 +10,12 @@ import time
 from math import gcd
 
 import pytest
+from test_intlinalg import _lattices_equal
 
 from monofact.apery import apery_is_finite, apery_set
 from monofact.catenary import ceq, ceq_element_bruteforce, ceq_upper_bound_numerical
 from monofact.closed_forms import (
     AlmostArithmeticFamily,
-    ceq_almost_arithmetic,
     ceq_almost_arithmetic_report,
     lset_almost_arithmetic,
 )
@@ -39,7 +39,6 @@ from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
     homogenize,
-    is_l_set_principal,
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
@@ -114,8 +113,7 @@ def test_criterion_2_torsion_kernel_ideal_and_apery():
         lat = kernel_lattice(TORSION)
         expected = KernelLattice(basis=((1, 2, -2), (0, 8, -6)), nvars=3)
         assert lat.rank == expected.rank == 2
-        assert all(lat.contains(r) for r in expected.basis)
-        assert all(expected.contains(r) for r in lat.basis)
+        assert _lattices_equal(lat.basis, expected.basis)
         hand = groebner(
             [
                 Binomial.difference((1, 2, 0), (0, 0, 2)),
@@ -177,8 +175,7 @@ def test_criterion_4_three_generator_formulas():
     def body():
         for a1, a2, a3, p in _criterion4_triples():
             t = gcd(a2 - a1, a3 - a1)
-            gen = is_l_set_principal(p)
-            assert gen is not None and gen.free[0] == a2 * (a3 - a1) // t
+            assert [g.free[0] for g in l_set(p).generators] == [a2 * (a3 - a1) // t]
             assert ceq(p) == (a3 - a1) // t
 
     _criterion(4, body, budget=30.0)
@@ -200,7 +197,7 @@ def test_criterion_5_almost_arithmetic_family():
 def test_criterion_6_principal_l_set_invariants():
     def body():
         p = numerical([17, 29, 37, 47])
-        assert is_l_set_principal(p).free[0] == 111
+        assert [g.free[0] for g in l_set(p).generators] == [111]
         assert f2l(p) == 218
         assert ceq(p) == 5
         assert ceq_element_bruteforce(p, 145) == 5
@@ -335,7 +332,6 @@ def test_criterion_10_bounds_and_formula_reports(numerical_instances):
             assert rep.forms_agree == (rep.proof_form == rep.printed_form)
             assert rep.engine_matches_proof == (engine == rep.proof_form)
             assert rep.engine_matches_printed == (engine == rep.printed_form)
-            assert ceq_almost_arithmetic(f, verified=True) == engine
             if not (rep.engine_matches_proof and rep.engine_matches_printed):
                 seen_disagreement = True
         assert seen_disagreement

@@ -5,9 +5,9 @@ every invariant of that object and by nothing else."""
 import pytest
 
 from monofact import apery, cli, ideal, intlinalg, monoid, ratlp, same_length
-from monofact.apery import apery_count, apery_set
+from monofact.apery import apery_set
 from monofact.catenary import ceq
-from monofact.errors import InfiniteSet, InfiniteWithoutLimit, NotReduced
+from monofact.errors import InfiniteWithoutLimit, NotReduced
 from monofact.ideal import lattice_ideal
 from monofact.monoid import (
     numerical,
@@ -21,7 +21,6 @@ from monofact.same_length import (
     f2l,
     homogeneous_minimal_generators,
     integers_outside_l_set,
-    is_l_set_principal,
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
@@ -47,7 +46,7 @@ def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypat
     assert [g.free[0] for g in l_set(p).generators] == [35]
     assert ceq(p) == 5
     assert l_set_complement(p).finite
-    assert is_l_set_principal(p).free[0] == 35
+    assert l_set(p).is_principal
     # kernel binomials of S~ preserve length; I_S has (7, -4, 0), which does not
     lifted = [g for g in calls if all(sum(b.plus) == sum(b.minus) for b in g)]
     assert len(lifted) == 1
@@ -80,7 +79,7 @@ def test_t_and_l_sets_need_no_minimal_generators(monkeypatch):
     assert [g.free[0] for g in t_set(p).generators] == [16, 18, 21]
     assert [g.free[0] for g in l_set(p).generators] == [35]
     assert l_set_complement(p).finite
-    assert is_l_set_principal(p).free[0] == 35
+    assert l_set(p).is_principal
     assert f2l(p) == 45
 
 
@@ -97,7 +96,7 @@ def test_invariants_of_one_presentation_validate_the_lift_once(monkeypatch):
     l_set(p)
     l_set_complement(p)
     ceq(p)
-    is_l_set_principal(p)
+    assert l_set(p).is_principal
     # S~ is built with its known pointing (0, ..., 0, 1): no LP at all
     assert calls == []
 
@@ -301,11 +300,6 @@ def test_an_infinite_apery_set_without_limit_builds_no_groebner_basis(no_groebne
         apery_set(RANK2, B3, order=wgrevlex((2, 2, 1, 2, 2)))
 
 
-def test_an_infinite_apery_count_builds_no_groebner_basis(no_groebner):
-    with pytest.raises(InfiniteSet):
-        apery_count(RANK2, B3)
-
-
 def test_an_apery_set_of_every_generator_runs_no_buchberger(no_groebner):
     # x_i is in J for every i: J = <x_1, ..., x_n>, I_S drops out, and the
     # set is {0}, read off the staircase of the x_i
@@ -374,7 +368,7 @@ def test_every_reader_of_l_s_shares_one_trimming(monkeypatch):
     p = numerical([4, 7, 9])
     trims = _counting(monkeypatch, same_length, "_minimalize_degrees")
     assert [g.free[0] for g in l_set(p).generators] == [35]
-    assert is_l_set_principal(p).free[0] == 35
+    assert l_set(p).is_principal
     for order in (GREVLEX, LEX):
         assert l_set_complement(p, order=order).finite
     assert integers_outside_l_set(p)[-3:] == (40, 41, 45)

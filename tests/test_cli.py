@@ -213,6 +213,12 @@ def test_f2l_on_two_generators_exits_2(capsys):
     assert "n <= 2" in err
 
 
+def test_principal_of_an_empty_l_set_exits_2(capsys):
+    code, out, err = run(capsys, "principal", "--input", '{"numerical":[3,5]}')
+    assert (code, out) == (2, "")
+    assert "L_S is empty" in err
+
+
 @pytest.mark.parametrize("order", ["block:-1", "block:4"], ids=["negative", "past-n"])
 def test_block_split_outside_the_variables_exits_2(capsys, order):
     code, out, err = run(capsys, "ideal", "--input", '{"numerical":[3,5,7]}', "--order", order)
@@ -520,38 +526,40 @@ def _one_gigabyte_of_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_f2l_past_the_listing_cap_exits_2():
-    # the complement of L_S holds 1,667,166,685 integers; they are counted,
-    # not listed, so the run ends well inside its time and memory limits
+def _assert_refused_in_bounds(argv, timeout):
+    # a cold request under a fixed time and address space: exit 2, an
+    # error line and no traceback
     src = Path(__file__).resolve().parents[1] / "src"
-    argv = ["f2l", "--input", '{"numerical":[100003,100005,100009]}']
     proc = subprocess.run(
         [sys.executable, "-m", "monofact.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         preexec_fn=_one_gigabyte_of_address_space,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_f2l_past_the_listing_cap_exits_2():
+    # the complement of L_S holds 1,667,166,685 integers; they are counted,
+    # not listed, so the run ends well inside its time and memory limits
+    _assert_refused_in_bounds(["f2l", "--input", '{"numerical":[100003,100005,100009]}'], 60)
 
 
 def test_apery_past_the_listing_cap_exits_2():
     # a numerical Ap(S, b) has b elements: 10^9 are refused from that
     # count, before the member search for b and the staircase walk
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["apery", "--input", '{"numerical":[3,5,7]}', "--b", "[[1000000000]]"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "monofact.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=10,
-        preexec_fn=_one_gigabyte_of_address_space,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    _assert_refused_in_bounds(argv, 10)
+
+
+def test_oracle_past_its_count_cap_exits_2():
+    # the weight cap 10^8 admits about 10^21 coefficient vectors of <3,5,7>;
+    # the walk stores each one, and stops at the default count cap of 10^6
+    argv = ["oracle-check", "--input", '{"numerical":[3,5,7]}', "--what", "lset"]
+    _assert_refused_in_bounds([*argv, "--cap", "100000000"], 30)
 
 
 _ONE_REQUEST = """

@@ -12,22 +12,18 @@ from monofact.closed_forms import (
     _ceq_proof_form,
     ArithmeticFamily,
     UniqueBettiShiftFamily,
-    adjoin_generator_split,
-    arithmetic_with_zero_relations,
-    ceq_almost_arithmetic,
     ceq_almost_arithmetic_report,
     ceq_unique_betti_shift,
     lset_almost_arithmetic,
     lset_arithmetic,
     lset_unique_betti_shift,
     normalized_presentation_transforms,
-    rational_normal_curve_relations,
 )
-from monofact.errors import HypothesisViolated, InvalidInput, InvalidScalar, PreconditionFailed
+from monofact.errors import HypothesisViolated, InvalidScalar
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import numerical, presentation
 from monofact.oracle import EnumerationBudget, f_invariants
-from monofact.same_length import f2l, gaps, integers_outside_l_set, is_l_set_principal, l_set
+from monofact.same_length import f2l, gaps, integers_outside_l_set, l_set
 
 
 def test_arithmetic_lset():
@@ -84,8 +80,7 @@ def test_almost_arithmetic_interior_b():
     assert (fam.m, fam.M, fam.d, fam.beta) == (7, 29, 1, 5)
     la = lset_almost_arithmetic(fam, verified=True)
     assert [g.free[0] for g in la.generators] == [40, 43, 46, 49, 52, 102, 105]
-    assert ceq_almost_arithmetic(fam) == 6
-    assert ceq_almost_arithmetic(fam, verified=True) == 6
+    assert _ceq_proof_form(fam) == ceq(fam.presentation()) == 6
 
 
 def test_almost_arithmetic_report_splits_formula_forms():
@@ -106,7 +101,7 @@ def test_almost_arithmetic_b_equals_M():
     assert (fm.M - fm.m) % (fm.d * 4) == 0
     lm = lset_almost_arithmetic(fm, verified=True)
     assert [g.free[0] for g in lm.generators] == [40, 43, 46, 49, 52, 116]
-    assert ceq_almost_arithmetic(fm, verified=True) == fm.beta + 1 == 4
+    assert ceq(fm.presentation()) == fm.beta + 1 == 4
     rep = ceq_almost_arithmetic_report(fm)
     assert rep.forms_agree and rep.engine_matches_printed
 
@@ -116,7 +111,7 @@ def test_almost_arithmetic_case_two():
     assert fi.generators == (7, 8, 10, 13)
     li = lset_almost_arithmetic(fi, verified=True)
     assert [g.free[0] for g in li.generators] == [20, 24]
-    assert ceq_almost_arithmetic(fi) == 3
+    assert _ceq_proof_form(fi) == 3
     assert ceq_almost_arithmetic_report(fi).engine == 3
 
 
@@ -192,7 +187,7 @@ def test_a_principal_l_set_shifts_the_frobenius_number_on_the_grid():
     outside L_S are [0, g) together with g + gaps(S)."""
     for f in _unique_betti_grid(range(3, 16), range(1, 4)):
         p = f.presentation()
-        g = is_l_set_principal(p).free[0]
+        (g,) = [x.free[0] for x in l_set(p).generators]
         holes = gaps(f.generators)
         assert f2l(p) == g + max(holes)
         assert integers_outside_l_set(p) == tuple(range(g)) + tuple(g + x for x in holes)
@@ -271,37 +266,96 @@ def test_transform_rejects_bad_scalar():
         normalized_presentation_transforms([10, 15], [("divide", 4)])
 
 
+def _rational_normal_curve_relations(n):
+    """The 2x2-minor binomials x_i x_j - x_{i-1} x_{j+1}, 2 <= i <= j <= n-1.
+
+    These cut out the ideal of <(0,1), (1,1), ..., (n-1,1)> and, degree
+    for degree, of any arithmetic progression lifted the same way.
+    """
+    out = []
+    for i in range(2, n):
+        for j in range(i, n):
+            plus, minus = [0] * n, [0] * n
+            plus[i - 1] += 1
+            plus[j - 1] += 1
+            minus[i - 2] += 1
+            minus[j] += 1
+            out.append(Binomial(tuple(plus), tuple(minus)))
+    return out
+
+
+def _arithmetic_with_zero_relations(m1, e, n):
+    """Generators of the ideal of <(m_1,1), ..., (m_n,1), (0,1)>.
+
+    The curve relations above, plus a second block of k relations
+    x_1^alpha x_i - x_{n-k+i} x_n^(alpha-e) x_{n+1}^e, with
+    alpha = floor((m_n - 1)/(n - 1)) and k = n - 1 - ((m_1 - 1) mod (n - 1)).
+    The zero generator is the last variable.
+    """
+    mn = m1 + (n - 1) * e
+    k = (1 - mn) % (n - 1) if n > 2 else 0
+    if k == 0:
+        k = n - 1
+    alpha = (mn - 1) // (n - 1)
+    out = [Binomial(b.plus + (0,), b.minus + (0,)) for b in _rational_normal_curve_relations(n)]
+    for i in range(1, k + 1):
+        plus, minus = [0] * (n + 1), [0] * (n + 1)
+        plus[0] += alpha
+        plus[i - 1] += 1
+        minus[n - k + i - 1] += 1
+        minus[n - 1] += alpha - e
+        minus[n] += e
+        out.append(Binomial(tuple(plus), tuple(minus)))
+    return out
+
+
+def _adjoin_generator_split(values, b, alpha):
+    """The extra relation that adjoining b to <0, a_2, ..., a_n> costs.
+
+    With B = gcd(a_2..a_n), gcd(B, b) = 1 and B*b = sum(alpha_i a_i),
+    sum(alpha) <= B, the ideal of the extended monoid is the old ideal
+    plus the single binomial x_{n+1}^B - x_1^(B - sum(alpha)) * prod
+    x_i^alpha_i, where x_1 is the zero generator and the adjoined
+    variable comes last.
+    """
+    B = gcd(*values)
+    plus = [0] * (len(values) + 1) + [B]
+    return Binomial(tuple(plus), (B - sum(alpha), *alpha, 0))
+
+
+def _lifted(values):
+    return presentation(2, (), [(v, 1) for v in values])
+
+
 def test_rational_normal_curve_relations():
-    assert len(rational_normal_curve_relations(3)) == 1
-    assert rational_normal_curve_relations(3)[0] == Binomial((0, 2, 0), (1, 0, 1))
-    assert len(rational_normal_curve_relations(4)) == 3
-    assert len(rational_normal_curve_relations(5)) == 6
-    curve = rational_normal_curve_relations(4)
+    assert len(_rational_normal_curve_relations(3)) == 1
+    assert _rational_normal_curve_relations(3)[0] == Binomial((0, 2, 0), (1, 0, 1))
+    assert len(_rational_normal_curve_relations(4)) == 3
+    assert len(_rational_normal_curve_relations(5)) == 6
+    curve = _rational_normal_curve_relations(4)
     pcurve = presentation(2, (), [(0, 1), (1, 1), (2, 1), (3, 1)])
     assert ideals_equal(groebner(curve), lattice_ideal(pcurve))
 
 
 def test_adjoin_generator_split():
-    extra = adjoin_generator_split([10, 15], 6, [0, 2])
-    assert extra == Binomial((0, 0, 0, 5), (3, 0, 2, 0))
-    with pytest.raises(PreconditionFailed):
-        adjoin_generator_split([10, 15], 6, [6, 0])
-    with pytest.raises(PreconditionFailed):
-        adjoin_generator_split([10, 15], 7, [0, 2])
-
-
-@pytest.mark.parametrize("alpha", [[0, 1.5], [0, True], "02"], ids=["float", "bool", "string"])
-def test_adjoin_generator_split_refuses_non_integer_alpha(alpha):
-    # int() would read 1.5 as 1 and True as 1, and a string digit by digit
-    with pytest.raises(InvalidInput):
-        adjoin_generator_split([10, 15], 6, alpha)
+    assert _adjoin_generator_split([10, 15], 6, [0, 2]) == Binomial((0, 0, 0, 5), (3, 0, 2, 0))
+    cases = [
+        ([10, 15], 6, [0, 2]),
+        ([10, 15], 3, [0, 1]),
+        ([4, 6], 5, [1, 1]),
+        ([6, 9, 12], 7, [0, 1, 1]),
+    ]
+    for values, b, alpha in cases:
+        old = lattice_ideal(_lifted([0, *values]))
+        gens = [Binomial(g.plus + (0,), g.minus + (0,)) for g in old.elements]
+        gens.append(_adjoin_generator_split(values, b, alpha))
+        assert ideals_equal(groebner(gens), lattice_ideal(_lifted([0, *values, b]))), values
 
 
 def test_arithmetic_with_zero_relations_generate_t_ideal():
     for (m1, e, n) in [(10, 3, 5), (5, 2, 4), (7, 1, 3), (3, 4, 2)]:
-        rels = arithmetic_with_zero_relations(m1, e, n)
-        vals = [m1 + i * e for i in range(n)] + [0]
-        pt = presentation(2, (), [(v, 1) for v in vals])
+        rels = _arithmetic_with_zero_relations(m1, e, n)
+        pt = _lifted([m1 + i * e for i in range(n)] + [0])
         assert ideals_equal(groebner(rels), lattice_ideal(pt)), (m1, e, n)
 
 

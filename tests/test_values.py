@@ -96,7 +96,7 @@ def test_keyword_construction_and_defaults():
         (b,), GREVLEX, False
     )
     budget = EnumerationBudget(weight_cap=5)
-    assert (budget.weight_cap, budget.count_cap) == (5, 10**7)
+    assert (budget.weight_cap, budget.count_cap) == (5, 10**6)
     assert EnumerationBudget(5, count_cap=9).count_cap == 9
 
 
