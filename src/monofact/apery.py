@@ -53,6 +53,7 @@ from ._frozen import Frozen
 from .errors import BudgetExceeded, CrossCheckError, InfiniteWithoutLimit, InvalidInput
 from .ideal import _stored, groebner, lattice_ideal
 from .monoid import (
+    _LISTING_CAP,
     GroupElement,
     MonoidPresentation,
     _integer,
@@ -68,12 +69,6 @@ from .monoid import (
     validate_reduced,
 )
 from .orders import GREVLEX, TermOrder
-
-# The most elements one listing holds: the Apery set of a numerical S and
-# one b, and ``same_length``'s gaps and integers outside L_S.  CLI f2l on
-# <1981, 1983, 1985> lists 986,046 integers as 7 MB of JSON in 76 MB of
-# RSS; ``same_length.f2l`` itself lists nothing and has no cap.
-_LISTING_CAP = 10**6
 
 
 class AperyResult(Frozen):

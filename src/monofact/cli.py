@@ -28,17 +28,15 @@ import os
 import sys
 from types import SimpleNamespace
 
+from . import oracle
 from .apery import apery_is_finite, apery_set
-from .catenary import ceq, ceq_element_bruteforce, ceq_of_factorizations, ceq_upper_bound_numerical
+from .catenary import ceq, ceq_element_bruteforce, ceq_upper_bound_numerical
 from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
 from .monoid import _integer, _keys, element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
-from .oracle import EnumerationBudget, f_invariants, ideal_members, lset_bruteforce
-from .oracle import monoid_elements, tset_bruteforce
 from .orders import parse_order
 from .same_length import (
-    f2l,
     homogeneous_minimal_generators,
     homogenize,
     integers_outside_l_set,
@@ -325,66 +323,8 @@ def _cmd_transform(args):
     return {"stages": payload, "ideals_equal": True}
 
 
-def _oracle_check_sets(p, args):
-    if args.what == "lset":
-        ideal, oracle = l_set(p), lset_bruteforce
-    else:
-        ideal, oracle = t_set(p), tset_bruteforce
-    fibers = monoid_elements(p, EnumerationBudget(args.cap))
-    brute = oracle(fibers)
-    engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
-    missing = sorted(brute - engine, key=lambda e: e.sort_key())
-    extra = sorted(engine - brute, key=lambda e: e.sort_key())
-    return {
-        "what": args.what,
-        "cap": args.cap,
-        "ok": not missing and not extra,
-        "engine_count": len(engine),
-        "oracle_count": len(brute),
-        "missing_from_engine": [e.to_data() for e in missing],
-        "extra_in_engine": [e.to_data() for e in extra],
-    }
-
-
-def _oracle_check_ceq(p, args):
-    engine = ceq(p)
-    mg = homogeneous_minimal_generators(p)
-    witness = next((p.evaluate(b.plus) for b in mg.elements if b.total_degree() == engine), None)
-    # below the cap every fiber is complete, so it is all_factorizations(p, el)
-    fibers = monoid_elements(p, EnumerationBudget(args.cap))
-    best = max(map(ceq_of_factorizations, fibers.values()))
-    covered = witness is None or p.weight_of(witness) <= args.cap
-    ok = best == engine if covered else best <= engine
-    return {
-        "what": "ceq",
-        "cap": args.cap,
-        "ok": ok,
-        "engine": engine,
-        "oracle": best,
-        "witness_covered": covered,
-    }
-
-
-def _oracle_check_f(p, args):
-    engine = f2l(p)
-    oracle = f_invariants(p, 2, True, EnumerationBudget(args.cap))
-    return {
-        "what": "f",
-        "cap": args.cap,
-        "ok": engine == oracle,
-        "engine": engine,
-        "oracle": oracle,
-    }
-
-
 def _cmd_oracle_check(args):
-    p = _presentation(args)
-    if args.what in ("lset", "tset"):
-        data = _oracle_check_sets(p, args)
-    elif args.what == "ceq":
-        data = _oracle_check_ceq(p, args)
-    else:
-        data = _oracle_check_f(p, args)
+    data = oracle.check(_presentation(args), args.what, args.cap)
     return data, (0 if data["ok"] else 5)
 
 

@@ -28,9 +28,17 @@ from math import gcd
 from operator import add, index, mul, sub
 
 from ._frozen import Frozen, computed_once, init_field, kept
-from .errors import CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid, NotReduced
+from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid
+from .errors import NotReduced
 from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
+
+# The most items one listing holds: every factorization of one element,
+# ``apery``'s Apery set of a numerical S and one b, and ``same_length``'s
+# gaps and integers outside L_S.  CLI f2l on <1981, 1983, 1985> lists
+# 986,046 integers as 7 MB of JSON in 76 MB of RSS; ``same_length.f2l``
+# itself lists nothing and has no cap.
+_LISTING_CAP = 10**6
 
 
 class TorsionSpec(Frozen):
@@ -567,7 +575,8 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
     the remaining weight, and the loops it replaces (c ascending, up to
     the remaining weight) would have reached it.  Those loops could
     complete a prefix in at most this one way, so results come in the
-    same order as from searching every position.
+    same order as from searching every position.  Listing all of them
+    raises BudgetExceeded past ``_LISTING_CAP``.
     """
     total = dot(p.pointing, flat[: p.rank])
     results: list[tuple[int, ...]] = []
@@ -583,6 +592,8 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
         for k, i in enumerate(idxs):
             out[i] = coeffs[k]
         results.append(tuple(out))
+        if find_all and len(results) > _LISTING_CAP:
+            raise BudgetExceeded(f"more than {_LISTING_CAP} factorizations to list")
         return not find_all
 
     def leaf(rem: tuple) -> bool:

@@ -22,6 +22,16 @@ scan: for a numerical semigroup, having i factorizations (of equal
 length, if asked) survives adding the smallest generator a_1, so a run
 of a_1 consecutive successes proves every larger value succeeds and the
 largest failure seen so far is the answer.
+
+:func:`check` sets the engine against all of this below one weight cap.
+L_S and T_S compare as sets of elements: the brute-force set against
+the members of the engine's ideal.  The engine's c_eq is a degree of a
+minimal generator of I_{S~}; when the cap covers the weight of one such
+generator of that degree (``witness_covered``) the largest c_eq of an
+element below the cap must equal it, otherwise it may only fall short.
+F_2l compares with :func:`f_invariants`.  ``check`` imports the engine
+inside its body, so the brute force itself loads without the Groebner
+machinery.
 """
 
 from __future__ import annotations
@@ -206,3 +216,47 @@ def f_invariants(
     raise NotStabilized(
         f"no run of {window} successes below weight {budget.weight_cap}"
     )
+
+
+def check(p: MonoidPresentation, what: str, cap: int) -> dict:
+    """The engine's answer for ``what`` (lset, tset, ceq or f) against the
+    brute force below the weight ``cap``: the dict ``monofact
+    oracle-check`` prints, whose "ok" is False on a disagreement (see the
+    module docstring).  The engine answers before the walk starts."""
+    from .catenary import ceq, ceq_of_factorizations
+    from .same_length import f2l, homogeneous_minimal_generators, l_set, t_set
+
+    cap = _integer(cap)
+    if what in ("lset", "tset"):
+        ideal = l_set(p) if what == "lset" else t_set(p)
+        fibers = monoid_elements(p, EnumerationBudget(cap))
+        brute = lset_bruteforce(fibers) if what == "lset" else tset_bruteforce(fibers)
+        engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
+        missing = sorted(brute - engine, key=GroupElement.sort_key)
+        extra = sorted(engine - brute, key=GroupElement.sort_key)
+        return {
+            "what": what, "cap": cap, "ok": not missing and not extra,
+            "engine_count": len(engine), "oracle_count": len(brute),
+            "missing_from_engine": [e.to_data() for e in missing],
+            "extra_in_engine": [e.to_data() for e in extra],
+        }
+    if what == "ceq":
+        engine = ceq(p)
+        gens = homogeneous_minimal_generators(p).elements
+        witness = next((p.evaluate(b.plus) for b in gens if b.total_degree() == engine), None)
+        # below the cap every fiber is complete, so it is all_factorizations(p, el)
+        fibers = monoid_elements(p, EnumerationBudget(cap))
+        best = max(map(ceq_of_factorizations, fibers.values()))
+        covered = witness is None or p.weight_of(witness) <= cap
+        ok = best == engine if covered else best <= engine
+        return {
+            "what": what, "cap": cap, "ok": ok,
+            "engine": engine, "oracle": best, "witness_covered": covered,
+        }
+    if what == "f":
+        engine = f2l(p)
+        oracle = f_invariants(p, 2, True, EnumerationBudget(cap))
+        return {
+            "what": what, "cap": cap, "ok": engine == oracle, "engine": engine, "oracle": oracle,
+        }
+    raise InvalidInput(f"no oracle check for {what!r}; expected lset, tset, ceq or f")

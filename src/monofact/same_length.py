@@ -31,11 +31,12 @@ from math import gcd
 from operator import ge
 
 from ._frozen import Frozen, kept
-from .apery import _LISTING_CAP, AperyResult, apery_set
+from .apery import AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
 from .ideal import BinomialBasis, lattice_ideal, minimal_generators
 from .monoid import (
+    _LISTING_CAP,
     GroupElement,
     MonoidPresentation,
     _integers,

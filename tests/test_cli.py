@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from monofact import cli
+from monofact import cli, oracle
 from monofact.catenary import ceq
 from monofact.closed_forms import AlmostArithmeticFamily
-from monofact.monoid import numerical
+from monofact.errors import MonoidError
+from monofact.monoid import numerical, presentation_from_data
 from monofact.oracle import EnumerationBudget, f_invariants, lset_bruteforce, monoid_elements
 from monofact.same_length import f2l
 
@@ -455,6 +456,9 @@ def test_oracle_check_lset_passes(capsys, what):
         assert data["missing_from_engine"] == [] and data["extra_in_engine"] == []
 
 
+_TORSION_INPUT = '{"rank":1,"torsion":[3],"generators":[[-4,2],[-3,2],[-2,1],[-1,1]]}'
+
+
 @pytest.mark.parametrize(
     "what, line",
     [
@@ -468,17 +472,34 @@ def test_oracle_check_lset_passes(capsys, what):
 )
 def test_oracle_check_with_torsion_is_pinned(capsys, what, line):
     # engine membership is read off the fiber map, whose residues merge mod 3
-    data = '{"rank":1,"torsion":[3],"generators":[[-4,2],[-3,2],[-2,1],[-1,1]]}'
-    code, out, _ = run(capsys, "oracle-check", "--input", data, "--what", what, "--cap", "40")
+    code, out, _ = run(
+        capsys, "oracle-check", "--input", _TORSION_INPUT, "--what", what, "--cap", "40"
+    )
     assert code == 0
     assert out == line + "\n"
 
 
+@pytest.mark.parametrize(
+    "data", ['{"numerical":[3,5,7]}', _TORSION_INPUT], ids=["3-5-7", "torsion"]
+)
+@pytest.mark.parametrize("what", ["lset", "tset", "ceq", "f"])
+def test_oracle_check_prints_the_library_check(capsys, data, what):
+    # the CLI reads the input and prints oracle.check's dict; F_2l of the
+    # torsion input is refused the same way by both
+    code, out, err = run(capsys, "oracle-check", "--input", data, "--what", what, "--cap", "40")
+    try:
+        expected = oracle.check(presentation_from_data(json.loads(data)), what, 40)
+    except MonoidError as exc:
+        assert (what, code, out, err) == ("f", exc.exit_code, "", f"error: {exc}\n")
+    else:
+        assert (code, json.loads(out)) == (0 if expected["ok"] else 5, expected)
+
+
 def test_oracle_check_mismatch_exits_5(capsys, monkeypatch):
-    def fake(p, args):
+    def fake(p, what, cap):
         return {"ok": False, "missing_from_engine": [7]}
 
-    monkeypatch.setattr(cli, "_oracle_check_sets", fake)
+    monkeypatch.setattr(oracle, "check", fake)
     code, out, _ = run(
         capsys,
         "oracle-check",
@@ -560,6 +581,13 @@ def test_oracle_past_its_count_cap_exits_2():
     # the walk stores each one, and stops at the default count cap of 10^6
     argv = ["oracle-check", "--input", '{"numerical":[3,5,7]}', "--what", "lset"]
     _assert_refused_in_bounds([*argv, "--cap", "100000000"], 30)
+
+
+def test_ceq_element_past_the_listing_cap_exits_2():
+    # 10^5 has about 4.8e7 factorizations in <3,5,7>; listing them stops
+    # at the cap of 10^6, a few seconds in, whatever --cap allows
+    argv = ["ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", "100000"]
+    _assert_refused_in_bounds(argv, 60)
 
 
 _ONE_REQUEST = """

@@ -1,14 +1,23 @@
-"""T_S, L_S, c_eq and the finiteness of S \\ L_S are invariants of the
-monoid, not of how it is written down.  An automorphism phi of Z^m + T
-carries a presentation S to phi(S); with the generators shuffled too,
-t_set(phi S) = phi(t_set S), l_set(phi S) = phi(l_set S), and c_eq and
-the finiteness verdict are unchanged.  The check needs no oracle and no
-weight cap, so it reaches rank 3 and two torsion factors."""
+"""T_S, L_S, c_eq, Apery sets and the finiteness of S \\ L_S are
+invariants of the monoid, not of how it is written down.  An
+automorphism phi of Z^m + T carries a presentation S to phi(S); with the
+generators shuffled too, t_set(phi S) = phi(t_set S), l_set(phi S) =
+phi(l_set S), Ap(phi S, phi B) = phi(Ap(S, B)), and c_eq and the
+finiteness verdict are unchanged.  The check needs no oracle and no
+weight cap, so it reaches rank 3 and two torsion factors.
+
+A truncated Apery set keeps the standard monomials of total degree at
+most the limit.  Under GREVLEX, whose first row is the total degree, the
+standard monomial of a fiber is a shortest factorization, so the
+truncation keeps the elements whose shortest factorization is that
+short; phi and the shuffle keep factorization lengths, so the truncated
+sets correspond too.  Under lex they need not."""
 
 from math import gcd
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.monoid import GroupElement, presentation
 from monofact.same_length import l_set, l_set_complement_is_finite, t_set
@@ -66,3 +75,21 @@ def test_the_invariants_are_unchanged_by_an_automorphism(p, data):
             assert {_image(phi, g) for g in before.generators} == set(after.generators)
     assert ceq(q) == ceq(p)
     assert l_set_complement_is_finite(q) == l_set_complement_is_finite(p)
+
+
+@given(p=_reduced_presentations(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_apery_sets_are_carried_by_an_automorphism(p, data):
+    # B is a nonempty set of generators: finite when it covers every
+    # extremal ray of the cone, truncated at the limit otherwise
+    phi = data.draw(_automorphisms(p.rank, p.torsion.moduli))
+    images = [_image(phi, g) for g in p.generators]
+    gens = data.draw(st.permutations(images))
+    q = presentation(p.rank, p.torsion.moduli, [g.free + g.torsion for g in gens])
+    b = data.draw(st.sets(st.integers(0, p.n - 1), min_size=1))
+    limit = data.draw(st.integers(0, 3))
+    before = apery_set(p, [p.generators[i] for i in sorted(b)], limit=limit)
+    after = apery_set(q, [images[i] for i in sorted(b)], limit=limit)
+    event("finite" if before.finite else "truncated")
+    assert after.finite == before.finite
+    assert set(after.elements) == {_image(phi, e) for e in before.elements}

@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from monofact import monoid
 from monofact.apery import apery_set
 from monofact.catenary import ceq_element_bruteforce
 from monofact.errors import (
@@ -128,6 +129,21 @@ def test_all_factorizations_complete():
     facs = {tuple(f) for f in all_factorizations(p, p.element((10,)))}
     assert facs == {(1, 0, 1), (0, 2, 0)}
     assert all_factorizations(p, p.element((1,))) == []
+
+
+def test_listing_all_factorizations_stops_at_the_listing_cap(monkeypatch):
+    # 60 has 22 factorizations in <3, 5, 7>; member still finds one
+    p = numerical([3, 5, 7])
+    x = p.element((60,))
+    monkeypatch.setattr(monoid, "_LISTING_CAP", 22)
+    assert len(all_factorizations(p, x)) == 22
+    monkeypatch.setattr(monoid, "_LISTING_CAP", 21)
+    with pytest.raises(BudgetExceeded):
+        all_factorizations(p, x)
+    with pytest.raises(BudgetExceeded):
+        ceq_element_bruteforce(p, x)
+    monkeypatch.setattr(monoid, "_LISTING_CAP", 0)
+    assert member(p, x) is not None
 
 
 def test_element_from_data_shapes():

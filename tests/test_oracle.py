@@ -15,6 +15,7 @@ from monofact.monoid import all_factorizations, numerical, presentation, validat
 from monofact.oracle import (
     EnumerationBudget,
     _Tally,
+    check,
     f_invariants,
     ideal_members,
     lset_bruteforce,
@@ -27,7 +28,8 @@ from monofact.same_length import _minimalize_degrees, homogenize, l_set, t_set
 
 def test_the_oracle_reaches_no_groebner_code():
     # the oracle decides disagreements with the engine, so neither it nor
-    # a module it imports may use the Groebner side
+    # a module it imports may use the Groebner side; only ``check``, which
+    # sets the two against each other, imports the engine, in its body
     src = Path(monofact.__file__).parent
     seen, todo = set(), ["oracle"]
     while todo:
@@ -35,6 +37,10 @@ def test_the_oracle_reaches_no_groebner_code():
         if name not in seen:
             seen.add(name)
             tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+            if name == "oracle":
+                checks = [f for f in tree.body if getattr(f, "name", None) == "check"]
+                assert len(checks) == 1
+                tree.body.remove(checks[0])
             todo += [
                 node.module
                 for node in ast.walk(tree)
@@ -290,3 +296,8 @@ def test_budget_guards():
         EnumerationBudget(10, count_cap=0)
     with pytest.raises(BudgetExceeded):
         monoid_elements(numerical([3, 5, 7]), EnumerationBudget(30, count_cap=5))
+
+
+def test_check_refuses_an_unknown_what():
+    with pytest.raises(InvalidInput):
+        check(numerical([3, 5, 7]), "apery", 40)
