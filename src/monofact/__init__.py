@@ -49,7 +49,6 @@ from .ideal import (
     saturate,
 )
 from .monoid import (
-    Factorization,
     GroupElement,
     MonoidPresentation,
     all_factorizations,

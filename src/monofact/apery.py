@@ -238,7 +238,7 @@ def _b_factorizations(p, elems, factorizations):
         for elem in elems:
             i = index.get(elem)
             if i is None:
-                facts.append(tuple(require_member(p, elem)))
+                facts.append(require_member(p, elem))
             else:
                 facts.append(_unit(p.n, i))
     else:
@@ -325,7 +325,7 @@ def apery_set(
             return any(_search_flat(p, tuple(map(sub, deg, b)), False) for b in bflats)
 
         monomials = _standard_monomials(leads, rows, limit, outside)
-    rank, moduli = p.rank, p.torsion.moduli
+    rank, moduli = p.rank, p.torsion
     degs = {}
     for mono, deg in monomials:
         deg = deg[:rank] + _reduced(deg[rank:], moduli)

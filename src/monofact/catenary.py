@@ -16,8 +16,9 @@ from __future__ import annotations
 from math import gcd
 from operator import sub
 
-from .errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
+from .errors import BudgetExceeded, CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from .monoid import (
+    _LISTING_CAP,
     MonoidPresentation,
     _integer,
     all_factorizations,
@@ -88,16 +89,23 @@ def _class_threshold(facs):
 
 def ceq_of_factorizations(facs) -> int:
     """c_eq of an element from all of its factorizations: group them by
-    length and take the worst connectivity threshold over the classes."""
+    length and take the worst connectivity threshold over the classes.
+    Each class of k sorts its k(k-1)/2 pairs, so more than
+    ``_LISTING_CAP`` pairs in all raise BudgetExceeded before any is built."""
     classes = {}
     for f in facs:
-        classes.setdefault(sum(f), []).append(tuple(f))
+        classes.setdefault(sum(f), []).append(f)
+    pairs = sum(len(g) * (len(g) - 1) // 2 for g in classes.values())
+    if pairs > _LISTING_CAP:
+        raise BudgetExceeded(f"{pairs} equal-length pairs to sort, more than the cap of {_LISTING_CAP}")
     return max((_class_threshold(g) for g in classes.values() if len(g) > 1), default=0)
 
 
 def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
     """c_eq(b) from first principles, over every factorization of b.
-    CapExceeded when the answer would be larger than ``cap``."""
+    CapExceeded when the answer would be larger than ``cap``, and
+    BudgetExceeded when the factorizations or their equal-length pairs
+    number more than ``_LISTING_CAP``, whatever ``cap`` allows."""
     cap = _integer(cap)
     validate_reduced(p)
     b = element_from_data(p, b)

@@ -37,6 +37,7 @@ from .monoid import _integer, _keys, element_from_data, presentation_from_data, 
 from .monoid import is_minimal_generating as _gens_minimal
 from .orders import parse_order
 from .same_length import (
+    f2l,
     homogeneous_minimal_generators,
     homogenize,
     integers_outside_l_set,
@@ -144,7 +145,7 @@ def _cmd_validate(args):
     return {
         "valid": True,
         "rank": p.rank,
-        "torsion": list(p.torsion.moduli),
+        "torsion": list(p.torsion),
         "n": p.n,
         "numerical": p.is_numerical,
         "minimal": _gens_minimal(p),
@@ -220,8 +221,8 @@ def _cmd_principal(args):
 
 
 def _cmd_f2l(args):
-    outside = integers_outside_l_set(_presentation(args))
-    return {"value": max(outside), "complement": list(outside)}
+    p = _presentation(args)
+    return {"value": f2l(p), "complement": list(integers_outside_l_set(p))}
 
 
 def _cmd_ceq(args):
@@ -277,8 +278,8 @@ def _cmd_closed_form(args):
             "family": "almost",
             "generators": list(fam.generators),
             "lset": _ideal_payload(ideal),
-            "ceq": report.engine,
-            "ceq_forms": report.to_data(),
+            "ceq": report["engine"],
+            "ceq_forms": report,
         }
     fam = closed_forms.UniqueBettiShiftFamily(
         params["b"], params["t"], params["c"], params.get("f")

@@ -244,43 +244,21 @@ def _ceq_printed_form(f: AlmostArithmeticFamily) -> int:
     return f.e // f.d
 
 
-class CeqFormulaReport(Frozen):
+def ceq_almost_arithmetic_report(f: AlmostArithmeticFamily) -> dict:
     """Both published shapes of the almost-arithmetic c_eq next to the
-    engine value.  The two shapes differ exactly when b is m or M and
-    d(n-1) divides M-m-d or M-m-d-1 (for an interior b both are e/d); the
-    engine is authoritative."""
-
-    __slots__ = (
-        "proof_form",
-        "printed_form",
-        "engine",
-        "forms_agree",
-        "engine_matches_proof",
-        "engine_matches_printed",
-    )
-    proof_form: int
-    printed_form: int
-    engine: int
-    forms_agree: bool
-    engine_matches_proof: bool
-    engine_matches_printed: bool
-
-    def to_data(self):
-        return {name: getattr(self, name) for name in self._fields}
-
-
-def ceq_almost_arithmetic_report(f: AlmostArithmeticFamily) -> CeqFormulaReport:
-    proof = _ceq_proof_form(f)
-    printed = _ceq_printed_form(f)
-    engine = ceq(f.presentation())
-    return CeqFormulaReport(
-        proof_form=proof,
-        printed_form=printed,
-        engine=engine,
-        forms_agree=proof == printed,
-        engine_matches_proof=engine == proof,
-        engine_matches_printed=engine == printed,
-    )
+    engine value, as the dict ``closed-form`` prints under ``ceq_forms``.
+    The two shapes differ exactly when b is m or M and d(n-1) divides
+    M-m-d or M-m-d-1 (for an interior b both are e/d); the engine is
+    authoritative."""
+    proof, printed, engine = _ceq_proof_form(f), _ceq_printed_form(f), ceq(f.presentation())
+    return {
+        "proof_form": proof,
+        "printed_form": printed,
+        "engine": engine,
+        "forms_agree": proof == printed,
+        "engine_matches_proof": engine == proof,
+        "engine_matches_printed": engine == printed,
+    }
 
 
 def lset_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -> MonoidIdeal:

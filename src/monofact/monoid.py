@@ -41,22 +41,6 @@ from .ratlp import in_cone, positive_functional, zero_combination
 _LISTING_CAP = 10**6
 
 
-class TorsionSpec(Frozen):
-    """The torsion part Z/t_1 + ... + Z/t_k; moduli all >= 2."""
-
-    __slots__ = ("moduli",)
-    moduli: tuple[int, ...]
-
-    def __init__(self, moduli=()):
-        moduli = _integers(moduli)
-        if any(t < 2 for t in moduli):
-            raise InvalidInput("torsion moduli must all be >= 2")
-        super().__init__(moduli)
-
-    def __len__(self):
-        return len(self.moduli)
-
-
 class GroupElement(Frozen):
     """An element of Z^m + T.  Torsion residues are kept reduced mod t_j."""
 
@@ -66,7 +50,7 @@ class GroupElement(Frozen):
     moduli: tuple[int, ...]
 
     def __init__(self, free, torsion=(), moduli=()):
-        free, torsion, moduli = _integers(free), _integers(torsion), TorsionSpec(moduli).moduli
+        free, torsion, moduli = _integers(free), _integers(torsion), _moduli(moduli)
         if len(torsion) != len(moduli):
             raise DimensionMismatch("torsion residue count does not match moduli")
         super().__init__(free, _reduced(torsion, moduli), moduli)
@@ -130,32 +114,6 @@ class GroupElement(Frozen):
         return list(self.free) + list(self.torsion)
 
 
-class Factorization(Frozen):
-    """A vector of generator multiplicities; its length is the coordinate sum."""
-
-    __slots__ = ("coeffs",)
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs):
-        coeffs = _integers(coeffs)
-        if coeffs and min(coeffs) < 0:
-            raise InvalidInput("factorization coefficients must be nonnegative")
-        super().__init__(coeffs)
-
-    @property
-    def length(self) -> int:
-        return sum(self.coeffs)
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
 def primitive(vector) -> tuple[int, ...]:
     g = gcd(*vector)
     if g <= 1:  # 0 for the zero vector
@@ -164,7 +122,8 @@ def primitive(vector) -> tuple[int, ...]:
 
 
 class MonoidPresentation(Frozen):
-    """Generators of S inside Z^rank + torsion.
+    """Generators of S inside Z^rank + T, with ``torsion`` the moduli
+    (t_1, ..., t_k) of T.
 
     Each object proves itself reduced once, when its cached ``pointing`` is
     first read; every operation that needs a reduced presentation reads it
@@ -186,7 +145,7 @@ class MonoidPresentation(Frozen):
     # and lift presets the kernel of S~
     __slots__ = ("rank", "torsion", "generators", "__dict__")
     rank: int
-    torsion: TorsionSpec
+    torsion: tuple[int, ...]
     generators: tuple[GroupElement, ...]
 
     def __init__(self, rank, torsion, generators):
@@ -195,7 +154,7 @@ class MonoidPresentation(Frozen):
         if not generators:
             raise InvalidInput("at least one generator is required")
         for g in generators:
-            if g.rank != rank or g.moduli != torsion.moduli:
+            if g.rank != rank or g.moduli != torsion:
                 raise DimensionMismatch("generator shape does not match presentation")
             if g.is_zero:
                 raise InvalidInput("the zero element cannot be a generator")
@@ -207,15 +166,13 @@ class MonoidPresentation(Frozen):
 
     @property
     def is_numerical(self) -> bool:
-        return self.rank == 1 and not self.torsion.moduli and all(
-            g.free[0] > 0 for g in self.generators
-        )
+        return self.rank == 1 and not self.torsion and all(g.free[0] > 0 for g in self.generators)
 
     def zero(self) -> GroupElement:
-        return GroupElement._made((0,) * self.rank, (0,) * len(self.torsion), self.torsion.moduli)
+        return GroupElement._made((0,) * self.rank, (0,) * len(self.torsion), self.torsion)
 
     def element(self, free, torsion=()) -> GroupElement:
-        x = GroupElement(free, torsion, self.torsion.moduli)
+        x = GroupElement(free, torsion, self.torsion)
         if x.rank != self.rank:
             raise DimensionMismatch("free part has wrong length")
         return x
@@ -227,10 +184,8 @@ class MonoidPresentation(Frozen):
         if len(coeffs) != self.n:
             raise DimensionMismatch("coefficient vector has wrong length")
         flat = [sum(map(mul, coeffs, column)) for column in self._columns]
-        moduli = self.torsion.moduli
-        return GroupElement._made(
-            tuple(flat[: self.rank]), _reduced(flat[self.rank :], moduli), moduli
-        )
+        rank, moduli = self.rank, self.torsion
+        return GroupElement._made(tuple(flat[:rank]), _reduced(flat[rank:], moduli), moduli)
 
     @computed_once
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -277,7 +232,7 @@ class MonoidPresentation(Frozen):
         bijectively onto its first n coordinates.  A length lift S~ has its
         kernel preset by :attr:`lift`.
         """
-        n, moduli = self.n, self.torsion.moduli
+        n, moduli = self.n, self.torsion
         k = len(moduli)
         rows = [[g.free[d] for g in self.generators] + [0] * k for d in range(self.rank)]
         for j, t in enumerate(moduli):
@@ -356,7 +311,7 @@ class MonoidPresentation(Frozen):
         adj = adjugate(minor)
         if det < 0:
             det, adj = -det, [[-a for a in r] for r in adj]
-        moduli = (0,) * self.rank + self.torsion.moduli
+        moduli = (0,) * self.rank + self.torsion
         # spread rows let the leaf dot the remainder with no gather; for
         # rank 1 that keeps it about as cheap as dividing the remaining weight
         col = {k: j for j, k in enumerate(pick)}
@@ -419,6 +374,14 @@ def _integers(values) -> tuple[int, ...]:
     return tuple(map(_integer, values))
 
 
+def _moduli(values) -> tuple[int, ...]:
+    """Torsion moduli read from input data, each by ``_integer``; all >= 2."""
+    moduli = _integers(values)
+    if any(t < 2 for t in moduli):
+        raise InvalidInput("torsion moduli must all be >= 2")
+    return moduli
+
+
 def _reduced(residues, moduli) -> tuple[int, ...]:
     """Torsion residues reduced mod their moduli."""
     return tuple([r % t for r, t in zip(residues, moduli)])
@@ -441,8 +404,8 @@ def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
     Each generator is a flat sequence: ``rank`` free coordinates followed by
     one residue per torsion modulus.  Entries are ints or decimal strings.
     """
-    rank, tspec = _integer(rank), TorsionSpec(torsion)
-    moduli, k = tspec.moduli, len(tspec)
+    rank, moduli = _integer(rank), _moduli(torsion)
+    k = len(moduli)
     gens = []
     for raw in generators:
         raw = _integers(raw)
@@ -451,7 +414,7 @@ def presentation(rank: int, torsion=(), generators=()) -> MonoidPresentation:
                 f"generator {raw} has length {len(raw)}, expected {rank + k}"
             )
         gens.append(GroupElement._made(raw[:rank], _reduced(raw[rank:], moduli), moduli))
-    return MonoidPresentation(rank, tspec, tuple(gens))
+    return MonoidPresentation(rank, moduli, tuple(gens))
 
 
 def numerical(values) -> MonoidPresentation:
@@ -490,7 +453,7 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
     monoid; otherwise a flat [free..., torsion...] list is expected.
     """
     if isinstance(obj, GroupElement):
-        if len(obj.free) != p.rank or obj.moduli != p.torsion.moduli:
+        if len(obj.free) != p.rank or obj.moduli != p.torsion:
             raise DimensionMismatch("element belongs to a different ambient group")
         return obj
     k = len(p.torsion)
@@ -553,7 +516,7 @@ def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
     """Factorizations of x: ``_search_flat`` of its flat row, once ``p``
     is proved reduced and x is checked to live in its group."""
     p.pointing  # the hot path reads it directly, not through validate_reduced
-    if x.rank != p.rank or x.moduli != p.torsion.moduli:
+    if x.rank != p.rank or x.moduli != p.torsion:
         raise DimensionMismatch("element shape does not match presentation")
     return _search_flat(p, x.free + x.torsion, find_all)
 
@@ -628,20 +591,19 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
 
 
 def member(p: MonoidPresentation, x: GroupElement):
-    """Some factorization of x over the generators, or None."""
+    """Some factorization of x over the generators, its coefficient
+    tuple, or None."""
     found = _search(p, x, find_all=False)
-    if not found:
-        return None
-    return Factorization(found[0])
+    return found[0] if found else None
 
 
-def all_factorizations(p: MonoidPresentation, x: GroupElement) -> list[Factorization]:
-    """Every factorization of x, in lexicographic coefficient order."""
-    found = _search(p, x, find_all=True)
-    return [Factorization(c) for c in sorted(found)]
+def all_factorizations(p: MonoidPresentation, x: GroupElement) -> list[tuple[int, ...]]:
+    """Every factorization of x, its coefficient tuples in lexicographic
+    order."""
+    return sorted(_search(p, x, find_all=True))
 
 
-def require_member(p: MonoidPresentation, x: GroupElement) -> Factorization:
+def require_member(p: MonoidPresentation, x: GroupElement) -> tuple[int, ...]:
     f = member(p, x)
     if f is None:
         raise NotInMonoid(f"{x.to_data()} is not in the monoid")

@@ -86,7 +86,7 @@ def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
     """
     weights = p.weights
     n = p.n
-    rank, moduli = p.rank, p.torsion.moduli
+    rank, moduli = p.rank, p.torsion
     rows = [g.free + g.torsion for g in p.generators]
     tally = _Tally(budget.count_cap)
     flat: dict[tuple, list] = {}
@@ -192,7 +192,7 @@ def f_invariants(
     value; NotStabilized when the weight cap runs out first.
     """
     validate_reduced(p)
-    if p.rank != 1 or p.torsion.moduli:
+    if p.rank != 1 or p.torsion:
         raise InvalidInput("F-invariants are about numerical semigroups")
     i = _integer(i)
     if i < 2:

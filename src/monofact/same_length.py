@@ -85,7 +85,7 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     holds iff each generator of one lies in the other.
     """
     pa, pb = a.presentation, b.presentation
-    if pa.rank != pb.rank or pa.torsion.moduli != pb.torsion.moduli:
+    if pa.rank != pb.rank or pa.torsion != pb.torsion:
         raise DimensionMismatch("ideals live over different ambient groups")
     return all(b.contains(g) for g in a.generators) and all(
         a.contains(g) for g in b.generators

@@ -328,17 +328,17 @@ def test_criterion_10_bounds_and_formula_reports(numerical_instances):
         for f in families:
             rep = ceq_almost_arithmetic_report(f)
             engine = ceq(f.presentation())
-            assert rep.engine == engine
-            assert rep.forms_agree == (rep.proof_form == rep.printed_form)
-            assert rep.engine_matches_proof == (engine == rep.proof_form)
-            assert rep.engine_matches_printed == (engine == rep.printed_form)
-            if not (rep.engine_matches_proof and rep.engine_matches_printed):
+            assert rep["engine"] == engine
+            assert rep["forms_agree"] == (rep["proof_form"] == rep["printed_form"])
+            assert rep["engine_matches_proof"] == (engine == rep["proof_form"])
+            assert rep["engine_matches_printed"] == (engine == rep["printed_form"])
+            if not (rep["engine_matches_proof"] and rep["engine_matches_printed"]):
                 seen_disagreement = True
         assert seen_disagreement
         known = ceq_almost_arithmetic_report(AlmostArithmeticFamily(17, 3, 5, 7))
-        assert known.engine == 6 and known.printed_form == 5
-        assert not known.engine_matches_printed and known.engine_matches_proof
+        assert known["engine"] == 6 and known["printed_form"] == 5
+        assert not known["engine_matches_printed"] and known["engine_matches_proof"]
         agree = ceq_almost_arithmetic_report(AlmostArithmeticFamily(17, 3, 5, 33))
-        assert agree.engine == 4 and agree.forms_agree and agree.engine_matches_proof
+        assert agree["engine"] == 4 and agree["forms_agree"] and agree["engine_matches_proof"]
 
     _criterion(10, body)

@@ -219,7 +219,7 @@ def test_generators_in_b_factor_as_unit_vectors(monkeypatch, p, limit):
     # other than its unit vector; both give the same J
     p = validate_reduced(p)
     b = list(p.generators) if limit is None else [p.generators[2]]
-    searched = [member(p, g).coeffs for g in b]
+    searched = [member(p, g) for g in b]
     assert (0, 0, 1) + (0,) * (p.n - 3) not in searched
     expected = apery_set(p, b, factorizations=searched, limit=limit)
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monofact import catenary
 from monofact.catenary import (
     _class_threshold,
     _UnionFind,
@@ -11,7 +12,7 @@ from monofact.catenary import (
     ceq_upper_bound_numerical,
     distance,
 )
-from monofact.errors import CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
+from monofact.errors import BudgetExceeded, CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
 from monofact.monoid import numerical, presentation
 
 
@@ -30,6 +31,17 @@ def test_ceq_values():
     assert ceq(numerical([17, 29, 37, 47])) == 5
     assert ceq(numerical([17, 20, 23, 26, 29])) == 2
     assert ceq(numerical([3, 5])) == 0  # no equal-length relations at all
+
+
+def test_ceq_element_refuses_past_the_pair_cap(monkeypatch):
+    # 60 has 22 factorizations in <3, 5, 7>, in length classes that hold
+    # 41 equal-length pairs; the listing itself stays under monoid's cap
+    p = numerical([3, 5, 7])
+    monkeypatch.setattr(catenary, "_LISTING_CAP", 41)
+    assert ceq_element_bruteforce(p, 60) == 2
+    monkeypatch.setattr(catenary, "_LISTING_CAP", 40)
+    with pytest.raises(BudgetExceeded, match="^41 equal-length pairs to sort"):
+        ceq_element_bruteforce(p, 60)
 
 
 def test_ceq_bruteforce_agrees():

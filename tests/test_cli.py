@@ -384,8 +384,8 @@ _357 = '{"numerical":[3,5,7]}'
     ids=["ideal-minimal", "tilde-ideal-minimal", "kernel", "closed-form-report", "transform"],
 )
 def test_value_payloads_are_pinned(capsys, argv, expected):
-    # minimal-generator and Groebner bases, KernelLattice, CeqFormulaReport
-    # and the lifted transform stages, byte for byte
+    # minimal-generator and Groebner bases, KernelLattice, the c_eq formula
+    # report and the lifted transform stages, byte for byte
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == expected + "\n"
@@ -587,6 +587,13 @@ def test_ceq_element_past_the_listing_cap_exits_2():
     # 10^5 has about 4.8e7 factorizations in <3,5,7>; listing them stops
     # at the cap of 10^6, a few seconds in, whatever --cap allows
     argv = ["ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", "100000"]
+    _assert_refused_in_bounds(argv, 60)
+
+
+def test_ceq_element_past_the_pair_cap_exits_2():
+    # 4000 has 76,477 factorizations in <3,5,7>, under the listing cap, but
+    # their length classes hold 10,177,921 pairs: counted, not sorted
+    argv = ["ceq-element", "--input", '{"numerical":[3,5,7]}', "--b", "4000"]
     _assert_refused_in_bounds(argv, 60)
 
 

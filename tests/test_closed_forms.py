@@ -48,7 +48,7 @@ def _almost_arithmetic_grid():
 
 
 def test_ceq_forms_differ_exactly_as_the_report_says():
-    # CeqFormulaReport: the printed and proof forms differ exactly when b
+    # ceq_almost_arithmetic_report: the printed and proof forms differ exactly when b
     # is m or M and d(n-1) divides M-m-d or M-m-d-1; for an interior b
     # both are e/d even when d(n-1) divides one of them
     families = interior_divisible = 0
@@ -85,14 +85,14 @@ def test_almost_arithmetic_interior_b():
 
 def test_almost_arithmetic_report_splits_formula_forms():
     rep = ceq_almost_arithmetic_report(AlmostArithmeticFamily(17, 3, 5, 7))
-    assert rep.engine == 6
-    assert rep.proof_form == 6
-    assert rep.printed_form == 5
-    assert not rep.forms_agree
-    assert rep.engine_matches_proof
-    assert not rep.engine_matches_printed
-    data = rep.to_data()
-    assert data["engine"] == 6 and data["printed_form"] == 5
+    assert rep == {
+        "engine": 6,
+        "proof_form": 6,
+        "printed_form": 5,
+        "forms_agree": False,
+        "engine_matches_proof": True,
+        "engine_matches_printed": False,
+    }
 
 
 def test_almost_arithmetic_b_equals_M():
@@ -103,7 +103,7 @@ def test_almost_arithmetic_b_equals_M():
     assert [g.free[0] for g in lm.generators] == [40, 43, 46, 49, 52, 116]
     assert ceq(fm.presentation()) == fm.beta + 1 == 4
     rep = ceq_almost_arithmetic_report(fm)
-    assert rep.forms_agree and rep.engine_matches_printed
+    assert rep["forms_agree"] and rep["engine_matches_printed"]
 
 
 def test_almost_arithmetic_case_two():
@@ -112,7 +112,7 @@ def test_almost_arithmetic_case_two():
     li = lset_almost_arithmetic(fi, verified=True)
     assert [g.free[0] for g in li.generators] == [20, 24]
     assert _ceq_proof_form(fi) == 3
-    assert ceq_almost_arithmetic_report(fi).engine == 3
+    assert ceq_almost_arithmetic_report(fi)["engine"] == 3
 
 
 def test_almost_arithmetic_three_generated():

@@ -314,7 +314,7 @@ def _stacked_kernel(q):
     kernel off its base."""
     n, k = q.n, len(q.torsion)
     rows = [[g.free[d] for g in q.generators] + [0] * k for d in range(q.rank)]
-    for j, t in enumerate(q.torsion.moduli):
+    for j, t in enumerate(q.torsion):
         rows.append([g.torsion[j] for g in q.generators] + [t * (i == j) for i in range(k)])
     return [r[:n] for r in kernel_basis(rows)]
 

@@ -65,9 +65,9 @@ def _image(phi, x):
 @given(p=_reduced_presentations(), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_the_invariants_are_unchanged_by_an_automorphism(p, data):
-    phi = data.draw(_automorphisms(p.rank, p.torsion.moduli))
+    phi = data.draw(_automorphisms(p.rank, p.torsion))
     gens = data.draw(st.permutations([_image(phi, g) for g in p.generators]))
-    q = presentation(p.rank, p.torsion.moduli, [g.free + g.torsion for g in gens])
+    q = presentation(p.rank, p.torsion, [g.free + g.torsion for g in gens])
     for invariant in (t_set, l_set):
         before, after = invariant(p), invariant(q)
         assert (before is None) == (after is None)
@@ -82,10 +82,10 @@ def test_the_invariants_are_unchanged_by_an_automorphism(p, data):
 def test_apery_sets_are_carried_by_an_automorphism(p, data):
     # B is a nonempty set of generators: finite when it covers every
     # extremal ray of the cone, truncated at the limit otherwise
-    phi = data.draw(_automorphisms(p.rank, p.torsion.moduli))
+    phi = data.draw(_automorphisms(p.rank, p.torsion))
     images = [_image(phi, g) for g in p.generators]
     gens = data.draw(st.permutations(images))
-    q = presentation(p.rank, p.torsion.moduli, [g.free + g.torsion for g in gens])
+    q = presentation(p.rank, p.torsion, [g.free + g.torsion for g in gens])
     b = data.draw(st.sets(st.integers(0, p.n - 1), min_size=1))
     limit = data.draw(st.integers(0, 3))
     before = apery_set(p, [p.generators[i] for i in sorted(b)], limit=limit)

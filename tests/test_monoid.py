@@ -131,6 +131,17 @@ def test_all_factorizations_complete():
     assert all_factorizations(p, p.element((1,))) == []
 
 
+def test_member_and_all_factorizations_return_the_search_tuples():
+    # the coefficient tuples _search builds, passed on as they are
+    n, q = numerical([3, 5, 7]), presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
+    for p, x in [(n, n.element((60,))), (q, q.element((17,), (1,)))]:
+        found, every = member(p, x), all_factorizations(p, x)
+        assert type(found) is tuple and found == _search(p, x, False)[0]
+        assert require_member(p, x) == found
+        assert every == sorted(_search(p, x, True)) and len(every) > 1
+        assert all(type(f) is tuple for f in every)
+
+
 def test_listing_all_factorizations_stops_at_the_listing_cap(monkeypatch):
     # 60 has 22 factorizations in <3, 5, 7>; member still finds one
     p = numerical([3, 5, 7])
@@ -167,7 +178,7 @@ def test_presentation_from_data():
     q = presentation_from_data(
         {"rank": 1, "torsion": [2], "generators": [[2, 0], [3, 1], [4, 1]]}
     )
-    assert q.rank == 1 and q.torsion.moduli == (2,)
+    assert q.rank == 1 and q.torsion == (2,)
     with pytest.raises(InvalidInput):
         presentation_from_data({"numerical": []})
     with pytest.raises(InvalidInput):
@@ -424,18 +435,18 @@ def test_search_witnesses_and_edge_cases():
     # depth-first order (weight descending, c ascending) picks these witnesses
     p = numerical([3, 5, 7])
     thirty = p.element((30,))
-    assert member(p, thirty).coeffs == (10, 0, 0)
+    assert member(p, thirty) == (10, 0, 0)
     assert len(all_factorizations(p, thirty)) == 7
     q = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
-    assert member(q, q.element((17,), (1,))).coeffs == (7, 1, 0)
+    assert member(q, q.element((17,), (1,))) == (7, 1, 0)
     r = validate_reduced(presentation(2, (3,), [(-3, 1, 1), (1, 2, 0), (2, 1, 2), (0, 1, 1)]))
     x = r.evaluate((2, 3, 1, 4))
-    assert member(r, x).coeffs == (1, 0, 1, 11)
+    assert member(r, x) == (1, 0, 1, 11)
     assert len(all_factorizations(r, x)) == 4
     single = numerical([4])
-    assert member(single, single.element((12,))).coeffs == (3,)
+    assert member(single, single.element((12,))) == (3,)
     assert member(single, single.element((13,))) is None
-    assert member(r, r.zero()).coeffs == (0, 0, 0, 0)
+    assert member(r, r.zero()) == (0, 0, 0, 0)
     # r points along (0, 1): (5, 0) and the torsion unit of q have weight 0
     assert member(r, r.element((5, 0), (0,))) is None
     assert member(q, q.element((0,), (1,))) is None
@@ -476,7 +487,7 @@ def test_search_matches_the_oracle_fibers(p):
     except BudgetExceeded:
         assume(False)
     for x, fiber in fibers.items():
-        assert [f.coeffs for f in all_factorizations(p, x)] == sorted(fiber)
+        assert all_factorizations(p, x) == sorted(fiber)
         assert member(p, x) is not None
     # neighbours of members, one unit away in a free or torsion coordinate;
     # the fibers are complete below the cap, so the map decides membership
@@ -501,7 +512,7 @@ def _one_leaf_search(p, x, find_all):
     weights = p.weights
     n = p.n
     m = p.rank
-    moduli = p.torsion.moduli
+    moduli = p.torsion
     idxs = sorted(range(n), key=lambda i: (-weights[i], i))
     rows = [p.generators[i].free + p.generators[i].torsion for i in idxs]
     us = [weights[i] for i in idxs]
@@ -604,9 +615,8 @@ def test_solved_leaf_matches_the_one_coefficient_leaf(p, draws):
         every = _one_leaf_search(p, x, True)
         assert _search(p, x, True) == every
         first = _one_leaf_search(p, x, False)
-        found = member(p, x)
-        assert (found and found.coeffs) == (first[0] if first else None)
-        assert [f.coeffs for f in all_factorizations(p, x)] == sorted(every)
+        assert member(p, x) == (first[0] if first else None)
+        assert all_factorizations(p, x) == sorted(every)
     assert compared >= 1
     event("every element compared" if compared == len(xs) else "some elements skipped")
 
@@ -644,6 +654,6 @@ def test_flat_search_reads_unreduced_residues(p, coeffs, shifts):
     # and one unit off in the first free coordinate: mostly a non-member
     y = p.element((x.free[0] + 1,) + x.free[1:], x.torsion)
     for z in (x, y):
-        flat = z.free + tuple(r + k * t for r, k, t in zip(z.torsion, shifts, p.torsion.moduli))
+        flat = z.free + tuple(r + k * t for r, k, t in zip(z.torsion, shifts, p.torsion))
         for find_all in (True, False):
             assert _search_flat(p, flat, find_all) == _search(p, z, find_all)
