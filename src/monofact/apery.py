@@ -154,7 +154,10 @@ def _standard_monomials(leads, rows, limit, outside=None):
             walk(i + 1, deg, None if remaining is None else remaining - e)
         exp[i] = 0
 
-    walk(0, (0,) * len(rows[0]), limit)
+    try:
+        walk(0, (0,) * len(rows[0]), limit)
+    finally:
+        del walk  # walk is in its own closure: clearing that cell leaves no cycle
     return out
 
 

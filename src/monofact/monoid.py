@@ -538,8 +538,10 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
     the remaining weight, and the loops it replaces (c ascending, up to
     the remaining weight) would have reached it.  Those loops could
     complete a prefix in at most this one way, so results come in the
-    same order as from searching every position.  Listing all of them
-    raises BudgetExceeded past ``_LISTING_CAP``.
+    same order as from searching every position.  At the last searched
+    position the leaf's first numerator is carried from c to c, and the
+    leaf runs only for the c it would not reject at once.  Listing every
+    factorization raises BudgetExceeded past ``_LISTING_CAP``.
     """
     total = dot(p.pointing, flat[: p.rank])
     results: list[tuple[int, ...]] = []
@@ -578,15 +580,29 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
             return leaf(rem)
         row = rows[pos]
         u = us[pos]
+        if pos + 1 == split:
+            # the leaf's first numerator adj[0] r falls by adj[0] row per c:
+            # only a c that makes it a nonnegative multiple of det builds r
+            head, step = sum(map(mul, adj[0], rem)), sum(map(mul, adj[0], row))
+            for c in range(rem_weight // u + 1):
+                if head >= 0 and head % det == 0:
+                    coeffs[pos] = c
+                    if leaf(tuple([a - c * b for a, b in zip(rem, row)])):
+                        return True
+                head -= step
+            return False
         cur = rem
         for c in range(rem_weight // u + 1):
             coeffs[pos] = c
             if rec(pos + 1, cur, rem_weight - c * u):
                 return True
-            cur = tuple(a - b for a, b in zip(cur, row))
+            cur = tuple(map(sub, cur, row))
         return False
 
-    rec(0, flat, total)
+    try:
+        rec(0, flat, total)
+    finally:
+        del rec  # rec is in its own closure: clearing that cell leaves no cycle
     return results
 
 

@@ -108,7 +108,10 @@ def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
             c += 1
         coeffs[i] = 0
 
-    rec(0, budget.weight_cap, (0,) * (rank + len(moduli)))
+    try:
+        rec(0, budget.weight_cap, (0,) * (rank + len(moduli)))
+    finally:
+        del rec  # rec is in its own closure: clearing that cell leaves no cycle
     return {GroupElement._made(d[:rank], d[rank:], moduli): facs for d, facs in flat.items()}
 
 
@@ -179,7 +182,10 @@ def _has_enough(vals, b, need, same_length, tally) -> bool:
             rec(idx + 1, remaining - c * v, length + c)
             c += 1
 
-    rec(0, b, 0)
+    try:
+        rec(0, b, 0)
+    finally:
+        del rec  # rec is in its own closure: clearing that cell leaves no cycle
     return state["found"]
 
 

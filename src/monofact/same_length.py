@@ -271,12 +271,17 @@ def gaps(values) -> tuple[int, ...]:
     return _below_residue_bounds(_apery_residues(values))
 
 
-def _outside_l_set_bounds(p: MonoidPresentation) -> list[int]:
-    """[m_0, ..., m_{a-1}] for a numerical semigroup: the x >= 0 without
+def _outside_l_set_bounds(p: MonoidPresentation) -> tuple[int, ...]:
+    """(m_0, ..., m_{a-1}) for a numerical semigroup: the x >= 0 without
     two distinct equal-length factorizations, its gaps together with
     S \\ L_S, are the x < m_{x mod a}.  The union of the g + S holds the
-    x = r mod a from m_r = min_g (g + w_{(r - g) mod a})."""
-    validate_reduced(p)
+    x = r mod a from m_r = min_g (g + w_{(r - g) mod a}).  Built once and
+    kept on p under the key ("outside",), so ``f2l`` and
+    ``integers_outside_l_set`` share one Apery table."""
+    return kept(validate_reduced(p), ("outside",), _built_outside_l_set_bounds, p)
+
+
+def _built_outside_l_set_bounds(p: MonoidPresentation) -> tuple[int, ...]:
     if not p.is_numerical:
         raise InvalidInput("F_2l is defined for numerical semigroups")
     w = _apery_residues(g.free[0] for g in p.generators)  # also rejects gcd > 1
@@ -289,7 +294,7 @@ def _outside_l_set_bounds(p: MonoidPresentation) -> list[int]:
     gens = [g.free[0] for g in ideal.generators]
     if any(w[g % a] > g for g in gens):
         raise CrossCheckError("an L_S generator lies outside S")
-    return [min(g + w[(r - g) % a] for g in gens) for r in range(a)]
+    return tuple(min(g + w[(r - g) % a] for g in gens) for r in range(a))
 
 
 def integers_outside_l_set(p: MonoidPresentation) -> tuple[int, ...]:

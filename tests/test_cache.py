@@ -376,6 +376,16 @@ def test_every_reader_of_l_s_shares_one_trimming(monkeypatch):
     assert len(trims) == 1
 
 
+def test_f2l_and_the_integers_outside_l_s_share_one_apery_table(monkeypatch):
+    # CLI f2l asks for both on one presentation
+    p = numerical([4, 7, 9])
+    tables = _counting(monkeypatch, same_length, "_apery_residues")
+    assert f2l(p) == 45
+    assert integers_outside_l_set(p)[-3:] == (40, 41, 45)
+    assert f2l(p) == 45
+    assert len(tables) == 1
+
+
 def test_interleaved_presentations_keep_their_lifted_ideals(monkeypatch):
     # each object keeps its own entries, so a session that goes back to a
     # presentation after eight others builds nothing again
