@@ -17,7 +17,9 @@ J is built, every variable has a pure power among its leads, and one walk
 lists its whole staircase; the pure powers are what end the walk, and their
 presence is the staircase side of the cross-check.  The set is the same
 under every term order, so that basis is built under GREVLEX from the
-memoized GREVLEX basis of I_S, whatever order is asked for.  Otherwise a
+saturated generators of I_S kept on the presentation
+(``ideal.saturated_generators``), whatever order is asked for, and no
+ordered basis of I_S is built.  Otherwise a
 truncation degree is required, and no basis of J is built: the walk runs
 over the staircase of the memoized I_S, under the order asked for, up to
 that total degree and cuts a branch where its monomial's degree s has
@@ -28,13 +30,13 @@ in the I_S basis.
 
 A b that is the generator a_u has the factorization e_u, so x_u lies in J.
 With U the set of such u, J = <x_U> + J' K[x], where J' is generated in
-K[x] minus x_U by the images under x_U -> 0 of the other x^beta and of the
-reduced basis of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a basis of
-J' involves x_U, and x_u is coprime to every lead, so the reduced basis of
-J is {x_u : u in U} together with the reduced basis of J'.  Buchberger runs
-on J' only, and not at all when J' = 0: for B holding every generator, each
-side of each I_S binomial involves x_U, and its image is 0, so I_S is not
-even read.  The finite branch builds its leads this way, and the cone test
+K[x] minus x_U by the images under x_U -> 0 of the other x^beta and of
+any generating set of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a
+basis of J' involves x_U, and x_u is coprime to every lead, so the
+reduced basis of J is {x_u : u in U} together with the reduced basis of
+J'.  Buchberger runs on J' only, and not at all when J' = 0: for B
+holding every generator, each side of each I_S binomial involves x_U,
+and its image is 0, so I_S is not even read.  The finite branch builds its leads this way, and the cone test
 and the pure-power check run on them as on any others.
 
 The walk carries each monomial's degree as a flat row (free coordinates,
@@ -51,7 +53,7 @@ from operator import add, sub
 
 from ._frozen import Frozen
 from .errors import BudgetExceeded, CrossCheckError, InfiniteWithoutLimit, InvalidInput
-from .ideal import _stored, groebner, lattice_ideal
+from .ideal import _stored, groebner, lattice_ideal, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -124,7 +126,10 @@ def _standard_monomials(leads, rows, limit, outside=None):
     caps that stop.  ``outside`` takes a degree, must hold for every
     multiple of a monomial it holds for, and cuts the same way.  Without
     a limit every variable needs a pure-power lead, which ends its loop.
+    The walk counts the monomials it keeps and raises BudgetExceeded once
+    it holds more than ``_LISTING_CAP``.
     """
+    cap = _LISTING_CAP
     n = len(rows)
     by_top = [[] for _ in range(n)]
     for l in leads:
@@ -138,6 +143,8 @@ def _standard_monomials(leads, rows, limit, outside=None):
     def walk(i, deg, remaining):
         if i == n:
             out.append((tuple(exp), deg))
+            if len(out) > cap:
+                raise BudgetExceeded(f"more than {cap} monomials to list")
             return
         stop = None if remaining is None else remaining + 1
         for power, prefix in by_top[i]:
@@ -190,9 +197,9 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
 def _eliminated(p, facts):
     """Split J = I_S + <x^beta> by the set U of variables x_u with u the
     factorization of some b.  Returns the leads x_u, and generators of
-    J': the images under x_U -> 0 of the other x^beta and of the cached
-    reduced GREVLEX basis of I_S, monomials first, so that the binomials,
-    reduced among themselves, never re-form their own S-pairs.  See the
+    J': the images under x_U -> 0 of the other x^beta and of the kept
+    saturated generators of I_S, monomials first, so that they reduce the
+    binomials before any S-pair of those is formed.  See the
     module docstring for why the reduced basis of J is the x_u together
     with that of J'.  When U holds every variable, J' = 0 and I_S is not
     read: no side of an I_S binomial is 1, S being reduced."""
@@ -207,11 +214,11 @@ def _eliminated(p, facts):
 
     monomials = [f for f in facts if kept(f)]
     binomials = []
-    for b in lattice_ideal(p).elements:
-        if kept(b.plus) and kept(b.minus):
-            binomials.append(b)
-        elif kept(b.plus) or kept(b.minus):
-            monomials.append(b.plus if kept(b.plus) else b.minus)
+    for plus, minus in saturated_generators(p):
+        if kept(plus) and kept(minus):
+            binomials.append(_stored(plus, minus))
+        elif kept(plus) or kept(minus):
+            monomials.append(plus if kept(plus) else minus)
     return leads, [_stored(m, None) for m in monomials] + binomials
 
 

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from . import oracle
 from .apery import apery_is_finite, apery_set
 from .catenary import ceq, ceq_element_bruteforce, ceq_upper_bound_numerical
-from .errors import CrossCheckError, EmptyLSet, InvalidInput, MonoidError
+from .errors import BudgetExceeded, CrossCheckError, EmptyLSet, InvalidInput, MonoidError
 from .ideal import Binomial, ideals_equal, kernel_lattice, lattice_ideal, minimal_generators
 from .monoid import _integer, _keys, element_from_data, presentation_from_data, validate_reduced
 from .monoid import is_minimal_generating as _gens_minimal
@@ -221,8 +221,15 @@ def _cmd_principal(args):
 
 
 def _cmd_f2l(args):
+    # past the listing cap the complement is left out (null): F_2l itself
+    # is read off the residue bounds at any size
     p = _presentation(args)
-    return {"value": f2l(p), "complement": list(integers_outside_l_set(p))}
+    value = f2l(p)
+    try:
+        complement = list(integers_outside_l_set(p))
+    except BudgetExceeded:
+        complement = None
+    return {"value": value, "complement": complement}
 
 
 def _cmd_ceq(args):

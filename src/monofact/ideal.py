@@ -29,16 +29,23 @@ The pipeline for I_S:
      variable at a time with a weighted reverse-lex trick: under a grading
      that makes the input homogeneous, a reduced Groebner basis for the
      revlex order with x_i cheapest saturates at x_i by dividing each
-     element by the largest power of x_i it contains.  Quotienting by
-     each variable in turn equals quotienting by their product, so one
-     sweep over the variables saturates completely.  The sweep skips the
-     largest set supp(a) \\ supp(b) over the generators x^a - x^b: the
-     other passes already saturate there.  It skips every variable that
-     no generator involves, and a single generator x^a - x^b with
-     disjoint supports, the whole input of a rank-1 lattice, needs no
-     pass at all (see saturate for the proofs).  Its final Buchberger run
-     is no run either: a principal ideal is its own reduced basis, so one
-     generator comes back oriented under the order, with no engine loop.
+     element by the largest power of x_i it contains (Bayer-Stillman), and
+     the divided basis is again a Groebner basis for that order.
+     Quotienting by each variable in turn equals quotienting by their
+     product, and a pass is needed only at a seed whose closure covers
+     every variable of the generators: a generator x^a - x^b with supp(b)
+     saturated makes supp(a) saturated too, transitively (Hosten and
+     Sturmfels, IPCO 1995).  The smallest seed of one or two variables is
+     taken, else the variables outside the largest supp(a) \\ supp(b) of
+     one generator; a single generator x^a - x^b with disjoint supports,
+     the whole input of a rank-1 lattice, needs no pass at all (see
+     saturate for the proofs).  The saturated generators, the divided last
+     pass or the LLL binomials when no pass ran, are kept on the
+     presentation (``saturated_generators``): T_S reads their degrees
+     directly, and ``lattice_ideal(p, order)`` is one final Buchberger run
+     from them, built only when an ordered basis is asked for.  A
+     principal ideal needs no engine loop there: it is its own reduced
+     basis, so one generator comes back oriented under the order.
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -388,25 +395,33 @@ def _buchberger(pairs, order, n):
     if not pairs:
         return []
     if len(pairs) == 1:
-        return _widening(pairs, order, n, _principal)
+        return _principal(*pairs[0], order, n)
     return _widening(pairs, order, n, _buchberger_packed)
 
 
-def _principal(lay: _Layout, elements):
-    """The reduced basis of one generator: itself with its larger term
-    leading, and nothing for a zero binomial.  No tail term of x^a - x^b,
-    a > b, is a multiple of the lead, a multiple never being smaller, so
-    nothing reduces it."""
-    (el,) = elements
-    if el is None:
-        return []
-    lead, tail = el
-    return [(lay.unpack(lead), None if tail is None else lay.unpack(tail))]
+def _principal(a, b, order, n):
+    """The reduced basis of one generator x^a - x^b (x^a when b is None):
+    itself with its larger term leading, and nothing for a zero binomial.
+    No tail term of x^a - x^b, a > b, is a multiple of the lead, a
+    multiple never being smaller, so nothing reduces it.  The terms are
+    compared row by row of the order's matrix, with no packing: the first
+    row that tells them apart decides, and its rows have full column rank,
+    so only a = b ties on all of them."""
+    if b is None:
+        return [(a, None)]
+    for row in order.rows(n):
+        d = sum(map(mul, row, a)) - sum(map(mul, row, b))
+        if d:
+            return [(a, b) if d > 0 else (b, a)]
+    return []
 
 
 def _buchberger_packed(lay: _Layout, elements):
     guards, exps, width, lcm = lay.guards, lay.exps, lay.width, lay.lcm
-    pack, unpack = lay.pack, lay.unpack
+    field, unpack = lay.field, lay.unpack
+    # a queued pair's heap key is its lcm packed with the order fields,
+    # pack(unpack(L)), summed straight from the exponent fields of L
+    packing = tuple(zip(lay.shifts, lay.units))
     red = _Reducers(guards)
     basis = []  # full append history; queued pairs index into it
     leads = []  # exponent fields of the leads
@@ -451,7 +466,8 @@ def _buchberger_packed(lay: _Layout, elements):
             else:
                 kept_lcms.append(L)
                 queue[(g, m)] = L
-                heappush(heap, (pack(unpack(L)), next(tick), g, m))
+                key = sum([(L >> s & field) * u for s, u in packing])
+                heappush(heap, (key, next(tick), g, m))
         alive = [g for g in alive if (leads[g] - lead_m) & guards]
         alive.append(m)
         red.add(*el)
@@ -569,51 +585,66 @@ def _covered(gens) -> frozenset:
     return best
 
 
-def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> BinomialBasis:
-    """Groebner basis of (<gens> : (x_1 ... x_n)^infty) under ``order``.
+def _mask(exp) -> int:
+    """The support of x^exp as a bit mask, bit i for x_i."""
+    return sum(1 << i for i, e in enumerate(exp) if e)
 
-    ``gens`` must be homogeneous for the strictly positive grading
-    ``weights`` (``NotHomogeneous`` otherwise); the saturation walks the
-    variables once, dividing each out of a graded reverse-lex basis that
-    makes it cheapest.
 
-    The walk skips the variables K = supp(a) \\ supp(b) of one
-    non-monomial generator x^a - x^b of I = <gens> (Hosten and Sturmfels,
-    IPCO 1995).  Let J = I : (x_sigma)^infty be the saturation at the
-    other variables sigma, so sigma contains supp(b).  Take j in K and f
-    with f x_j^k in J.  Since x_j^k divides x^{ka}, f x^{ka} lies in J;
-    x^{ka} = x^{kb} modulo I, so f x^{kb} lies in J, and then so does f,
-    J being saturated at every variable of b.  Hence J is saturated at
-    each j in K, and J = I : (x_1 ... x_n)^infty.  A monomial generator
-    supplies no K: the argument needs the other side x^b.
-
-    Two more rules skip passes.  A variable x_i in no generator needs
-    none: I, and so its saturation J at the other variables, is extended
-    from K[x_{-i}], so K[x]/J = (K[x_{-i}]/J_0)[x_i], where x_i divides
-    no zero.  A single binomial x^a - x^b with disjoint supports needs no
-    pass at all: no x_i divides it, so in the factorial ring K[x] it
-    divides g whenever it divides x_i g.
-    """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return BinomialBasis((), order, groebner=True)
-    n = gens[0].nvars
-    for b in gens:
-        if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
-            raise NotHomogeneous("generators are not homogeneous for the given weights")
-    weights = wgrevlex(weights).weights  # read and checked once for every pass
-
-    current = [(b.plus, b.minus) for b in gens]
-    # quotienting by each variable in turn equals quotienting by their
-    # product, so a single pass saturates completely; covered and unused
-    # variables need none
+def _passes(gens) -> list[int]:
+    """The variables ``_saturated`` runs a pass at, ascending: none for one
+    binomial with disjoint supports, else the smallest seed of one or two
+    variables whose closure covers every variable of ``gens``, else every
+    such variable outside ``_covered(gens)``.  The closure of a seed adds
+    supp(a) for each non-monomial generator x^a - x^b, in either
+    orientation, with supp(b) inside it, until nothing more is added (see
+    saturate for why the seed's passes then saturate at all of it)."""
     one = gens[0]
     if len(gens) == 1 and not one.is_monomial and not any(map(min, one.plus, one.minus)):
-        passes = []
-    else:
-        used = {i for b in gens for side in (b.plus, b.minus or ()) for i, e in enumerate(side) if e}
-        passes = sorted(used - _covered(gens))
-    for i in passes:
+        return []
+    used = 0
+    rules = []  # (supp(b), supp(a)): once supp(b) is saturated, so is supp(a)
+    for g in gens:
+        a = _mask(g.plus)
+        used |= a
+        if g.minus is not None:
+            b = _mask(g.minus)
+            used |= b
+            rules += ((b, a), (a, b))
+
+    def covers(seed):
+        done = seed
+        while done != used:
+            grown = done
+            for need, give in rules:
+                if not need & ~grown:
+                    grown |= give
+            if grown == done:
+                return False
+            done = grown
+        return True
+
+    live = [i for i in range(len(one.plus)) if used >> i & 1]
+    for i in live:
+        if covers(1 << i):
+            return [i]
+    for k, i in enumerate(live):
+        for j in live[k + 1 :]:
+            if covers(1 << i | 1 << j):
+                return [i, j]
+    return sorted(set(live) - _covered(gens))
+
+
+def _saturated(gens, weights):
+    """Generators of (<gens> : (x_1 ... x_n)^infty) as pairs (a, b) for
+    x^a - x^b, b None for a monomial: the passes of ``_passes(gens)``,
+    each a Buchberger run under ``weights``' graded reverse-lex order with
+    its variable cheapest and that variable then divided out.  The last
+    pass leaves a Groebner basis for its own order, and with no pass the
+    generators come back as they are.  ``gens`` are nonzero and
+    homogeneous for the positive integer ``weights``."""
+    n = gens[0].nvars
+    current = [(b.plus, b.minus) for b in gens]
+    for i in _passes(gens):
         round_order = TermOrder._made("wgrevlex", weights, cheapest_last(n, i))
         current = _buchberger(current, round_order, n)
         stripped = []
@@ -625,12 +656,78 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
                     tail = tuple(a - c if j == i else a for j, a in enumerate(tail))
             stripped.append((lead, tail))
         current = stripped
-    final = _buchberger(current, order, n)
+    return current
+
+
+def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> BinomialBasis:
+    """Groebner basis of (<gens> : (x_1 ... x_n)^infty) under ``order``.
+
+    ``gens`` must be homogeneous for the strictly positive grading
+    ``weights`` (``NotHomogeneous`` otherwise).  The saturation divides
+    one variable at a time out of a graded reverse-lex basis that makes it
+    cheapest, and ends with one Buchberger run under ``order``.
+
+    Passes are needed only at a seed of variables whose closure covers
+    every variable of the generators (``_passes``), by a lemma of Hosten
+    and Sturmfels (IPCO 1995) applied to all generators at once.  Let
+    I = <gens> and let J, with I inside J inside I : (x_1 ... x_n)^infty,
+    be saturated at each variable of a set T.  Take a non-monomial
+    generator x^a - x^b with supp(b) in T, j in supp(a), and f with
+    f x_j^k in J.  Since x_j^k divides x^{ka}, f x^{ka} lies in J;
+    x^{ka} = x^{kb} modulo I, so f x^{kb} lies in J, and then so does f,
+    J being saturated at every variable of b.  So J is saturated at
+    supp(a) too, and by induction at the closure of T.  The passes at a
+    seed sigma give J = I : (x_sigma)^infty, saturated at sigma; once the
+    closure of sigma holds every variable of the generators, and the
+    others need no pass (below), J is saturated at every variable, hence
+    at their product, and J = I : (x_1 ... x_n)^infty.  A monomial
+    generator adds nothing: the argument needs the other side x^b.  The
+    variables outside the largest supp(a) \\ supp(b) of one generator form
+    such a seed, since its closure takes in that supp(a) at once; that
+    seed is the fallback, and every seed of one and two variables is tried
+    first, so no input gets more passes than under the one-generator rule.
+
+    Two more rules skip passes.  A variable x_i in no generator needs
+    none: I, and so its saturation J at the other variables, is extended
+    from K[x_{-i}], so K[x]/J = (K[x_{-i}]/J_0)[x_i], where x_i divides
+    no zero.  A single binomial x^a - x^b with disjoint supports needs no
+    pass at all: no x_i divides it, so in the factorial ring K[x] it
+    divides g whenever it divides x_i g.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return BinomialBasis((), order, groebner=True)
+    for b in gens:
+        if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
+            raise NotHomogeneous("generators are not homogeneous for the given weights")
+    weights = wgrevlex(weights).weights  # read and checked once for every pass
+    final = _buchberger(_saturated(gens, weights), order, gens[0].nvars)
     return BinomialBasis(_binomials_from_pairs(final), order, groebner=True)
 
 
+def saturated_generators(p: MonoidPresentation) -> tuple:
+    """Generators of I_S as pairs (a, b) for x^a - x^b, saturated once
+    per presentation (``_saturated``) from an LLL-reduced kernel basis and
+    kept on it under the key ("saturated",); every ordered basis
+    ``lattice_ideal`` builds starts from them."""
+    return kept(validate_reduced(p), ("saturated",), _saturated_generators, p)
+
+
+def _saturated_generators(p: MonoidPresentation) -> tuple:
+    # any basis of the lattice gives the same I_S; a short one saturates fast
+    gens = []
+    for gamma in lll_reduce(kernel_lattice(p).basis):
+        plus = tuple(a if a > 0 else 0 for a in gamma)
+        minus = tuple(-a if a < 0 else 0 for a in gamma)
+        gens.append(_stored(plus, minus))
+    # kernel vectors are homogeneous for the presentation's own positive
+    # weights, so saturate's checks have nothing to find
+    return tuple(_saturated(gens, p.weights)) if gens else ()
+
+
 def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> BinomialBasis:
-    """Reduced Groebner basis of I_S under ``order``.
+    """Reduced Groebner basis of I_S under ``order``: one Buchberger run
+    from the saturated generators (``saturated_generators``).
 
     Built once per order and kept on the presentation object, under the
     key ("ideal", order); the basis is immutable, so callers share it.
@@ -640,15 +737,10 @@ def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> Binomial
 
 
 def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    # any basis of the lattice gives the same I_S; a short one saturates fast
-    gens = []
-    for gamma in lll_reduce(kernel_lattice(p).basis):
-        plus = tuple(a if a > 0 else 0 for a in gamma)
-        minus = tuple(-a if a < 0 else 0 for a in gamma)
-        gens.append(_stored(plus, minus))
+    gens = saturated_generators(p)
     if not gens:
-        return BinomialBasis((), order, groebner=True)
-    return saturate(gens, order=order, weights=p.weights)
+        return BinomialBasis((), order, True)
+    return BinomialBasis(_binomials_from_pairs(_buchberger(list(gens), order, p.n)), order, True)
 
 
 def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialBasis:

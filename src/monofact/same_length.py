@@ -5,10 +5,13 @@ two distinct factorizations of the same length.  Both are monoid ideals
 when nonempty: T_S is generated by the S-degrees of any binomial
 generating set of I_S, and L_S, the projection of T_{S~} for the
 homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
-by the S-degrees of any generating set of I_{S~}.  Both are read off the
-reduced GREVLEX bases kept on the presentation and trimmed as monoid
-ideals, each trimming kept there too, so every reader of L_S shares one;
-minimal binomial generators serve only the equal catenary degree and the
+by the S-degrees of any generating set of I_{S~}.  T_S is read off the
+saturated generators of I_S kept on the presentation
+(``ideal.saturated_generators``), so it waits for no final Buchberger
+run; L_S is read off the reduced GREVLEX basis of I_{S~}, which c_eq
+reads as well.  Both are trimmed as monoid ideals, each trimming kept on
+the presentation too, so every reader of L_S shares one; minimal
+binomial generators serve only the equal catenary degree and the
 ``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
 relative to the L_S generators, walked through the staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
@@ -17,10 +20,10 @@ gaps, x lies in L_S iff x >= m_{x mod a}, m_r = min_g (g + w_{(r - g) mod a})
 over the L_S generators g.
 
 None of T_S, L_S and F_2l depends on a term order: the first two are
-ideals of S and the third is read off L_S.  Their functions take no order
-and read the GREVLEX bases.  Nor do the witness factorizations of the L_S
-generators need one: all factorizations of one degree give the same
-Apery ideal J = I_S + <x^beta>.  The order matters only for which minimal
+ideals of S and the third is read off L_S.  Their functions take no
+order.  Nor do the witness factorizations of the L_S generators need
+one: all factorizations of one degree give the same Apery ideal
+J = I_S + <x^beta>.  The order matters only for which minimal
 binomials ``homogeneous_minimal_generators`` returns and which monomials a
 truncated ``l_set_complement`` keeps, so those two take one.
 """
@@ -34,7 +37,7 @@ from ._frozen import Frozen, kept
 from .apery import AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
-from .ideal import BinomialBasis, lattice_ideal, minimal_generators
+from .ideal import BinomialBasis, lattice_ideal, minimal_generators, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -143,26 +146,32 @@ def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> 
 
 
 def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
-    """The minimal S-degrees of the reduced GREVLEX basis of I_q over the
+    """The minimal S-degrees of a binomial generating set of I_q over the
     generators of p, q = S~ (p.lift) when ``lifted`` and q = p otherwise,
     ascending by weight, each paired with a witness factorization (the
-    ``plus`` of the last basis element of that degree); empty when
-    I_q = 0.  q = p gives T_S and q = S~ gives L_S.  Any binomial
+    ``plus`` of the last generator of that degree); empty when I_q = 0.
+    q = p gives T_S, read off the saturated generators of I_S
+    (``saturated_generators``), and q = S~ gives L_S, read off the reduced
+    GREVLEX basis of I_{S~}, which c_eq reads as well.  Any binomial
     generating set would do, since the degrees are minimalized here, and
     any witness would do, since all factorizations of one degree give the
-    same Apery set.  Both sides of every basis element factor its degree,
-    and all of them go to the minimalization.  Built once and kept on p
-    under the key ("degrees", lifted), so every reader of L_S shares one
+    same Apery set.  Both sides of every generator factor its degree, and
+    all of them go to the minimalization.  Built once and kept on p under
+    the key ("degrees", lifted), so every reader of L_S shares one
     trimming; the pairs are immutable."""
-    return kept(p, ("degrees", lifted), _trimmed_degrees, p, p.lift if lifted else p)
+    return kept(p, ("degrees", lifted), _trimmed_degrees, p, lifted)
 
 
-def _trimmed_degrees(p: MonoidPresentation, q: MonoidPresentation) -> tuple:
+def _trimmed_degrees(p: MonoidPresentation, lifted: bool) -> tuple:
+    if lifted:
+        pairs = [(b.plus, b.minus) for b in lattice_ideal(p.lift).elements]
+    else:
+        pairs = saturated_generators(p)
     witnesses, known = {}, {}
-    for b in lattice_ideal(q).elements:
-        d = p.evaluate(b.plus)
-        witnesses[d] = b.plus
-        known.setdefault(d, []).extend((b.plus, b.minus))
+    for plus, minus in pairs:
+        d = p.evaluate(plus)
+        witnesses[d] = plus
+        known.setdefault(d, []).extend((plus, minus))
     return tuple(_minimalize_degrees(p, witnesses, known).items())
 
 

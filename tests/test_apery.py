@@ -30,6 +30,7 @@ from monofact.monoid import (
     validate_reduced,
 )
 from monofact.orders import GREVLEX, LEX, block, wgrevlex
+from monofact.same_length import l_set_complement
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
 W = wgrevlex((2, 2, 1, 2, 2))
@@ -164,6 +165,27 @@ def test_a_numerical_apery_set_is_refused_from_its_count(monkeypatch, values):
             with pytest.raises(BudgetExceeded):
                 apery_set(p, [[b]])
 
+
+
+@pytest.mark.parametrize(
+    "data, limit",
+    [
+        ({"rank": 2, "torsion": [5], "generators": [[-5, -4, 2], [-5, 6, 1], [-4, -3, 4], [1, 1, 4]]}, 2),
+        ({"rank": 1, "torsion": [3], "generators": [[-4, 2], [-3, 2], [-2, 1], [-1, 1]]}, None),
+    ],
+    ids=["truncated", "finite"],
+)
+def test_the_staircase_walk_stops_exactly_past_the_listing_cap(monkeypatch, data, limit):
+    # both walks count the monomials they keep (15 here): a cap equal to
+    # that count changes nothing, one below it refuses
+    p = presentation_from_data(data)
+    res = l_set_complement(p, limit=limit)
+    assert res.count == 15 and res.finite == (limit is None)
+    monkeypatch.setattr(apery, "_LISTING_CAP", 15)
+    assert l_set_complement(p, limit=limit) == res
+    monkeypatch.setattr(apery, "_LISTING_CAP", 14)
+    with pytest.raises(BudgetExceeded, match="more than 14 monomials"):
+        l_set_complement(p, limit=limit)
 
 def test_apery_b_must_lie_in_monoid():
     p = numerical([3, 5, 7])

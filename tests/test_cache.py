@@ -29,14 +29,16 @@ from monofact.same_length import (
 
 
 def _counting_saturations(monkeypatch):
+    # the passes run once per presentation, in ideal._saturated, whatever
+    # orders its bases are later asked for
     calls = []
-    real = ideal.saturate
+    real = ideal._saturated
 
-    def counting(gens, order=GREVLEX, weights=None):
+    def counting(gens, weights):
         calls.append(gens)
-        return real(gens, order=order, weights=weights)
+        return real(gens, weights)
 
-    monkeypatch.setattr(ideal, "saturate", counting)
+    monkeypatch.setattr(ideal, "_saturated", counting)
     return calls
 
 
@@ -183,6 +185,17 @@ def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
     assert len(engine) <= 5  # 10 with every variable swept
     assert len(searches) <= 10  # 16 with every absorption searched
 
+
+
+def test_t_s_and_a_finite_apery_set_build_no_ordered_basis_of_i_s(monkeypatch):
+    # T_S is trimmed off the saturated generators, and the J of a finite
+    # Apery set starts from them: neither waits for a reduced basis of I_S
+    p = numerical([4, 7, 9])
+    built = _counting(monkeypatch, ideal, "_lattice_ideal")
+    saturations = _counting_saturations(monkeypatch)
+    assert [g.free[0] for g in t_set(p).generators] == [16, 18, 21]
+    assert [e.free[0] for e in apery_set(p, [4]).elements] == [0, 7, 9, 14]
+    assert built == [] and len(saturations) == 1
 
 def test_one_integer_kernel_per_presentation(monkeypatch):
     # the lift S~ reads its kernel off that of S: the full stacked matrix

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monofact import cli, oracle
+from monofact import cli, oracle, same_length
 from monofact.catenary import ceq
 from monofact.closed_forms import AlmostArithmeticFamily
 from monofact.errors import MonoidError
@@ -547,11 +547,10 @@ def _one_gigabyte_of_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _assert_refused_in_bounds(argv, timeout):
-    # a cold request under a fixed time and address space: exit 2, an
-    # error line and no traceback
+def _run_in_bounds(argv, timeout):
+    # a cold request under a fixed time and address space
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "monofact.cli", *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -559,15 +558,38 @@ def _assert_refused_in_bounds(argv, timeout):
         timeout=timeout,
         preexec_fn=_one_gigabyte_of_address_space,
     )
+
+
+def _assert_refused_in_bounds(argv, timeout):
+    # exit 2, an error line and no traceback
+    proc = _run_in_bounds(argv, timeout)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_f2l_past_the_listing_cap_exits_2():
+def test_f2l_past_the_listing_cap_prints_the_value_alone():
     # the complement of L_S holds 1,667,166,685 integers; they are counted,
-    # not listed, so the run ends well inside its time and memory limits
-    _assert_refused_in_bounds(["f2l", "--input", '{"numerical":[100003,100005,100009]}'], 60)
+    # not listed, and the payload carries F_2l with a null complement
+    proc = _run_in_bounds(["f2l", "--input", '{"numerical":[100003,100005,100009]}'], 60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        '{"complement":null,"value":3334000019}\n',
+        "",
+    )
+    assert f2l(numerical([100003, 100005, 100009])) == 3334000019
 
+
+
+def test_f2l_leaves_out_exactly_a_complement_past_the_cap(capsys, monkeypatch):
+    # <5,6,7,8> has 14 integers outside L_S: a cap of 14 lists them, 13 not
+    argv = ("f2l", "--input", '{"numerical":[5,6,7,8]}')
+    monkeypatch.setattr(same_length, "_LISTING_CAP", 14)
+    assert run(capsys, *argv)[:2] == (
+        0,
+        '{"complement":[0,1,2,3,4,5,6,7,8,9,10,11,15,16],"value":16}\n',
+    )
+    monkeypatch.setattr(same_length, "_LISTING_CAP", 13)
+    assert run(capsys, *argv)[:2] == (0, '{"complement":null,"value":16}\n')
 
 def test_apery_past_the_listing_cap_exits_2():
     # a numerical Ap(S, b) has b elements: 10^9 are refused from that
@@ -575,6 +597,13 @@ def test_apery_past_the_listing_cap_exits_2():
     argv = ["apery", "--input", '{"numerical":[3,5,7]}', "--b", "[[1000000000]]"]
     _assert_refused_in_bounds(argv, 10)
 
+
+
+def test_a_truncated_walk_past_the_listing_cap_exits_2():
+    # Ap_S((50, 50)) in N^2 holds 100 elements of each total degree past 99:
+    # the walk to total degree 10^5 stops once it keeps 10^6 monomials
+    argv = ["apery", "--input", '{"rank":2,"generators":[[1,0],[0,1]]}', "--b", "[[50,50]]"]
+    _assert_refused_in_bounds([*argv, "--limit", "100000"], 60)
 
 def test_oracle_past_its_count_cap_exits_2():
     # the weight cap 10^8 admits about 10^21 coefficient vectors of <3,5,7>;

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from test_intlinalg import _lattice_contains, _lattices_equal
 
 from monofact.errors import InvalidInput, NotHomogeneous
+from monofact import ideal
 from monofact.ideal import (
     Binomial,
     BinomialBasis,
     _buchberger,
     _buchberger_packed,
+    _passes,
     _widening,
     groebner,
     ideals_equal,
@@ -21,6 +23,7 @@ from monofact.ideal import (
     minimal_generators,
     normal_form,
     saturate,
+    saturated_generators,
 )
 from monofact.intlinalg import kernel_basis, lll_reduce
 from monofact.monoid import numerical, presentation, validate_reduced
@@ -221,6 +224,36 @@ def _reference_saturate(gens, order, weights):
     return _buchberger(current, order, n)
 
 
+def _todays_passes(gens):
+    """The passes before the closure over all generators: none for one
+    binomial with disjoint supports, else every variable of a generator
+    outside the largest supp(a) \\ supp(b) of one non-monomial generator.
+    Kept here unchanged as the bound the closure must never exceed."""
+    one = gens[0]
+    if len(gens) == 1 and one.minus is not None and not any(map(min, one.plus, one.minus)):
+        return []
+    used = {i for g in gens for side in (g.plus, g.minus or ()) for i, e in enumerate(side) if e}
+    covered = max(
+        (
+            {i for i, (x, y) in enumerate(zip(a, b)) if x and not y}
+            for g in gens
+            if g.minus is not None
+            for a, b in ((g.plus, g.minus), (g.minus, g.plus))
+        ),
+        key=len,
+        default=set(),
+    )
+    return sorted(used - covered)
+
+
+def _kernel_binomials(q):
+    """The binomials of the LLL-reduced kernel basis, lattice_ideal's start."""
+    return [
+        Binomial(tuple(max(a, 0) for a in g), tuple(max(-a, 0) for a in g))
+        for g in lll_reduce(kernel_lattice(q).basis)
+    ]
+
+
 @st.composite
 def _homogeneous_generators(draw):
     """Positive weights w and generators homogeneous for w: binomials built
@@ -289,6 +322,9 @@ def test_saturate_matches_the_full_variable_sweep(kind, case):
     for weights in (w, tuple(2 * a for a in w)):
         got = saturate(gens, order, weights=weights)
         assert [(b.plus, b.minus) for b in got.elements] == expected
+    nonzero = [g for g in gens if not g.is_zero]
+    if nonzero:
+        assert len(_passes(nonzero)) <= len(_todays_passes(nonzero))
 
 
 @st.composite
@@ -346,6 +382,46 @@ def test_the_lifted_lattice_ideal_matches_the_stacked_kernel_route(kind, p):
     expected = _reference_saturate(gens, order, lifted.weights)
     got = lattice_ideal(lifted, order)
     assert [(b.plus, b.minus) for b in got.elements] == expected
+
+
+@pytest.mark.parametrize("kind", list(_ORDERS))
+@given(p=_presentations_with_torsion())
+@settings(max_examples=25, deadline=None)
+def test_lattice_ideal_matches_the_full_sweep_in_no_more_passes(kind, p):
+    # one Buchberger run from the kept saturated generators gives the
+    # reduced basis every pass gives, for S and S~, and the closure never
+    # picks more passes than the one-generator rule did
+    order = _ORDERS[kind](p.n)
+    for q in (p, homogenize(p)):
+        gens = _kernel_binomials(q)
+        expected = _reference_saturate(gens, order, q.weights)
+        assert [(b.plus, b.minus) for b in lattice_ideal(q, order).elements] == expected
+        if gens:
+            assert len(_passes(gens)) <= len(_todays_passes(gens))
+
+
+def test_the_closure_drops_passes_on_a_seven_generator_semigroup(monkeypatch):
+    # <65, 73, 81, 107, 158, 191, 194>: the one-generator rule leaves 4
+    # passes on I_S and 3 on I_{S~}; one seed variable closes over all
+    # seven for each, and the reduced basis is the full sweep's
+    p = numerical([65, 73, 81, 107, 158, 191, 194])
+    rounds = []
+    real = ideal._buchberger
+
+    def counting(pairs, order, n):
+        if order.perm is not None:  # a round order: x_i cheapest, i last
+            rounds.append(order.perm[-1])
+        return real(pairs, order, n)
+
+    monkeypatch.setattr(ideal, "_buchberger", counting)
+    for q, passes, before in ((p, [1], 4), (p.lift, [3], 3)):
+        rounds.clear()
+        saturated_generators(q)
+        assert rounds == passes
+        gens = _kernel_binomials(q)
+        assert len(_todays_passes(gens)) == before
+        expected = _reference_saturate(gens, GREVLEX, q.weights)
+        assert [(b.plus, b.minus) for b in lattice_ideal(q).elements] == expected
 
 
 @st.composite

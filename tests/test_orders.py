@@ -73,8 +73,9 @@ def test_a_made_order_is_the_read_order_without_the_reader(reads):
 
 
 def test_saturate_reads_its_grading_once(reads):
-    # passes at x_2 and x_3, the variables x1 x4 - x2 x3 leaves uncovered,
-    # and one read of the weights for both
+    # one pass, at x_1: x1^2 - x2 x4 then saturates x_2 and x_4, and
+    # x1 x4 - x2 x3 then x_3; one read of the weights for the pass and the
+    # final run
     gens = [Binomial((1, 0, 0, 1), (0, 1, 1, 0)), Binomial((2, 0, 0, 0), (0, 1, 0, 1))]
     assert saturate(gens, weights=(1, 1, 1, 1)).order == GREVLEX
     assert reads == [(1, 1, 1, 1)]

@@ -451,9 +451,11 @@ def _presentations_up_to_rank_2(draw):
 @settings(max_examples=25, deadline=None)
 @given(_presentations_up_to_rank_2())
 def test_degree_generators_match_the_search_only_trimming(order, p):
-    # absorptions certified by the basis elements' own sides must keep the
+    # absorptions certified by the generators' own sides must keep the
     # degrees, witnesses and their order the searches alone give on the
-    # GREVLEX basis; the basis under any order trims to the same degrees
+    # generators read (the saturated generators of I_S for T_S, the
+    # GREVLEX basis of I_{S~} for L_S); the basis under any order trims to
+    # the same degrees
     try:
         p = validate_reduced(p)
     except NotReduced:
@@ -466,7 +468,12 @@ def test_degree_generators_match_the_search_only_trimming(order, p):
                 p, {p.evaluate(b.plus): b.plus for b in basis.elements}
             )
             assert [d for d, _ in got] == list(expected)
-        # the witnesses are those of the GREVLEX basis, trimmed last
+        if not lifted:
+            # T_S: the witnesses are those of the saturated generators
+            expected = _search_only_minimalize(
+                p, {p.evaluate(plus): plus for plus, _ in ideal.saturated_generators(p)}
+            )
+        # the witnesses are those of the generators read, trimmed last
         assert got == tuple(expected.items())
 
 
