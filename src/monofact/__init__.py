@@ -15,7 +15,6 @@ from .catenary import (
     ceq,
     ceq_element_bruteforce,
     ceq_upper_bound_numerical,
-    distance,
 )
 from .errors import (
     BudgetExceeded,
@@ -27,7 +26,6 @@ from .errors import (
     InfiniteWithoutLimit,
     InvalidInput,
     InvalidScalar,
-    LengthMismatch,
     MonoidError,
     NotHomogeneous,
     NotInMonoid,
@@ -62,7 +60,7 @@ from .monoid import (
 )
 from .oracle import (
     EnumerationBudget,
-    f_invariants,
+    f2l_bruteforce,
     lset_bruteforce,
     monoid_elements,
     tset_bruteforce,
@@ -71,9 +69,7 @@ from .orders import GREVLEX, LEX, TermOrder, block, grevlex, lex, parse_order, w
 from .same_length import (
     MonoidIdeal,
     f2l,
-    gaps,
     homogeneous_minimal_generators,
-    homogenize,
     integers_outside_l_set,
     l_set,
     l_set_complement,

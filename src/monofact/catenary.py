@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from operator import sub
 
-from .errors import BudgetExceeded, CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
+from .errors import BudgetExceeded, CapExceeded, InvalidInput, NotInMonoid
 from .monoid import (
     _LISTING_CAP,
     MonoidPresentation,
@@ -26,18 +26,6 @@ from .monoid import (
     validate_reduced,
 )
 from .same_length import homogeneous_minimal_generators
-
-
-def distance(lam, nu) -> int:
-    """d(lam, nu) = sum(lam_i - min(lam_i, nu_i)), defined for
-    factorizations of equal length."""
-    a = tuple(lam)
-    b = tuple(nu)
-    if len(a) != len(b):
-        raise LengthMismatch("factorizations live over different generator counts")
-    if sum(a) != sum(b):
-        raise LengthMismatch("distance is defined for factorizations of equal length")
-    return sum(x - min(x, y) for x, y in zip(a, b))
 
 
 def ceq(p: MonoidPresentation) -> int:
@@ -69,8 +57,8 @@ def _class_threshold(facs):
     """Smallest N making the distance-at-most-N graph on ``facs``
     connected: joining the pairs by ascending distance (Kruskal), the
     distance of the pair that leaves one part.  All of ``facs`` have one
-    length, so each distance is the positive part of the difference, with
-    none of :func:`distance`'s checks."""
+    length, so the distance d(lam, nu) = sum(lam_i - min(lam_i, nu_i)) of
+    two of them is the positive part of their difference."""
     k = len(facs)
     pairs = sorted(
         (sum([d for d in map(sub, facs[i], facs[j]) if d > 0]), i, j)

@@ -39,7 +39,6 @@ from .orders import parse_order
 from .same_length import (
     f2l,
     homogeneous_minimal_generators,
-    homogenize,
     integers_outside_l_set,
     l_set,
     l_set_complement,
@@ -173,7 +172,7 @@ def _cmd_ideal(args):
 def _cmd_tilde_ideal(args):
     p = _presentation(args)
     order = parse_order(args.order)
-    lifted = homogenize(p)
+    lifted = p.lift
     if args.minimal:
         return _basis_payload(homogeneous_minimal_generators(p, order), lifted)
     return _basis_payload(lattice_ideal(lifted, order=order))

@@ -61,11 +61,6 @@ class UndefinedForN2(EmptyLSet):
     (embedding dimension at most two)."""
 
 
-class LengthMismatch(MonoidError):
-    """Factorization distance requested for factorizations of different
-    lengths."""
-
-
 class CapExceeded(MonoidError):
     """A brute-force search exceeded the supplied cap."""
 

@@ -17,11 +17,11 @@ nonzero g_j in S: x is a member iff some x - g_j lies in S, and x - g_j
 weighs less than x, so below the cap it lies in S iff it is a key of the
 map (:func:`ideal_members`).
 
-The F-invariants of the closing section are computed with a certified
-scan: for a numerical semigroup, having i factorizations (of equal
-length, if asked) survives adding the smallest generator a_1, so a run
-of a_1 consecutive successes proves every larger value succeeds and the
-largest failure seen so far is the answer.
+F_2l is computed with a certified scan (:func:`f2l_bruteforce`): for a
+numerical semigroup, having two factorizations of one length survives
+adding the smallest generator a_1, so a run of a_1 consecutive
+successes proves every larger value succeeds and the largest failure
+seen so far is the answer.
 
 :func:`check` sets the engine against all of this below one weight cap.
 L_S and T_S compare as sets of elements: the brute-force set against
@@ -29,7 +29,7 @@ the members of the engine's ideal.  The engine's c_eq is a degree of a
 minimal generator of I_{S~}; when the cap covers the weight of one such
 generator of that degree (``witness_covered``) the largest c_eq of an
 element below the cap must equal it, otherwise it may only fall short.
-F_2l compares with :func:`f_invariants`.  ``check`` imports the engine
+F_2l compares with :func:`f2l_bruteforce`.  ``check`` imports the engine
 inside its body, so the brute force itself loads without the Groebner
 machinery.
 """
@@ -156,53 +156,46 @@ def ideal_members(fibers, generators):
     return out
 
 
-def _has_enough(vals, b, need, same_length, tally) -> bool:
-    """Whether b admits `need` factorizations (per length class if asked),
-    stopping as soon as the target count is reached."""
-    lengths = Counter()
-    state = {"total": 0, "found": False}
+def _has_enough(vals, b, tally) -> bool:
+    """Whether b has two factorizations of one length, stopping at the
+    second one found."""
+    lengths = set()
+    last = len(vals) - 1
 
     def rec(idx, remaining, length):
         v = vals[idx]
-        if idx == len(vals) - 1:
+        if idx == last:
             tally.tick()
-            if remaining % v == 0:
-                if same_length:
-                    full = length + remaining // v
-                    lengths[full] += 1
-                    if lengths[full] >= need:
-                        state["found"] = True
-                else:
-                    state["total"] += 1
-                    if state["total"] >= need:
-                        state["found"] = True
-            return
+            if remaining % v:
+                return False
+            full = length + remaining // v
+            if full in lengths:
+                return True
+            lengths.add(full)
+            return False
         c = 0
-        while c * v <= remaining and not state["found"]:
-            rec(idx + 1, remaining - c * v, length + c)
+        while c * v <= remaining:
+            if rec(idx + 1, remaining - c * v, length + c):
+                return True
             c += 1
+        return False
 
     try:
-        rec(0, b, 0)
+        return rec(0, b, 0)
     finally:
         del rec  # rec is in its own closure: clearing that cell leaves no cycle
-    return state["found"]
 
 
-def f_invariants(
-    p: MonoidPresentation, i: int, same_length: bool, budget: EnumerationBudget
-) -> int:
-    """Largest b without i factorizations (of one length, if same_length).
+def f2l_bruteforce(p: MonoidPresentation, budget: EnumerationBudget) -> int:
+    """F_2l by brute force: the largest b without two factorizations of
+    one length.
 
     Certified by a_1 consecutive successes right above the returned
     value; NotStabilized when the weight cap runs out first.
     """
     validate_reduced(p)
     if p.rank != 1 or p.torsion:
-        raise InvalidInput("F-invariants are about numerical semigroups")
-    i = _integer(i)
-    if i < 2:
-        raise InvalidInput("need an integer i >= 2")
+        raise InvalidInput("F_2l is defined for numerical semigroups")
     vals = [g.free[0] for g in p.generators]
     window = min(vals)
     unit = p.weight_of(p.element((1,)))
@@ -211,7 +204,7 @@ def f_invariants(
     last_fail = None
     streak = 0
     for b in range(b_max + 1):
-        if _has_enough(vals, b, i, same_length, tally):
+        if _has_enough(vals, b, tally):
             streak += 1
             if streak == window:
                 # b = 0 always fails, so a full window pins the maximum
@@ -261,7 +254,7 @@ def check(p: MonoidPresentation, what: str, cap: int) -> dict:
         }
     if what == "f":
         engine = f2l(p)
-        oracle = f_invariants(p, 2, True, EnumerationBudget(cap))
+        oracle = f2l_bruteforce(p, EnumerationBudget(cap))
         return {
             "what": what, "cap": cap, "ok": engine == oracle, "engine": engine, "oracle": oracle,
         }

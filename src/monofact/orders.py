@@ -54,7 +54,7 @@ class TermOrder(Frozen):
     @classmethod
     def _made(cls, kind, weights=None, perm=None, split=None, inner=None) -> "TermOrder":
         """An order from int tuples the library built itself, such as the
-        round orders of ``ideal.saturate``: nothing is read again and
+        round orders of ``ideal._saturated``: nothing is read again and
         nothing is checked."""
         self = object.__new__(cls)
         Frozen.__init__(self, kind, weights, perm, split, inner)

@@ -5,15 +5,15 @@ two distinct factorizations of the same length.  Both are monoid ideals
 when nonempty: T_S is generated by the S-degrees of any binomial
 generating set of I_S, and L_S, the projection of T_{S~} for the
 homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
-by the S-degrees of any generating set of I_{S~}.  T_S is read off the
-saturated generators of I_S kept on the presentation
-(``ideal.saturated_generators``), so it waits for no final Buchberger
-run; L_S is read off the reduced GREVLEX basis of I_{S~}, which c_eq
-reads as well.  Both are trimmed as monoid ideals, each trimming kept on
-the presentation too, so every reader of L_S shares one; minimal
-binomial generators serve only the equal catenary degree and the
-``--minimal`` payloads.  The complement S \\ L_S is the Apery set of S
-relative to the L_S generators, walked through the staircase machinery.
+by the S-degrees of any generating set of I_{S~}.  Each is read off the
+saturated generators kept on its presentation
+(``ideal.saturated_generators`` of S and of S~ = ``p.lift``), so neither
+waits for a final Buchberger run.  Both are trimmed as monoid ideals,
+each trimming kept on the presentation too, so every reader of L_S
+shares one; minimal binomial generators serve only the equal catenary
+degree and the ``--minimal`` payloads.  The complement S \\ L_S is the
+Apery set of S relative to the L_S generators, walked through the
+staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
 congruent to r modulo its smallest generator a, the table behind the
 gaps, x lies in L_S iff x >= m_{x mod a}, m_r = min_g (g + w_{(r - g) mod a})
@@ -95,14 +95,6 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     )
 
 
-def homogenize(p: MonoidPresentation) -> MonoidPresentation:
-    """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended to
-    the free part: ``p.lift``, built once per presentation after p is
-    proved reduced, with its pointing and kernel preset (see
-    ``MonoidPresentation.lift``)."""
-    return p.lift
-
-
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:
     """Keep the degrees (keys of ``witnesses``, each mapped to one of its
     factorizations) that do not lie in another degree plus S, ascending by
@@ -130,7 +122,7 @@ def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> d
 def homogeneous_minimal_generators(
     p: MonoidPresentation, order: TermOrder = GREVLEX
 ) -> BinomialBasis:
-    """Minimal generators of the lattice ideal of S~ = homogenize(p).
+    """Minimal generators of the lattice ideal of S~ = ``p.lift``.
 
     Their largest total degree is the equal catenary degree, and the CLI
     ``--minimal`` payload lists them.  Built once per order and kept on
@@ -150,10 +142,9 @@ def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
     generators of p, q = S~ (p.lift) when ``lifted`` and q = p otherwise,
     ascending by weight, each paired with a witness factorization (the
     ``plus`` of the last generator of that degree); empty when I_q = 0.
-    q = p gives T_S, read off the saturated generators of I_S
-    (``saturated_generators``), and q = S~ gives L_S, read off the reduced
-    GREVLEX basis of I_{S~}, which c_eq reads as well.  Any binomial
-    generating set would do, since the degrees are minimalized here, and
+    Both read the saturated generators of I_q (``saturated_generators``),
+    so T_S and L_S wait for no ordered basis.  Any binomial generating
+    set would do, since the degrees are minimalized here, and
     any witness would do, since all factorizations of one degree give the
     same Apery set.  Both sides of every generator factor its degree, and
     all of them go to the minimalization.  Built once and kept on p under
@@ -163,12 +154,8 @@ def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
 
 
 def _trimmed_degrees(p: MonoidPresentation, lifted: bool) -> tuple:
-    if lifted:
-        pairs = [(b.plus, b.minus) for b in lattice_ideal(p.lift).elements]
-    else:
-        pairs = saturated_generators(p)
     witnesses, known = {}, {}
-    for plus, minus in pairs:
+    for plus, minus in saturated_generators(p.lift if lifted else p):
         d = p.evaluate(plus)
         witnesses[d] = plus
         known.setdefault(d, []).extend((plus, minus))
@@ -272,12 +259,6 @@ def _below_residue_bounds(bounds) -> tuple[int, ...]:
     if count > _LISTING_CAP:
         raise BudgetExceeded(f"{count} integers to list, more than the cap of {_LISTING_CAP}")
     return tuple(sorted(x for xs in ranges for x in xs))
-
-
-def gaps(values) -> tuple[int, ...]:
-    """Gaps of the numerical semigroup generated by ``values`` (gcd 1):
-    the x >= 0 with x < w_{x mod a}."""
-    return _below_residue_bounds(_apery_residues(values))
 
 
 def _outside_l_set_bounds(p: MonoidPresentation) -> tuple[int, ...]:

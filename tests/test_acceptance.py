@@ -38,7 +38,6 @@ from monofact.oracle import (
 from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
-    homogenize,
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
@@ -136,7 +135,7 @@ def test_criterion_2_torsion_kernel_ideal_and_apery():
 def test_criterion_3_homogenized_degrees_and_l_generators():
     def body():
         t0 = time.perf_counter()
-        h = homogenize(RANK2)
+        h = RANK2.lift
         mins = minimal_generators(lattice_ideal(h), h)
         degs = sorted(b.degree(h).free[:2] for b in mins.elements)
         assert degs == sorted([(3, 6), (4, 4), (9, 6), (6, 6)])

@@ -10,20 +10,9 @@ from monofact.catenary import (
     ceq,
     ceq_element_bruteforce,
     ceq_upper_bound_numerical,
-    distance,
 )
-from monofact.errors import BudgetExceeded, CapExceeded, InvalidInput, LengthMismatch, NotInMonoid
+from monofact.errors import BudgetExceeded, CapExceeded, InvalidInput, NotInMonoid
 from monofact.monoid import numerical, presentation
-
-
-def test_distance():
-    assert distance((1, 0, 1), (0, 2, 0)) == 2
-    assert distance((2, 0, 1), (0, 3, 0)) == 3
-    assert distance((1, 1, 0), (1, 1, 0)) == 0
-    with pytest.raises(LengthMismatch):
-        distance((1, 0), (1, 0, 0))
-    with pytest.raises(LengthMismatch):
-        distance((2, 0, 0), (0, 1, 0))
 
 
 def test_ceq_values():
@@ -55,6 +44,13 @@ def test_ceq_bruteforce_agrees():
         ceq_element_bruteforce(p6, 145, cap=4)
 
 
+def _distance(lam, nu):
+    """d(lam, nu) = sum(lam_i - min(lam_i, nu_i)) for two factorizations
+    of one length."""
+    assert len(lam) == len(nu) and sum(lam) == sum(nu)
+    return sum(x - min(x, y) for x, y in zip(lam, nu))
+
+
 def _class_threshold_by_bisection(facs):
     """``_class_threshold`` as it was before it joined pairs by ascending
     distance, kept verbatim as the reference: a binary search over the
@@ -65,7 +61,7 @@ def _class_threshold_by_bisection(facs):
     pairs = []
     for i in range(k):
         for j in range(i + 1, k):
-            pairs.append((distance(facs[i], facs[j]), i, j))
+            pairs.append((_distance(facs[i], facs[j]), i, j))
     values = sorted({d for d, _, _ in pairs})
 
     def connected(bound):

@@ -14,7 +14,7 @@ from monofact.catenary import ceq
 from monofact.closed_forms import AlmostArithmeticFamily
 from monofact.errors import MonoidError
 from monofact.monoid import numerical, presentation_from_data
-from monofact.oracle import EnumerationBudget, f_invariants, lset_bruteforce, monoid_elements
+from monofact.oracle import EnumerationBudget, f2l_bruteforce, lset_bruteforce, monoid_elements
 from monofact.same_length import f2l
 
 
@@ -526,7 +526,7 @@ def test_f2l_payload_matches_brute_force(capsys, values):
     data = json.loads(out)
     p = numerical(values)
     budget = EnumerationBudget(60)
-    assert data["value"] == f_invariants(p, 2, True, budget)
+    assert data["value"] == f2l_bruteforce(p, budget)
     in_l = {e.free[0] for e in lset_bruteforce(monoid_elements(p, budget))}
     assert data["complement"] == [x for x in range(data["value"] + 1) if x not in in_l]
 

@@ -22,8 +22,14 @@ from monofact.closed_forms import (
 from monofact.errors import HypothesisViolated, InvalidScalar
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import numerical, presentation
-from monofact.oracle import EnumerationBudget, f_invariants
-from monofact.same_length import f2l, gaps, integers_outside_l_set, l_set
+from monofact.oracle import EnumerationBudget, f2l_bruteforce
+from monofact.same_length import (
+    _apery_residues,
+    _below_residue_bounds,
+    f2l,
+    integers_outside_l_set,
+    l_set,
+)
 
 
 def test_arithmetic_lset():
@@ -181,6 +187,12 @@ def test_unique_betti_shift_matches_the_engine_on_the_grid():
         ceq_unique_betti_shift(f, verified=True)
 
 
+def _gaps(values):
+    """Gaps of the numerical semigroup generated by ``values``: the x >= 0
+    with x < w_{x mod a} over the residue table."""
+    return _below_residue_bounds(_apery_residues(values))
+
+
 def test_a_principal_l_set_shifts_the_frobenius_number_on_the_grid():
     """The paper's result (3) on the 584 families of the grid above: L_S
     is principal, L_S = g + S, so F_2l = g + F(S), and the integers
@@ -188,7 +200,7 @@ def test_a_principal_l_set_shifts_the_frobenius_number_on_the_grid():
     for f in _unique_betti_grid(range(3, 16), range(1, 4)):
         p = f.presentation()
         (g,) = [x.free[0] for x in l_set(p).generators]
-        holes = gaps(f.generators)
+        holes = _gaps(f.generators)
         assert f2l(p) == g + max(holes)
         assert integers_outside_l_set(p) == tuple(range(g)) + tuple(g + x for x in holes)
 
@@ -218,7 +230,7 @@ def test_f2l_matches_the_oracle_on_families_with_multipliers():
     assert sum(not l_set(f.presentation()).is_principal for f in families) == 5
     for f in families:
         p = f.presentation()
-        assert f2l(p) == f_invariants(p, 2, True, EnumerationBudget(1000))
+        assert f2l(p) == f2l_bruteforce(p, EnumerationBudget(1000))
 
 
 def test_unique_betti_shift_rejects_bad_data():

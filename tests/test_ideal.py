@@ -28,7 +28,6 @@ from monofact.ideal import (
 from monofact.intlinalg import kernel_basis, lll_reduce
 from monofact.monoid import numerical, presentation, validate_reduced
 from monofact.orders import GREVLEX, LEX, block, cheapest_last, wgrevlex
-from monofact.same_length import homogenize
 
 
 def test_kernel_lattice_of_357():
@@ -359,7 +358,7 @@ def _stacked_kernel(q):
 @settings(max_examples=60, deadline=None)
 def test_the_lifted_kernel_spans_the_kernel_of_the_lifted_matrix(p):
     # C B, read off the kernel B of S, against the full kernel of S~'s matrix
-    lifted = homogenize(p)
+    lifted = p.lift
     derived = kernel_lattice(lifted)
     direct = _stacked_kernel(lifted)
     assert derived.nvars == p.n and derived.rank == len(direct)
@@ -373,7 +372,7 @@ def test_the_lifted_kernel_spans_the_kernel_of_the_lifted_matrix(p):
 def test_the_lifted_lattice_ideal_matches_the_stacked_kernel_route(kind, p):
     # the reduced basis is unique, so the derived kernel must give the basis
     # the full kernel of S~ gave, saturated at every variable
-    lifted = homogenize(p)
+    lifted = p.lift
     order = _ORDERS[kind](p.n)
     gens = [
         Binomial(tuple(max(a, 0) for a in g), tuple(max(-a, 0) for a in g))
@@ -392,7 +391,7 @@ def test_lattice_ideal_matches_the_full_sweep_in_no_more_passes(kind, p):
     # reduced basis every pass gives, for S and S~, and the closure never
     # picks more passes than the one-generator rule did
     order = _ORDERS[kind](p.n)
-    for q in (p, homogenize(p)):
+    for q in (p, p.lift):
         gens = _kernel_binomials(q)
         expected = _reference_saturate(gens, order, q.weights)
         assert [(b.plus, b.minus) for b in lattice_ideal(q, order).elements] == expected

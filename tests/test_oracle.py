@@ -1,6 +1,7 @@
 """The brute-force reference path, checked on its own terms."""
 
 import ast
+import time
 from math import gcd
 from pathlib import Path
 
@@ -16,14 +17,14 @@ from monofact.oracle import (
     EnumerationBudget,
     _Tally,
     check,
-    f_invariants,
+    f2l_bruteforce,
     ideal_members,
     lset_bruteforce,
     monoid_elements,
     tset_bruteforce,
 )
 from monofact.orders import GREVLEX, LEX
-from monofact.same_length import _minimalize_degrees, homogenize, l_set, t_set
+from monofact.same_length import _minimalize_degrees, l_set, t_set
 
 
 def test_the_oracle_reaches_no_groebner_code():
@@ -252,7 +253,7 @@ def test_engine_sets_match_the_minimal_generator_route(order, p):
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    for engine, q in ((t_set, p), (l_set, homogenize(p))):
+    for engine, q in ((t_set, p), (l_set, p.lift)):
         ideal = engine(p)
         got = ideal.generators if ideal is not None else ()
         assert got == _minimal_generator_degrees(p, q, order)
@@ -269,24 +270,25 @@ def test_ceq_of_a_fiber_matches_the_element_search(p):
         assert ceq_of_factorizations(facs) == ceq_element_bruteforce(p, el)
 
 
-def test_f_invariants_values():
-    assert f_invariants(numerical([17, 29, 37, 47]), 2, True, EnumerationBudget(400)) == 218
-    assert f_invariants(numerical([3, 5]), 2, False, EnumerationBudget(60)) == 22
-    assert f_invariants(numerical([3, 5, 7]), 2, True, EnumerationBudget(80)) == 14
-    assert f_invariants(numerical([3, 5, 7]), 2, False, EnumerationBudget(80)) == 11
+def test_f2l_bruteforce_values():
+    assert f2l_bruteforce(numerical([17, 29, 37, 47]), EnumerationBudget(400)) == 218
+    assert f2l_bruteforce(numerical([3, 5, 7]), EnumerationBudget(80)) == 14
 
 
-def test_f_invariants_guards():
-    p = numerical([3, 5, 7])
+def test_f2l_bruteforce_stops_at_the_first_full_window():
+    # 15, 16 and 17 each have two factorizations of one length, so the
+    # scan ends at b = 17; a walk up to the weight cap would not finish
+    start = time.perf_counter()
+    assert f2l_bruteforce(numerical([3, 5, 7]), EnumerationBudget(10**9)) == 14
+    assert time.perf_counter() - start < 1.0
+
+
+def test_f2l_bruteforce_guards():
     with pytest.raises(InvalidInput):
-        f_invariants(p, 1, True, EnumerationBudget(50))
-    with pytest.raises(InvalidInput):
-        f_invariants(p, True, True, EnumerationBudget(50))
-    with pytest.raises(InvalidInput):
-        f_invariants(presentation(2, (), [(1, 0), (1, 1)]), 2, True, EnumerationBudget(50))
+        f2l_bruteforce(presentation(2, (), [(1, 0), (1, 1)]), EnumerationBudget(50))
     # <3,5> never reaches two equal-length factorizations
     with pytest.raises(NotStabilized):
-        f_invariants(numerical([3, 5]), 2, True, EnumerationBudget(50))
+        f2l_bruteforce(numerical([3, 5]), EnumerationBudget(50))
 
 
 def test_budget_guards():

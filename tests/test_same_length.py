@@ -34,8 +34,6 @@ from monofact.orders import GREVLEX, LEX, block, wgrevlex
 from monofact.same_length import (
     MonoidIdeal,
     f2l,
-    gaps,
-    homogenize,
     integers_outside_l_set,
     l_set,
     l_set_complement,
@@ -177,7 +175,7 @@ def test_almost_arithmetic_premultiset_of_ideal_degrees():
     # before monoid-ideal minimalization the homogenized ideal has nine
     # minimal generators; their degrees include the redundant tail
     p = numerical([7, 17, 20, 23, 26, 29])
-    h = homogenize(p)
+    h = p.lift
     mins = minimal_generators(lattice_ideal(h), h)
     degs = sorted(b.degree(h).free[0] for b in mins.elements)
     assert degs == [40, 43, 46, 46, 49, 52, 102, 105, 108]
@@ -199,9 +197,9 @@ def test_homogenize_appends_length_coordinate(monkeypatch):
         raise AssertionError("S~ solved a pointing LP")
 
     monkeypatch.setattr(monoid, "positive_functional", refuse)
-    h = homogenize(p)
+    h = p.lift
     # S~ is kept on its presentation and drops back to p's generators
-    assert homogenize(p) is h and p.lift is h
+    assert p.lift is h
     assert [(g.free[:-1], g.torsion) for g in h.generators] == [
         (g.free, g.torsion) for g in p.generators
     ]
@@ -212,22 +210,6 @@ def test_homogenize_appends_length_coordinate(monkeypatch):
     ]
     # S~ carries its pointing from the start: no LP proves it reduced
     assert h.pointing == (0, 1) and validate_reduced(h) is h
-
-
-def test_gaps():
-    assert gaps([3, 5]) == (1, 2, 4, 7)
-    assert gaps([2, 3]) == (1,)
-    assert gaps([1]) == ()
-    with pytest.raises(InvalidInput):
-        gaps([2, 4])
-    with pytest.raises(InvalidInput):
-        gaps([0, 3])
-    # int() would truncate 3.9 to 3 and read True as 1
-    with pytest.raises(InvalidInput):
-        gaps([3.9, 5])
-    with pytest.raises(InvalidInput):
-        gaps([True, 3])
-    assert gaps(["3", 5]) == (1, 2, 4, 7)
 
 
 @st.composite
@@ -316,6 +298,8 @@ def test_residues_of_a_large_smallest_generator_take_linear_time():
 def test_f2l_needs_numerical_gcd_one():
     with pytest.raises(InvalidInput):
         f2l(presentation(2, (), [(1, 0), (0, 1), (1, 1)]))
+    with pytest.raises(InvalidInput, match="gcd 1"):
+        f2l(numerical([6, 10, 14]))
 
 
 def test_monoid_ideal_validation():
@@ -381,11 +365,17 @@ _minimal_numerical = (
 )
 
 
+def _gaps(values):
+    """Gaps of the numerical semigroup generated by ``values``: the x >= 0
+    with x < w_{x mod a} over the residue table."""
+    return same_length._below_residue_bounds(same_length._apery_residues(values))
+
+
 @settings(max_examples=30, deadline=None)
 @given(_minimal_numerical)
 def test_integers_outside_l_set_match_the_apery_complement(p):
     # the residue bounds against the staircase walk of S \ L_S plus the gaps
-    expected = set(gaps([g.free[0] for g in p.generators]))
+    expected = set(_gaps([g.free[0] for g in p.generators]))
     expected |= {e.free[0] for e in l_set_complement(p).elements}
     assert integers_outside_l_set(p) == tuple(sorted(expected))
     # F_2l is read off the residue bounds without listing them
@@ -414,15 +404,13 @@ def test_f2l_past_the_listing_cap():
 def test_listing_cap_counts_exactly(p):
     # the count taken before listing is the listing's length: a cap equal
     # to it changes nothing and one below it refuses
-    values = [g.free[0] for g in p.generators]
-    for listing in (lambda: integers_outside_l_set(p), lambda: gaps(values)):
-        full = listing()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(same_length, "_LISTING_CAP", len(full))
-            assert listing() == full
-            mp.setattr(same_length, "_LISTING_CAP", len(full) - 1)
-            with pytest.raises(BudgetExceeded):
-                listing()
+    full = integers_outside_l_set(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(same_length, "_LISTING_CAP", len(full))
+        assert integers_outside_l_set(p) == full
+        mp.setattr(same_length, "_LISTING_CAP", len(full) - 1)
+        with pytest.raises(BudgetExceeded):
+            integers_outside_l_set(p)
 
 
 def _search_only_minimalize(p, witnesses):
@@ -453,14 +441,13 @@ def _presentations_up_to_rank_2(draw):
 def test_degree_generators_match_the_search_only_trimming(order, p):
     # absorptions certified by the generators' own sides must keep the
     # degrees, witnesses and their order the searches alone give on the
-    # generators read (the saturated generators of I_S for T_S, the
-    # GREVLEX basis of I_{S~} for L_S); the basis under any order trims to
-    # the same degrees
+    # generators read (the saturated generators of I_S for T_S and of
+    # I_{S~} for L_S); the basis under any order trims to the same degrees
     try:
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    for lifted, q in ((False, p), (True, homogenize(p))):
+    for lifted, q in ((False, p), (True, p.lift)):
         got = same_length._degree_generators(p, lifted)
         for o in (order, GREVLEX):
             basis = lattice_ideal(q, o)
@@ -468,12 +455,10 @@ def test_degree_generators_match_the_search_only_trimming(order, p):
                 p, {p.evaluate(b.plus): b.plus for b in basis.elements}
             )
             assert [d for d, _ in got] == list(expected)
-        if not lifted:
-            # T_S: the witnesses are those of the saturated generators
-            expected = _search_only_minimalize(
-                p, {p.evaluate(plus): plus for plus, _ in ideal.saturated_generators(p)}
-            )
-        # the witnesses are those of the generators read, trimmed last
+        # the witnesses are those of the saturated generators, trimmed last
+        expected = _search_only_minimalize(
+            p, {p.evaluate(plus): plus for plus, _ in ideal.saturated_generators(q)}
+        )
         assert got == tuple(expected.items())
 
 
@@ -519,14 +504,15 @@ def test_finite_sets_are_read_off_grevlex_bases_under_every_order(p, data):
 @settings(max_examples=60, deadline=None)
 @given(_presentations_up_to_rank_2())
 def test_the_answers_without_an_order_are_the_same_under_every_order(p):
-    # t_set, l_set, ceq and a finite apery_set read the GREVLEX bases; any other
-    # order must give the same degrees, the same c_eq (graded Nakayama) and
-    # the same finite Apery set
+    # t_set, l_set and a finite apery_set read the saturated generators and
+    # ceq the GREVLEX basis of I_{S~}; the basis under any other order must
+    # give the same degrees, the same c_eq (graded Nakayama) and the same
+    # finite Apery set
     try:
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    lifted = homogenize(p)
+    lifted = p.lift
     orders = (LEX, GREVLEX, wgrevlex(tuple(range(1, p.n + 1))), block(1, GREVLEX, LEX))
     for is_lift, q in ((False, p), (True, lifted)):
         keys = [d for d, _ in same_length._degree_generators(p, is_lift)]

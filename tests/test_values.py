@@ -20,7 +20,6 @@ from monofact.monoid import (
 )
 from monofact.oracle import EnumerationBudget
 from monofact.orders import GREVLEX, LEX, TermOrder
-from monofact.same_length import homogenize
 
 
 # one field each: a key of one field is still a 1-tuple
@@ -196,7 +195,7 @@ def test_computed_values_are_kept_and_presets_win():
     w = p.pointing
     assert p.__dict__["pointing"] is w and p.pointing is w
     assert _pointed(1, p.torsion, p.generators, (2,)).pointing == (2,)
-    lifted = homogenize(p)
+    lifted = p.lift
     assert {"pointing", "kernel"} <= lifted.__dict__.keys()  # preset by the lift
     assert lifted.pointing == (0, 1) and lifted.kernel == ((1, -2, 1),)
     assert MonoidPresentation.pointing.__doc__ and MonoidPresentation.lift.__doc__
