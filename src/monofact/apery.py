@@ -53,7 +53,7 @@ from operator import add, sub
 
 from ._frozen import Frozen
 from .errors import BudgetExceeded, CrossCheckError, InfiniteWithoutLimit, InvalidInput
-from .ideal import _stored, groebner, lattice_ideal, saturated_generators
+from .ideal import _buchberger, lattice_ideal, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -63,7 +63,6 @@ from .monoid import (
     _is_row,
     _reduced,
     _search_flat,
-    cones_equal,
     element_from_data,
     primitive,
     require_member,
@@ -101,7 +100,7 @@ def apery_is_finite(p: MonoidPresentation, elements) -> bool:
     validate_reduced(p)
     elems = _b_elements(p, elements)
     _b_factorizations(p, elems, None)  # B must lie in S
-    return cones_equal(p, elems)
+    return not uncovered_rays(p, elems)
 
 
 def _pure_power_variables(leads):
@@ -197,8 +196,9 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
 def _eliminated(p, facts):
     """Split J = I_S + <x^beta> by the set U of variables x_u with u the
     factorization of some b.  Returns the leads x_u, and generators of
-    J': the images under x_U -> 0 of the other x^beta and of the kept
-    saturated generators of I_S, monomials first, so that they reduce the
+    J' as pairs (a, b) for x^a - x^b, b None for a monomial: the images
+    under x_U -> 0 of the other x^beta and of the kept saturated
+    generators of I_S, monomials first, so that they reduce the
     binomials before any S-pair of those is formed.  See the
     module docstring for why the reduced basis of J is the x_u together
     with that of J'.  When U holds every variable, J' = 0 and I_S is not
@@ -216,10 +216,10 @@ def _eliminated(p, facts):
     binomials = []
     for plus, minus in saturated_generators(p):
         if kept(plus) and kept(minus):
-            binomials.append(_stored(plus, minus))
+            binomials.append((plus, minus))
         elif kept(plus) or kept(minus):
             monomials.append(plus if kept(plus) else minus)
-    return leads, [_stored(m, None) for m in monomials] + binomials
+    return leads, [(m, None) for m in monomials] + binomials
 
 
 def _unit(n, i) -> tuple[int, ...]:
@@ -314,11 +314,11 @@ def apery_set(
     _refuse_a_long_numerical_listing(p, elems)
     facts = _b_factorizations(p, elems, factorizations)
     rows = [g.free + g.torsion for g in p.generators]
-    if cones_equal(p, elems):
+    if not uncovered_rays(p, elems):
         limit = None
         leads, rest = _eliminated(p, facts)
         if rest:
-            leads += [b.plus for b in groebner(rest).elements]
+            leads += [lead for lead, _ in _buchberger(rest, GREVLEX, p.n)]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
         monomials = _standard_monomials(leads, rows, None)

@@ -9,7 +9,11 @@ Inside the engine every monomial is one int (Monagan-Pearce packed
 exponents, see _Layout): a monomial product is an add, divisibility a
 subtraction and a mask, and the term order an int comparison.  Exponents
 that outgrow their fields restart the call with wider ones, so the result
-never depends on the packing.  Binomial and BinomialBasis keep tuples.
+never depends on the packing.  Outside the engine a binomial is a pair
+(a, b) of exponent tuples, b None for a monomial, from the kernel basis
+to the saturated generators and the Apery leads; Binomial and
+BinomialBasis wrap them only where a public function takes or returns
+them.
 
 The pipeline for I_S:
 
@@ -42,10 +46,12 @@ The pipeline for I_S:
      saturate for the proofs).  The saturated generators, the divided last
      pass or the LLL binomials when no pass ran, are kept on the
      presentation (``saturated_generators``): T_S reads their degrees
-     directly, and ``lattice_ideal(p, order)`` is one final Buchberger run
-     from them, built only when an ordered basis is asked for.  A
-     principal ideal needs no engine loop there: it is its own reduced
-     basis, so one generator comes back oriented under the order.
+     directly, L_S the degrees of those of S~, and a finite Apery set
+     builds its ideal J from those of S.  ``lattice_ideal(p, order)`` is
+     one final Buchberger run from them, built only when an ordered basis
+     is asked for.  A principal ideal needs no engine loop there: it is
+     its own reduced basis, so one generator comes back oriented under the
+     order.
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
@@ -117,13 +123,10 @@ class Binomial(Frozen):
         return len(self.plus)
 
     def oriented(self, order: TermOrder):
-        """(lead, tail) under ``order``; None for the zero binomial."""
-        if self.minus is None:
-            return (self.plus, None)
-        ka, kb = order.key(self.plus), order.key(self.minus)
-        if ka == kb:
-            return None
-        return (self.plus, self.minus) if ka > kb else (self.minus, self.plus)
+        """(lead, tail) under ``order``, the larger term leading as in
+        ``_principal``; None for the zero binomial."""
+        basis = _principal(self.plus, self.minus, order, self.nvars)
+        return basis[0] if basis else None
 
     def degree(self, p: MonoidPresentation):
         """S-degree: the monoid element both sides map to."""
@@ -173,23 +176,13 @@ class BinomialBasis(Frozen):
     order: TermOrder
     groebner: bool
 
-    @property
-    def is_groebner(self) -> bool:
-        return self.groebner
-
-    is_reduced = is_groebner
-
-    @property
-    def is_minimal_generating(self) -> bool:
-        return not self.groebner
-
     def to_data(self):
         return {
             "order": self.order.describe(),
             "elements": [b.to_data() for b in self.elements],
-            "groebner": self.is_groebner,
-            "reduced": self.is_reduced,
-            "minimal_generating": self.is_minimal_generating,
+            "groebner": self.groebner,
+            "reduced": self.groebner,
+            "minimal_generating": not self.groebner,
         }
 
 
@@ -522,7 +515,7 @@ def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
     The result is zero exactly when f lies in the ideal; monomial
     remainders are reported with positive sign.
     """
-    if not basis.is_groebner:
+    if not basis.groebner:
         raise InvalidInput("normal_form needs a Groebner basis")
     pairs = [(b.plus, b.minus) for b in basis.elements]
     pairs.append((f.plus, f.minus))
@@ -572,13 +565,13 @@ def kernel_lattice(p: MonoidPresentation) -> KernelLattice:
 
 def _covered(gens) -> frozenset:
     """The largest supp(a) \\ supp(b) over the non-monomial generators
-    x^a - x^b of ``gens``, in both orientations: variables at which the
-    saturation of the others already saturates (see saturate)."""
+    (a, b) for x^a - x^b of ``gens``, in both orientations: variables at
+    which the saturation of the others already saturates (see saturate)."""
     best = frozenset()
-    for g in gens:
-        if g.minus is None:
+    for plus, minus in gens:
+        if minus is None:
             continue
-        for a, b in ((g.plus, g.minus), (g.minus, g.plus)):
+        for a, b in ((plus, minus), (minus, plus)):
             k = frozenset(j for j, (x, y) in enumerate(zip(a, b)) if x and not y)
             if len(k) > len(best):
                 best = k
@@ -597,17 +590,18 @@ def _passes(gens) -> list[int]:
     such variable outside ``_covered(gens)``.  The closure of a seed adds
     supp(a) for each non-monomial generator x^a - x^b, in either
     orientation, with supp(b) inside it, until nothing more is added (see
-    saturate for why the seed's passes then saturate at all of it)."""
-    one = gens[0]
-    if len(gens) == 1 and not one.is_monomial and not any(map(min, one.plus, one.minus)):
+    saturate for why the seed's passes then saturate at all of it).
+    ``gens`` are pairs (a, b) for x^a - x^b, b None for a monomial."""
+    plus, minus = gens[0]
+    if len(gens) == 1 and minus is not None and not any(map(min, plus, minus)):
         return []
     used = 0
     rules = []  # (supp(b), supp(a)): once supp(b) is saturated, so is supp(a)
-    for g in gens:
-        a = _mask(g.plus)
+    for plus, minus in gens:
+        a = _mask(plus)
         used |= a
-        if g.minus is not None:
-            b = _mask(g.minus)
+        if minus is not None:
+            b = _mask(minus)
             used |= b
             rules += ((b, a), (a, b))
 
@@ -623,7 +617,7 @@ def _passes(gens) -> list[int]:
             done = grown
         return True
 
-    live = [i for i in range(len(one.plus)) if used >> i & 1]
+    live = [i for i in range(len(gens[0][0])) if used >> i & 1]
     for i in live:
         if covers(1 << i):
             return [i]
@@ -635,15 +629,16 @@ def _passes(gens) -> list[int]:
 
 
 def _saturated(gens, weights):
-    """Generators of (<gens> : (x_1 ... x_n)^infty) as pairs (a, b) for
-    x^a - x^b, b None for a monomial: the passes of ``_passes(gens)``,
-    each a Buchberger run under ``weights``' graded reverse-lex order with
-    its variable cheapest and that variable then divided out.  The last
-    pass leaves a Groebner basis for its own order, and with no pass the
-    generators come back as they are.  ``gens`` are nonzero and
-    homogeneous for the positive integer ``weights``."""
-    n = gens[0].nvars
-    current = [(b.plus, b.minus) for b in gens]
+    """Generators of (<gens> : (x_1 ... x_n)^infty), each of them and of
+    ``gens`` a pair (a, b) for x^a - x^b, b None for a monomial: the
+    passes of ``_passes(gens)``, each a Buchberger run under ``weights``'
+    graded reverse-lex order with its variable cheapest and that variable
+    then divided out.  The last pass leaves a Groebner basis for its own
+    order, and with no pass the generators come back as they are.
+    ``gens`` are nonzero and homogeneous for the positive integer
+    ``weights``."""
+    n = len(gens[0][0])
+    current = gens
     for i in _passes(gens):
         round_order = TermOrder._made("wgrevlex", weights, cheapest_last(n, i))
         current = _buchberger(current, round_order, n)
@@ -694,14 +689,14 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
     pass at all: no x_i divides it, so in the factorial ring K[x] it
     divides g whenever it divides x_i g.
     """
-    gens = [g for g in gens if not g.is_zero]
+    gens = [(g.plus, g.minus) for g in gens if not g.is_zero]
     if not gens:
         return BinomialBasis((), order, groebner=True)
-    for b in gens:
-        if not b.is_monomial and dot(weights, b.plus) != dot(weights, b.minus):
+    for plus, minus in gens:
+        if minus is not None and dot(weights, plus) != dot(weights, minus):
             raise NotHomogeneous("generators are not homogeneous for the given weights")
     weights = wgrevlex(weights).weights  # read and checked once for every pass
-    final = _buchberger(_saturated(gens, weights), order, gens[0].nvars)
+    final = _buchberger(_saturated(gens, weights), order, len(gens[0][0]))
     return BinomialBasis(_binomials_from_pairs(final), order, groebner=True)
 
 
@@ -715,11 +710,10 @@ def saturated_generators(p: MonoidPresentation) -> tuple:
 
 def _saturated_generators(p: MonoidPresentation) -> tuple:
     # any basis of the lattice gives the same I_S; a short one saturates fast
-    gens = []
-    for gamma in lll_reduce(kernel_lattice(p).basis):
-        plus = tuple(a if a > 0 else 0 for a in gamma)
-        minus = tuple(-a if a < 0 else 0 for a in gamma)
-        gens.append(_stored(plus, minus))
+    gens = [
+        (tuple(a if a > 0 else 0 for a in gamma), tuple(-a if a < 0 else 0 for a in gamma))
+        for gamma in lll_reduce(kernel_lattice(p).basis)
+    ]
     # kernel vectors are homogeneous for the presentation's own positive
     # weights, so saturate's checks have nothing to find
     return tuple(_saturated(gens, p.weights)) if gens else ()

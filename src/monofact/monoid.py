@@ -34,10 +34,11 @@ from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, ro
 from .ratlp import in_cone, positive_functional, zero_combination
 
 # The most items one listing holds: every factorization of one element,
-# ``apery``'s Apery set of a numerical S and one b, and ``same_length``'s
-# gaps and integers outside L_S.  CLI f2l on <1981, 1983, 1985> lists
-# 986,046 integers as 7 MB of JSON in 76 MB of RSS; ``same_length.f2l``
-# itself lists nothing and has no cap.
+# ``apery``'s Apery set of a numerical S and one b and the monomials of its
+# staircase walk, ``same_length``'s integers outside L_S, and the
+# equal-length pairs ``catenary`` compares.  CLI f2l on <1981, 1983, 1985>
+# lists 986,046 integers as 7 MB of JSON in 76 MB of RSS;
+# ``same_length.f2l`` itself lists nothing and has no cap.
 _LISTING_CAP = 10**6
 
 
@@ -491,20 +492,12 @@ def _is_extremal(prims, direction) -> bool:
     return not in_cone([q for q in prims if q != direction], direction)
 
 
-def cones_equal(p: MonoidPresentation, elements) -> bool:
-    """Whether cone(pi(b) for b in elements) equals the cone of S.
-
-    Equivalent to every extremal ray of the generator cone carrying the
-    free part of some b.
-    """
-    return not uncovered_rays(p, elements)
-
-
 def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ...]:
     """The extremal rays of the cone of S that carry the free part of no
     element of ``elements``, sorted; with no elements, every extremal ray
-    of the cone.  Only the generator directions that B leaves uncovered are
-    tested for extremality, so a B that covers all of them solves no LP."""
+    of the cone.  None is left exactly when the cone of B is the cone of
+    S.  Only the generator directions that B leaves uncovered are tested
+    for extremality, so a B that covers all of them solves no LP."""
     validate_reduced(p)
     covered = {primitive(b.free) for b in elements if any(b.free)}
     return tuple(

@@ -306,7 +306,8 @@ def test_a_cone_verdict_the_staircase_contradicts_raises(
 ):
     p = presentation_from_data(data)
     assert apery_is_finite(p, b) is not verdict
-    monkeypatch.setattr(apery, "cones_equal", lambda p, elements: verdict)
+    rays = () if verdict else ((1,),)
+    monkeypatch.setattr(apery, "uncovered_rays", lambda p, elements: rays)
     with pytest.raises(CrossCheckError):
         apery_set(p, b, limit=limit)
     argv = ["apery", "--input", json.dumps(data), "--b", json.dumps(b), "--limit", str(limit)]
@@ -318,7 +319,6 @@ def test_a_covered_ray_called_uncovered_raises(monkeypatch):
     # B = [3] covers the one ray of <3, 5, 7>; a cone test that lies on
     # both counts must still be caught by the truncated path's check
     p = numerical([3, 5, 7])
-    monkeypatch.setattr(apery, "cones_equal", lambda p, elements: False)
     monkeypatch.setattr(apery, "uncovered_rays", lambda p, elements: ((1,),))
     with pytest.raises(CrossCheckError):
         apery_set(p, [3], limit=3)

@@ -50,7 +50,7 @@ def test_invariants_of_one_presentation_saturate_the_lifted_ideal_once(monkeypat
     assert l_set_complement(p).finite
     assert l_set(p).is_principal
     # kernel binomials of S~ preserve length; I_S has (7, -4, 0), which does not
-    lifted = [g for g in calls if all(sum(b.plus) == sum(b.minus) for b in g)]
+    lifted = [g for g in calls if all(sum(plus) == sum(minus) for plus, minus in g)]
     assert len(lifted) == 1
     assert len(calls) == 2  # the other one is I_S, for the Apery set
 
@@ -66,7 +66,7 @@ def test_f2l_reads_only_the_lifted_ideal(monkeypatch):
     calls = _counting_saturations(monkeypatch)
     assert f2l(p) == 45
     assert len(calls) == 1
-    assert all(sum(b.plus) == sum(b.minus) for b in calls[0])
+    assert all(sum(plus) == sum(minus) for plus, minus in calls[0])
 
 
 def test_t_and_l_sets_need_no_minimal_generators(monkeypatch):
@@ -281,9 +281,9 @@ def no_groebner(monkeypatch):
     # an infinite Ap_S(B) is read off the cached I_S staircase, cut by
     # membership: no basis of I_S + <x^beta> is built
     def refuse(*args, **kwargs):
-        raise AssertionError("groebner called")
+        raise AssertionError("Buchberger called")
 
-    monkeypatch.setattr(apery, "groebner", refuse)
+    monkeypatch.setattr(apery, "_buchberger", refuse)
 
 
 def test_a_truncated_complement_builds_no_groebner_basis(no_groebner):
@@ -346,15 +346,15 @@ def test_a_generator_in_b_leaves_buchberger_its_variable(monkeypatch):
     # images of the I_S binomials under x1 -> 0, in x2 and x3 alone
     p = numerical([4, 7, 9])
     gens = []
-    real = apery.groebner
+    real = apery._buchberger
 
-    def recording(elements, order=GREVLEX):
-        gens.extend(elements)
-        return real(elements, order)
+    def recording(pairs, order, n):
+        gens.extend(pairs)
+        return real(pairs, order, n)
 
-    monkeypatch.setattr(apery, "groebner", recording)
+    monkeypatch.setattr(apery, "_buchberger", recording)
     assert [e.free[0] for e in apery_set(p, [4]).elements] == [0, 7, 9, 14]
-    assert gens and all(b.plus[0] == 0 and (b.minus or (0,))[0] == 0 for b in gens)
+    assert gens and all(plus[0] == 0 and (minus or (0,))[0] == 0 for plus, minus in gens)
 
 
 def test_finite_sets_under_lex_reach_only_grevlex_bases(monkeypatch):
@@ -366,13 +366,13 @@ def test_finite_sets_under_lex_reach_only_grevlex_bases(monkeypatch):
     p = numerical([4, 7, 9])
     built = _counting(monkeypatch, ideal, "_lattice_ideal")
     orders = []
-    real = apery.groebner
+    real = apery._buchberger
 
-    def recording(elements, order=GREVLEX):
+    def recording(pairs, order, n):
         orders.append(order)
-        return real(elements, order)
+        return real(pairs, order, n)
 
-    monkeypatch.setattr(apery, "groebner", recording)
+    monkeypatch.setattr(apery, "_buchberger", recording)
     assert [e.free[0] for e in apery_set(p, [4], order=LEX).elements] == [0, 7, 9, 14]
     comp = l_set_complement(p, order=LEX)
     assert comp.finite and comp == l_set_complement(p)

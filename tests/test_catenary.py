@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from monofact import catenary
 from monofact.catenary import (
     _class_threshold,
-    _UnionFind,
     ceq,
     ceq_element_bruteforce,
     ceq_upper_bound_numerical,
@@ -29,7 +28,7 @@ def test_ceq_element_refuses_past_the_pair_cap(monkeypatch):
     monkeypatch.setattr(catenary, "_LISTING_CAP", 41)
     assert ceq_element_bruteforce(p, 60) == 2
     monkeypatch.setattr(catenary, "_LISTING_CAP", 40)
-    with pytest.raises(BudgetExceeded, match="^41 equal-length pairs to sort"):
+    with pytest.raises(BudgetExceeded, match="^41 equal-length pairs to compare"):
         ceq_element_bruteforce(p, 60)
 
 
@@ -49,6 +48,27 @@ def _distance(lam, nu):
     of one length."""
     assert len(lam) == len(nu) and sum(lam) == sum(nu)
     return sum(x - min(x, y) for x, y in zip(lam, nu))
+
+
+class _UnionFind:
+    """The union-find the library's Kruskal threshold used, kept here for
+    the bisection reference."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, i, j):
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[ri] = rj
+            return True
+        return False
 
 
 def _class_threshold_by_bisection(facs):

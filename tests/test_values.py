@@ -95,12 +95,11 @@ def test_keyword_construction_and_defaults():
     assert fields == ("wgrevlex", (1, 2), (1, 0), None, None)
     b = Binomial((1, 0), (0, 1))
     # one field: a reduced Groebner basis or a minimal generating set
+    flags = ("groebner", "reduced", "minimal_generating")
     basis = BinomialBasis((b,), GREVLEX, groebner=True)
-    flags = (basis.is_groebner, basis.is_reduced, basis.is_minimal_generating)
-    assert flags == (True, True, False)
+    assert [basis.to_data()[k] for k in flags] == [True, True, False]
     basis = BinomialBasis((b,), GREVLEX, groebner=False)
-    flags = (basis.is_groebner, basis.is_reduced, basis.is_minimal_generating)
-    assert flags == (False, False, True)
+    assert [basis.to_data()[k] for k in flags] == [False, False, True]
     assert BinomialBasis(elements=(b,), order=GREVLEX, groebner=False) == BinomialBasis(
         (b,), GREVLEX, False
     )
