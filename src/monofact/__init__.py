@@ -59,7 +59,6 @@ from .monoid import (
     validate_reduced,
 )
 from .oracle import (
-    EnumerationBudget,
     f2l_bruteforce,
     lset_bruteforce,
     monoid_elements,

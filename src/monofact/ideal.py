@@ -193,10 +193,6 @@ class KernelLattice(Frozen):
     basis: tuple[tuple[int, ...], ...]
     nvars: int
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
-
     def to_data(self):
         return {"basis": [list(r) for r in self.basis], "nvars": self.nvars}
 
@@ -743,8 +739,11 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
 
     Candidates are processed in ascending (weight of S-degree, leading key)
     order; one is dropped exactly when it lies in the ideal generated by
-    all the others still alive.  By graded Nakayama the surviving S-degree
-    multiset does not depend on the term order.
+    all the others still alive.  Only the live ones of weight at most its
+    own enter that ideal, which is exact: in a graded expression of the
+    candidate each of them is multiplied by a monomial of nonnegative
+    weight, so no heavier one can appear.  By graded Nakayama the surviving S-degree multiset does
+    not depend on the term order.
     """
     validate_reduced(p)
     order = basis.order
@@ -762,9 +761,10 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
         return dot(p.weights, b.plus)
 
     elements.sort(key=lambda b: (weight(b), order.key(b.oriented(order)[0])))
+    weights = [weight(b) for b in elements]
     alive = [True] * len(elements)
-    for i in range(len(elements)):
-        others = [elements[j] for j in range(len(elements)) if j != i and alive[j]]
+    for i, w in enumerate(weights):
+        others = [elements[j] for j, v in enumerate(weights) if j != i and alive[j] and v <= w]
         if not others:
             continue
         # membership does not depend on the order, so test under the

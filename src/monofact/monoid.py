@@ -35,8 +35,9 @@ from .ratlp import in_cone, positive_functional, zero_combination
 
 # The most items one listing holds: every factorization of one element,
 # ``apery``'s Apery set of a numerical S and one b and the monomials of its
-# staircase walk, ``same_length``'s integers outside L_S, and the
-# equal-length pairs ``catenary`` compares.  CLI f2l on <1981, 1983, 1985>
+# staircase walk, ``same_length``'s integers outside L_S, the
+# equal-length pairs ``catenary`` compares, and the coefficient vectors an
+# ``oracle`` walk visits.  CLI f2l on <1981, 1983, 1985>
 # lists 986,046 integers as 7 MB of JSON in 76 MB of RSS;
 # ``same_length.f2l`` itself lists nothing and has no cap.
 _LISTING_CAP = 10**6
@@ -93,16 +94,6 @@ class GroupElement(Frozen):
             _reduced(map(sub, self.torsion, other.torsion), self.moduli),
             self.moduli,
         )
-
-    def __mul__(self, c: int):
-        c = _integer(c)
-        return GroupElement._made(
-            tuple(c * a for a in self.free),
-            _reduced([c * r for r in self.torsion], self.moduli),
-            self.moduli,
-        )
-
-    __rmul__ = __mul__
 
     def sort_key(self):
         return (self.free, self.torsion)

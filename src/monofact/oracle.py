@@ -12,6 +12,12 @@ carries each vector's degree as a flat integer row, the free coordinates
 followed by the unreduced torsion residues, and builds one element per
 fiber at the end.
 
+Each walk takes its weight cap as a positive integer and counts the
+vectors it visits against ``monoid._LISTING_CAP`` (10^6), the library's
+one listing cap.  The fiber map stores every vector, up to about 300
+bytes each when the fibers are singletons, so an oversized walk ends in
+BudgetExceeded before it exhausts memory.
+
 The same map decides membership in an ideal g_1 + S u ... u g_s + S with
 nonzero g_j in S: x is a member iff some x - g_j lies in S, and x - g_j
 weighs less than x, so below the cap it lies in S iff it is a key of the
@@ -39,34 +45,26 @@ from __future__ import annotations
 from collections import Counter
 from operator import add, sub
 
-from ._frozen import Frozen
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
-from .monoid import GroupElement, MonoidPresentation, _integer, validate_reduced
+from .monoid import _LISTING_CAP, GroupElement, MonoidPresentation, _integer, validate_reduced
 
 
-class EnumerationBudget(Frozen):
-    """weight_cap bounds w.pi(x); count_cap bounds enumerated vectors.
-
-    The fiber map stores every vector it walks, up to about 300 bytes
-    each when the fibers are singletons, so the default of 10^6 vectors
-    ends an oversized walk in BudgetExceeded before it exhausts memory."""
-
-    __slots__ = ("weight_cap", "count_cap")
-    weight_cap: int
-    count_cap: int
-
-    def __init__(self, weight_cap, count_cap=10**6):
-        weight_cap, count_cap = _integer(weight_cap), _integer(count_cap)
-        if weight_cap <= 0 or count_cap <= 0:
-            raise InvalidInput("budget caps must be positive")
-        super().__init__(weight_cap, count_cap)
+def _weight_cap(cap) -> int:
+    """The weight cap of a walk, read as an integer and refused when not
+    positive."""
+    cap = _integer(cap)
+    if cap <= 0:
+        raise InvalidInput("budget caps must be positive")
+    return cap
 
 
 class _Tally:
+    """Counts the vectors of one walk against ``_LISTING_CAP``."""
+
     __slots__ = ("left",)
 
-    def __init__(self, cap: int):
-        self.left = cap
+    def __init__(self):
+        self.left = _LISTING_CAP
 
     def tick(self):
         self.left -= 1
@@ -74,7 +72,7 @@ class _Tally:
             raise BudgetExceeded("enumeration budget exhausted")
 
 
-def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
+def _fiber_map(p: MonoidPresentation, weight_cap):
     """element -> all its factorizations, complete below the weight cap.
 
     The walk carries the degree of the coefficient vector as a flat row,
@@ -84,11 +82,12 @@ def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
     once per key, at the end.  Keys come in the order the walk first
     reaches them, and each fiber lists its vectors in walk order.
     """
+    weight_cap = _weight_cap(weight_cap)
     weights = p.weights
     n = p.n
     rank, moduli = p.rank, p.torsion
     rows = [g.free + g.torsion for g in p.generators]
-    tally = _Tally(budget.count_cap)
+    tally = _Tally()
     flat: dict[tuple, list] = {}
     coeffs = [0] * n
 
@@ -109,16 +108,16 @@ def _fiber_map(p: MonoidPresentation, budget: EnumerationBudget):
         coeffs[i] = 0
 
     try:
-        rec(0, budget.weight_cap, (0,) * (rank + len(moduli)))
+        rec(0, weight_cap, (0,) * (rank + len(moduli)))
     finally:
         del rec  # rec is in its own closure: clearing that cell leaves no cycle
     return {GroupElement._made(d[:rank], d[rank:], moduli): facs for d, facs in flat.items()}
 
 
-def monoid_elements(p: MonoidPresentation, budget: EnumerationBudget):
-    """element -> list of factorizations for every element of S below the
-    weight cap, zero included.  The fibers are complete."""
-    return _fiber_map(p, budget)
+def monoid_elements(p: MonoidPresentation, weight_cap):
+    """element -> list of factorizations for every element of S below
+    ``weight_cap``, zero included.  The fibers are complete."""
+    return _fiber_map(p, weight_cap)
 
 
 def lset_bruteforce(fibers):
@@ -186,21 +185,22 @@ def _has_enough(vals, b, tally) -> bool:
         del rec  # rec is in its own closure: clearing that cell leaves no cycle
 
 
-def f2l_bruteforce(p: MonoidPresentation, budget: EnumerationBudget) -> int:
+def f2l_bruteforce(p: MonoidPresentation, weight_cap) -> int:
     """F_2l by brute force: the largest b without two factorizations of
     one length.
 
     Certified by a_1 consecutive successes right above the returned
     value; NotStabilized when the weight cap runs out first.
     """
+    weight_cap = _weight_cap(weight_cap)
     validate_reduced(p)
     if p.rank != 1 or p.torsion:
         raise InvalidInput("F_2l is defined for numerical semigroups")
     vals = [g.free[0] for g in p.generators]
     window = min(vals)
     unit = p.weight_of(p.element((1,)))
-    b_max = budget.weight_cap // unit
-    tally = _Tally(budget.count_cap)
+    b_max = weight_cap // unit
+    tally = _Tally()
     last_fail = None
     streak = 0
     for b in range(b_max + 1):
@@ -213,7 +213,7 @@ def f2l_bruteforce(p: MonoidPresentation, budget: EnumerationBudget) -> int:
             last_fail = b
             streak = 0
     raise NotStabilized(
-        f"no run of {window} successes below weight {budget.weight_cap}"
+        f"no run of {window} successes below weight {weight_cap}"
     )
 
 
@@ -228,7 +228,7 @@ def check(p: MonoidPresentation, what: str, cap: int) -> dict:
     cap = _integer(cap)
     if what in ("lset", "tset"):
         ideal = l_set(p) if what == "lset" else t_set(p)
-        fibers = monoid_elements(p, EnumerationBudget(cap))
+        fibers = monoid_elements(p, cap)
         brute = lset_bruteforce(fibers) if what == "lset" else tset_bruteforce(fibers)
         engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
         missing = sorted(brute - engine, key=GroupElement.sort_key)
@@ -244,7 +244,7 @@ def check(p: MonoidPresentation, what: str, cap: int) -> dict:
         gens = homogeneous_minimal_generators(p).elements
         witness = next((p.evaluate(b.plus) for b in gens if b.total_degree() == engine), None)
         # below the cap every fiber is complete, so it is all_factorizations(p, el)
-        fibers = monoid_elements(p, EnumerationBudget(cap))
+        fibers = monoid_elements(p, cap)
         best = max(map(ceq_of_factorizations, fibers.values()))
         covered = witness is None or p.weight_of(witness) <= cap
         ok = best == engine if covered else best <= engine
@@ -254,7 +254,7 @@ def check(p: MonoidPresentation, what: str, cap: int) -> dict:
         }
     if what == "f":
         engine = f2l(p)
-        oracle = f2l_bruteforce(p, EnumerationBudget(cap))
+        oracle = f2l_bruteforce(p, cap)
         return {
             "what": what, "cap": cap, "ok": engine == oracle, "engine": engine, "oracle": oracle,
         }

@@ -12,6 +12,7 @@ from math import gcd
 import pytest
 from test_intlinalg import _lattices_equal
 
+from monofact import oracle
 from monofact.apery import apery_is_finite, apery_set
 from monofact.catenary import ceq, ceq_element_bruteforce, ceq_upper_bound_numerical
 from monofact.closed_forms import (
@@ -30,7 +31,6 @@ from monofact.ideal import (
 )
 from monofact.monoid import is_minimal_generating, numerical, presentation
 from monofact.oracle import (
-    EnumerationBudget,
     lset_bruteforce,
     monoid_elements,
     tset_bruteforce,
@@ -49,6 +49,13 @@ RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
 W22122 = wgrevlex((2, 2, 1, 2, 2))
 TORSION = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
 COUNT_CAP = 5 * 10**7
+
+
+def _fibers(p, cap):
+    # the corpus walks more vectors than the library's listing cap allows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_LISTING_CAP", COUNT_CAP)
+        return monoid_elements(p, cap)
 
 
 def _criterion(num, body, budget=None):
@@ -111,7 +118,7 @@ def test_criterion_2_torsion_kernel_ideal_and_apery():
     def body():
         lat = kernel_lattice(TORSION)
         expected = KernelLattice(basis=((1, 2, -2), (0, 8, -6)), nvars=3)
-        assert lat.rank == expected.rank == 2
+        assert len(lat.basis) == len(expected.basis) == 2
         assert _lattices_equal(lat.basis, expected.basis)
         hand = groebner(
             [
@@ -216,7 +223,7 @@ def _corpus_records(reduced, numerical_list):
         recs = []
         for p in list(reduced) + list(numerical_list):
             maxw = max(p.weights)
-            fibers = monoid_elements(p, EnumerationBudget(5 * maxw, count_cap=COUNT_CAP))
+            fibers = _fibers(p, 5 * maxw)
             recs.append(
                 {
                     "p": p,
@@ -269,7 +276,7 @@ def _enumerated_complement(p, cap, rec):
         elements = [x for x in rec["elements"] if p.weight_of(x) <= cap]
         lbrute = rec["lbrute"]
     else:
-        elements = monoid_elements(p, EnumerationBudget(cap, count_cap=COUNT_CAP))
+        elements = _fibers(p, cap)
         lbrute = lset_bruteforce(elements)
     return [x for x in elements if x not in lbrute]
 

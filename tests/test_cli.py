@@ -11,10 +11,15 @@ import pytest
 
 from monofact import cli, oracle, same_length
 from monofact.catenary import ceq
-from monofact.closed_forms import AlmostArithmeticFamily
-from monofact.errors import MonoidError
+from monofact.closed_forms import (
+    AlmostArithmeticFamily,
+    ArithmeticFamily,
+    UniqueBettiShiftFamily,
+    normalized_presentation_transforms,
+)
+from monofact.errors import HypothesisViolated, InvalidInput, InvalidScalar, MonoidError
 from monofact.monoid import numerical, presentation_from_data
-from monofact.oracle import EnumerationBudget, f2l_bruteforce, lset_bruteforce, monoid_elements
+from monofact.oracle import f2l_bruteforce, lset_bruteforce, monoid_elements
 from monofact.same_length import f2l
 
 
@@ -343,6 +348,24 @@ def test_closed_form_report_keys(capsys):
 
 
 _357 = '{"numerical":[3,5,7]}'
+_TORSION_5 = '{"rank":2,"torsion":[5],"generators":[[-5,-3,3],[2,-3,3],[5,-5,3],[6,-4,0]]}'
+_INFINITE_COMPLEMENT = (
+    '{"rank":2,"torsion":[5],"generators":[[-5,-4,2],[-5,6,1],[-4,-3,4],[1,1,4]]}'
+)
+_PAPER = '{"numerical":[17,29,37,47]}'
+
+
+def _transform_stages(*values):
+    # every stage of a transform of <3,5,7> has the one lifted ideal
+    return (
+        '{"ideals_equal":true,"stages":['
+        + ",".join(
+            '{"ideal":{"elements":[{"minus":[1,0,1],"plus":[0,2,0]}],"groebner":true,'
+            '"minimal_generating":false,"order":"grevlex","reduced":true},"values":%s}' % v
+            for v in values
+        )
+        + "]}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -372,20 +395,61 @@ _357 = '{"numerical":[3,5,7]}'
         ),
         (
             ("transform", "--input", _357, "--ops", '[["subtract",2],["reflect",5]]'),
-            '{"ideals_equal":true,"stages":['
-            + ",".join(
-                '{"ideal":{"elements":[{"minus":[1,0,1],"plus":[0,2,0]}],"groebner":true,'
-                '"minimal_generating":false,"order":"grevlex","reduced":true},"values":%s}' % v
-                for v in ("[3,5,7]", "[1,3,5]", "[4,2,0]")
-            )
-            + "]}",
+            _transform_stages("[3,5,7]", "[1,3,5]", "[4,2,0]"),
+        ),
+        (("ceq", "--input", _PAPER), '{"value":5}'),
+        (("ceq-bound", "--input", _PAPER), '{"value":11}'),
+        (("lset-finite", "--input", _357), '{"finite":true}'),
+        (("lset-finite", "--input", _INFINITE_COMPLEMENT), '{"finite":false}'),
+        (("apery-finite", "--input", _TORSION_5, "--b", "[[-5,-3,3]]"), '{"finite":false}'),
+        (
+            ("apery-finite", "--input", _TORSION_5, "--b", "[[-5,-3,3],[6,-4,0]]"),
+            '{"finite":true}',
+        ),
+        (("principal", "--input", _PAPER), '{"generator":111,"principal":true}'),
+        (
+            ("principal", "--input", '{"numerical":[10,13,19,27,38]}'),
+            '{"generators":[39,64,67],"principal":false}',
+        ),
+        (
+            ("tilde-ideal", "--input", _TORSION_5),
+            '{"elements":[{"minus":[25,0,0,70],"plus":[0,60,35,0]}],"groebner":true,'
+            '"minimal_generating":false,"order":"grevlex","reduced":true}',
+        ),
+        (
+            ("tilde-ideal", "--input", _PAPER),
+            '{"elements":[{"minus":[1,0,0,2],"plus":[0,0,3,0]},'
+            '{"minus":[3,0,0,2],"plus":[0,5,0,0]}],"groebner":true,'
+            '"minimal_generating":false,"order":"grevlex","reduced":true}',
+        ),
+        (
+            ("closed-form", "--family", "arithmetic", "--params", '{"m1":5,"e":2,"n":3}'),
+            '{"family":"arithmetic","generators":[5,7,9],'
+            '"lset":{"generators":[14],"principal":true}}',
+        ),
+        (
+            (
+                "closed-form", "--family", "unique-betti",
+                "--params", '{"b":17,"t":2,"c":[5,3,2]}', "--verified",
+            ),
+            '{"ceq":5,"family":"unique-betti","generators":[17,29,37,47],'
+            '"lset":{"generators":[111],"principal":true},"m_values":[6,10,15]}',
+        ),
+        (
+            ("transform", "--input", _357, "--ops", '[["multiply",2]]'),
+            _transform_stages("[3,5,7]", "[6,10,14]"),
         ),
     ],
-    ids=["ideal-minimal", "tilde-ideal-minimal", "kernel", "closed-form-report", "transform"],
+    ids=[
+        "ideal-minimal", "tilde-ideal-minimal", "kernel", "closed-form-report", "transform",
+        "ceq", "ceq-bound", "lset-finite-true", "lset-finite-false", "apery-finite-false",
+        "apery-finite-true", "principal-true", "principal-false", "tilde-ideal-torsion",
+        "tilde-ideal-numerical", "closed-form-arithmetic", "closed-form-unique-betti",
+        "transform-multiply",
+    ],
 )
 def test_value_payloads_are_pinned(capsys, argv, expected):
-    # minimal-generator and Groebner bases, KernelLattice, the c_eq formula
-    # report and the lifted transform stages, byte for byte
+    # each subcommand's success payload, byte for byte, in this process
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == expected + "\n"
@@ -426,6 +490,105 @@ def test_transform_bad_divisor_exits_2(capsys):
         capsys, "transform", "--input", '{"numerical":[10,15]}', "--ops", '[["divide",4]]'
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "ops, error, message",
+    [
+        ([["multiply", 0]], InvalidScalar, "multiply needs a positive scalar"),
+        ([["multiply", -1]], InvalidScalar, "multiply needs a positive scalar"),
+        ([["reflect", 6]], InvalidScalar, "reflect needs 6 >= max of the values"),
+        ([["subtract"]], InvalidInput, "malformed transform step ['subtract']: "),
+        ([["subtract", 1, 2]], InvalidInput, "malformed transform step ['subtract', 1, 2]: "),
+        ([5], InvalidInput, "malformed transform step 5: "),
+        ([["rotate", 2]], InvalidInput, "unknown transform 'rotate'"),
+    ],
+    ids=[
+        "multiply-zero", "multiply-negative", "reflect-below-max", "step-too-short",
+        "step-too-long", "step-not-a-pair", "unknown-op",
+    ],
+)
+def test_transform_refusals_exit_2(capsys, ops, error, message):
+    # the message starts as given; a malformed step adds Python's unpacking text
+    code, out, err = run(capsys, "transform", "--input", _357, "--ops", json.dumps(ops))
+    with pytest.raises(error) as exc:
+        normalized_presentation_transforms([3, 5, 7], ops)
+    assert str(exc.value).startswith(message)
+    assert (code, out, err) == (2, "", f"error: {exc.value}\n")
+
+
+_NOT_POSITIVE = "numerical generators must be positive"
+
+
+@pytest.mark.parametrize(
+    "values, cli_message, message",
+    [
+        ([0, 3], _NOT_POSITIVE, "transform input must be positive integers"),
+        ([-3, 5], _NOT_POSITIVE, "transform input must be positive integers"),
+        ([3, 3, 5], "duplicate generator 3", "transform input must be distinct"),
+    ],
+    ids=["zero", "negative", "repeated"],
+)
+def test_transform_refuses_values_not_positive_or_repeated(capsys, values, cli_message, message):
+    # the CLI reads --input as a presentation, which refuses these values
+    # before the transforms see them
+    argv = ["transform", "--input", json.dumps({"numerical": values}), "--ops", "[]"]
+    assert run(capsys, *argv) == (2, "", f"error: {cli_message}\n")
+    with pytest.raises(InvalidInput) as exc:
+        normalized_presentation_transforms(values, [])
+    assert str(exc.value) == message
+
+
+_FAMILIES = {
+    "arithmetic": ArithmeticFamily,
+    "almost": AlmostArithmeticFamily,
+    "unique-betti": UniqueBettiShiftFamily,
+}
+
+
+@pytest.mark.parametrize(
+    "family, params, error, message",
+    [
+        ("arithmetic", {"m1": 0, "e": 2, "n": 3}, InvalidInput, "m1, e and n must be positive"),
+        (
+            "arithmetic", {"m1": 5, "e": 2, "n": 1},
+            HypothesisViolated, "an arithmetic family needs n >= 2 terms",
+        ),
+        ("arithmetic", {"m1": 4, "e": 2, "n": 3}, HypothesisViolated, "gcd(m1, e) must be 1"),
+        (
+            "almost", {"m1": 5, "e": 2, "n": 3, "b": -1},
+            InvalidInput, "m1, e, n and b must be positive",
+        ),
+        (
+            "almost", {"m1": 5, "e": 2, "n": 1, "b": 8},
+            HypothesisViolated, "the arithmetic part needs n >= 2 terms",
+        ),
+        ("almost", {"m1": 4, "e": 2, "n": 3, "b": 9}, HypothesisViolated, "gcd(m1, e) must be 1"),
+        (
+            "unique-betti", {"b": 17, "t": 2, "c": [5, 0]},
+            InvalidInput, "b, t and every c_i and f_i must be positive",
+        ),
+        (
+            "unique-betti", {"b": 17, "t": 2, "c": [5]},
+            HypothesisViolated, "need at least two moduli c_i",
+        ),
+        (
+            "unique-betti", {"b": 17, "t": 2, "c": [5, 3, 2], "f": [1]},
+            InvalidInput, "need one multiplier f_i per index 1..n-1",
+        ),
+    ],
+    ids=[
+        "arithmetic-not-positive", "arithmetic-n-below-2", "arithmetic-gcd",
+        "almost-not-positive", "almost-n-below-2", "almost-gcd",
+        "unique-betti-not-positive", "unique-betti-one-modulus", "unique-betti-multiplier-count",
+    ],
+)
+def test_closed_form_family_hypotheses_exit_2(capsys, family, params, error, message):
+    argv = ["closed-form", "--family", family, "--params", json.dumps(params)]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    with pytest.raises(error) as exc:
+        _FAMILIES[family](**params)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("what", ["lset", "tset", "ceq", "f"])
@@ -525,9 +688,8 @@ def test_f2l_payload_matches_brute_force(capsys, values):
     assert code == 0
     data = json.loads(out)
     p = numerical(values)
-    budget = EnumerationBudget(60)
-    assert data["value"] == f2l_bruteforce(p, budget)
-    in_l = {e.free[0] for e in lset_bruteforce(monoid_elements(p, budget))}
+    assert data["value"] == f2l_bruteforce(p, 60)
+    in_l = {e.free[0] for e in lset_bruteforce(monoid_elements(p, 60))}
     assert data["complement"] == [x for x in range(data["value"] + 1) if x not in in_l]
 
 
@@ -607,7 +769,7 @@ def test_a_truncated_walk_past_the_listing_cap_exits_2():
 
 def test_oracle_past_its_count_cap_exits_2():
     # the weight cap 10^8 admits about 10^21 coefficient vectors of <3,5,7>;
-    # the walk stores each one, and stops at the default count cap of 10^6
+    # the walk stores each one, and stops at the listing cap of 10^6
     argv = ["oracle-check", "--input", '{"numerical":[3,5,7]}', "--what", "lset"]
     _assert_refused_in_bounds([*argv, "--cap", "100000000"], 30)
 

@@ -22,7 +22,7 @@ from monofact.closed_forms import (
 from monofact.errors import HypothesisViolated, InvalidScalar
 from monofact.ideal import Binomial, groebner, ideals_equal, lattice_ideal
 from monofact.monoid import numerical, presentation
-from monofact.oracle import EnumerationBudget, f2l_bruteforce
+from monofact.oracle import f2l_bruteforce
 from monofact.same_length import (
     _apery_residues,
     _below_residue_bounds,
@@ -230,7 +230,7 @@ def test_f2l_matches_the_oracle_on_families_with_multipliers():
     assert sum(not l_set(f.presentation()).is_principal for f in families) == 5
     for f in families:
         p = f.presentation()
-        assert f2l(p) == f2l_bruteforce(p, EnumerationBudget(1000))
+        assert f2l(p) == f2l_bruteforce(p, 1000)
 
 
 def test_unique_betti_shift_rejects_bad_data():
@@ -238,7 +238,7 @@ def test_unique_betti_shift_rejects_bad_data():
         dict(b=17, t=2, c=(6, 3, 2)),  # c_1 and c_3 not coprime
         dict(b=17, t=2, c=(3, 5, 2)),  # not strictly decreasing
         dict(b=4, t=2, c=(5, 3, 2)),  # b and t not coprime
-        dict(b=17, t=2, c=(5, 3, 2), f=(1, 3)),  # wrong multiplier count
+        dict(b=17, t=2, c=(5, 3, 2), f=(1, 3)),  # (b) gcd(f_2, c_2) = 3
     ]:
         with pytest.raises(HypothesisViolated):
             UniqueBettiShiftFamily(**bad)

@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_intlinalg import _lattice_contains, _lattices_equal
 
 from monofact.errors import InvalidInput, NotHomogeneous
@@ -33,7 +33,7 @@ from monofact.orders import GREVLEX, LEX, block, cheapest_last, grevlex, lex, wg
 def test_kernel_lattice_of_357():
     p = numerical([3, 5, 7])
     lat = kernel_lattice(p)
-    assert lat.rank == 2
+    assert len(lat.basis) == 2
     assert _lattice_contains(lat.basis, (1, -2, 1))
     assert _lattice_contains(lat.basis, (-4, 1, 1))
     assert not _lattice_contains(lat.basis, (1, 0, 0))
@@ -366,7 +366,7 @@ def test_the_lifted_kernel_spans_the_kernel_of_the_lifted_matrix(p):
     lifted = p.lift
     derived = kernel_lattice(lifted)
     direct = _stacked_kernel(lifted)
-    assert derived.nvars == p.n and derived.rank == len(direct)
+    assert derived.nvars == p.n and len(derived.basis) == len(direct)
     assert _lattices_equal(derived.basis, direct)
     assert all(sum(v) == 0 and _lattice_contains(kernel_lattice(p).basis, v) for v in derived.basis)
 
@@ -504,3 +504,52 @@ def test_oriented_matches_the_key_comparison(kind, data):
     # whole must pick the same lead, and None for a zero binomial
     b, order = data.draw(_binomial_and_order(kind))
     assert b.oriented(order) == _oriented_by_keys(b, order)
+
+
+def _todays_minimal_generators(basis, q):
+    # minimal_generators as it was before it skipped heavier candidates:
+    # each candidate is tested against every other live element
+    order = basis.order
+
+    def weight(b):
+        return sum(a * c for a, c in zip(q.weights, b.plus))
+
+    elements = sorted(
+        (b for b in basis.elements if not b.is_zero),
+        key=lambda b: (weight(b), order.key(b.oriented(order)[0])),
+    )
+    alive = [True] * len(elements)
+    for i in range(len(elements)):
+        others = [elements[j] for j in range(len(elements)) if j != i and alive[j]]
+        if others and in_ideal(elements[i], groebner(others, GREVLEX)):
+            alive[i] = False
+    return tuple(b for b, a in zip(elements, alive) if a)
+
+
+@st.composite
+def _presentations_to_rank_3(draw):
+    """Rank 1-3, at most one torsion modulus, 2-5 generators pointed by a
+    drawn functional w."""
+    rank = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(2, 4), max_size=1))
+    w = draw(st.sampled_from([w for w in product((-1, 0, 1), repeat=rank) if any(w)]))
+    entry = st.tuples(
+        *[st.integers(-3, 4)] * rank, *[st.integers(0, t - 1) for t in moduli]
+    ).filter(lambda g: sum(a * b for a, b in zip(w, g)) >= 1)
+    n = draw(st.integers(2, 5))
+    gens = draw(st.lists(entry, min_size=n, max_size=n, unique=True))
+    return validate_reduced(presentation(rank, moduli, sorted(gens)))
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+@given(p=_presentations_to_rank_3())
+@example(p=numerical([11, 15, 32, 36]))
+@example(p=presentation(1, (3,), [(-4, 2), (-3, 2), (-2, 1), (-1, 1)]))
+@settings(max_examples=30, deadline=None)
+def test_minimal_generators_matches_the_all_others_loop(kind, p):
+    # a candidate is tested only against live elements of weight at most its
+    # own; the kept tuple must be the one the test against all of them kept
+    order = _ORDERS[kind](p.n)
+    for q in (p, p.lift):
+        basis = lattice_ideal(q, order)
+        assert minimal_generators(basis, q).elements == _todays_minimal_generators(basis, q)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import monofact
+from monofact import oracle
 from monofact.catenary import ceq_element_bruteforce, ceq_of_factorizations
 from monofact.errors import BudgetExceeded, InvalidInput, NotReduced, NotStabilized
 from monofact.ideal import Binomial, groebner, lattice_ideal, minimal_generators
 from monofact.monoid import all_factorizations, numerical, presentation, validate_reduced
 from monofact.oracle import (
-    EnumerationBudget,
     _Tally,
     check,
     f2l_bruteforce,
@@ -53,7 +53,7 @@ def test_the_oracle_reaches_no_groebner_code():
 
 def test_monoid_elements_fibers_are_complete():
     p = numerical([3, 5, 7])
-    fibers = monoid_elements(p, EnumerationBudget(30))
+    fibers = monoid_elements(p, 30)
     zero = p.zero()
     assert fibers[zero] == [(0, 0, 0)]
     for el, facs in fibers.items():
@@ -64,13 +64,13 @@ def test_monoid_elements_fibers_are_complete():
 
 def test_lset_bruteforce_357():
     p = numerical([3, 5, 7])
-    got = sorted(e.free[0] for e in lset_bruteforce(monoid_elements(p, EnumerationBudget(30))))
+    got = sorted(e.free[0] for e in lset_bruteforce(monoid_elements(p, 30)))
     assert got == [10 + s for s in range(21) if s not in (1, 2, 4)]
 
 
 def test_tset_contains_lset():
     p = numerical([3, 5, 7])
-    fibers = monoid_elements(p, EnumerationBudget(30))
+    fibers = monoid_elements(p, 30)
     ls = lset_bruteforce(fibers)
     ts = tset_bruteforce(fibers)
     assert ls <= ts
@@ -81,7 +81,7 @@ def test_tset_contains_lset():
 
 def test_two_generator_lset_empty_tset_not():
     p = numerical([3, 5])
-    fibers = monoid_elements(p, EnumerationBudget(25))
+    fibers = monoid_elements(p, 25)
     assert lset_bruteforce(fibers) == set()
     got = sorted(e.free[0] for e in tset_bruteforce(fibers))
     assert got == [15, 18, 20, 21, 23, 24, 25]
@@ -89,7 +89,7 @@ def test_two_generator_lset_empty_tset_not():
 
 def test_rank2_brute_and_engine_agree_both_ways():
     pt = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
-    universe = monoid_elements(pt, EnumerationBudget(5 * max(pt.weights)))
+    universe = monoid_elements(pt, 5 * max(pt.weights))
     brute_l = lset_bruteforce(universe)
     brute_t = tset_bruteforce(universe)
     li, ti = l_set(pt), t_set(pt)
@@ -135,18 +135,18 @@ def test_engine_sets_match_the_oracle_on_generated_presentations(p):
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    fibers = monoid_elements(p, EnumerationBudget(5 * max(p.weights)))
+    fibers = monoid_elements(p, 5 * max(p.weights))
     universe = set(fibers)
     assert _ideal_members(t_set(p), universe) == tset_bruteforce(fibers)
     assert _ideal_members(l_set(p), universe) == lset_bruteforce(fibers)
 
 
-def _frozen_fiber_map(p, budget):
+def _frozen_fiber_map(p, cap):
     # the fiber walk as it was before it carried flat rows: each step adds
     # the generator as a GroupElement, which reduces the residues at once
     weights = p.weights
     n = p.n
-    tally = _Tally(budget.count_cap)
+    tally = _Tally()
     out = {}
     coeffs = [0] * n
 
@@ -163,7 +163,7 @@ def _frozen_fiber_map(p, budget):
             c += 1
         coeffs[i] = 0
 
-    rec(0, budget.weight_cap, p.zero())
+    rec(0, cap, p.zero())
     return out
 
 
@@ -191,19 +191,22 @@ def _report_shaped(draw):
 @settings(max_examples=60, deadline=None)
 def test_flat_fiber_walk_matches_the_group_element_walk(case):
     p, cap = case
-    frozen = _frozen_fiber_map(p, EnumerationBudget(cap))
-    assert list(monoid_elements(p, EnumerationBudget(cap)).items()) == list(frozen.items())
+    frozen = _frozen_fiber_map(p, cap)
+    assert list(monoid_elements(p, cap).items()) == list(frozen.items())
     vectors = sum(map(len, frozen.values()))
-    monoid_elements(p, EnumerationBudget(cap, count_cap=vectors))
-    if vectors > 1:
-        with pytest.raises(BudgetExceeded):
-            monoid_elements(p, EnumerationBudget(cap, count_cap=vectors - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_LISTING_CAP", vectors)
+        monoid_elements(p, cap)
+        if vectors > 1:
+            mp.setattr(oracle, "_LISTING_CAP", vectors - 1)
+            with pytest.raises(BudgetExceeded):
+                monoid_elements(p, cap)
 
 
 def test_torsion_fibers_merge_unreduced_residues():
     # 6 (-1, 1), 3 (-2, 1) and (-4, 2) + (-2, 1) reach free part -6 with raw
     # residues 6, 3 and 3: one element, residue 0 mod 3, and one fiber
-    fibers = monoid_elements(_TORSION_CASE, EnumerationBudget(40))
+    fibers = monoid_elements(_TORSION_CASE, 40)
     assert fibers[_TORSION_CASE.element((-6,), (0,))] == [(0, 0, 0, 6), (0, 0, 3, 0), (1, 0, 1, 0)]
 
 
@@ -212,7 +215,7 @@ def test_torsion_fibers_merge_unreduced_residues():
 @settings(max_examples=40, deadline=None)
 def test_ideal_members_matches_ideal_contains(case):
     p, cap = case
-    fibers = monoid_elements(p, EnumerationBudget(cap))
+    fibers = monoid_elements(p, cap)
     for ideal in (l_set(p), t_set(p)):
         if ideal is not None:
             got = ideal_members(fibers, ideal.generators)
@@ -266,38 +269,46 @@ def test_engine_sets_match_the_minimal_generator_route(order, p):
 )
 def test_ceq_of_a_fiber_matches_the_element_search(p):
     # the CLI c_eq check reads fibers instead of searching each element
-    for el, facs in monoid_elements(p, EnumerationBudget(40)).items():
+    for el, facs in monoid_elements(p, 40).items():
         assert ceq_of_factorizations(facs) == ceq_element_bruteforce(p, el)
 
 
 def test_f2l_bruteforce_values():
-    assert f2l_bruteforce(numerical([17, 29, 37, 47]), EnumerationBudget(400)) == 218
-    assert f2l_bruteforce(numerical([3, 5, 7]), EnumerationBudget(80)) == 14
+    assert f2l_bruteforce(numerical([17, 29, 37, 47]), 400) == 218
+    assert f2l_bruteforce(numerical([3, 5, 7]), 80) == 14
 
 
 def test_f2l_bruteforce_stops_at_the_first_full_window():
     # 15, 16 and 17 each have two factorizations of one length, so the
     # scan ends at b = 17; a walk up to the weight cap would not finish
     start = time.perf_counter()
-    assert f2l_bruteforce(numerical([3, 5, 7]), EnumerationBudget(10**9)) == 14
+    assert f2l_bruteforce(numerical([3, 5, 7]), 10**9) == 14
     assert time.perf_counter() - start < 1.0
 
 
 def test_f2l_bruteforce_guards():
     with pytest.raises(InvalidInput):
-        f2l_bruteforce(presentation(2, (), [(1, 0), (1, 1)]), EnumerationBudget(50))
+        f2l_bruteforce(presentation(2, (), [(1, 0), (1, 1)]), 50)
     # <3,5> never reaches two equal-length factorizations
     with pytest.raises(NotStabilized):
-        f2l_bruteforce(numerical([3, 5]), EnumerationBudget(50))
+        f2l_bruteforce(numerical([3, 5]), 50)
 
 
-def test_budget_guards():
-    with pytest.raises(InvalidInput):
-        EnumerationBudget(0)
-    with pytest.raises(InvalidInput):
-        EnumerationBudget(10, count_cap=0)
+def test_budget_guards(monkeypatch):
+    p = numerical([3, 5, 7])
+    for walk in (monoid_elements, f2l_bruteforce):
+        for cap in (0, -1):
+            with pytest.raises(InvalidInput, match="budget caps must be positive"):
+                walk(p, cap)
+        for cap in (True, 2.5, 30.0):
+            with pytest.raises(InvalidInput):
+                walk(p, cap)
+    # every walk counts the vectors it visits against the library's listing cap
+    monkeypatch.setattr(oracle, "_LISTING_CAP", 5)
     with pytest.raises(BudgetExceeded):
-        monoid_elements(numerical([3, 5, 7]), EnumerationBudget(30, count_cap=5))
+        monoid_elements(p, 30)
+    with pytest.raises(BudgetExceeded):
+        f2l_bruteforce(p, 80)
 
 
 def test_check_refuses_an_unknown_what():
