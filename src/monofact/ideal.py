@@ -63,7 +63,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, groupby
 from operator import mul
 
 from ._frozen import Frozen, init_field, kept
@@ -737,13 +737,19 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
     """Trim a homogeneous generating set to minimal generators, kept under
     ``basis.order``.
 
-    Candidates are processed in ascending (weight of S-degree, leading key)
-    order; one is dropped exactly when it lies in the ideal generated by
-    all the others still alive.  Only the live ones of weight at most its
-    own enter that ideal, which is exact: in a graded expression of the
-    candidate each of them is multiplied by a monomial of nonnegative
-    weight, so no heavier one can appear.  By graded Nakayama the surviving S-degree multiset does
-    not depend on the term order.
+    Candidates are sorted by (weight of S-degree, leading key).  One pass
+    walks the weight classes in ascending weight, each from its last
+    position to its first, and keeps a candidate unless it lies in the
+    ideal of those kept so far; the kept ones come back in sorted order.
+    In a graded expression of a candidate each element is multiplied by a
+    monomial of nonnegative weight, and one of weight 0 is 1 (S is
+    reduced), so only lighter elements and those of the same S-degree
+    enter it.  Within one S-degree the candidates are thus vectors modulo
+    the ideal of the lighter ones.  Dropping, in sorted order, each
+    candidate that the other survivors generate drops, by the exchange
+    argument, exactly those spanned by the candidates after them; keeping
+    greedily from the end keeps the same set.  By graded Nakayama the
+    surviving S-degree multiset does not depend on the term order.
     """
     validate_reduced(p)
     order = basis.order
@@ -753,24 +759,22 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
             raise NotHomogeneous("monomials cannot appear in a lattice ideal")
         if p.evaluate(b.plus) != p.evaluate(b.minus):
             raise NotHomogeneous(f"{b.text()} is not homogeneous for the monoid grading")
-    if not elements:
-        return BinomialBasis((), order, groebner=False)
 
     def weight(b):
         # plus is a factorization of the S-degree, so generator weights apply
         return dot(p.weights, b.plus)
 
     elements.sort(key=lambda b: (weight(b), order.key(b.oriented(order)[0])))
-    weights = [weight(b) for b in elements]
-    alive = [True] * len(elements)
-    for i, w in enumerate(weights):
-        others = [elements[j] for j, v in enumerate(weights) if j != i and alive[j] and v <= w]
-        if not others:
-            continue
-        # membership does not depend on the order, so test under the
-        # cheapest one whatever the ambient order is
-        gb = groebner(others, GREVLEX)
-        if in_ideal(elements[i], gb):
-            alive[i] = False
-    kept = tuple(b for b, a in zip(elements, alive) if a)
-    return BinomialBasis(kept, order, groebner=False)
+    kept, gb = {}, None
+    for _, cls in groupby(enumerate(elements), lambda ib: weight(ib[1])):
+        for i, b in reversed(list(cls)):
+            if kept:
+                # membership does not depend on the order, so test under the
+                # cheapest one, rebuilt only when the kept set has grown
+                if gb is None:
+                    gb = groebner(kept.values(), GREVLEX)
+                if in_ideal(b, gb):
+                    continue
+            kept[i] = b
+            gb = None
+    return BinomialBasis(tuple(kept[i] for i in sorted(kept)), order, groebner=False)

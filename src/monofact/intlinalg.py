@@ -63,13 +63,15 @@ def row_echelon(rows: list[list[int]], pivot_cols: int | None = None):
     return work, pivots
 
 
-def matrix_rank(rows) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination: after k pivots
-    every entry below them is a (k+1)-minor of the input (Sylvester's
-    identity), so each update divides exactly by the previous pivot."""
+def _bareiss(rows) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination of the rows: their rank over Q
+    and the last pivot, signed by the row swaps.  After k pivots every
+    entry below them is a (k+1)-minor of the input (Sylvester's identity),
+    so each update divides exactly by the previous pivot, and the last
+    pivot of a square matrix of full rank is its determinant."""
     work = [list(r) for r in rows]
     nrows = len(work)
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for col in range(len(work[0]) if work else 0):
         for i in range(rank, nrows):
             if work[i][col]:
@@ -77,8 +79,10 @@ def matrix_rank(rows) -> int:
         else:
             continue
         pivot_row = work[i]
-        work[i] = work[rank]
-        work[rank] = pivot_row
+        if i != rank:
+            work[i] = work[rank]
+            work[rank] = pivot_row
+            sign = -sign
         pivot = pivot_row[col]
         for i in range(rank + 1, nrows):
             row = work[i]
@@ -88,7 +92,12 @@ def matrix_rank(rows) -> int:
         rank += 1
         if rank == nrows:  # every row holds a pivot
             break
-    return rank
+    return rank, sign * prev
+
+
+def matrix_rank(rows) -> int:
+    """Rank over Q (see _bareiss)."""
+    return _bareiss(rows)[0]
 
 
 def kernel_basis(rows) -> list[list[int]]:
@@ -118,23 +127,10 @@ def dot(u, v) -> int:
 
 
 def determinant(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination: each
-    division is exact, so every intermediate is an integer minor."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    """Determinant of a square integer matrix: the last Bareiss pivot at
+    full rank, else 0."""
+    rank, pivot = _bareiss(rows)
+    return pivot if rank == len(rows) else 0
 
 
 def adjugate(rows) -> list[list[int]]:

@@ -492,6 +492,21 @@ def test_transform_bad_divisor_exits_2(capsys):
     assert code == 2
 
 
+def test_transform_stages_with_different_ideals_exit_5(capsys, monkeypatch):
+    # equal ideals give equal reduced bases; here the second stage is handed
+    # the basis of I_S instead of that of I_{S~}, which no working engine does
+    real, calls = cli.lattice_ideal, []
+
+    def swapped(stage, order):
+        calls.append(stage)
+        return real(numerical([3, 5, 7]) if len(calls) == 2 else stage, order=order)
+
+    monkeypatch.setattr(cli, "lattice_ideal", swapped)
+    code, out, err = run(capsys, "transform", "--input", _357, "--ops", '[["subtract",2]]')
+    assert (code, out, err) == (5, "", "error: transform stages generate different ideals\n")
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "ops, error, message",
     [

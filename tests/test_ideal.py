@@ -526,6 +526,30 @@ def _todays_minimal_generators(basis, q):
     return tuple(b for b, a in zip(elements, alive) if a)
 
 
+_X1_5, _X2_3, _X1X2X3 = (5, 0, 0), (0, 3, 0), (1, 1, 1)
+_TRIPLE = [Binomial(_X1_5, _X2_3), Binomial(_X1_5, _X1X2X3), Binomial(_X2_3, _X1X2X3)]
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+@pytest.mark.parametrize(
+    "gens",
+    [
+        _TRIPLE,
+        [*_TRIPLE, _TRIPLE[0]],
+        [*_TRIPLE, Binomial((0, 2, 0), (1, 0, 1))],
+    ],
+    ids=["dependent-triple", "repeated-x1^5-x2^3", "with-x2^2-x1x3"],
+)
+def test_minimal_generators_keeps_what_the_all_others_loop_keeps(kind, gens):
+    # 15 in <3,5,7> has the factorizations x1^5, x2^3 and x1*x2*x3, so the
+    # triple spans a plane: which two survive, and in which order, follows
+    # the sorted positions, also with a repeat and with x2^2 - x1*x3 of
+    # degree 10, which x2^3 - x1*x2*x3 is a multiple of
+    q = numerical([3, 5, 7])
+    basis = BinomialBasis(tuple(gens), _ORDERS[kind](3), groebner=False)
+    assert minimal_generators(basis, q).elements == _todays_minimal_generators(basis, q)
+
+
 @st.composite
 def _presentations_to_rank_3(draw):
     """Rank 1-3, at most one torsion modulus, 2-5 generators pointed by a
