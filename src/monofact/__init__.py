@@ -38,7 +38,6 @@ from .ideal import (
     BinomialBasis,
     KernelLattice,
     groebner,
-    ideals_equal,
     in_ideal,
     kernel_lattice,
     lattice_ideal,

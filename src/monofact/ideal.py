@@ -55,7 +55,14 @@ The pipeline for I_S:
 
 Graded Nakayama holds for these ideals, so trimming a homogeneous
 generating set in ascending degree yields minimal generators whose
-S-degree multiset is order independent.
+S-degree multiset is order independent.  The trimming is one Buchberger
+run driven in steps (``_engine``), the homogeneous Buchberger algorithm
+(Kreuzer and Robbiano, Computational Commutative Algebra 2, ch. 4): the
+candidates join it in ascending weight under the graded reverse-lex order
+of the presentation's weights, and before one of weight w is tested every
+S-pair whose lcm weighs at most w is reduced.  Its rules are then a
+w-truncated Groebner basis of the candidates kept so far, so a weight-w
+candidate reduces to 0 exactly when their ideal holds it.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import count, groupby
+from itertools import count
 from operator import mul
 
 from ._frozen import Frozen, init_field, kept
@@ -406,6 +413,24 @@ def _principal(a, b, order, n):
 
 
 def _buchberger_packed(lay: _Layout, elements):
+    add, complete, reduced = _engine(lay)
+    for el in elements:
+        add(el)
+    complete()
+    return reduced()
+
+
+def _engine(lay: _Layout, weights=None):
+    """One Buchberger run under ``lay``'s order, driven in three steps:
+
+      * ``add(el) -> bool`` reduces a packed element (None for zero) by the
+        rules so far and keeps it, with its new pairs, unless it drops to 0;
+      * ``complete(limit=None)`` reduces the queued S-pairs, least lcm in
+        the order first: all of them, or while that lcm weighs at most
+        ``limit`` under ``weights``, the first row of the order;
+      * ``reduced()`` is the reduced basis of the rules, as (lead, tail)
+        exponent tuples sorted by lead.
+    """
     guards, exps, width, lcm = lay.guards, lay.exps, lay.width, lay.lcm
     field, unpack = lay.field, lay.unpack
     # a queued pair's heap key is its lcm packed with the order fields,
@@ -419,8 +444,10 @@ def _buchberger_packed(lay: _Layout, elements):
     heap = []
     tick = count()
 
-    def append(el):
-        nonlocal alive
+    def add(el) -> bool:
+        el = None if el is None else _reduce_pair(el, red)
+        if el is None:
+            return False
         m = len(basis)
         lead_m = el[0] & exps
         basis.append(el)
@@ -457,37 +484,31 @@ def _buchberger_packed(lay: _Layout, elements):
                 queue[(g, m)] = L
                 key = sum([(L >> s & field) * u for s, u in packing])
                 heappush(heap, (key, next(tick), g, m))
-        alive = [g for g in alive if (leads[g] - lead_m) & guards]
+        alive[:] = [g for g in alive if (leads[g] - lead_m) & guards]
         alive.append(m)
         red.add(*el)
+        return True
 
-    for el in elements:
-        if el is None:
-            continue
-        r = _reduce_pair(el, red)
-        if r is not None:
-            append(r)
+    def complete(limit=None):
+        while heap:
+            L, _, i, j = heap[0]
+            if limit is not None and sum(map(mul, weights, unpack(L))) > limit:
+                return
+            heappop(heap)
+            if queue.pop((i, j), None) is not None:
+                add(_spair(basis[i], basis[j], L, guards))
 
-    while heap:
-        L, _, i, j = heappop(heap)
-        if (i, j) not in queue:
-            continue
-        del queue[(i, j)]
-        s = _spair(basis[i], basis[j], L, guards)
-        if s is None:
-            continue
-        r = _reduce_pair(s, red)
-        if r is not None:
-            append(r)
+    def reduced():
+        # the surviving rules carry the minimal lead antichain; tail-reduce
+        # for the unique reduced basis (a rule's own lead sits strictly above
+        # its tail in the order, so it can never apply to it)
+        out = []
+        for lead, step in zip(red.leads, red.steps):
+            tail = None if step is None else red.reduce_monomial(lead + step)
+            out.append((unpack(lead), None if tail is None else unpack(tail)))
+        return out
 
-    # the surviving rules carry the minimal lead antichain; tail-reduce for
-    # the unique reduced basis (a rule's own lead sits strictly above its
-    # tail in the order, so it can never apply to it)
-    out = []
-    for lead, step in zip(red.leads, red.steps):
-        tail = None if step is None else red.reduce_monomial(lead + step)
-        out.append((unpack(lead), None if tail is None else unpack(tail)))
-    return out
+    return add, complete, reduced
 
 
 def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
@@ -517,8 +538,7 @@ def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
     pairs.append((f.plus, f.minus))
     red = _widening(pairs, basis.order, f.nvars, _normal_form_packed)
     if red is None:
-        n = f.nvars
-        return _stored((0,) * n, (0,) * n)
+        return _stored((0,) * f.nvars, (0,) * f.nvars)
     return _stored(*red)
 
 
@@ -537,13 +557,6 @@ def _normal_form_packed(lay: _Layout, elements):
 
 def in_ideal(f: Binomial, basis: BinomialBasis) -> bool:
     return normal_form(f, basis).is_zero
-
-
-def ideals_equal(basis_a: BinomialBasis, basis_b: BinomialBasis) -> bool:
-    """Mutual membership of generating sets (both must be Groebner)."""
-    return all(in_ideal(b, basis_b) for b in basis_a.elements) and all(
-        in_ideal(b, basis_a) for b in basis_b.elements
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -750,6 +763,18 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
     argument, exactly those spanned by the candidates after them; keeping
     greedily from the end keeps the same set.  By graded Nakayama the
     surviving S-degree multiset does not depend on the term order.
+
+    The pass is one Buchberger run (``_engine``) under the graded
+    reverse-lex order of ``p.weights``, whose heap pops the lightest lcm
+    first.  The candidates are homogeneous for those weights, and so is
+    every S-pair and remainder the run makes from them.  Before a
+    candidate of weight w is tested, every pair whose lcm weighs at most w
+    is reduced, also the pairs that this makes.  The weights are positive,
+    so only rules of weight at most w divide a monomial of weight w, and
+    the rules are then a w-truncated Groebner basis of the kept
+    candidates: an element of weight w reduces to 0 exactly when their
+    ideal holds it.  A candidate that does not reduce to 0 is kept, and
+    its remainder joins the run.  One candidate is kept with no run.
     """
     validate_reduced(p)
     order = basis.order
@@ -765,16 +790,19 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
         return dot(p.weights, b.plus)
 
     elements.sort(key=lambda b: (weight(b), order.key(b.oriented(order)[0])))
-    kept, gb = {}, None
-    for _, cls in groupby(enumerate(elements), lambda ib: weight(ib[1])):
-        for i, b in reversed(list(cls)):
-            if kept:
-                # membership does not depend on the order, so test under the
-                # cheapest one, rebuilt only when the kept set has grown
-                if gb is None:
-                    gb = groebner(kept.values(), GREVLEX)
-                if in_ideal(b, gb):
-                    continue
-            kept[i] = b
-            gb = None
-    return BinomialBasis(tuple(kept[i] for i in sorted(kept)), order, groebner=False)
+    if len(elements) > 1:
+
+        def trim(lay, packed):
+            add, complete, _ = _engine(lay, p.weights)
+            kept = []
+            # each weight class from its last position to its first
+            for i in sorted(range(len(elements)), key=lambda i: (weight(elements[i]), -i)):
+                complete(weight(elements[i]))
+                if add(packed[i]):
+                    kept.append(i)
+            return kept
+
+        pairs = [(b.plus, b.minus) for b in elements]
+        kept = _widening(pairs, TermOrder._made("wgrevlex", p.weights), p.n, trim)
+        elements = [elements[i] for i in sorted(kept)]
+    return BinomialBasis(tuple(elements), order, groebner=False)

@@ -39,7 +39,8 @@ from .ratlp import in_cone, positive_functional, zero_combination
 # equal-length pairs ``catenary`` compares, and the coefficient vectors an
 # ``oracle`` walk visits.  CLI f2l on <1981, 1983, 1985>
 # lists 986,046 integers as 7 MB of JSON in 76 MB of RSS;
-# ``same_length.f2l`` itself lists nothing and has no cap.
+# ``same_length.f2l`` itself lists nothing; its residue table has its own
+# cap, ``same_length._RESIDUE_CAP``.
 _LISTING_CAP = 10**6
 
 

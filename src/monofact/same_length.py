@@ -209,6 +209,12 @@ def l_set_complement_is_finite(p: MonoidPresentation) -> bool:
     return True
 
 
+# The most entries of the residue table behind F_2l, one per residue modulo
+# the smallest generator a: the table of <30000001, 30000003, 30000007>
+# no longer fits in 2 GB of address space.
+_RESIDUE_CAP = 10**7
+
+
 def _apery_residues(values) -> list[int]:
     """[w_0, ..., w_{a-1}]: w_r is the least element of S = <values>
     congruent to r modulo its smallest generator a, i.e. Ap(S, a), by the
@@ -220,13 +226,14 @@ def _apery_residues(values) -> list[int]:
     r + 2v, ... (mod a) of a / d residues each.  On a cycle, the new value
     at r + v is the smaller of the old one and the new value at r plus v;
     the least old value on the cycle is already final, so one walk round
-    the cycle from there settles all of it."""
+    the cycle from there settles all of it.  A table of more than
+    ``_RESIDUE_CAP`` entries raises BudgetExceeded before it is built."""
     vals = sorted(set(_integers(values)))
-    if not vals or vals[0] <= 0:
-        raise InvalidInput("generators must be positive")
     if gcd(*vals) != 1:
         raise InvalidInput("generators must have gcd 1")
     a = vals[0]
+    if a > _RESIDUE_CAP:
+        raise BudgetExceeded(f"a residue table of {a} entries, more than the cap of {_RESIDUE_CAP}")
     # above every w_r, a sum of fewer than a generators other than a: among
     # a of them some nonempty subsum is a multiple of a, and dropping it
     # would leave a smaller member of the class

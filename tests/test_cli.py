@@ -756,6 +756,13 @@ def test_f2l_past_the_listing_cap_prints_the_value_alone():
     assert f2l(numerical([100003, 100005, 100009])) == 3334000019
 
 
+def test_f2l_past_the_residue_table_cap_exits_2():
+    # the residue table holds one entry per residue modulo the smallest
+    # generator: 100000007 of them are refused before the table is built
+    argv = ["f2l", "--input", '{"numerical":[100000007,100000009,100000013]}']
+    _assert_refused_in_bounds(argv, 10)
+
+
 
 def test_f2l_leaves_out_exactly_a_complement_past_the_cap(capsys, monkeypatch):
     # <5,6,7,8> has 14 integers outside L_S: a cap of 14 lists them, 13 not

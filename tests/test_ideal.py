@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_engine import _FAR
 from test_intlinalg import _lattice_contains, _lattices_equal
 
 from monofact.errors import InvalidInput, NotHomogeneous
@@ -16,7 +17,6 @@ from monofact.ideal import (
     _passes,
     _widening,
     groebner,
-    ideals_equal,
     in_ideal,
     kernel_lattice,
     lattice_ideal,
@@ -102,14 +102,14 @@ def test_torsion_lattice_ideal_matches_hand_generators():
         ],
         GREVLEX,
     )
-    assert ideals_equal(gbq, expected)
+    assert gbq == expected
 
 
 def test_lex_and_grevlex_agree_as_ideals():
     q = presentation(1, (2,), [(2, 0), (3, 1), (4, 1)])
     gbq = lattice_ideal(q)
     gbq_lex = lattice_ideal(q, order=LEX)
-    assert ideals_equal(gbq, groebner(list(gbq_lex.elements), GREVLEX))
+    assert gbq == groebner(list(gbq_lex.elements), GREVLEX)
 
 
 def test_rank2_ideal_contains_curve_relations():
@@ -191,7 +191,7 @@ def test_groebner_is_reduced_and_order_dependent_leads():
     g1 = groebner(gens, GREVLEX)
     assert g1.groebner
     g2 = groebner(gens, wgrevlex((3, 5, 7)))
-    assert ideals_equal(g1, g2)
+    assert groebner(g2.elements, GREVLEX) == g1
 
 
 def test_random_instances_lattice_ideal_is_homogeneous(reduced_instances):
@@ -577,3 +577,38 @@ def test_minimal_generators_matches_the_all_others_loop(kind, p):
     for q in (p, p.lift):
         basis = lattice_ideal(q, order)
         assert minimal_generators(basis, q).elements == _todays_minimal_generators(basis, q)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+def test_minimal_generators_restart_the_trim_at_a_wider_width(kind, monkeypatch):
+    # x2 - x3^16 is kept first; reducing x1 - x2^16 by it reaches x3^256,
+    # past the 8-bit fields the candidates fit in, so the whole trim
+    # restarts at 16 bits and keeps both
+    widths = []
+    layout = ideal._layout
+
+    def spy(order, n, width):
+        widths.append(width)
+        return layout(order, n, width)
+
+    monkeypatch.setattr(ideal, "_layout", spy)
+    q = numerical([256, 16, 1])
+    basis = BinomialBasis(tuple(_FAR), _ORDERS[kind](3), groebner=False)
+    got = minimal_generators(basis, q).elements
+    assert widths == [8, 16]
+    monkeypatch.undo()
+    assert got == _todays_minimal_generators(basis, q)
+    assert len(got) == 2
+
+
+def test_minimal_generators_build_no_groebner_basis_and_test_no_membership(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("minimal_generators called groebner or in_ideal")
+
+    # under lex the trim drops 10 of the 19 candidates
+    q = numerical([7, 17, 20, 23, 26, 29]).lift
+    bases = [lattice_ideal(q, order) for order in (GREVLEX, LEX)]
+    expected = [_todays_minimal_generators(basis, q) for basis in bases]
+    monkeypatch.setattr(ideal, "groebner", refuse)
+    monkeypatch.setattr(ideal, "in_ideal", refuse)
+    assert [minimal_generators(basis, q).elements for basis in bases] == expected

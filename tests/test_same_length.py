@@ -315,6 +315,14 @@ def test_monoid_ideal_validation():
     assert ideal.to_data() == {"generators": [10], "minimalized": False}
 
 
+def test_apery_residues_refuse_a_table_past_the_cap(monkeypatch):
+    # the cap counts entries, one per residue modulo the smallest generator
+    monkeypatch.setattr(same_length, "_RESIDUE_CAP", 5)
+    assert same_length._apery_residues([5, 6, 7]) == [0, 6, 7, 13, 14]
+    with pytest.raises(BudgetExceeded, match="residue table of 6 entries"):
+        same_length._apery_residues([6, 7, 8])
+
+
 def test_monoid_ideals_equal_and_dimension_guard():
     p = numerical([3, 5, 7])
     a = MonoidIdeal(p, (p.element((10,)),))
@@ -322,9 +330,22 @@ def test_monoid_ideals_equal_and_dimension_guard():
     assert monoid_ideals_equal(a, b)
     c = MonoidIdeal(p, (p.element((12,)),))
     assert not monoid_ideals_equal(a, c)
-    q = presentation(2, (), [(1, 0), (1, 1)])
-    with pytest.raises(DimensionMismatch):
-        monoid_ideals_equal(a, MonoidIdeal(q, (q.element((1, 1)),)))
+    # 10 + S lies inside (10 + S) ∪ (11 + S) but not the other way round
+    # (11 - 10 = 1 is not in S): one inclusion is not equality
+    d = MonoidIdeal(p, (p.element((10,)), p.element((11,))))
+    assert not monoid_ideals_equal(a, d)
+    assert not monoid_ideals_equal(d, a)
+    # ambient groups that differ in rank only, then in torsion only
+    rank2 = presentation(2, (), [(1, 0), (1, 1)])
+    torsion2 = presentation(1, (2,), [(1, 0), (1, 1)])
+    for other in (
+        MonoidIdeal(rank2, (rank2.element((1, 1)),)),
+        MonoidIdeal(torsion2, (torsion2.element((1,), (1,)),)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            monoid_ideals_equal(a, other)
+        with pytest.raises(DimensionMismatch):
+            monoid_ideals_equal(other, a)
 
 
 def test_l_subset_t_on_random_instances(reduced_instances):
