@@ -34,10 +34,12 @@ K[x] minus x_U by the images under x_U -> 0 of the other x^beta and of
 any generating set of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a
 basis of J' involves x_U, and x_u is coprime to every lead, so the
 reduced basis of J is {x_u : u in U} together with the reduced basis of
-J'.  Buchberger runs on J' only, and not at all when J' = 0: for B
-holding every generator, each side of each I_S binomial involves x_U,
-and its image is 0, so I_S is not even read.  The finite branch builds its leads this way, and the cone test
-and the pure-power check run on them as on any others.
+J'.  Buchberger runs on J' only, and not at all when J' = 0.  When U
+holds every variable, B holds every generator and J = <x_1, ..., x_n>,
+whose staircase is {1}: Ap_S(B) = {0}, returned once B is checked to
+lie in S, with no cone test, no I_S and no walk.  Otherwise the finite
+branch builds its leads this way, and the cone test and the pure-power
+check run on them as on any others.
 
 The walk carries each monomial's degree as a flat row (free coordinates,
 then unreduced torsion residues): a child's degree is its parent's plus
@@ -193,21 +195,16 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     )
 
 
-def _eliminated(p, facts):
-    """Split J = I_S + <x^beta> by the set U of variables x_u with u the
-    factorization of some b.  Returns the leads x_u, and generators of
-    J' as pairs (a, b) for x^a - x^b, b None for a monomial: the images
-    under x_U -> 0 of the other x^beta and of the kept saturated
-    generators of I_S, monomials first, so that they reduce the
-    binomials before any S-pair of those is formed.  See the
-    module docstring for why the reduced basis of J is the x_u together
-    with that of J'.  When U holds every variable, J' = 0 and I_S is not
-    read: no side of an I_S binomial is 1, S being reduced."""
-    n = p.n
-    units = {f.index(1) for f in facts if sum(f) == 1}
-    leads = [_unit(n, u) for u in sorted(units)]
-    if len(units) == n:
-        return leads, []
+def _eliminated(p, facts, units):
+    """Split J = I_S + <x^beta> by the set U of variables x_u with e_u
+    the factorization of some b, ``units`` ascending, which leaves some
+    variable out.  Returns the leads x_u, and generators of J' as pairs
+    (a, b) for x^a - x^b, b None for a monomial: the images under
+    x_U -> 0 of the other x^beta and of the kept saturated generators of
+    I_S, monomials first, so that they reduce the binomials before any
+    S-pair of those is formed.  See the module docstring for why the
+    reduced basis of J is the x_u together with that of J'."""
+    leads = [_unit(p.n, u) for u in units]
 
     def kept(v):
         return not any(v[u] for u in units)
@@ -290,9 +287,11 @@ def apery_set(
     standard monomials under ``order`` of total degree at most ``limit``,
     which must not be negative.  A finite set is the same under every
     order, and is read off GREVLEX bases whatever ``order`` is; an order
-    that does not fit the n variables is refused either way.  The cone
-    criterion decides finiteness, and the staircase cross-checks it on
-    every call:
+    that does not fit the n variables is refused either way.  When the
+    factorizations of B include every unit vector, B holds every
+    generator, the set is {0} and nothing is built (see the module
+    docstring).  Otherwise the cone criterion decides finiteness,
+    and the staircase cross-checks it on every call:
 
     - finite: the leads of the reduced GREVLEX basis of J = I_S + <x^beta>
       include a pure power of every variable, and their staircase is the
@@ -313,10 +312,13 @@ def apery_set(
     elems = _b_elements(p, elements)
     _refuse_a_long_numerical_listing(p, elems)
     facts = _b_factorizations(p, elems, factorizations)
+    units = sorted({f.index(1) for f in facts if sum(f) == 1})  # U: x_u in J
+    if len(units) == p.n:  # J = <x_1, ..., x_n>, whose staircase is {1}
+        return AperyResult(True, (p.zero(),), 1, None)
     rows = [g.free + g.torsion for g in p.generators]
     if not uncovered_rays(p, elems):
         limit = None
-        leads, rest = _eliminated(p, facts)
+        leads, rest = _eliminated(p, facts, units)
         if rest:
             leads += [lead for lead, _ in _buchberger(rest, GREVLEX, p.n)]
         if len(_pure_power_variables(leads)) != p.n:

@@ -19,10 +19,13 @@ The pipeline for I_S:
 
   1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed once per
      presentation via an integer kernel of the free rows stacked with
-     torsion rows augmented by their moduli.  For the length lift S~ of
-     S (MonoidPresentation.lift) it is read off the basis B of S instead:
-     ker S~ = {gamma in ker S : sum gamma_i = 0} has the basis C B, C a
-     basis of the integer kernel of the one row (sum v for v in B).
+     torsion rows augmented by their moduli.  When the free rows have
+     rank n the kernel is 0, read off that rank with no echelon.  For the
+     length lift S~ of S (MonoidPresentation.lift) it is read off the
+     basis B of S instead: ker S~ = {gamma in ker S : sum gamma_i = 0} has
+     the basis C B, C a basis of the integer kernel of the one row (sum v
+     for v in B).  Its rank is len(B), less 1 when some row of B has a
+     nonzero sum, so L_S and c_eq answer a zero ker S~ with no lift.
   2. lll_reduce: an LLL-reduced basis of the same lattice.  The echelon
      basis has entries as large as the generators; the reduced one has
      small entries, which keeps every saturation pass small.  The change of
@@ -740,6 +743,7 @@ def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> Binomial
 
 
 def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
+    order.rows(p.n)  # raises InvalidInput for an order that does not fit
     gens = saturated_generators(p)
     if not gens:
         return BinomialBasis((), order, True)

@@ -222,23 +222,29 @@ class MonoidPresentation(Frozen):
 
         Torsion congruences become exact rows with one auxiliary unknown
         per modulus; the kernel of the stacked integer matrix projects
-        bijectively onto its first n coordinates.  A length lift S~ has its
-        kernel preset by :attr:`lift`.
+        bijectively onto its first n coordinates.  The rank of the free
+        rows is taken first: when it is n the free parts are independent,
+        so no integer relation holds, torsion or not, and the kernel is
+        () with no echelon.  A length lift S~ has its kernel preset by
+        :attr:`lift`.
         """
         n, moduli = self.n, self.torsion
+        free = [[g.free[d] for g in self.generators] for d in range(self.rank)]
+        free_rank = matrix_rank(free)
+        if free_rank == n:
+            return ()
         k = len(moduli)
-        rows = [[g.free[d] for g in self.generators] + [0] * k for d in range(self.rank)]
+        rows = [r + [0] * k for r in free]
         for j, t in enumerate(moduli):
             row = [g.torsion[j] for g in self.generators] + [0] * k
             row[n + j] = t
             rows.append(row)
-        return self._checked_kernel([tuple(r[:n]) for r in kernel_basis(rows)])
+        return self._checked_kernel([tuple(r[:n]) for r in kernel_basis(rows)], free_rank)
 
-    def _checked_kernel(self, basis) -> tuple[tuple[int, ...], ...]:
+    def _checked_kernel(self, basis, free_rank) -> tuple[tuple[int, ...], ...]:
         """``basis`` as a tuple, once its rank is checked against n minus
-        the rank of the free rows."""
-        free = [[g.free[d] for g in self.generators] for d in range(self.rank)]
-        if len(basis) != self.n - matrix_rank(free):
+        ``free_rank``, the rank of the free rows."""
+        if len(basis) != self.n - free_rank:
             raise CrossCheckError("kernel rank differs from n minus the rank of the free rows")
         return tuple(basis)
 
@@ -256,6 +262,9 @@ class MonoidPresentation(Frozen):
         the rows of C B are a basis of ker S~, B having independent rows.
         That basis spans the lattice of S~ built from data, not
         necessarily with the same rows.  Its rank is checked as for S.
+        The rank of ker S~ is len(B), less 1 when some row of B has a
+        nonzero sum, so a zero ker S~ shows in B itself: L_S and c_eq read
+        it there and build no lift (``same_length._lift_kernel_is_zero``).
         """
         self.pointing  # proves S reduced
         gens = [GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in self.generators]
@@ -264,7 +273,7 @@ class MonoidPresentation(Frozen):
         lifted.__dict__["kernel"] = lifted._checked_kernel([
             tuple(sum(c * v[i] for c, v in zip(cs, b)) for i in range(self.n))
             for cs in kernel_basis([[sum(v) for v in b]])
-        ])
+        ], matrix_rank([[g.free[d] for g in gens] for d in range(self.rank + 1)]))
         return lifted
 
     @computed_once

@@ -14,9 +14,11 @@ fiber at the end.
 
 Each walk takes its weight cap as a positive integer and counts the
 vectors it visits against ``monoid._LISTING_CAP`` (10^6), the library's
-one listing cap.  The fiber map stores every vector, up to about 300
-bytes each when the fibers are singletons, so an oversized walk ends in
-BudgetExceeded before it exhausts memory.
+one listing cap.  The fiber map of :func:`monoid_elements` stores every
+vector, up to about 300 bytes each when the fibers are singletons, so
+an oversized walk ends in BudgetExceeded before it exhausts memory.
+The L_S and T_S checks read only the length of each vector and the
+size of each fiber, so their walk keeps one length per vector.
 
 The same map decides membership in an ideal g_1 + S u ... u g_s + S with
 nonzero g_j in S: x is a member iff some x - g_j lies in S, and x - g_j
@@ -42,7 +44,6 @@ machinery.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import add, sub
 
 from .errors import BudgetExceeded, InvalidInput, NotStabilized
@@ -72,7 +73,7 @@ class _Tally:
             raise BudgetExceeded("enumeration budget exhausted")
 
 
-def _fiber_map(p: MonoidPresentation, weight_cap):
+def _fiber_map(p: MonoidPresentation, weight_cap, lengths=False):
     """element -> all its factorizations, complete below the weight cap.
 
     The walk carries the degree of the coefficient vector as a flat row,
@@ -81,6 +82,9 @@ def _fiber_map(p: MonoidPresentation, weight_cap):
     where vectors of one element meet under one key; an element is built
     once per key, at the end.  Keys come in the order the walk first
     reaches them, and each fiber lists its vectors in walk order.
+
+    With ``lengths`` each vector is kept as its length alone, all that
+    the L_S and T_S checks read of it.
     """
     weight_cap = _weight_cap(weight_cap)
     weights = p.weights
@@ -96,7 +100,7 @@ def _fiber_map(p: MonoidPresentation, weight_cap):
             tally.tick()
             if moduli:
                 deg = deg[:rank] + tuple([r % t for r, t in zip(deg[rank:], moduli)])
-            flat.setdefault(deg, []).append(tuple(coeffs))
+            flat.setdefault(deg, []).append(sum(coeffs) if lengths else tuple(coeffs))
             return
         row = rows[i]
         c = 0
@@ -123,16 +127,13 @@ def monoid_elements(p: MonoidPresentation, weight_cap):
 def lset_bruteforce(fibers):
     """The elements of a fiber map from :func:`monoid_elements` having two
     equal-length factorizations: L_S below its weight cap."""
-    return {
-        el
-        for el, facs in fibers.items()
-        if any(k >= 2 for k in Counter(sum(f) for f in facs).values())
-    }
+    return {el for el, facs in fibers.items() if len({sum(f) for f in facs}) < len(facs)}
 
 
 def tset_bruteforce(fibers):
     """The elements of a fiber map from :func:`monoid_elements` having two
-    factorizations: T_S below its weight cap."""
+    factorizations: T_S below its weight cap.  Only the size of each
+    fiber is read, so a map of lengths (``_fiber_map``) serves too."""
     return {el for el, facs in fibers.items() if len(facs) >= 2}
 
 
@@ -228,8 +229,12 @@ def check(p: MonoidPresentation, what: str, cap: int) -> dict:
     cap = _integer(cap)
     if what in ("lset", "tset"):
         ideal = l_set(p) if what == "lset" else t_set(p)
-        fibers = monoid_elements(p, cap)
-        brute = lset_bruteforce(fibers) if what == "lset" else tset_bruteforce(fibers)
+        # element -> the length of each factorization; T_S reads only their number
+        fibers = _fiber_map(p, cap, lengths=True)
+        if what == "lset":
+            brute = {el for el, lengths in fibers.items() if len(set(lengths)) < len(lengths)}
+        else:
+            brute = tset_bruteforce(fibers)
         engine = set() if ideal is None else ideal_members(fibers, ideal.generators)
         missing = sorted(brute - engine, key=GroupElement.sort_key)
         extra = sorted(engine - brute, key=GroupElement.sort_key)

@@ -11,9 +11,13 @@ saturated generators kept on its presentation
 waits for a final Buchberger run.  Both are trimmed as monoid ideals,
 each trimming kept on the presentation too, so every reader of L_S
 shares one; minimal binomial generators serve only the equal catenary
-degree and the ``--minimal`` payloads.  The complement S \\ L_S is the
-Apery set of S relative to the L_S generators, walked through the
-staircase machinery.
+degree and the ``--minimal`` payloads.  S~ is built only when its
+kernel is nonzero.  The rank of ker S~ shows in the kernel basis B of
+S: it is len(B), less 1 when some row of B has a nonzero sum
+(``_lift_kernel_is_zero``).  When it is 0, L_S is empty, c_eq is 0 and
+no lift, saturation or basis of S~ is built.  The complement S \\ L_S
+is the Apery set of S relative to the L_S generators, walked through
+the staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
 congruent to r modulo its smallest generator a, the table behind the
 gaps, x lies in L_S iff x >= m_{x mod a}, m_r = min_g (g + w_{(r - g) mod a})
@@ -133,17 +137,30 @@ def homogeneous_minimal_generators(
 
 
 def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
+    order.rows(p.n)  # raises InvalidInput for an order that does not fit
+    if _lift_kernel_is_zero(p):
+        return BinomialBasis((), order, groebner=False)
     lifted = p.lift
     return minimal_generators(lattice_ideal(lifted, order), lifted)
+
+
+def _lift_kernel_is_zero(p: MonoidPresentation) -> bool:
+    """Whether ker S~ = 0, read off the basis B of ker S with no lift
+    built: ker S~ is the kernel of gamma -> sum gamma_i on ker S, of rank
+    len(B) less 1 when some row of B has a nonzero sum, else len(B)."""
+    b = p.kernel
+    return len(b) == (1 if any(map(sum, b)) else 0)
 
 
 def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
     """The minimal S-degrees of a binomial generating set of I_q over the
     generators of p, q = S~ (p.lift) when ``lifted`` and q = p otherwise,
     ascending by weight, each paired with a witness factorization (the
-    ``plus`` of the last generator of that degree); empty when I_q = 0.
-    Both read the saturated generators of I_q (``saturated_generators``),
-    so T_S and L_S wait for no ordered basis.  Any binomial generating
+    ``plus`` of the last generator of that degree); empty when I_q = 0,
+    which for q = S~ is read off the kernel of S with no lift built
+    (``_lift_kernel_is_zero``).  Both read the saturated generators of
+    I_q (``saturated_generators``), so T_S and L_S wait for no ordered
+    basis.  Any binomial generating
     set would do, since the degrees are minimalized here, and
     any witness would do, since all factorizations of one degree give the
     same Apery set.  Both sides of every generator factor its degree, and
@@ -154,6 +171,8 @@ def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
 
 
 def _trimmed_degrees(p: MonoidPresentation, lifted: bool) -> tuple:
+    if lifted and _lift_kernel_is_zero(validate_reduced(p)):
+        return ()
     witnesses, known = {}, {}
     for plus, minus in saturated_generators(p.lift if lifted else p):
         d = p.evaluate(plus)

@@ -7,7 +7,7 @@ import pytest
 from monofact import apery, cli, ideal, intlinalg, monoid, ratlp, same_length
 from monofact.apery import apery_set
 from monofact.catenary import ceq
-from monofact.errors import InfiniteWithoutLimit, NotReduced
+from monofact.errors import EmptyLSet, InfiniteWithoutLimit, NotReduced
 from monofact.ideal import lattice_ideal
 from monofact.monoid import (
     numerical,
@@ -315,7 +315,7 @@ def test_an_infinite_apery_set_without_limit_builds_no_groebner_basis(no_groebne
 
 def test_an_apery_set_of_every_generator_runs_no_buchberger(no_groebner):
     # x_i is in J for every i: J = <x_1, ..., x_n>, I_S drops out, and the
-    # set is {0}, read off the staircase of the x_i
+    # set is {0}, the staircase of the x_i
     for p in (
         presentation_from_data(
             {"rank": 1, "torsion": [3], "generators": [[-4, 2], [-3, 2], [-2, 1], [-1, 1]]}
@@ -329,7 +329,12 @@ def test_an_apery_set_of_every_generator_runs_no_buchberger(no_groebner):
 
 def test_an_apery_set_of_every_generator_reads_no_lattice_ideal(monkeypatch):
     # J = <x_1, ..., x_n> whatever I_S is, so a fresh presentation never
-    # has its I_S built; the cone verdict and the walk still run
+    # has its I_S built, and neither the cone test nor the walk runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("cone test or staircase walk")
+
+    monkeypatch.setattr(apery, "uncovered_rays", refuse)
+    monkeypatch.setattr(apery, "_standard_monomials", refuse)
     built = _counting(monkeypatch, ideal, "_lattice_ideal")
     for data in (
         {"rank": 2, "torsion": [5], "generators": [[-5, -3, 3], [2, -3, 3], [5, -5, 3], [6, -4, 0]]},
@@ -424,3 +429,39 @@ def test_a_verified_closed_form_saturates_once(monkeypatch, capsys):
         '"family":"almost","generators":[5,7,8,11],"lset":{"generators":[16,21],"principal":false}}\n'
     )
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rank": 2, "generators": [[1, 0], [0, 1]]},
+        {"numerical": [3, 5]},
+        {"rank": 1, "torsion": [2], "generators": [[2, 0], [3, 1]]},
+    ],
+    ids=["independent-free-parts", "numerical", "torsion"],
+)
+def test_a_zero_lifted_kernel_builds_no_lift(data):
+    # ker S~ = 0 is read off the kernel of S (no row, or one of nonzero
+    # sum), so L_S, c_eq and the complement are answered with no S~
+    p = presentation_from_data(data)
+    assert l_set(p) is None and ceq(p) == 0
+    with pytest.raises(EmptyLSet):
+        l_set_complement(p, limit=2)
+    assert homogeneous_minimal_generators(p, LEX).elements == ()
+    assert "lift" not in p.__dict__
+
+
+def test_independent_free_parts_echelon_nothing(monkeypatch):
+    # a free rank of n leaves no integer relation, torsion or not: the
+    # kernel is () with no kernel_basis call
+    def refuse(rows):
+        raise AssertionError("kernel_basis called")
+
+    monkeypatch.setattr(monoid, "kernel_basis", refuse)
+    for data in (
+        {"rank": 2, "generators": [[1, 0], [0, 1]]},
+        {"rank": 2, "torsion": [3], "generators": [[1, 2, 1], [0, 1, 2]]},
+    ):
+        p = presentation_from_data(data)
+        assert p.kernel == ()
+        assert t_set(p) is None and l_set(p) is None and ceq(p) == 0

@@ -225,6 +225,46 @@ def test_principal_of_an_empty_l_set_exits_2(capsys):
     assert "L_S is empty" in err
 
 
+_FREE_2 = '{"rank":2,"generators":[[1,0],[0,1]]}'  # independent free parts: ker S = 0
+_35 = '{"numerical":[3,5]}'  # ker S = <(5,-3)>, of sum 2: ker S~ = 0
+
+
+@pytest.mark.parametrize(
+    "data, every_generator, apery",
+    [
+        (_FREE_2, "[[1,0],[0,1]]", '{"count":1,"elements":[[0,0]],"finite":true,"limit":null}'),
+        (_35, "[3,5]", '{"count":1,"elements":[0],"finite":true,"limit":null}'),
+    ],
+    ids=["free-parts-independent", "lift-kernel-zero"],
+)
+def test_zero_lifted_kernels_are_pinned(capsys, data, every_generator, apery):
+    # L_S is empty, c_eq is 0 and I_{S~} has no minimal generator; Ap_S
+    # of every generator is {0}
+    assert run(capsys, "lset", "--input", data) == (0, '{"empty":true}\n', "")
+    assert run(capsys, "ceq", "--input", data) == (0, '{"value":0}\n', "")
+    assert run(capsys, "tilde-ideal", "--minimal", "--input", data) == (
+        0,
+        '{"degrees":[],"elements":[],"groebner":false,"minimal_generating":true,'
+        '"order":"grevlex","reduced":false}\n',
+        "",
+    )
+    code, out, err = run(capsys, "lset-complement", "--input", data)
+    assert (code, out) == (2, "") and "L_S is empty" in err
+    assert run(capsys, "apery", "--input", data, "--b", every_generator) == (0, apery + "\n", "")
+
+
+@pytest.mark.parametrize("data", [_FREE_2, _35], ids=["free-parts-independent", "lift-kernel-zero"])
+@pytest.mark.parametrize(
+    "command", [("ideal",), ("tilde-ideal",), ("tilde-ideal", "--minimal")],
+    ids=["ideal", "tilde-ideal", "tilde-ideal-minimal"],
+)
+def test_an_order_that_does_not_fit_a_zero_ideal_exits_2(capsys, command, data):
+    # n = 2 variables against three weights: refused before the empty basis
+    code, out, err = run(capsys, *command, "--input", data, "--order", "wgrevlex:1,2,3")
+    assert (code, out) == (2, "")
+    assert "weight vector length does not match variables" in err
+
+
 @pytest.mark.parametrize("order", ["block:-1", "block:4"], ids=["negative", "past-n"])
 def test_block_split_outside_the_variables_exits_2(capsys, order):
     code, out, err = run(capsys, "ideal", "--input", '{"numerical":[3,5,7]}', "--order", order)

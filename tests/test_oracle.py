@@ -213,6 +213,20 @@ def test_torsion_fibers_merge_unreduced_residues():
 @given(_report_shaped())
 @example((_TORSION_CASE, 40))
 @settings(max_examples=40, deadline=None)
+def test_the_lset_and_tset_walk_keeps_the_length_of_each_vector(case):
+    # the L_S and T_S checks keep one length per vector in walk order, and
+    # read off it the sets the full vectors give
+    p, cap = case
+    fibers = monoid_elements(p, cap)
+    lengths = oracle._fiber_map(p, cap, lengths=True)
+    assert list(lengths.items()) == [(el, [sum(f) for f in facs]) for el, facs in fibers.items()]
+    assert tset_bruteforce(lengths) == tset_bruteforce(fibers)
+    assert {el for el, ks in lengths.items() if len(set(ks)) < len(ks)} == lset_bruteforce(fibers)
+
+
+@given(_report_shaped())
+@example((_TORSION_CASE, 40))
+@settings(max_examples=40, deadline=None)
 def test_ideal_members_matches_ideal_contains(case):
     p, cap = case
     fibers = monoid_elements(p, cap)

@@ -1,11 +1,13 @@
 """T_S, L_S, complements, and the numerical invariants built on them."""
 
 import time
+from itertools import product
 from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from test_ideal import _stacked_kernel
 
 from monofact import apery, ideal, monoid, same_length
 from monofact.apery import apery_set
@@ -546,3 +548,59 @@ def test_the_answers_without_an_order_are_the_same_under_every_order(p):
         mins = minimal_generators(lattice_ideal(lifted, order), lifted)
         assert max((b.total_degree() for b in mins.elements), default=0) == ceq(p)
         assert apery_set(p, p.generators, order=order).elements == expected
+
+
+@st.composite
+def _presentations_up_to_rank_3(draw):
+    """Rank 1-3, at most one torsion modulus, 1-5 generators pointed by a
+    drawn functional: many with independent free parts (ker S = 0), and
+    some whose kernel is one row of nonzero sum (ker S~ = 0)."""
+    rank = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(2, 5), max_size=1))
+    w = draw(st.sampled_from([w for w in product((-1, 0, 1), repeat=rank) if any(w)]))
+    entry = st.tuples(
+        *[st.integers(-4, 5)] * rank, *[st.integers(0, t - 1) for t in moduli]
+    ).filter(lambda g: sum(a * b for a, b in zip(w, g)) >= 1)
+    gens = draw(st.lists(entry, min_size=1, max_size=5, unique=True))
+    return validate_reduced(presentation(rank, moduli, sorted(gens)))
+
+
+def _l_set_answers(p):
+    try:
+        complement = l_set_complement(p, limit=2)
+    except EmptyLSet:
+        complement = None
+    return (
+        l_set(p),
+        ceq(p),
+        same_length.homogeneous_minimal_generators(p, GREVLEX),
+        same_length.homogeneous_minimal_generators(p, LEX),
+        complement,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_presentations_up_to_rank_3())
+@example(presentation(2, (), [(1, 0), (0, 1)]))  # independent free parts
+@example(numerical([3, 5]))  # ker S = <(5, -3)>, of sum 2
+@example(presentation(2, (), [(1, 0), (1, 1), (1, 2)]))  # ker S = <(1, -2, 1)>, of sum 0
+@example(presentation(1, (2,), [(1, 0), (1, 1)]))  # ker S = <(2, -2)>, through the torsion
+def test_zero_kernels_read_off_ranks_match_the_lift_and_the_walk(p):
+    # ker S = 0 is read off the rank of the free parts, and ker S~ = 0 off
+    # the kernel of S, with no lift built; both must agree with the stacked
+    # kernel and with an explicitly built lift, and Ap_S of every generator
+    # with the walked staircase of J = <x_1, ..., x_n>
+    assert (p.kernel == ()) == (_stacked_kernel(p) == [])
+    zero = same_length._lift_kernel_is_zero(p)
+    got = _l_set_answers(p)
+    assert ("lift" in p.__dict__) != zero
+    # the same presentation as a fresh object, every answer read off its lift
+    q = presentation(p.rank, p.torsion, [g.free + g.torsion for g in p.generators])
+    assert (q.lift.kernel == ()) == zero
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(same_length, "_lift_kernel_is_zero", lambda p: False)
+        assert _l_set_answers(q) == got
+    leads = [apery._unit(p.n, i) for i in range(p.n)]
+    rows = [g.free + g.torsion for g in p.generators]
+    walked = [deg for _, deg in apery._standard_monomials(leads, rows, None)]
+    assert [e.free + e.torsion for e in apery_set(p, p.generators).elements] == walked
