@@ -42,7 +42,6 @@ from .ideal import (
     kernel_lattice,
     lattice_ideal,
     minimal_generators,
-    normal_form,
     saturate,
 )
 from .monoid import (

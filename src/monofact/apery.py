@@ -16,10 +16,11 @@ some element of B (the cone criterion).  Then the reduced Groebner basis of
 J is built, every variable has a pure power among its leads, and one walk
 lists its whole staircase; the pure powers are what end the walk, and their
 presence is the staircase side of the cross-check.  The set is the same
-under every term order, so that basis is built under GREVLEX from the
-saturated generators of I_S kept on the presentation
-(``ideal.saturated_generators``), whatever order is asked for, and no
-ordered basis of I_S is built.  Otherwise a
+under every term order, so that basis is one GREVLEX Buchberger run from
+the x^beta_i, first so that they reduce the binomials before any S-pair of
+those is formed, and the saturated generators of I_S kept on the
+presentation (``ideal.saturated_generators``), whatever order is asked
+for; no ordered basis of I_S is built.  Otherwise a
 truncation degree is required, and no basis of J is built: the walk runs
 over the staircase of the memoized I_S, under the order asked for, up to
 that total degree and cuts a branch where its monomial's degree s has
@@ -29,17 +30,9 @@ no b and that each such ray carries a generator with no pure-power lead
 in the I_S basis.
 
 A b that is the generator a_u has the factorization e_u, so x_u lies in J.
-With U the set of such u, J = <x_U> + J' K[x], where J' is generated in
-K[x] minus x_U by the images under x_U -> 0 of the other x^beta and of
-any generating set of I_S (f - f(x_U = 0) lies in <x_U>).  No term of a
-basis of J' involves x_U, and x_u is coprime to every lead, so the
-reduced basis of J is {x_u : u in U} together with the reduced basis of
-J'.  Buchberger runs on J' only, and not at all when J' = 0.  When U
-holds every variable, B holds every generator and J = <x_1, ..., x_n>,
-whose staircase is {1}: Ap_S(B) = {0}, returned once B is checked to
-lie in S, with no cone test, no I_S and no walk.  Otherwise the finite
-branch builds its leads this way, and the cone test and the pure-power
-check run on them as on any others.
+When every variable does, B holds every generator and J = <x_1, ..., x_n>,
+whose staircase is {1}: Ap_S(B) = {0}, returned once B is checked to lie
+in S, with no cone test, no I_S and no walk.
 
 The walk carries each monomial's degree as a flat row (free coordinates,
 then unreduced torsion residues): a child's degree is its parent's plus
@@ -195,30 +188,6 @@ def _unbounded_on_uncovered_rays(p, elems, leads) -> bool:
     )
 
 
-def _eliminated(p, facts, units):
-    """Split J = I_S + <x^beta> by the set U of variables x_u with e_u
-    the factorization of some b, ``units`` ascending, which leaves some
-    variable out.  Returns the leads x_u, and generators of J' as pairs
-    (a, b) for x^a - x^b, b None for a monomial: the images under
-    x_U -> 0 of the other x^beta and of the kept saturated generators of
-    I_S, monomials first, so that they reduce the binomials before any
-    S-pair of those is formed.  See the module docstring for why the
-    reduced basis of J is the x_u together with that of J'."""
-    leads = [_unit(p.n, u) for u in units]
-
-    def kept(v):
-        return not any(v[u] for u in units)
-
-    monomials = [f for f in facts if kept(f)]
-    binomials = []
-    for plus, minus in saturated_generators(p):
-        if kept(plus) and kept(minus):
-            binomials.append((plus, minus))
-        elif kept(plus) or kept(minus):
-            monomials.append(plus if kept(plus) else minus)
-    return leads, [(m, None) for m in monomials] + binomials
-
-
 def _unit(n, i) -> tuple[int, ...]:
     """The exponent vector of x_i among n variables."""
     return (0,) * i + (1,) + (0,) * (n - i - 1)
@@ -312,15 +281,13 @@ def apery_set(
     elems = _b_elements(p, elements)
     _refuse_a_long_numerical_listing(p, elems)
     facts = _b_factorizations(p, elems, factorizations)
-    units = sorted({f.index(1) for f in facts if sum(f) == 1})  # U: x_u in J
-    if len(units) == p.n:  # J = <x_1, ..., x_n>, whose staircase is {1}
+    if len({f.index(1) for f in facts if sum(f) == 1}) == p.n:  # J = <x_1, ..., x_n>
         return AperyResult(True, (p.zero(),), 1, None)
     rows = [g.free + g.torsion for g in p.generators]
     if not uncovered_rays(p, elems):
         limit = None
-        leads, rest = _eliminated(p, facts, units)
-        if rest:
-            leads += [lead for lead, _ in _buchberger(rest, GREVLEX, p.n)]
+        gens = [(f, None) for f in facts] + list(saturated_generators(p))
+        leads = [lead for lead, _ in _buchberger(gens, GREVLEX, p.n)]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
         monomials = _standard_monomials(leads, rows, None)

@@ -514,8 +514,11 @@ def _engine(lay: _Layout, weights=None):
     return add, complete, reduced
 
 
-def _binomials_from_pairs(pairs) -> tuple[Binomial, ...]:
-    return tuple(_stored(lead, tail) for lead, tail in pairs)
+def _reduced_basis(pairs, order: TermOrder, n: int) -> BinomialBasis:
+    """The reduced Groebner basis of ``pairs`` (see ``_buchberger``) under
+    ``order``, each lead its element's ``plus``."""
+    basis = _buchberger(pairs, order, n)
+    return BinomialBasis(tuple(_stored(lead, tail) for lead, tail in basis), order, groebner=True)
 
 
 def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
@@ -524,42 +527,26 @@ def groebner(gens, order: TermOrder = GREVLEX) -> BinomialBasis:
     Each element's ``plus`` is its lead term under ``order``.
     """
     pairs = [(b.plus, b.minus) for b in gens]
-    n = len(pairs[0][0]) if pairs else 0
-    basis = _buchberger(pairs, order, n)
-    return BinomialBasis(_binomials_from_pairs(basis), order, groebner=True)
-
-
-def normal_form(f: Binomial, basis: BinomialBasis) -> Binomial:
-    """Fully reduced form of ``f`` modulo a Groebner basis.
-
-    The result is zero exactly when f lies in the ideal; monomial
-    remainders are reported with positive sign.
-    """
-    if not basis.groebner:
-        raise InvalidInput("normal_form needs a Groebner basis")
-    pairs = [(b.plus, b.minus) for b in basis.elements]
-    pairs.append((f.plus, f.minus))
-    red = _widening(pairs, basis.order, f.nvars, _normal_form_packed)
-    if red is None:
-        return _stored((0,) * f.nvars, (0,) * f.nvars)
-    return _stored(*red)
-
-
-def _normal_form_packed(lay: _Layout, elements):
-    *rules, el = elements
-    red = _Reducers(lay.guards)
-    for rule in rules:
-        if rule is not None:
-            red.add(*rule)
-    r = None if el is None else _reduce_pair(el, red)
-    if r is None:
-        return None
-    lead, tail = r
-    return lay.unpack(lead), None if tail is None else lay.unpack(tail)
+    return _reduced_basis(pairs, order, len(pairs[0][0]) if pairs else 0)
 
 
 def in_ideal(f: Binomial, basis: BinomialBasis) -> bool:
-    return normal_form(f, basis).is_zero
+    """True when ``f`` lies in the ideal of the Groebner basis ``basis``:
+    exactly when the rules of the basis reduce it to 0."""
+    if not basis.groebner:
+        raise InvalidInput("in_ideal needs a Groebner basis")
+    pairs = [(b.plus, b.minus) for b in basis.elements]
+    pairs.append((f.plus, f.minus))
+
+    def reduces_to_zero(lay, elements):
+        *rules, el = elements
+        red = _Reducers(lay.guards)
+        for rule in rules:
+            if rule is not None:
+                red.add(*rule)
+        return el is None or _reduce_pair(el, red) is None
+
+    return _widening(pairs, basis.order, f.nvars, reduces_to_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +695,7 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
         if minus is not None and dot(weights, plus) != dot(weights, minus):
             raise NotHomogeneous("generators are not homogeneous for the given weights")
     weights = wgrevlex(weights).weights  # read and checked once for every pass
-    final = _buchberger(_saturated(gens, weights), order, len(gens[0][0]))
-    return BinomialBasis(_binomials_from_pairs(final), order, groebner=True)
+    return _reduced_basis(_saturated(gens, weights), order, len(gens[0][0]))
 
 
 def saturated_generators(p: MonoidPresentation) -> tuple:
@@ -744,10 +730,7 @@ def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> Binomial
 
 def _lattice_ideal(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
     order.rows(p.n)  # raises InvalidInput for an order that does not fit
-    gens = saturated_generators(p)
-    if not gens:
-        return BinomialBasis((), order, True)
-    return BinomialBasis(_binomials_from_pairs(_buchberger(list(gens), order, p.n)), order, True)
+    return _reduced_basis(saturated_generators(p), order, p.n)
 
 
 def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialBasis:

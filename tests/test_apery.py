@@ -263,6 +263,14 @@ def test_apery_refuses_non_integer_factorizations(fac):
     assert apery_set(numerical([3, 5, 7]), [3], factorizations=[("1", 0, 0)]).count == 3
 
 
+@pytest.mark.parametrize("fac", [(1, 1), (5, 0, -1)], ids=["short", "negative"])
+def test_apery_refuses_a_malformed_factorization(fac):
+    # (1, 1) is the true (1, 1, 0) cut short, and (5, 0, -1) sums to
+    # 15 - 7 = 8 all the same: only the shape check refuses them
+    with pytest.raises(InvalidInput, match="malformed factorization"):
+        apery_set(numerical([3, 5, 7]), [8], factorizations=[fac])
+
+
 def test_an_order_that_does_not_fit_is_refused_on_every_branch():
     # a finite set reads no basis under the order, and Ap_S(all
     # generators) reads none at all; the order is checked all the same
@@ -410,9 +418,9 @@ def test_staircase_walk_matches_an_unpruned_filter(order, p, data):
 
 
 def _groebner_route(p, facts, order):
-    """A finite Ap_S(B) as it was built before generator variables were
-    eliminated: the reduced basis of I_S + <x^beta> in full, its standard
-    monomials listed in the box of its pure powers."""
+    """A finite Ap_S(B) from the reduced basis of I_S + <x^beta> under
+    ``order``, built by ``groebner`` from the ordered basis of I_S, its
+    standard monomials listed in the box of its pure powers."""
     gens = [Binomial.monomial(f) for f in facts] + list(lattice_ideal(p, order).elements)
     leads = [b.plus for b in groebner(gens, order).elements]
     powers = {}

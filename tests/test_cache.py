@@ -8,7 +8,7 @@ from monofact import apery, cli, ideal, intlinalg, monoid, ratlp, same_length
 from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.errors import EmptyLSet, InfiniteWithoutLimit, NotReduced
-from monofact.ideal import lattice_ideal
+from monofact.ideal import lattice_ideal, saturated_generators
 from monofact.monoid import (
     numerical,
     presentation,
@@ -347,24 +347,25 @@ def test_an_apery_set_of_every_generator_reads_no_lattice_ideal(monkeypatch):
 
 
 def test_a_generator_in_b_leaves_buchberger_its_variable(monkeypatch):
-    # Ap_S(4) in <4, 7, 9>: x1 is in J, so the basis is built for the
-    # images of the I_S binomials under x1 -> 0, in x2 and x3 alone
+    # Ap_S(4) in <4, 7, 9>: x1 is in J, and J is one Buchberger run over
+    # all three variables, the monomial x1 first, then the saturated
+    # generators of I_S
     p = numerical([4, 7, 9])
-    gens = []
+    calls = []
     real = apery._buchberger
 
     def recording(pairs, order, n):
-        gens.extend(pairs)
+        calls.append(pairs)
         return real(pairs, order, n)
 
     monkeypatch.setattr(apery, "_buchberger", recording)
     assert [e.free[0] for e in apery_set(p, [4]).elements] == [0, 7, 9, 14]
-    assert gens and all(plus[0] == 0 and (minus or (0,))[0] == 0 for plus, minus in gens)
+    assert calls == [[((1, 0, 0), None), *saturated_generators(p)]]
 
 
 def test_finite_sets_under_lex_reach_only_grevlex_bases(monkeypatch):
-    # Ap_S(35) in <4, 7, 9> is S \ L_S, and Ap_S(4) eliminates x1: both
-    # are the same sets under every order, so J is built under GREVLEX
+    # Ap_S(35) in <4, 7, 9> is S \ L_S, and Ap_S(4) has the generator 4 in
+    # B: both are the same sets under every order, so J is built under GREVLEX
     # however they are asked for.  J starts from the saturated generators
     # of I_S, and L_S is trimmed off those of S~, so neither S nor S~ gets
     # an ordered basis

@@ -14,7 +14,8 @@ from operator import add as _add, le as _le, sub as _sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monofact.ideal import _MIN_WIDTH, Binomial, _layout, groebner, normal_form
+from monofact import ideal
+from monofact.ideal import _MIN_WIDTH, Binomial, _layout, groebner, in_ideal
 from monofact.orders import GREVLEX, LEX, block, grevlex, lex, wgrevlex
 
 
@@ -278,9 +279,39 @@ def test_widening_restart_keeps_the_basis(order):
     assert got == _reference_groebner(_FAR, order)
 
 
-def test_normal_form_widens_too():
+@pytest.fixture
+def widths(monkeypatch):
+    """The width of every layout the engine asks for, in order."""
+    seen = []
+
+    def spying(order, n, width):
+        seen.append(width)
+        return _layout(order, n, width)
+
+    monkeypatch.setattr(ideal, "_layout", spying)
+    return seen
+
+
+def test_in_ideal_widens_too(widths):
+    # x1 - x3^200 reduces x1^2 to x3^400
     gb = groebner([Binomial((1, 0, 0), (0, 0, 200))], LEX)
-    assert normal_form(Binomial.monomial((2, 0, 0)), gb) == Binomial.monomial((0, 0, 400))
+    assert in_ideal(Binomial((2, 0, 0), (0, 0, 400)), gb)
+    assert not in_ideal(Binomial((2, 0, 0), (0, 0, 399)), gb)
+    # x1^2 alone fits the 8-bit fields, the x3^400 it reduces to does not
+    del widths[:]
+    assert not in_ideal(Binomial.monomial((2, 0, 0)), gb)
+    assert widths == [8, 16]
+
+
+def test_an_spair_past_its_fields_restarts_wider(monkeypatch, widths):
+    # both inputs fit 8-bit fields, but the S-pair of their lex leads x1^5
+    # and x1^4*x2^200 is x2^450 - x1*x3, which outgrows them inside _spair
+    gens = [Binomial((5, 0, 0), (0, 250, 0)), Binomial((4, 200, 0), (0, 0, 1))]
+    got = groebner(gens, LEX).elements
+    assert widths == [8, 16]
+    assert len(got) == 7 and got[0] == Binomial((0, 2000, 0), (0, 0, 5))
+    monkeypatch.setattr(ideal, "_MIN_WIDTH", 16)
+    assert groebner(gens, LEX).elements == got
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from monofact.ideal import (
     kernel_lattice,
     lattice_ideal,
     minimal_generators,
-    normal_form,
     saturate,
     saturated_generators,
 )
@@ -128,13 +127,14 @@ def test_rank2_ideal_contains_curve_relations():
             assert in_ideal(Binomial.difference(tuple(plus), tuple(minus)), gbr), (i, j)
 
 
-def test_normal_form_idempotent_and_needs_groebner_flag():
+def test_in_ideal_needs_groebner_flag():
+    # the same elements, flagged as a generating set only, are refused
     gb = lattice_ideal(numerical([3, 5, 7]))
-    nf = normal_form(Binomial.difference((0, 2, 0), (0, 0, 0)), gb)
-    assert normal_form(nf, gb) == nf
+    f = Binomial.difference((0, 2, 0), (1, 0, 1))
+    assert in_ideal(f, gb)
     plain = BinomialBasis(tuple(gb.elements), gb.order, groebner=False)
-    with pytest.raises(InvalidInput):
-        normal_form(nf, plain)
+    with pytest.raises(InvalidInput, match="Groebner basis"):
+        in_ideal(f, plain)
 
 
 def test_principal_ideal_single_generator():

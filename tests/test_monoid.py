@@ -19,6 +19,7 @@ from monofact.errors import (
 )
 from monofact.monoid import (
     GroupElement,
+    MonoidPresentation,
     _search,
     _search_flat,
     all_factorizations,
@@ -49,6 +50,33 @@ def test_generator_length_must_match_rank_and_torsion():
         presentation(2, (), [(1, 2, 3)])
     with pytest.raises(DimensionMismatch):
         presentation(1, (2,), [(1,)])
+
+
+_TORSION_2 = GroupElement((1,), (1,), (2,))  # an element of Z + Z/2
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: presentation(-1), InvalidInput, "rank must be nonnegative"),
+        (lambda: presentation(1), InvalidInput, "at least one generator"),
+        (lambda: MonoidPresentation(1, (), (_TORSION_2,)), DimensionMismatch, "generator shape"),
+        (lambda: numerical([3, 5]).element((1, 2)), DimensionMismatch, "free part"),
+        (lambda: element_from_data(numerical([3, 5]), _TORSION_2), DimensionMismatch, "ambient group"),
+        (lambda: member(numerical([3, 5]), _TORSION_2), DimensionMismatch, "element shape"),
+    ],
+    ids=[
+        "negative-rank",
+        "no-generators",
+        "generator-of-another-group",
+        "long-free-part",
+        "element-data-of-another-group",
+        "member-of-another-group",
+    ],
+)
+def test_shapes_that_do_not_fit_the_presentation_are_refused(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 def test_torsion_moduli_must_be_at_least_two():

@@ -42,6 +42,22 @@ def test_orders_reject_what_they_cannot_represent(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: TermOrder("bogus"), "unknown term order kind"),
+        (lambda: TermOrder("wgrevlex", weights=(1, 0)), "strictly positive"),
+        (lambda: TermOrder("block"), "needs a split and two inner orders"),
+        (lambda: lex(perm=(0, 0)).rows(2), "perm must permute"),
+        (lambda: parse_order("revlex"), "unknown term order 'revlex'"),
+    ],
+    ids=["unknown-kind", "zero-weight", "bare-block", "repeated-perm", "unknown-descriptor"],
+)
+def test_orders_refuse_ill_formed_descriptions(make, match):
+    with pytest.raises(InvalidInput, match=match):
+        make()
+
+
 def test_block_split_past_the_variables_is_rejected():
     with pytest.raises(InvalidInput):
         lattice_ideal(numerical([3, 5, 7]), block(4, GREVLEX, GREVLEX))
