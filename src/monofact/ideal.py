@@ -635,7 +635,7 @@ def _saturated(gens, weights):
     then divided out.  The last pass leaves a Groebner basis for its own
     order, and with no pass the generators come back as they are.
     ``gens`` are nonzero and homogeneous for the positive integer
-    ``weights``."""
+    ``weights``, which only a pass reads."""
     n = len(gens[0][0])
     current = gens
     for i in _passes(gens):
@@ -712,9 +712,12 @@ def _saturated_generators(p: MonoidPresentation) -> tuple:
         (tuple(a if a > 0 else 0 for a in gamma), tuple(-a if a < 0 else 0 for a in gamma))
         for gamma in lll_reduce(kernel_lattice(p).basis)
     ]
+    if not gens:
+        return ()
     # kernel vectors are homogeneous for the presentation's own positive
-    # weights, so saturate's checks have nothing to find
-    return tuple(_saturated(gens, p.weights)) if gens else ()
+    # weights, so saturate's checks have nothing to find; only a pass reads
+    # them, so with none the pointing LP is not solved for them
+    return tuple(_saturated(gens, p.weights if _passes(gens) else None))
 
 
 def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> BinomialBasis:

@@ -7,16 +7,19 @@ when its only unit is 0; for these presentations that is equivalent to
   (a) no generator has zero free part, and
   (b) the cone spanned by the free parts pi(a_i) in Q^m is pointed.
 
-Pointedness hands us a *pointing vector* w in Z^m with w . pi(a_i) >= 1
-for every generator.  The integer w . pi(x) then bounds the length of any
-factorization of x, which makes membership and the set of all
-factorizations finitely searchable: a depth-first search over exponent
-vectors pruned by remaining weight.  The search walks flat integer rows
-(free coordinates, then torsion residues) and reduces the residues mod t_j
-only at the leaves.  The last s coefficients are solved, not searched: the
-lightest s generators have linearly independent free parts (s <= rank as
-large as they allow), so the free equations fix those coefficients by
-Cramer's rule once the others are chosen (see ``_search_flat``).
+When ker S has rank at most 1 its basis decides both (see
+``validate_reduced``); otherwise one exact LP does.  That LP's vertex is
+a *pointing vector* w in Z^m with w . pi(a_i) >= 1 for every generator,
+solved the first time it is read, whatever proved S reduced.  The
+integer w . pi(x) bounds the length of any factorization of x, which
+makes membership and the set of all factorizations finitely searchable:
+a depth-first search over exponent vectors pruned by remaining weight.
+The search walks flat integer rows (free coordinates, then torsion
+residues) and reduces the residues mod t_j only at the leaves.  The last
+s coefficients are solved, not searched: the lightest s generators have
+linearly independent free parts (s <= rank as large as they allow), so
+the free equations fix those coefficients by Cramer's rule once the
+others are chosen (see ``_search_flat``).
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.
@@ -118,9 +121,12 @@ class MonoidPresentation(Frozen):
     """Generators of S inside Z^rank + T, with ``torsion`` the moduli
     (t_1, ..., t_k) of T.
 
-    Each object proves itself reduced once, when its cached ``pointing`` is
-    first read; every operation that needs a reduced presentation reads it
-    (through :func:`validate_reduced` or ``weights``).  Minimality of the
+    Each object proves itself reduced once, the first time
+    :func:`validate_reduced` runs on it, and every operation that needs a
+    reduced presentation runs it first.  That proof reads the kernel when
+    rank(ker S) <= 1 decides it, and the pointing LP otherwise; the LP is
+    solved anyway the first time ``pointing`` is read, by ``weights``, the
+    factorization search and the CLI's ``validate``.  Minimality of the
     generating set is never silently enforced.
 
     The fixed geometry of S is cached on the object, each part built the
@@ -188,19 +194,16 @@ class MonoidPresentation(Frozen):
 
     @computed_once
     def pointing(self) -> tuple[int, ...]:
-        """A pointing vector w, with w . pi(g) >= 1 for every generator g;
-        computing it proves the presentation reduced.
+        """A pointing vector w, with w . pi(g) >= 1 for every generator g:
+        the vertex of one LP, solved the first time it is read.  Computing
+        it proves the presentation reduced.
 
         Raises :class:`InvalidInput` for a duplicate generator, and
         :class:`NotReduced` with a witness when S is not reduced: a
         generator whose free part vanishes, or a nonzero nonnegative
         combination of free parts summing to zero.
         """
-        seen = set()
-        for g in self.generators:
-            if (g.free, g.torsion) in seen:
-                raise InvalidInput(f"duplicate generator {g.to_data()}")
-            seen.add((g.free, g.torsion))
+        _refuse_duplicates(self.generators)
         for i, g in enumerate(self.generators):
             if all(a == 0 for a in g.free):
                 raise NotReduced(
@@ -249,9 +252,21 @@ class MonoidPresentation(Frozen):
         return tuple(basis)
 
     @computed_once
+    def _reduced(self) -> bool:
+        """True once S is proved reduced; :func:`validate_reduced` reads
+        it, and raises what ``pointing`` raises when S is not reduced."""
+        if "pointing" not in self.__dict__:  # a pointing already read is the proof
+            _refuse_duplicates(self.generators)
+            # rank(ker S) >= n - rank: past rank + 1 generators the kernel cannot decide
+            if self.n > self.rank + 1 or not _kernel_proves_reduced(self.kernel):
+                self.pointing
+        return True
+
+    @computed_once
     def lift(self) -> "MonoidPresentation":
         """S~ = <(a_1, 1), ..., (a_n, 1)>, the length coordinate appended
-        to the free part, built once S is proved reduced.
+        to the free part, built once :func:`validate_reduced` proves S
+        reduced; that proof solves no LP when rank(ker S) <= 1 decides it.
 
         S~ is always reduced: the new coordinate is a pointing, so S~
         carries pointing (0, ..., 0, 1) from the start and no LP proves it;
@@ -266,7 +281,7 @@ class MonoidPresentation(Frozen):
         nonzero sum, so a zero ker S~ shows in B itself: L_S and c_eq read
         it there and build no lift (``same_length._lift_kernel_is_zero``).
         """
-        self.pointing  # proves S reduced
+        self._reduced  # proves S reduced, as validate_reduced does
         gens = [GroupElement._made(g.free + (1,), g.torsion, g.moduli) for g in self.generators]
         lifted = _pointed(self.rank + 1, self.torsion, tuple(gens), (0,) * self.rank + (1,))
         b = self.kernel
@@ -470,10 +485,40 @@ def element_from_data(p: MonoidPresentation, obj) -> GroupElement:
 
 
 def validate_reduced(p: MonoidPresentation) -> MonoidPresentation:
-    """Prove the presentation reduced and return it: reading ``p.pointing``
-    runs the checks once per object (see there for the errors)."""
-    p.pointing
+    """Prove the presentation reduced and return it, once per object.
+
+    A duplicate generator raises :class:`InvalidInput` first.  Then the
+    kernel decides where its rank is at most 1, with no LP.  Its rank is
+    n minus the rank of the free parts (``kernel`` checks that), so
+    ker S (x) Q is the kernel of the free parts over Q.  When ker S = 0
+    the free parts are independent: none is zero, and their cone is
+    simplicial, hence pointed.  When ker S is spanned by one gamma, every
+    nonzero c >= 0 with sum c_i pi(a_i) = 0 is a rational multiple of
+    gamma, and a zero free part pi(a_i) would make e_i one; so S is
+    reduced exactly when gamma has a negative and a positive entry.  In
+    every other case, a single-signed gamma or a kernel of rank 2 or
+    more, reading ``p.pointing`` is the proof, and its errors and
+    witnesses are the ones raised (see there).  A duplicate makes
+    gamma = e_i - e_j, which has both signs, hence the check first.
+    """
+    p._reduced
     return p
+
+
+def _refuse_duplicates(generators) -> None:
+    """Raise :class:`InvalidInput` for a generator listed twice."""
+    seen = set()
+    for g in generators:
+        if (g.free, g.torsion) in seen:
+            raise InvalidInput(f"duplicate generator {g.to_data()}")
+        seen.add((g.free, g.torsion))
+
+
+def _kernel_proves_reduced(basis) -> bool:
+    """Whether a basis of ker S, no duplicate generator given, proves S
+    reduced by itself: it is empty, or one row with both signs (see
+    :func:`validate_reduced`)."""
+    return not basis or len(basis) == 1 and min(basis[0]) < 0 < max(basis[0])
 
 
 def _pointed(rank, torsion, generators, w) -> MonoidPresentation:

@@ -112,7 +112,10 @@ def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> d
     """
     known = known or {}
     kept = {}
-    for d in sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key())):
+    ascending = witnesses  # one degree is kept as it is, with no weight read
+    if len(witnesses) > 1:
+        ascending = sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key()))
+    for d in ascending:
         mine = known.get(d, ())
         if any(
             all(map(ge, f, g)) for e in kept for g in known.get(e, ()) for f in mine

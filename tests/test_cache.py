@@ -199,12 +199,8 @@ def test_t_s_and_a_finite_apery_set_build_no_ordered_basis_of_i_s(monkeypatch):
 
 def test_one_integer_kernel_per_presentation(monkeypatch):
     # the lift S~ reads its kernel off that of S: the full stacked matrix
-    # (n + k columns) is echelonized once, for S, whichever module calls it
-    p = validate_reduced(
-        presentation_from_data(
-            {"rank": 2, "torsion": [4], "generators": [[-6, -6, 3], [-4, -5, 0], [0, -1, 1], [2, -4, 1]]}
-        )
-    )
+    # (n + k columns) is echelonized once, for S, whichever module calls it,
+    # validate_reduced included
     calls = []
     real = intlinalg.kernel_basis
 
@@ -215,6 +211,11 @@ def test_one_integer_kernel_per_presentation(monkeypatch):
     for module in (ideal, monoid, same_length):
         if hasattr(module, "kernel_basis"):
             monkeypatch.setattr(module, "kernel_basis", counting)
+    p = validate_reduced(
+        presentation_from_data(
+            {"rank": 2, "torsion": [4], "generators": [[-6, -6, 3], [-4, -5, 0], [0, -1, 1], [2, -4, 1]]}
+        )
+    )
     t_set(p)
     l_set(p)
     ceq(p)
@@ -261,6 +262,33 @@ def test_the_cone_of_a_presentation_is_computed_once(monkeypatch):
     assert uncovered_rays(q, ()) == ((0, 1), (2, 1))
     asked = [direction for _, direction in lps]
     assert len(asked) == len(set(asked)) == len(q.directions)
+
+
+@pytest.mark.parametrize(
+    "data, pointing",
+    [
+        ({"numerical": [3, 5]}, (1,)),  # rank(ker S) = 1
+        ({"rank": 2, "torsion": [3], "generators": [[-6, 1, 1]]}, (0, 1)),  # ker S = 0
+        ({"rank": 2, "torsion": [5], "generators": [[1, 0, 1], [0, 1, 2], [1, 1, 0]]}, (1, 1)),
+    ],
+)
+def test_a_kernel_of_rank_at_most_one_proves_the_session_reduced_with_no_lp(monkeypatch, data, pointing):
+    # ker S, with one row of both signs or none, proves S reduced; no
+    # invariant of these sessions reads the pointing vertex, so the LP is
+    # solved only when pointing itself is read, and then once
+    lps = _counting(monkeypatch, ratlp, "solve_nonneg")
+    p = presentation_from_data(data)
+    t_set(p)
+    l_set(p)
+    ceq(p)
+    try:
+        l_set_complement(p, limit=2)
+    except EmptyLSet:
+        pass
+    assert apery_set(p, p.generators).finite
+    assert lps == []
+    assert p.pointing == pointing
+    assert len(lps) == 1
 
 
 def test_an_apery_set_over_every_generator_solves_no_lp(monkeypatch):

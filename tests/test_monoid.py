@@ -17,6 +17,7 @@ from monofact.errors import (
     NotInMonoid,
     NotReduced,
 )
+from monofact.intlinalg import matrix_rank
 from monofact.monoid import (
     GroupElement,
     MonoidPresentation,
@@ -35,7 +36,7 @@ from monofact.monoid import (
     validate_reduced,
 )
 from monofact.oracle import monoid_elements
-from monofact.ratlp import in_cone
+from monofact.ratlp import in_cone, positive_functional, zero_combination
 
 
 def test_numerical_rejects_nonpositive():
@@ -126,6 +127,81 @@ def test_validate_accepts_mixed_signs_when_pointed():
     w = p.pointing
     for g in p.generators:
         assert sum(a * b for a, b in zip(w, g.free)) > 0
+
+
+def _lp_first_pointing(p):
+    # validate_reduced and pointing as they were before the kernel proof:
+    # every presentation proved by the pointing LP, kept here as the reference
+    seen = set()
+    for g in p.generators:
+        if (g.free, g.torsion) in seen:
+            raise InvalidInput(f"duplicate generator {g.to_data()}")
+        seen.add((g.free, g.torsion))
+    for i, g in enumerate(p.generators):
+        if all(a == 0 for a in g.free):
+            raise NotReduced(f"generator {i} lies in the torsion subgroup", generator=g)
+    free_parts = [g.free for g in p.generators]
+    w = positive_functional(free_parts)
+    if w is None:
+        witness = zero_combination(free_parts)
+        raise NotReduced("cone of free parts is not pointed", combination=tuple(witness))
+    return tuple(w)
+
+
+@st.composite
+def _presentations_to_prove(draw):
+    # rank 1-3, n <= 5, with and without torsion, mostly n <= rank + 1
+    # where the kernel may decide; on purpose some copy a generator, add a
+    # torsion-only one or add minus a sum of free parts (a cone that is not
+    # pointed)
+    rank = draw(st.integers(1, 3))
+    extra = draw(st.sampled_from(["none", "duplicate", "torsion-only", "unpointed"]))
+    moduli = draw(st.sampled_from([(2,), (3,), (2, 3)] + [()] * (extra != "torsion-only")))
+    frees = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * rank).filter(any), min_size=1, max_size=min(4, rank + 2))
+    )
+
+    def residues():
+        return tuple(draw(st.integers(0, t - 1)) for t in moduli)
+
+    gens = [v + residues() for v in frees]
+    if extra == "duplicate":
+        gens.append(draw(st.sampled_from(gens)))
+    elif extra == "torsion-only":
+        gens.append((0,) * rank + draw(st.tuples(*[st.integers(0, t - 1) for t in moduli]).filter(any)))
+    elif extra == "unpointed":
+        summed = draw(st.lists(st.sampled_from(frees), min_size=1, max_size=3))
+        gen = tuple(-sum(col) for col in zip(*summed)) + residues()
+        if any(gen):
+            gens.append(gen)
+    return presentation(rank, moduli, draw(st.permutations(gens)))
+
+
+@example(numerical([5, 5]))  # a duplicate: gamma = (1, -1) has both signs
+@example(presentation(1, (2,), [(0, 1), (1, 0)]))  # torsion-only: gamma = (2, 0)
+@example(presentation(2, (), [(1, 0), (-2, 0), (0, 1)]))  # gamma = (2, 1, 0), not pointed
+@example(presentation(2, (5,), [(1, 0, 1), (0, 1, 2), (1, 1, 0)]))  # gamma = (5, 5, -5)
+@given(_presentations_to_prove())
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_proof_agrees_with_the_lp_first_proof(p):
+    # same verdict, error type, message and witness as the LP-first
+    # reference, and pointing read afterwards is the reference's vertex
+    # (or raises as it does)
+    kernel_rank = p.n - matrix_rank([g.free for g in p.generators])
+    event(f"rank(ker S) = {min(kernel_rank, 2)}{'+' * (kernel_rank >= 2)}")
+    try:
+        want = _lp_first_pointing(p)
+    except (InvalidInput, NotReduced) as exc:
+        event(type(exc).__name__)
+        for read in (validate_reduced, lambda q: q.pointing):
+            with pytest.raises(type(exc)) as err:
+                read(p)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            if isinstance(exc, NotReduced):
+                assert (err.value.generator, err.value.combination) == (exc.generator, exc.combination)
+    else:
+        assert validate_reduced(p) is p
+        assert p.pointing == want
 
 
 def test_is_minimal_generating():
