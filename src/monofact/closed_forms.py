@@ -267,9 +267,9 @@ def lset_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -
     With all f_i = 1 the minimalization collapses the union to the single
     generator c_{n-1}*(b + t*m_{n-1})."""
     p = f.presentation()
-    gens = f.generators
-    degs = [f.c[i] * gens[i + 1] for i in range(f.n - 1)]
-    kept = _minimalize_degrees(p, dict.fromkeys(p.element((v,)) for v in degs))
+    # c_i*(b + t*m_i) factors as c_i times generator i + 1
+    facts = [tuple(f.c[i] if j == i + 1 else 0 for j in range(p.n)) for i in range(f.n - 1)]
+    kept = _minimalize_degrees(p, {p.evaluate(e): e for e in facts})
     result = MonoidIdeal(p, tuple(kept), minimalized=True)
     if verified:
         _require_same_ideal("lset_unique_betti_shift", result, l_set(p))

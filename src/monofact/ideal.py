@@ -65,7 +65,12 @@ candidates join it in ascending weight under the graded reverse-lex order
 of the presentation's weights, and before one of weight w is tested every
 S-pair whose lcm weighs at most w is reduced.  Its rules are then a
 w-truncated Groebner basis of the candidates kept so far, so a weight-w
-candidate reduces to 0 exactly when their ideal holds it.
+candidate reduces to 0 exactly when their ideal holds it.  The same run
+(``_trim``) trims the generators of a monoid ideal of S, such as T_S and
+L_S: with the saturated generators of I_S joining it first and one
+monomial x^{f_d} per degree d as the candidates, d is dropped exactly
+when x^{f_d} lies in I_S + <x^{f_e}> for a kept e, that is, when d lies
+in e + S.
 """
 
 from __future__ import annotations
@@ -754,10 +759,11 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
     greedily from the end keeps the same set.  By graded Nakayama the
     surviving S-degree multiset does not depend on the term order.
 
-    The pass is one Buchberger run (``_engine``) under the graded
-    reverse-lex order of ``p.weights``, whose heap pops the lightest lcm
-    first.  The candidates are homogeneous for those weights, and so is
-    every S-pair and remainder the run makes from them.  Before a
+    The pass is one Buchberger run (``_trim``, with no base) under the
+    graded reverse-lex order of ``p.weights``, whose heap pops the
+    lightest lcm first.  The candidates are homogeneous for those
+    weights, and so is every S-pair and remainder the run makes from
+    them.  Before a
     candidate of weight w is tested, every pair whose lcm weighs at most w
     is reduced, also the pairs that this makes.  The weights are positive,
     so only rules of weight at most w divide a monomial of weight w, and
@@ -781,18 +787,33 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
 
     elements.sort(key=lambda b: (weight(b), order.key(b.oriented(order)[0])))
     if len(elements) > 1:
-
-        def trim(lay, packed):
-            add, complete, _ = _engine(lay, p.weights)
-            kept = []
-            # each weight class from its last position to its first
-            for i in sorted(range(len(elements)), key=lambda i: (weight(elements[i]), -i)):
-                complete(weight(elements[i]))
-                if add(packed[i]):
-                    kept.append(i)
-            return kept
-
-        pairs = [(b.plus, b.minus) for b in elements]
-        kept = _widening(pairs, TermOrder._made("wgrevlex", p.weights), p.n, trim)
-        elements = [elements[i] for i in sorted(kept)]
+        kept = _trim((), [(b.plus, b.minus) for b in elements], p)
+        elements = [elements[i] for i in kept]
     return BinomialBasis(tuple(elements), order, groebner=False)
+
+
+def _trim(base, candidates, p: MonoidPresentation) -> list[int]:
+    """The indices, ascending, of the ``candidates`` kept by one truncated
+    Buchberger run (``_engine``) under the graded reverse-lex order of
+    ``p.weights``: ``base`` joins the run first, then the candidates, each
+    weight class from its last position to its first.  Before a candidate
+    of weight w is tested, every S-pair whose lcm weighs at most w is
+    reduced; it is kept, its remainder joining the run, unless it reduces
+    to 0, that is, unless the ideal of ``base`` and of the candidates kept
+    so far holds it (see ``minimal_generators``).  Both are pairs (a, b)
+    for x^a - x^b, b None for a monomial, homogeneous for the weights; the
+    candidates ascend by weight."""
+    ws = [dot(p.weights, a) for a, _ in candidates]
+
+    def run(lay, packed):
+        add, complete, _ = _engine(lay, p.weights)
+        for el in packed[: len(base)]:
+            add(el)
+        kept = []
+        for i in sorted(range(len(ws)), key=lambda i: (ws[i], -i)):
+            complete(ws[i])
+            if add(packed[len(base) + i]):
+                kept.append(i)
+        return sorted(kept)
+
+    return _widening([*base, *candidates], TermOrder._made("wgrevlex", p.weights), p.n, run)

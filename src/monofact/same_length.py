@@ -8,14 +8,18 @@ homogenized monoid S~ = <(a_i, 1)> whose extra coordinate tracks length,
 by the S-degrees of any generating set of I_{S~}.  Each is read off the
 saturated generators kept on its presentation
 (``ideal.saturated_generators`` of S and of S~ = ``p.lift``), so neither
-waits for a final Buchberger run.  Both are trimmed as monoid ideals,
-each trimming kept on the presentation too, so every reader of L_S
-shares one; minimal binomial generators serve only the equal catenary
-degree and the ``--minimal`` payloads.  S~ is built only when its
-kernel is nonzero.  The rank of ker S~ shows in the kernel basis B of
-S: it is len(B), less 1 when some row of B has a nonzero sum
-(``_lift_kernel_is_zero``).  When it is 0, L_S is empty, c_eq is 0 and
-no lift, saturation or basis of S~ is built.  The complement S \\ L_S
+waits for a final Buchberger run.  Both are trimmed as monoid ideals of
+S by the truncated Buchberger run that trims minimal binomial generators
+(``ideal._trim``): d lies in e + S exactly when x^{f_d} lies in
+I_S + <x^{f_e}>, f_d and f_e any factorizations, so the saturated
+generators of I_S join the run and one monomial per degree is tested,
+with no factorization search.  Each trimming is kept on the presentation
+too, so every reader of L_S shares one; minimal binomial generators serve
+only the equal catenary degree and the ``--minimal`` payloads.  S~ is
+built only when its kernel is nonzero.  The rank of ker S~ shows in the
+kernel basis B of S: it is len(B), less 1 when some row of B has a
+nonzero sum (``_lift_kernel_is_zero``).  When it is 0, L_S is empty,
+c_eq is 0 and no lift, saturation or basis of S~ is built.  The complement S \\ L_S
 is the Apery set of S relative to the L_S generators, walked through
 the staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
@@ -35,13 +39,12 @@ truncated ``l_set_complement`` keeps, so those two take one.
 from __future__ import annotations
 
 from math import gcd
-from operator import ge
 
 from ._frozen import Frozen, kept
 from .apery import AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
-from .ideal import BinomialBasis, lattice_ideal, minimal_generators, saturated_generators
+from .ideal import BinomialBasis, _trim, lattice_ideal, minimal_generators, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -99,31 +102,24 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     )
 
 
-def _minimalize_degrees(p: MonoidPresentation, witnesses: dict, known=None) -> dict:
+def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:
     """Keep the degrees (keys of ``witnesses``, each mapped to one of its
-    factorizations) that do not lie in another degree plus S, ascending by
-    weight.  Absorption only happens from strictly smaller weight, so one
-    ascending pass against the kept set is complete.
-
-    ``known`` maps degrees to factorizations of them already in hand.  When
-    a known factorization of d is componentwise >= a known factorization
-    of a kept e, their difference factors d - e, so d is absorbed with no
-    search; otherwise ``member`` decides each kept e.
+    factorizations f_d) that do not lie in another degree plus S, ascending
+    by weight.  d lies in e + S exactly when x^{f_d} lies in the Apery
+    ideal I_S + <x^{f_e}>, whatever factorizations are picked, so one
+    truncated Buchberger run trims them all (``ideal._trim``): the
+    saturated generators of I_S join it first, then the monomials x^{f_d}
+    in ascending weight, and a degree is kept when its monomial does not
+    reduce to 0 modulo I_S and the monomials kept before it.  Absorption
+    only happens from strictly smaller weight, so the order within one
+    weight does not matter.  One degree is kept as it is, with no weight
+    read and no I_S built.
     """
-    known = known or {}
-    kept = {}
-    ascending = witnesses  # one degree is kept as it is, with no weight read
-    if len(witnesses) > 1:
-        ascending = sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key()))
-    for d in ascending:
-        mine = known.get(d, ())
-        if any(
-            all(map(ge, f, g)) for e in kept for g in known.get(e, ()) for f in mine
-        ):
-            continue
-        if all(member(p, d - e) is None for e in kept):
-            kept[d] = witnesses[d]
-    return kept
+    if len(witnesses) < 2:
+        return witnesses
+    ascending = sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key()))
+    kept = _trim(saturated_generators(p), [(witnesses[d], None) for d in ascending], p)
+    return {ascending[i]: witnesses[ascending[i]] for i in kept}
 
 
 def homogeneous_minimal_generators(
@@ -163,25 +159,21 @@ def _degree_generators(p: MonoidPresentation, lifted: bool) -> tuple:
     which for q = S~ is read off the kernel of S with no lift built
     (``_lift_kernel_is_zero``).  Both read the saturated generators of
     I_q (``saturated_generators``), so T_S and L_S wait for no ordered
-    basis.  Any binomial generating
-    set would do, since the degrees are minimalized here, and
-    any witness would do, since all factorizations of one degree give the
-    same Apery set.  Both sides of every generator factor its degree, and
-    all of them go to the minimalization.  Built once and kept on p under
-    the key ("degrees", lifted), so every reader of L_S shares one
-    trimming; the pairs are immutable."""
+    basis.  Any binomial generating set would do, since the degrees are
+    minimalized here (``_minimalize_degrees``, which reads I_S for either
+    q once there are two degrees), and any witness would do, since all
+    factorizations of one degree give the same Apery set.  Built once and
+    kept on p under the key ("degrees", lifted), so every reader of L_S
+    shares one trimming; the pairs are immutable."""
     return kept(p, ("degrees", lifted), _trimmed_degrees, p, lifted)
 
 
 def _trimmed_degrees(p: MonoidPresentation, lifted: bool) -> tuple:
     if lifted and _lift_kernel_is_zero(validate_reduced(p)):
         return ()
-    witnesses, known = {}, {}
-    for plus, minus in saturated_generators(p.lift if lifted else p):
-        d = p.evaluate(plus)
-        witnesses[d] = plus
-        known.setdefault(d, []).extend((plus, minus))
-    return tuple(_minimalize_degrees(p, witnesses, known).items())
+    gens = saturated_generators(p.lift if lifted else p)
+    witnesses = {p.evaluate(plus): plus for plus, _ in gens}
+    return tuple(_minimalize_degrees(p, witnesses).items())
 
 
 def t_set(p: MonoidPresentation) -> MonoidIdeal | None:

@@ -4,7 +4,7 @@ every invariant of that object and by nothing else."""
 
 import pytest
 
-from monofact import apery, cli, ideal, intlinalg, monoid, ratlp, same_length
+from monofact import apery, cli, closed_forms, ideal, intlinalg, monoid, ratlp, same_length
 from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.errors import EmptyLSet, InfiniteWithoutLimit, NotReduced
@@ -165,8 +165,8 @@ def _counting(monkeypatch, module, name):
 
 def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
     # rank 2 with torsion 4: every lattice ideal needs one Buchberger pass
-    # per uncovered variable plus the final one, and the degrees that a
-    # basis element's sides show to be absorbed need no member search
+    # per uncovered variable plus the final one, and no degree is trimmed
+    # by a member search: one truncated run over I_S decides every one
     p = validate_reduced(
         presentation_from_data(
             {"rank": 2, "torsion": [4], "generators": [[-6, -6, 3], [-4, -5, 0], [0, -1, 1], [2, -4, 1]]}
@@ -183,7 +183,7 @@ def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
     ]
     assert [g.to_data() for g in l_set(p).generators] == [[-112, -140, 0]]
     assert len(engine) <= 5  # 10 with every variable swept
-    assert len(searches) <= 10  # 16 with every absorption searched
+    assert searches == []
 
 
 
@@ -448,7 +448,9 @@ def test_interleaved_presentations_keep_their_lifted_ideals(monkeypatch):
 
 def test_a_verified_closed_form_saturates_once(monkeypatch, capsys):
     # the family hands out one presentation, so the verified L_S and the
-    # engine c_eq read one lifted ideal; I_S is never built
+    # engine c_eq read one lifted ideal, and the L_S trim of its two
+    # degrees reads one I_S; a second verified run on the same family
+    # saturates nothing
     calls = _counting_saturations(monkeypatch)
     params = '{"m1":5,"e":3,"n":3,"b":7}'
     assert cli.main(["closed-form", "--family", "almost", "--params", params, "--verified"]) == 0
@@ -457,7 +459,15 @@ def test_a_verified_closed_form_saturates_once(monkeypatch, capsys):
         '"engine_matches_proof":true,"forms_agree":true,"printed_form":3,"proof_form":3},'
         '"family":"almost","generators":[5,7,8,11],"lset":{"generators":[16,21],"principal":false}}\n'
     )
-    assert len(calls) == 1
+    # kernel binomials of S~ preserve length, those of I_S here do not
+    lifted = [all(sum(plus) == sum(minus) for plus, minus in g) for g in calls]
+    assert sorted(lifted) == [False, True]
+    fam = closed_forms.AlmostArithmeticFamily(5, 3, 3, 7)
+    for _ in range(2):
+        calls.clear()
+        closed_forms.lset_almost_arithmetic(fam, verified=True)
+        assert closed_forms.ceq_almost_arithmetic_report(fam)["engine"] == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize(

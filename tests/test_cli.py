@@ -796,6 +796,25 @@ def test_f2l_past_the_listing_cap_prints_the_value_alone():
     assert f2l(numerical([100003, 100005, 100009])) == 3334000019
 
 
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        (
+            [2003, 2039, 2061, 2069, 2081],
+            [8156, 8186, 8222, 8246, 10279, 10321, 10345, 110231, 110237, 110273, 110281, 114455],
+        ),
+        ([100007, 100009, 100021], [700063, 1429000027, 1429400051]),
+    ],
+    ids=["2003", "100007"],
+)
+def test_t_set_of_clustered_generators_answers_in_bounds(values, expected):
+    # the paper's almost-arithmetic shape: the degrees of I_S are trimmed
+    # by one truncated Buchberger run over I_S, however large they are
+    proc = _run_in_bounds(["tset", "--input", json.dumps({"numerical": values})], 10)
+    payload = json.dumps({"generators": expected, "principal": False}, separators=(",", ":"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, payload + "\n", "")
+
+
 def test_f2l_past_the_residue_table_cap_exits_2():
     # the residue table holds one entry per residue modulo the smallest
     # generator: 100000007 of them are refused before the table is built

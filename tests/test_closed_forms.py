@@ -4,7 +4,9 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
+from test_same_length import _refuse_search
 
+from monofact import same_length
 from monofact.catenary import ceq
 from monofact.closed_forms import (
     AlmostArithmeticFamily,
@@ -183,7 +185,13 @@ def test_unique_betti_shift_matches_the_engine_on_the_grid():
     families = _unique_betti_grid(range(3, 16), range(1, 4))
     assert len(families) == 584
     for f in families:
-        lset_unique_betti_shift(f, verified=True)
+        # the formula's degrees and the engine's are trimmed with no
+        # factorization search; only the verifying ideal comparison searches
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(same_length, "member", _refuse_search)
+            formula = lset_unique_betti_shift(f)
+            l_set(f.presentation())
+        assert lset_unique_betti_shift(f, verified=True) == formula
         ceq_unique_betti_shift(f, verified=True)
 
 

@@ -437,9 +437,8 @@ def test_listing_cap_counts_exactly(p):
 
 
 def _search_only_minimalize(p, witnesses):
-    """_minimalize_degrees before known factorizations could certify an
-    absorption: one member search per (degree, kept degree) pair.  Kept
-    here unchanged as the reference."""
+    """The trimming by factorization searches alone: one member search per
+    (degree, kept degree) pair.  Kept here unchanged as the reference."""
     kept = {}
     for d in sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key())):
         if all(member(p, d - e) is None for e in kept):
@@ -458,20 +457,43 @@ def _presentations_up_to_rank_2(draw):
     return presentation(rank, moduli, sorted(gens))
 
 
+@st.composite
+def _presentations_up_to_rank_3(draw):
+    """Rank 1-3, at most one torsion modulus, 1-5 generators pointed by a
+    drawn functional: many with independent free parts (ker S = 0), and
+    some whose kernel is one row of nonzero sum (ker S~ = 0)."""
+    rank = draw(st.integers(1, 3))
+    moduli = draw(st.lists(st.integers(2, 5), max_size=1))
+    w = draw(st.sampled_from([w for w in product((-1, 0, 1), repeat=rank) if any(w)]))
+    entry = st.tuples(
+        *[st.integers(-4, 5)] * rank, *[st.integers(0, t - 1) for t in moduli]
+    ).filter(lambda g: sum(a * b for a, b in zip(w, g)) >= 1)
+    gens = draw(st.lists(entry, min_size=1, max_size=5, unique=True))
+    return validate_reduced(presentation(rank, moduli, sorted(gens)))
+
+
+def _refuse_search(p, x):
+    raise AssertionError("T_S and L_S are trimmed with no factorization search")
+
+
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
 @settings(max_examples=25, deadline=None)
-@given(_presentations_up_to_rank_2())
+@given(st.one_of(_presentations_up_to_rank_2(), _presentations_up_to_rank_3()))
 def test_degree_generators_match_the_search_only_trimming(order, p):
-    # absorptions certified by the generators' own sides must keep the
-    # degrees, witnesses and their order the searches alone give on the
-    # generators read (the saturated generators of I_S for T_S and of
-    # I_{S~} for L_S); the basis under any order trims to the same degrees
+    # the one truncated Buchberger run must keep the degrees, witnesses
+    # and their order the searches alone give on the generators read (the
+    # saturated generators of I_S for T_S and of I_{S~} for L_S), and run
+    # no search itself; the basis under any order trims to the same degrees
     try:
         p = validate_reduced(p)
     except NotReduced:
         assume(False)
-    for lifted, q in ((False, p), (True, p.lift)):
-        got = same_length._degree_generators(p, lifted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(same_length, "member", _refuse_search)
+        ideals = t_set(p), l_set(p)
+        trimmed = [same_length._degree_generators(p, lifted) for lifted in (False, True)]
+    for answer, got, q in zip(ideals, trimmed, (p, p.lift)):
+        assert [d for d, _ in got] == ([] if answer is None else list(answer.generators))
         for o in (order, GREVLEX):
             basis = lattice_ideal(q, o)
             expected = _search_only_minimalize(
@@ -548,21 +570,6 @@ def test_the_answers_without_an_order_are_the_same_under_every_order(p):
         mins = minimal_generators(lattice_ideal(lifted, order), lifted)
         assert max((b.total_degree() for b in mins.elements), default=0) == ceq(p)
         assert apery_set(p, p.generators, order=order).elements == expected
-
-
-@st.composite
-def _presentations_up_to_rank_3(draw):
-    """Rank 1-3, at most one torsion modulus, 1-5 generators pointed by a
-    drawn functional: many with independent free parts (ker S = 0), and
-    some whose kernel is one row of nonzero sum (ker S~ = 0)."""
-    rank = draw(st.integers(1, 3))
-    moduli = draw(st.lists(st.integers(2, 5), max_size=1))
-    w = draw(st.sampled_from([w for w in product((-1, 0, 1), repeat=rank) if any(w)]))
-    entry = st.tuples(
-        *[st.integers(-4, 5)] * rank, *[st.integers(0, t - 1) for t in moduli]
-    ).filter(lambda g: sum(a * b for a, b in zip(w, g)) >= 1)
-    gens = draw(st.lists(entry, min_size=1, max_size=5, unique=True))
-    return validate_reduced(presentation(rank, moduli, sorted(gens)))
 
 
 def _l_set_answers(p):
