@@ -23,11 +23,20 @@ presentation (``ideal.saturated_generators``), whatever order is asked
 for; no ordered basis of I_S is built.  Otherwise a
 truncation degree is required, and no basis of J is built: the walk runs
 over the staircase of the memoized I_S, under the order asked for, up to
-that total degree and cuts a branch where its monomial's degree s has
-s - b in S for some b (a membership search), a condition that only gets
-truer for multiples.  Its cross-check is that some extremal ray carries
-no b and that each such ray carries a generator with no pure-power lead
-in the I_S basis.
+that total degree and cuts a branch at a monomial of J, a condition that
+only gets truer for multiples.  Its cross-check is that some extremal ray
+carries no b and that each such ray carries a generator with no
+pure-power lead in the I_S basis.
+
+The cut searches no factorization.  One truncated Buchberger run
+(``ideal._truncated``) from the same generators as the finite J, under
+the graded reverse-lex order of the presentation's weights, serves the
+whole walk: before a walked x^alpha is tested it is advanced to the
+weight of x^alpha, where its rules decide membership in J.  The run
+starts at the first monomial that weighs at least the lightest
+x^beta_i, and a lighter one is never tested: J is graded by S, so each
+of its monomials has a degree b_i + s and weighs at least b_i.  With no
+b, J = I_S holds no monomial and nothing is cut.
 
 A b that is the generator a_u has the factorization e_u, so x_u lies in J.
 When every variable does, B holds every generator and J = <x_1, ..., x_n>,
@@ -43,12 +52,13 @@ the elements returned.
 
 from __future__ import annotations
 
-from math import gcd
-from operator import add, sub
+from math import gcd, inf
+from operator import add
 
 from ._frozen import Frozen
 from .errors import BudgetExceeded, CrossCheckError, InfiniteWithoutLimit, InvalidInput
-from .ideal import _buchberger, lattice_ideal, saturated_generators
+from .ideal import _buchberger, _truncated, lattice_ideal, saturated_generators
+from .intlinalg import dot
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -57,7 +67,6 @@ from .monoid import (
     _integers,
     _is_row,
     _reduced,
-    _search_flat,
     element_from_data,
     primitive,
     require_member,
@@ -117,8 +126,9 @@ def _standard_monomials(leads, rows, limit, outside=None):
     A lead x^l cuts the walk at its topmost variable i: once the prefix
     (e_0, ..., e_{i-1}) dominates that of l, every e_i >= l_i is
     divisible, so each node stops at the smallest such l_i, and ``limit``
-    caps that stop.  ``outside`` takes a degree, must hold for every
-    multiple of a monomial it holds for, and cuts the same way.  Without
+    caps that stop.  ``outside`` takes the exponent vector, a list the
+    walk goes on to change, must hold for every multiple of a monomial it
+    holds for, and cuts the same way.  Without
     a limit every variable needs a pure-power lead, which ends its loop.
     The walk counts the monomials it keeps and raises BudgetExceeded once
     it holds more than ``_LISTING_CAP``.
@@ -149,9 +159,9 @@ def _standard_monomials(leads, rows, limit, outside=None):
         row = rows[i]
         for e in range(1, stop):
             deg = tuple(map(add, deg, row))
-            if outside is not None and outside(deg):
-                break
             exp[i] = e
+            if outside is not None and outside(exp):
+                break
             walk(i + 1, deg, None if remaining is None else remaining - e)
         exp[i] = 0
 
@@ -269,7 +279,8 @@ def apery_set(
       with no pure-power lead in the I_S basis (see
       ``_unbounded_on_uncovered_rays`` for why), and the set is read off
       the I_S staircase by std(J) = {x^a in std(I_S) : deg(a) in Ap_S(B)},
-      with no basis of J.  Without a limit this raises
+      with no basis of J: a walked x^a is cut once one truncated engine
+      run finds it in J.  Without a limit this raises
       ``InfiniteWithoutLimit`` before any walk.
     """
     if limit is not None:
@@ -284,9 +295,9 @@ def apery_set(
     if len({f.index(1) for f in facts if sum(f) == 1}) == p.n:  # J = <x_1, ..., x_n>
         return AperyResult(True, (p.zero(),), 1, None)
     rows = [g.free + g.torsion for g in p.generators]
+    gens = [(f, None) for f in facts] + list(saturated_generators(p))
     if not uncovered_rays(p, elems):
         limit = None
-        gens = [(f, None) for f in facts] + list(saturated_generators(p))
         leads = [lead for lead, _ in _buchberger(gens, GREVLEX, p.n)]
         if len(_pure_power_variables(leads)) != p.n:
             raise CrossCheckError("cone criterion says finite, the staircase of J is unbounded")
@@ -298,12 +309,15 @@ def apery_set(
         if limit is None:
             raise InfiniteWithoutLimit("Apery set is infinite; pass a truncation degree")
 
-        bflats = [b.free + b.torsion for b in elems]
+        weights = p.weights
+        lightest = min((dot(weights, f) for f in facts), default=inf)
 
-        def outside(deg):
-            return any(_search_flat(p, tuple(map(sub, deg, b)), False) for b in bflats)
+        def walk(holds):
+            return _standard_monomials(
+                leads, rows, limit, lambda exp: dot(weights, exp) >= lightest and holds(exp)
+            )
 
-        monomials = _standard_monomials(leads, rows, limit, outside)
+        monomials = _truncated(gens, p, walk)
     rank, moduli = p.rank, p.torsion
     degs = {}
     for mono, deg in monomials:

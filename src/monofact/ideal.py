@@ -65,12 +65,16 @@ candidates join it in ascending weight under the graded reverse-lex order
 of the presentation's weights, and before one of weight w is tested every
 S-pair whose lcm weighs at most w is reduced.  Its rules are then a
 w-truncated Groebner basis of the candidates kept so far, so a weight-w
-candidate reduces to 0 exactly when their ideal holds it.  The same run
-(``_trim``) trims the generators of a monoid ideal of S, such as T_S and
-L_S: with the saturated generators of I_S joining it first and one
-monomial x^{f_d} per degree d as the candidates, d is dropped exactly
-when x^{f_d} lies in I_S + <x^{f_e}> for a kept e, that is, when d lies
-in e + S.
+candidate reduces to 0 exactly when their ideal holds it.  One driver,
+``_truncated``, runs that engine beside a caller that asks whether an
+element lies in the ideal so far.  With the saturated generators of I_S
+in the run it decides membership in a monoid ideal of S with no
+factorization search: d lies in the ideal generated by e_1, ..., e_k
+exactly when x^{f_d} lies in I_S + <x^{f_e_1}, ..., x^{f_e_k}>, for any
+factorizations f (see the ``apery`` module).  So ``_trim`` trims the
+generators of T_S and L_S, d dropped when it lies in e + S for a kept e,
+and the truncated Apery walk cuts at the monomials of
+J = I_S + <x^beta_i> (``apery.apery_set``).
 """
 
 from __future__ import annotations
@@ -286,12 +290,13 @@ def _layout(order: TermOrder, n: int, width: int) -> _Layout:
 _MIN_WIDTH = 8
 
 
-def _widening(pairs, order, n, work):
+def _widening(pairs, order, n, work, fit=()):
     """``work(layout, elements)`` over ``pairs`` of exponent vectors packed
     and oriented (None for a zero binomial), at the least width that holds
-    every input exponent, doubled on every overflow.  The result never
-    depends on the width."""
-    top = max(max(v, default=0) for pair in pairs for v in pair if v is not None)
+    every exponent of ``pairs`` and of the pairs ``fit``, doubled on every
+    overflow.  The result never depends on the width."""
+    pairs_fit = (v for pair in (*pairs, *fit) for v in pair if v is not None)
+    top = max((max(v, default=0) for v in pairs_fit), default=0)
     width = _MIN_WIDTH
     while width < top.bit_length():
         width *= 2
@@ -431,8 +436,9 @@ def _buchberger_packed(lay: _Layout, elements):
 def _engine(lay: _Layout, weights=None):
     """One Buchberger run under ``lay``'s order, driven in three steps:
 
-      * ``add(el) -> bool`` reduces a packed element (None for zero) by the
-        rules so far and keeps it, with its new pairs, unless it drops to 0;
+      * ``add(el, keep=True) -> bool`` reduces a packed element (None for
+        zero) by the rules so far and says whether it is left nonzero; with
+        ``keep`` such an element joins the rules, with its new pairs;
       * ``complete(limit=None)`` reduces the queued S-pairs, least lcm in
         the order first: all of them, or while that lcm weighs at most
         ``limit`` under ``weights``, the first row of the order;
@@ -452,10 +458,10 @@ def _engine(lay: _Layout, weights=None):
     heap = []
     tick = count()
 
-    def add(el) -> bool:
+    def add(el, keep=True) -> bool:
         el = None if el is None else _reduce_pair(el, red)
-        if el is None:
-            return False
+        if el is None or not keep:
+            return el is not None
         m = len(basis)
         lead_m = el[0] & exps
         basis.append(el)
@@ -759,17 +765,11 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
     greedily from the end keeps the same set.  By graded Nakayama the
     surviving S-degree multiset does not depend on the term order.
 
-    The pass is one Buchberger run (``_trim``, with no base) under the
-    graded reverse-lex order of ``p.weights``, whose heap pops the
-    lightest lcm first.  The candidates are homogeneous for those
-    weights, and so is every S-pair and remainder the run makes from
-    them.  Before a
-    candidate of weight w is tested, every pair whose lcm weighs at most w
-    is reduced, also the pairs that this makes.  The weights are positive,
-    so only rules of weight at most w divide a monomial of weight w, and
-    the rules are then a w-truncated Groebner basis of the kept
-    candidates: an element of weight w reduces to 0 exactly when their
-    ideal holds it.  A candidate that does not reduce to 0 is kept, and
+    The pass is one truncated Buchberger run (``_trim`` with no base)
+    under the graded reverse-lex order of ``p.weights``; the candidates
+    are homogeneous for those weights, so before one of weight w is
+    tested the run's rules decide membership at weight w (see
+    ``_truncated``).  A candidate that does not reduce to 0 is kept, and
     its remainder joins the run.  One candidate is kept with no run.
     """
     validate_reduced(p)
@@ -794,26 +794,55 @@ def minimal_generators(basis: BinomialBasis, p: MonoidPresentation) -> BinomialB
 
 def _trim(base, candidates, p: MonoidPresentation) -> list[int]:
     """The indices, ascending, of the ``candidates`` kept by one truncated
-    Buchberger run (``_engine``) under the graded reverse-lex order of
-    ``p.weights``: ``base`` joins the run first, then the candidates, each
-    weight class from its last position to its first.  Before a candidate
-    of weight w is tested, every S-pair whose lcm weighs at most w is
-    reduced; it is kept, its remainder joining the run, unless it reduces
-    to 0, that is, unless the ideal of ``base`` and of the candidates kept
-    so far holds it (see ``minimal_generators``).  Both are pairs (a, b)
-    for x^a - x^b, b None for a monomial, homogeneous for the weights; the
-    candidates ascend by weight."""
+    Buchberger run (``_truncated``) from ``base``: the candidates are
+    tested each weight class from its last position to its first, and one
+    is kept, joining the run, unless the ideal of ``base`` and of the
+    candidates kept so far holds it (see ``minimal_generators``).  Both
+    are pairs (a, b) for x^a - x^b, b None for a monomial, homogeneous
+    for ``p.weights``; the candidates ascend by weight."""
     ws = [dot(p.weights, a) for a, _ in candidates]
+    tested = sorted(range(len(ws)), key=lambda i: (ws[i], -i))
+
+    def work(holds):
+        return sorted(i for i in tested if not holds(*candidates[i], True))
+
+    return _truncated(base, p, work, candidates)
+
+
+def _truncated(base, p: MonoidPresentation, work, fit=()):
+    """``work(holds)`` beside one Buchberger run (``_engine``) under the
+    graded reverse-lex order of ``p.weights``, from the pairs ``base`` (a,
+    b) for x^a - x^b, b None for a monomial, homogeneous for the weights.
+
+    ``holds(a, b=None, keep=False)`` says whether x^a - x^b (x^a when b
+    is None), homogeneous too, lies in the ideal of ``base`` and of the
+    elements kept so far; with ``keep`` one that does not joins the run.
+    ``base`` joins at the first call, so a ``work`` that asks nothing
+    starts no run.  Before x^a is tested, every S-pair whose lcm weighs at
+    most w, the weight of x^a, is reduced, the pairs this makes as well:
+    the heap pops the lightest lcm first, and every pair and remainder of
+    homogeneous elements is homogeneous.  The weights are positive, so
+    only rules of weight at most w divide a monomial of weight w, and the
+    rules are then a w-truncated Groebner basis of the ideal: an element
+    of weight w reduces to 0 exactly when the ideal holds it.  The first
+    width holds the exponents of ``base`` and of the pairs ``fit``, those
+    to be asked about when they are known; an asked exponent past the
+    packed fields raises ``_Overflow``, and ``_widening`` runs ``work``
+    again at a wider width."""
+    weights = p.weights
 
     def run(lay, packed):
-        add, complete, _ = _engine(lay, p.weights)
-        for el in packed[: len(base)]:
-            add(el)
-        kept = []
-        for i in sorted(range(len(ws)), key=lambda i: (ws[i], -i)):
-            complete(ws[i])
-            if add(packed[len(base) + i]):
-                kept.append(i)
-        return sorted(kept)
+        add, complete, _ = _engine(lay, weights)
+        field, pack = lay.field, lay.pack
 
-    return _widening([*base, *candidates], TermOrder._made("wgrevlex", p.weights), p.n, run)
+        def holds(a, b=None, keep=False):
+            while packed:
+                add(packed.pop(0))
+            if max(a) > field or b is not None and max(b) > field:
+                raise _Overflow
+            complete(dot(weights, a))
+            return not add((pack(a), None) if b is None else _orient(pack(a), pack(b)), keep)
+
+        return work(holds)
+
+    return _widening(base, TermOrder._made("wgrevlex", weights), p.n, run, fit)

@@ -19,7 +19,12 @@ residues) and reduces the residues mod t_j only at the leaves.  The last
 s coefficients are solved, not searched: the lightest s generators have
 linearly independent free parts (s <= rank as large as they allow), so
 the free equations fix those coefficients by Cramer's rule once the
-others are chosen (see ``_search_flat``).
+others are chosen (see ``_search``).  No invariant searches: T_S, L_S,
+their complements and the Apery sets decide membership in a monoid ideal
+by one truncated Buchberger run (``ideal._truncated``).  The search
+serves ``member`` and ``all_factorizations``: a b of an Apery set given
+with no factorization, ``is_minimal_generating``,
+``MonoidIdeal.contains`` and CLI ``ceq-element``.
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.
@@ -298,7 +303,7 @@ class MonoidPresentation(Frozen):
 
     @computed_once
     def _search_plan(self) -> tuple:
-        """What ``_search_flat`` reads of the generators, built once.
+        """What ``_search`` reads of the generators, built once.
 
         ``idxs`` is the search order (weight descending, then index) and
         ``rows`` the flat [free..., torsion...] row of each generator in
@@ -552,20 +557,10 @@ def uncovered_rays(p: MonoidPresentation, elements) -> tuple[tuple[int, ...], ..
 
 
 def _search(p: MonoidPresentation, x: GroupElement, find_all: bool):
-    """Factorizations of x: ``_search_flat`` of its flat row, once ``p``
-    is proved reduced and x is checked to live in its group."""
-    p.pointing  # the hot path reads it directly, not through validate_reduced
-    if x.rank != p.rank or x.moduli != p.torsion:
-        raise DimensionMismatch("element shape does not match presentation")
-    return _search_flat(p, x.free + x.torsion, find_all)
-
-
-def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
-    """Factorizations of the element with flat row ``flat`` (free
-    coordinates, then torsion residues) in the reduced ``p``, unchecked;
-    the residues may be unreduced, since the leaf reduces them mod t_j.
-    The search runs depth first over the generators in ``_search_plan``
-    order with c ascending at each position.
+    """Factorizations of x in ``p``, once ``p`` is proved reduced and x is
+    checked to live in its group.  The search runs depth first over the
+    flat rows (free coordinates, then torsion residues) of the generators
+    in ``_search_plan`` order, with c ascending at each position.
 
     The last s coefficients are solved, not searched.  Their generators
     have linearly independent free parts, so once the others are fixed
@@ -573,16 +568,17 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
     computes it by Cramer's rule, adj(M) y / det(M) on the picked
     coordinates y of the remainder, and keeps it when it is integral,
     nonnegative and matches the other free coordinates and the torsion
-    residues.  A kept solution matches the free part, so its weight is
-    the remaining weight, and the loops it replaces (c ascending, up to
-    the remaining weight) would have reached it.  Those loops could
-    complete a prefix in at most this one way, so results come in the
-    same order as from searching every position.  At the last searched
-    position the leaf's first numerator is carried from c to c, and the
-    leaf runs only for the c it would not reject at once.  Listing every
-    factorization raises BudgetExceeded past ``_LISTING_CAP``.
+    residues, reduced mod t_j there.  A kept solution matches the free
+    part, so its weight is the remaining weight, and the loops it
+    replaces (c ascending, up to the remaining weight) would have reached
+    it.  Those loops could complete a prefix in at most this one way, so
+    results come in the same order as from searching every position.
+    Listing every factorization raises BudgetExceeded past
+    ``_LISTING_CAP``.
     """
-    total = dot(p.pointing, flat[: p.rank])
+    total = dot(p.pointing, x.free)  # proves p reduced before x is checked
+    if x.rank != p.rank or x.moduli != p.torsion:
+        raise DimensionMismatch("element shape does not match presentation")
     results: list[tuple[int, ...]] = []
     if total < 0:
         return results
@@ -619,17 +615,6 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
             return leaf(rem)
         row = rows[pos]
         u = us[pos]
-        if pos + 1 == split:
-            # the leaf's first numerator adj[0] r falls by adj[0] row per c:
-            # only a c that makes it a nonnegative multiple of det builds r
-            head, step = sum(map(mul, adj[0], rem)), sum(map(mul, adj[0], row))
-            for c in range(rem_weight // u + 1):
-                if head >= 0 and head % det == 0:
-                    coeffs[pos] = c
-                    if leaf(tuple([a - c * b for a, b in zip(rem, row)])):
-                        return True
-                head -= step
-            return False
         cur = rem
         for c in range(rem_weight // u + 1):
             coeffs[pos] = c
@@ -639,7 +624,7 @@ def _search_flat(p: MonoidPresentation, flat: tuple, find_all: bool):
         return False
 
     try:
-        rec(0, flat, total)
+        rec(0, x.free + x.torsion, total)
     finally:
         del rec  # rec is in its own closure: clearing that cell leaves no cycle
     return results

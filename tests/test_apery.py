@@ -6,10 +6,11 @@ from math import gcd
 from typing import get_type_hints
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 from test_oracle import _small_presentations
+from test_same_length import _presentations_up_to_rank_3
 
-from monofact import apery, cli
+from monofact import apery, cli, ideal, monoid
 from monofact.apery import AperyResult, apery_is_finite, apery_set
 from monofact.errors import (
     BudgetExceeded,
@@ -30,7 +31,7 @@ from monofact.monoid import (
     validate_reduced,
 )
 from monofact.orders import GREVLEX, LEX, block, wgrevlex
-from monofact.same_length import l_set_complement
+from monofact.same_length import l_set, l_set_complement
 
 RANK2 = presentation(2, (), [(0, 2), (1, 2), (1, 1), (3, 2), (4, 2)])
 W = wgrevlex((2, 2, 1, 2, 2))
@@ -463,3 +464,91 @@ def test_eliminated_generators_match_the_groebner_route(order, p, data):
         res = apery_set(p, elems, order=order)
         assert res.finite
         assert res.elements == _groebner_route(p, facts, order)
+
+
+def _bounded(n, limit):
+    """Every exponent vector of n entries with total degree at most
+    ``limit``."""
+    if n == 0:
+        yield ()
+        return
+    for e in range(limit + 1):
+        for rest in _bounded(n - 1, limit - e):
+            yield (e, *rest)
+
+
+def _search_cut(p, elems, order, limit):
+    """A truncated Ap_S(B) under the walk's former cut, one member search
+    per (standard monomial, b): the degrees s of the standard monomials of
+    I_S under ``order`` of total degree at most ``limit`` with s - b
+    outside S for every b.  Kept here unchanged as the reference."""
+    leads = [b.plus for b in lattice_ideal(p, order).elements]
+    degrees = {
+        p.evaluate(e) for e in _bounded(p.n, limit) if not any(_divides(l, e) for l in leads)
+    }
+    kept = (s for s in degrees if all(member(p, s - b) is None for b in elems))
+    return tuple(sorted(kept, key=GroupElement.sort_key))
+
+
+def _no_search(p, x, find_all):
+    raise AssertionError("a truncated Apery set ran a factorization search")
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "wgrevlex"])
+@given(p=_presentations_up_to_rank_3(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_the_engine_cut_matches_the_search_cut(kind, p, data):
+    # every truncation at limits 0-6, of S \ L_S and of Ap_S(b) for one
+    # drawn b given with its factorization, keeps what one member search
+    # per (monomial, b) kept, and the library runs no search at all
+    order = {"grevlex": GREVLEX, "lex": LEX, "wgrevlex": wgrevlex(tuple(range(1, p.n + 1)))}[kind]
+    f = data.draw(st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n).filter(any))
+    b = p.evaluate(f)
+    truncated = 0
+    for limit in range(7):
+        answers = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monoid, "_search", _no_search)
+            answers.append(([b], apery_set(p, [b], [f], order=order, limit=limit)))
+            ls = l_set(p)
+            if ls is not None:
+                answers.append((ls.generators, l_set_complement(p, limit=limit, order=order)))
+        for elems, res in answers:
+            if not res.finite:
+                truncated += 1
+                assert res.limit == limit
+                assert res.elements == _search_cut(p, elems, order, limit)
+    event("some truncation compared" if truncated else "every set finite")
+
+
+@pytest.mark.parametrize("p", [numerical([3, 5, 7]), RANK2], ids=["rank-1", "rank-2"])
+def test_an_empty_b_cuts_nothing(p):
+    # with no b, J = I_S holds no monomial: the truncation is every degree
+    # of the I_S staircase up to the limit
+    res = apery_set(p, [], limit=2)
+    assert not res.finite and res.limit == 2
+    assert res.elements == _search_cut(p, [], GREVLEX, 2)
+    if p.rank == 1:
+        assert [e.free[0] for e in res.elements] == [0, 3, 5, 6, 7, 8, 10, 12, 14]
+
+
+def test_a_truncated_walk_past_the_packed_fields_restarts_wider(monkeypatch):
+    # the x^beta and the saturated generators fit in 4-bit fields, so with
+    # no larger least width the cut's run starts there; the walk to total
+    # degree 20 asks about exponents past 15, and the run restarts at 8 bits
+    q = presentation(2, (), [g.free for g in RANK2.generators])
+    res = apery_set(q, B3, order=W, limit=20)
+    assert res.count == 234
+    widths = []
+    layout = ideal._layout
+
+    def spy(order, n, width):
+        widths.append(width)
+        return layout(order, n, width)
+
+    monkeypatch.setattr(ideal, "_MIN_WIDTH", 1)
+    monkeypatch.setattr(ideal, "_layout", spy)
+    assert apery_set(q, B3, order=W, limit=20) == res
+    assert widths == [4, 8]
+    monkeypatch.undo()
+    assert res.elements == _search_cut(q, [q.element(b) for b in B3], W, 20)

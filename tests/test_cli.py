@@ -848,6 +848,16 @@ def test_a_truncated_walk_past_the_listing_cap_exits_2():
     argv = ["apery", "--input", '{"rank":2,"generators":[[1,0],[0,1]]}', "--b", "[[50,50]]"]
     _assert_refused_in_bounds([*argv, "--limit", "100000"], 60)
 
+
+def test_a_truncated_complement_past_the_listing_cap_exits_2():
+    # the truncated S \ L_S of this rank-2 torsion monoid grows with the
+    # limit; each walked monomial is decided by one truncated engine run,
+    # with no factorization search, so the walk to total degree 10^5 reaches
+    # the cap of 10^6 monomials in seconds
+    data = '{"rank":2,"torsion":[5],"generators":[[-5,-4,2],[-5,6,1],[-4,-3,4],[1,1,4]]}'
+    _assert_refused_in_bounds(["lset-complement", "--limit", "100000", "--input", data], 60)
+
+
 def test_oracle_past_its_count_cap_exits_2():
     # the weight cap 10^8 admits about 10^21 coefficient vectors of <3,5,7>;
     # the walk stores each one, and stops at the listing cap of 10^6
