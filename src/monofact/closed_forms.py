@@ -7,11 +7,18 @@ m_i are built from pairwise coprime moduli.  The formulas rest on
 presentation transforms that keep the homogenized ideal fixed, which
 ``normalized_presentation_transforms`` applies.
 
-Every formula operation accepts verified=True to recompute the answer
-with the engine and raise CrossCheckError on disagreement.  The
-almost-arithmetic c_eq has no such operation, since the published closed
-form itself is suspect: ceq_almost_arithmetic_report lays out both
-formula variants next to the engine value.
+Each L_S formula gives its generators as factorizations, and its
+published generators are their degrees.  Every formula operation accepts
+verified=True to check the answer against the engine and raise
+CrossCheckError on disagreement.  For L_S the formula's degrees are
+trimmed by the truncated engine run that trims L_S
+(``same_length._minimalize_degrees``) and the kept set is compared with
+the generators of ``l_set``: in a reduced S two monoid ideals are equal
+exactly when their minimal generating sets are, so the check is exact
+and searches no factorization.  The almost-arithmetic c_eq has no such
+operation, since the published closed form itself is suspect:
+ceq_almost_arithmetic_report lays out both formula variants next to the
+engine value.
 """
 
 from __future__ import annotations
@@ -21,19 +28,24 @@ from math import gcd, prod
 from ._frozen import Frozen, kept
 from .catenary import ceq
 from .errors import CrossCheckError, HypothesisViolated, InvalidInput, InvalidScalar
-from .monoid import MonoidPresentation, _integer, _integers, is_minimal_generating
+from .monoid import GroupElement, MonoidPresentation, _integer, _integers, is_minimal_generating
 from .monoid import numerical, presentation
-from .same_length import (
-    MonoidIdeal,
-    _minimalize_degrees,
-    l_set,
-    monoid_ideals_equal,
-)
+from .same_length import MonoidIdeal, _minimalize_degrees, l_set
 
 
-def _h_set(m1: int, e: int, n: int) -> list[int]:
-    # degrees of the curve-relation block: 2m1 + lambda*e, lambda in [2, 2n-4]
-    return [2 * m1 + lam * e for lam in range(2, 2 * n - 3)]
+def _factorization(gens, terms: dict) -> tuple[int, ...]:
+    # the coefficients of sum c*g over the items g: c of terms, g among gens
+    return tuple(terms.get(g, 0) for g in gens)
+
+
+def _h_block(gens, arith) -> list[tuple[int, ...]]:
+    # the curve-relation block 2m1 + lambda*e, lambda in [2, 2n-4], as
+    # a_i + a_j over the arithmetic terms, i = min(lambda, n-1), j = lambda - i
+    top = len(arith) - 1
+    return [
+        _factorization(gens, {arith[min(lam, top)]: 1, arith[max(lam - top, 0)]: 1})
+        for lam in range(2, 2 * top - 1)
+    ]
 
 
 class _NumericalFamily:
@@ -184,50 +196,57 @@ class UniqueBettiShiftFamily(Frozen, _NumericalFamily):
         return (self.b,) + tuple(self.b + self.t * m for m in self.m_values)
 
 
-def _require_same_ideal(tag, formula, engine) -> None:
-    if (formula is None) != (engine is None):
-        raise CrossCheckError(f"{tag}: formula and engine disagree on emptiness")
-    if formula is not None and not monoid_ideals_equal(formula, engine):
-        raise CrossCheckError(
-            f"{tag}: formula generators "
-            f"{[g.to_data() for g in formula.generators]} and engine generators "
-            f"{[g.to_data() for g in engine.generators]} span different ideals"
-        )
+def _formula_ideal(tag, p, facts, verified, trimmed=False) -> MonoidIdeal | None:
+    """The monoid ideal generated by the degrees of the factorizations
+    ``facts``, ascending, or None when there are none; with ``trimmed``
+    its minimal generators, as ``_minimalize_degrees`` keeps them.  With
+    ``verified`` that trim of the degrees must keep the generators of
+    ``l_set(p)``, or CrossCheckError is raised."""
+    degrees = {p.evaluate(f): f for f in facts}
+    kept = _minimalize_degrees(p, degrees) if trimmed or verified else degrees
+    result = None
+    if degrees:
+        gens = tuple(kept) if trimmed else tuple(sorted(degrees, key=GroupElement.sort_key))
+        result = MonoidIdeal(p, gens, minimalized=trimmed)
+    if verified:
+        engine = l_set(p)
+        if (result is None) != (engine is None):
+            raise CrossCheckError(f"{tag}: formula and engine disagree on emptiness")
+        if result is not None and set(kept) != set(engine.generators):
+            raise CrossCheckError(
+                f"{tag}: formula generators "
+                f"{[g.to_data() for g in result.generators]} and engine generators "
+                f"{[g.to_data() for g in engine.generators]} span different ideals"
+            )
+    return result
 
 
 def lset_arithmetic(f: ArithmeticFamily, verified: bool = False):
     """L_S = {2m1 + lambda*e : 2 <= lambda <= 2n-4} + S; empty for n <= 2."""
-    p = f.presentation()
-    vals = _h_set(f.m1, f.e, f.n)
-    result = None
-    if vals:
-        result = MonoidIdeal(p, tuple(p.element((v,)) for v in vals))
-    if verified:
-        _require_same_ideal("lset_arithmetic", result, l_set(p))
-    return result
+    facts = _h_block(f.generators, f.generators)
+    return _formula_ideal("lset_arithmetic", f.presentation(), facts, verified)
 
 
 def lset_almost_arithmetic(f: AlmostArithmeticFamily, verified: bool = False) -> MonoidIdeal:
-    """The case formula: H plus extras decided by where b sits.
+    """The case formula: H plus extras decided by where b sits, with a_k
+    the arithmetic terms: (beta+1) a_0 and beta a_0 + a_1 when b = m,
+    (beta+1) a_{n-1} and beta a_{n-1} + a_{n-2} when b = M (the second
+    only when d(n-1) does not divide M - m), else (e/d) b.
 
     The returned family is the published one; it generates L_S but is not
     always minimal (the engine's l_set trims it further when some extra
     already lies in H + S).
     """
-    b, e, n, d, beta = f.b, f.e, f.n, f.d, f.beta
-    if b == f.m or b == f.M:
-        anchor, step = (f.m1, e) if b == f.m else (f.arithmetic_part[-1], -e)
-        extras = [(beta + 1) * anchor]
-        if (f.M - f.m) % (d * (n - 1)) != 0:
-            extras.append((beta + 1) * anchor + step)
+    gens, arith, beta = f.generators, f.arithmetic_part, f.beta
+    facts = _h_block(gens, arith)
+    if f.b in (f.m, f.M):
+        a, near = (arith[0], arith[1]) if f.b == f.m else (arith[-1], arith[-2])
+        facts.append(_factorization(gens, {a: beta + 1}))
+        if (f.M - f.m) % (f.d * (f.n - 1)) != 0:
+            facts.append(_factorization(gens, {a: beta, near: 1}))
     else:
-        extras = [(e // d) * b]
-    vals = sorted(set(_h_set(f.m1, e, n) + extras))
-    p = f.presentation()
-    result = MonoidIdeal(p, tuple(p.element((v,)) for v in vals))
-    if verified:
-        _require_same_ideal("lset_almost_arithmetic", result, l_set(p))
-    return result
+        facts.append(_factorization(gens, {f.b: f.e // f.d}))
+    return _formula_ideal("lset_almost_arithmetic", f.presentation(), facts, verified)
 
 
 def _ceq_proof_form(f: AlmostArithmeticFamily) -> int:
@@ -266,14 +285,10 @@ def lset_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -
 
     With all f_i = 1 the minimalization collapses the union to the single
     generator c_{n-1}*(b + t*m_{n-1})."""
-    p = f.presentation()
     # c_i*(b + t*m_i) factors as c_i times generator i + 1
-    facts = [tuple(f.c[i] if j == i + 1 else 0 for j in range(p.n)) for i in range(f.n - 1)]
-    kept = _minimalize_degrees(p, {p.evaluate(e): e for e in facts})
-    result = MonoidIdeal(p, tuple(kept), minimalized=True)
-    if verified:
-        _require_same_ideal("lset_unique_betti_shift", result, l_set(p))
-    return result
+    gens = f.generators
+    facts = [_factorization(gens, {gens[i + 1]: f.c[i]}) for i in range(f.n - 1)]
+    return _formula_ideal("lset_unique_betti_shift", f.presentation(), facts, verified, trimmed=True)
 
 
 def ceq_unique_betti_shift(f: UniqueBettiShiftFamily, verified: bool = False) -> int:

@@ -817,30 +817,38 @@ def _truncated(base, p: MonoidPresentation, work, fit=()):
     ``holds(a, b=None, keep=False)`` says whether x^a - x^b (x^a when b
     is None), homogeneous too, lies in the ideal of ``base`` and of the
     elements kept so far; with ``keep`` one that does not joins the run.
-    ``base`` joins at the first call, so a ``work`` that asks nothing
-    starts no run.  Before x^a is tested, every S-pair whose lcm weighs at
-    most w, the weight of x^a, is reduced, the pairs this makes as well:
-    the heap pops the lightest lcm first, and every pair and remainder of
-    homogeneous elements is homogeneous.  The weights are positive, so
-    only rules of weight at most w divide a monomial of weight w, and the
-    rules are then a w-truncated Groebner basis of the ideal: an element
-    of weight w reduces to 0 exactly when the ideal holds it.  The first
-    width holds the exponents of ``base`` and of the pairs ``fit``, those
-    to be asked about when they are known; an asked exponent past the
-    packed fields raises ``_Overflow``, and ``_widening`` runs ``work``
-    again at a wider width."""
+    ``base`` joins by weight, lightest first: before x^a is tested, every
+    pair of ``base`` that weighs at most w, the weight of x^a, joins, so a
+    ``work`` that asks nothing starts no run, and a heavier pair never
+    joins one that asks only below it.  The ideal is homogeneous, so its
+    part of weight at most w is generated by its generators of weight at
+    most w, and no S-pair with a heavier element has an lcm of weight at
+    most w.  Then every S-pair whose lcm weighs at most w is reduced, the
+    pairs this makes as well: the heap pops the lightest lcm first, and
+    every pair and remainder of homogeneous elements is homogeneous.  The
+    weights are positive, so only rules of weight at most w divide a
+    monomial of weight w, and the rules are then a w-truncated Groebner
+    basis of the ideal: an element of weight w reduces to 0 exactly when
+    the ideal holds it.  The first width holds the exponents of ``base``
+    and of the pairs ``fit``, those to be asked about when they are known;
+    an asked exponent past the packed fields raises ``_Overflow``, and
+    ``_widening`` runs ``work`` again at a wider width."""
     weights = p.weights
+    # heaviest first, so that the lightest pair yet to join is the last
+    base = sorted(base, key=lambda pair: dot(weights, pair[0]), reverse=True)
+    heights = [dot(weights, a) for a, _ in base]
 
     def run(lay, packed):
         add, complete, _ = _engine(lay, weights)
         field, pack = lay.field, lay.pack
 
         def holds(a, b=None, keep=False):
-            while packed:
-                add(packed.pop(0))
             if max(a) > field or b is not None and max(b) > field:
                 raise _Overflow
-            complete(dot(weights, a))
+            w = dot(weights, a)
+            while packed and heights[len(packed) - 1] <= w:
+                add(packed.pop())
+            complete(w)
             return not add((pack(a), None) if b is None else _orient(pack(a), pack(b)), keep)
 
         return work(holds)

@@ -21,10 +21,13 @@ linearly independent free parts (s <= rank as large as they allow), so
 the free equations fix those coefficients by Cramer's rule once the
 others are chosen (see ``_search``).  No invariant searches: T_S, L_S,
 their complements and the Apery sets decide membership in a monoid ideal
-by one truncated Buchberger run (``ideal._truncated``).  The search
-serves ``member`` and ``all_factorizations``: a b of an Apery set given
-with no factorization, ``is_minimal_generating``,
-``MonoidIdeal.contains`` and CLI ``ceq-element``.
+by one truncated Buchberger run (``ideal._truncated``), and the
+``closed_forms`` checks trim their formulas' degrees by that run.  The
+search serves ``member`` and ``all_factorizations``: a b of an Apery set
+given with no factorization, ``is_minimal_generating`` (one search per
+difference of two generators, on p's own search plan), CLI
+``ceq-element``, and ``MonoidIdeal.contains``, which no library path
+asks.
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.
@@ -652,10 +655,13 @@ def require_member(p: MonoidPresentation, x: GroupElement) -> tuple[int, ...]:
 
 def is_minimal_generating(p: MonoidPresentation) -> bool:
     """Whether no generator lies in the monoid spanned by the others.
-    The heaviest, the likeliest to be redundant, are tried first."""
+
+    In a reduced S, a_i does exactly when a_i - a_j lies in S for some
+    j != i: a factorization of a_i - a_j that used a_i would leave a_j
+    plus an element of S summing to 0.  So each difference is searched in
+    p itself, on its one search plan, and one of negative weight returns
+    at once.  The heaviest a_i, the likeliest to be redundant, are tried
+    first."""
     gens, weights = p.generators, p.weights
-    for i in sorted(range(p.n), key=lambda i: (weights[i], gens[i].sort_key()), reverse=True):
-        rest = gens[:i] + gens[i + 1 :]
-        if rest and member(_pointed(p.rank, p.torsion, rest, p.pointing), gens[i]) is not None:
-            return False
-    return True
+    heaviest = sorted(range(p.n), key=lambda i: (weights[i], gens[i].sort_key()), reverse=True)
+    return all(member(p, gens[i] - gens[j]) is None for i in heaviest for j in range(p.n) if j != i)

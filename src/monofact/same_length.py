@@ -12,8 +12,10 @@ waits for a final Buchberger run.  Both are trimmed as monoid ideals of
 S by the truncated Buchberger run that trims minimal binomial generators
 (``ideal._trim``): d lies in e + S exactly when x^{f_d} lies in
 I_S + <x^{f_e}>, f_d and f_e any factorizations, so the saturated
-generators of I_S join the run and one monomial per degree is tested,
-with no factorization search.  Each trimming is kept on the presentation
+generators of I_S join the run as its weight reaches them, and one
+monomial per degree is tested, with no factorization search.  The
+``closed_forms`` formulas are checked by that same trim of their
+degrees.  Each trimming is kept on the presentation
 too, so every reader of L_S shares one; minimal binomial generators serve
 only the equal catenary degree and the ``--minimal`` payloads.  S~ is
 built only when its kernel is nonzero.  The rank of ker S~ shows in the
@@ -78,6 +80,9 @@ class MonoidIdeal(Frozen):
         return len(self.generators) == 1
 
     def contains(self, x) -> bool:
+        """Whether x lies in the ideal: one factorization search of x - g
+        per generator g.  No library path asks it; the oracle tests read it
+        as the engine side."""
         x = element_from_data(self.presentation, x)
         return any(member(self.presentation, x - g) is not None for g in self.generators)
 
@@ -92,7 +97,10 @@ def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
     """Mutual membership of generator sets.
 
     Sound for ideals given as finite unions of principal ideals: equality
-    holds iff each generator of one lies in the other.
+    holds iff each generator of one lies in the other.  It searches
+    factorizations (``MonoidIdeal.contains``), and no library path calls
+    it: the ``closed_forms`` formulas are checked by comparing minimal
+    generating sets, which the tests hold against this reference.
     """
     pa, pb = a.presentation, b.presentation
     if pa.rank != pb.rank or pa.torsion != pb.torsion:
@@ -108,9 +116,10 @@ def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:
     by weight.  d lies in e + S exactly when x^{f_d} lies in the Apery
     ideal I_S + <x^{f_e}>, whatever factorizations are picked, so one
     truncated Buchberger run trims them all (``ideal._trim``): the
-    saturated generators of I_S join it first, then the monomials x^{f_d}
-    in ascending weight, and a degree is kept when its monomial does not
-    reduce to 0 modulo I_S and the monomials kept before it.  Absorption
+    saturated generators of I_S join it as its weight reaches theirs, the
+    monomials x^{f_d} are tested in ascending weight, and a degree is kept
+    when its monomial does not reduce to 0 modulo I_S and the monomials
+    kept before it.  Absorption
     only happens from strictly smaller weight, so the order within one
     weight does not matter.  One degree is kept as it is, with no weight
     read and no I_S built.

@@ -815,6 +815,22 @@ def test_t_set_of_clustered_generators_answers_in_bounds(values, expected):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, payload + "\n", "")
 
 
+def test_closed_form_of_the_paper_shape_verifies_in_bounds():
+    # <1009, 1040, ..., 1164, 1500>: the formula's degrees are trimmed by the
+    # run that trims L_S, with no search; mutual membership ran past 120 s
+    params = '{"m1":1009,"e":31,"n":6,"b":1500}'
+    argv = ["closed-form", "--family", "almost", "--params", params, "--verified"]
+    proc = _run_in_bounds(argv, 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"ceq":99,"ceq_forms":{"engine":99,"engine_matches_printed":false,'
+        '"engine_matches_proof":true,"forms_agree":false,"printed_form":98,"proof_form":99},'
+        '"family":"almost","generators":[1009,1040,1071,1102,1133,1164,1500],'
+        '"lset":{"generators":[2080,2111,2142,2173,2204,2235,2266,115205,115236],'
+        '"principal":false}}\n'
+    )
+
+
 def test_f2l_past_the_residue_table_cap_exits_2():
     # the residue table holds one entry per residue modulo the smallest
     # generator: 100000007 of them are refused before the table is built

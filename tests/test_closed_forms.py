@@ -1,12 +1,12 @@
 """Closed-form family formulas, checked against the engine throughout."""
 
+import time
 from itertools import combinations, product
 from math import gcd
 
 import pytest
-from test_same_length import _refuse_search
 
-from monofact import same_length
+from monofact import cli, closed_forms, monoid
 from monofact.catenary import ceq
 from monofact.closed_forms import (
     AlmostArithmeticFamily,
@@ -21,17 +21,69 @@ from monofact.closed_forms import (
     lset_unique_betti_shift,
     normalized_presentation_transforms,
 )
-from monofact.errors import HypothesisViolated, InvalidScalar
+from monofact.errors import CrossCheckError, HypothesisViolated, InvalidScalar
 from monofact.ideal import Binomial, groebner, lattice_ideal
 from monofact.monoid import numerical, presentation
 from monofact.oracle import f2l_bruteforce
 from monofact.same_length import (
+    MonoidIdeal,
     _apery_residues,
     _below_residue_bounds,
     f2l,
     integers_outside_l_set,
     l_set,
+    monoid_ideals_equal,
 )
+
+
+def _no_search(*args):
+    raise AssertionError("a closed form is verified with no factorization search")
+
+
+def _with_factorizations(formula, f, verified=False):
+    """``formula(f, verified)`` and the factorizations it hands to its one
+    check, ``closed_forms._formula_ideal``."""
+    seen = []
+    real = closed_forms._formula_ideal
+
+    def spy(tag, p, facts, *rest, **options):
+        seen.extend(facts)
+        return real(tag, p, facts, *rest, **options)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closed_forms, "_formula_ideal", spy)
+        return formula(f, verified), seen
+
+
+def _published_values(f):
+    """The published L_S generators of an arithmetic or almost-arithmetic
+    family as values, from the formulas as the paper states them: H, plus
+    for an almost-arithmetic family the extras decided by where b sits."""
+    h = [2 * f.m1 + lam * f.e for lam in range(2, 2 * f.n - 3)]
+    if isinstance(f, ArithmeticFamily):
+        return h
+    if f.b in (f.m, f.M):
+        anchor, step = (f.m1, f.e) if f.b == f.m else (f.arithmetic_part[-1], -f.e)
+        extras = [(f.beta + 1) * anchor]
+        if (f.M - f.m) % (f.d * (f.n - 1)) != 0:
+            extras.append((f.beta + 1) * anchor + step)
+    else:
+        extras = [(f.e // f.d) * f.b]
+    return sorted(set(h + extras))
+
+
+def _assert_factorizations_give_the_published_generators(ideal, facts, f):
+    # each factorization is one of the generators' coefficient vectors,
+    # and its degree is a published generator
+    values = [] if ideal is None else [g.free[0] for g in ideal.generators]
+    assert all(len(x) == len(f.generators) and min(x) >= 0 for x in facts)
+    degrees = sorted({sum(map(int.__mul__, x, f.generators)) for x in facts})
+    if isinstance(f, UniqueBettiShiftFamily):
+        # the published generators are the trim of the degrees c_i (b + t m_i)
+        assert degrees == sorted({c * (f.b + f.t * m) for c, m in zip(f.c, f.m_values[:-1])})
+        assert set(values) <= set(degrees)
+    else:
+        assert degrees == values == _published_values(f)
 
 
 def test_arithmetic_lset():
@@ -71,15 +123,136 @@ def test_ceq_forms_differ_exactly_as_the_report_says():
     assert interior_divisible == 101
 
 
+def _arithmetic_grid():
+    """Every family with m1 in 2..39, e in 1..6 coprime to it, n in 2..6."""
+    for m1 in range(2, 40):
+        for e in range(1, 7):
+            for n in range(2, 7):
+                if gcd(m1, e) == 1:
+                    yield ArithmeticFamily(m1, e, n)
+
+
 def test_lset_almost_arithmetic_matches_the_engine_on_the_grid():
-    """Every 4th family of the grid: the published L_S generators and the
-    engine's l_set generate one ideal.  Budget 5 s; on 2 vCPUs with
-    Python 3.11 it takes about 1.6 s, 1 s of it drawing up the grid, and
-    checking all 1,639 families would add 1.9 s."""
-    families = list(_almost_arithmetic_grid())[::4]
-    assert len(families) == 410
+    """The whole grid, 1,639 families, and an arithmetic grid of 720: the
+    published L_S generators and the engine's l_set generate one ideal,
+    each formula factorization evaluates to a published generator, and
+    the check searches no factorization.  Budget 10 s; on 2 vCPUs with
+    Python 3.11 it takes about 2.3 s, 0.5 s of it drawing up the grid."""
+    families = list(_almost_arithmetic_grid()) + list(_arithmetic_grid())
+    assert len(families) == 1639 + 720
+    t0 = time.perf_counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monoid, "_search", _no_search)
+        for f in families:
+            formula = lset_arithmetic if isinstance(f, ArithmeticFamily) else lset_almost_arithmetic
+            _assert_factorizations_give_the_published_generators(
+                *_with_factorizations(formula, f, verified=True), f
+            )
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_the_paper_shape_verifies_with_no_search(monkeypatch):
+    """<1009, 1040, ..., 1164, 1500>: checking the published generators by
+    mutual membership searched 115205 - 2080 = 113125 and 115205 itself,
+    each past 40 s.  The trim of the formula's degrees searches nothing.
+    Only the family's minimality check searches, so it is built first."""
+    f = AlmostArithmeticFamily(1009, 31, 6, 1500)
+    monkeypatch.setattr(monoid, "_search", _no_search)
+    monkeypatch.setattr(MonoidIdeal, "contains", _no_search)
+    t0 = time.perf_counter()
+    verified = lset_almost_arithmetic(f, verified=True)
+    assert time.perf_counter() - t0 < 20.0
+    assert verified == lset_almost_arithmetic(f)
+    assert [g.free[0] for g in verified.generators] == [
+        2080, 2111, 2142, 2173, 2204, 2235, 2266, 115205, 115236
+    ]
+
+
+def _spoil(monkeypatch, spoil):
+    # every formula hands spoil(p, its factorizations) to its check instead
+    real = closed_forms._formula_ideal
+
+    def spoiled(tag, p, facts, *rest, **options):
+        return real(tag, p, spoil(p, list(facts)), *rest, **options)
+
+    monkeypatch.setattr(closed_forms, "_formula_ideal", spoiled)
+
+
+def _drop_first(p, facts):
+    return facts[1:]
+
+
+def _add_first_generator(p, facts):
+    return facts + [(1,) + (0,) * (p.n - 1)]
+
+
+_ALMOST = ("almost", '{"m1":17,"e":3,"n":5,"b":7}')
+
+
+@pytest.mark.parametrize(
+    "spoil, family, params, message",
+    [
+        # 40 = 2m1 + 2e, an H generator, dropped: 40 is not in the ideal
+        (_drop_first, *_ALMOST, "formula generators [43, 46, 49, 52, 102, 105]"),
+        # 7, the least generator, is not in L_S
+        (_add_first_generator, *_ALMOST, "formula generators [7, 40, 43, 46,"),
+        (_add_first_generator, "unique-betti", '{"b":17,"t":2,"c":[5,3,2]}',
+         "formula generators [17]"),
+        # <3, 4, 5> has L_S = 8 + S; <3, 5> has L_S empty
+        (_drop_first, "arithmetic", '{"m1":3,"e":1,"n":3}', "disagree on emptiness"),
+        (_add_first_generator, "arithmetic", '{"m1":3,"e":2,"n":2}', "disagree on emptiness"),
+    ],
+    ids=["almost-drop-h", "almost-add-outside", "unique-betti-add-outside",
+         "arithmetic-drop-only", "arithmetic-add-to-empty"],
+)
+def test_a_wrong_formula_fails_its_check(capsys, monkeypatch, spoil, family, params, message):
+    _spoil(monkeypatch, spoil)
+    argv = ["closed-form", "--family", family, "--params", params]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--verified"]) == 5
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: lset_") and message in out.err
+    assert "Traceback" not in out.err
+    if family == "almost":  # the library raises the same error
+        with pytest.raises(CrossCheckError, match="span different ideals"):
+            lset_almost_arithmetic(AlmostArithmeticFamily(17, 3, 5, 7), verified=True)
+
+
+def test_the_trim_agrees_with_mutual_membership_on_a_sample():
+    """Every 20th family of the grids, its published factorizations, each
+    of them dropped and each generator added: the check raises exactly
+    when mutual membership (``monoid_ideals_equal``, the search it
+    replaced) says the ideal is not L_S."""
+    families = list(_almost_arithmetic_grid())[::20] + list(_arithmetic_grid())[::20]
+    families += _unique_betti_grid(range(3, 16), range(1, 4))[::20]
+    checked = raised = 0
     for f in families:
-        lset_almost_arithmetic(f, verified=True)
+        formula = {
+            ArithmeticFamily: lset_arithmetic,
+            AlmostArithmeticFamily: lset_almost_arithmetic,
+            UniqueBettiShiftFamily: lset_unique_betti_shift,
+        }[type(f)]
+        p = f.presentation()
+        facts = _with_factorizations(formula, f)[1]
+        units = [tuple(int(i == k) for i in range(p.n)) for k in range(p.n)]
+        variants = [facts] + [facts[:k] + facts[k + 1 :] for k in range(len(facts))]
+        variants += [facts + [u] for u in units]
+        engine = l_set(p)
+        for variant in variants:
+            degrees = tuple({p.evaluate(x): x for x in variant})
+            if not degrees or engine is None:
+                continue
+            equal = monoid_ideals_equal(MonoidIdeal(p, degrees), engine)
+            try:
+                closed_forms._formula_ideal("sample", p, variant, True)
+            except CrossCheckError:
+                raised += 1
+                assert not equal, (f, variant)
+            else:
+                assert equal, (f, variant)
+            checked += 1
+    assert checked > 400 and 0 < raised < checked
 
 
 def test_almost_arithmetic_interior_b():
@@ -185,13 +358,15 @@ def test_unique_betti_shift_matches_the_engine_on_the_grid():
     families = _unique_betti_grid(range(3, 16), range(1, 4))
     assert len(families) == 584
     for f in families:
-        # the formula's degrees and the engine's are trimmed with no
-        # factorization search; only the verifying ideal comparison searches
+        # the formula's degrees and the engine's are trimmed, and compared,
+        # with no factorization search; each factorization evaluates to
+        # c_i (b + t m_i)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(same_length, "member", _refuse_search)
+            mp.setattr(monoid, "_search", _no_search)
             formula = lset_unique_betti_shift(f)
-            l_set(f.presentation())
-        assert lset_unique_betti_shift(f, verified=True) == formula
+            verified, facts = _with_factorizations(lset_unique_betti_shift, f, verified=True)
+        assert verified == formula
+        _assert_factorizations_give_the_published_generators(verified, facts, f)
         ceq_unique_betti_shift(f, verified=True)
 
 

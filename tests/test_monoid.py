@@ -208,6 +208,41 @@ def test_is_minimal_generating():
     assert not is_minimal_generating(numerical([3, 5, 8]))
 
 
+def _minimal_by_sub_presentations(p):
+    # the former check: each generator searched in the monoid of the others
+    gens = p.generators
+    for i in range(p.n):
+        rest = gens[:i] + gens[i + 1 :]
+        if rest and member(monoid._pointed(p.rank, p.torsion, rest, p.pointing), gens[i]):
+            return False
+    return True
+
+
+def test_is_minimal_generating_searches_differences_in_p_itself(
+    monkeypatch, reduced_instances, numerical_instances
+):
+    # a_i lies in the monoid of the others exactly when some a_i - a_j lies
+    # in S: the answers are those of the sub-presentation searches, and no
+    # sub-presentation is built
+    cases = reduced_instances + numerical_instances + [
+        numerical([1]),
+        numerical([4, 6, 9, 10, 15]),
+        presentation(2, (), [(1, 0), (0, 1), (1, 1)]),
+        presentation(2, (), [(2, -1), (0, 1), (3, 1), (4, 3)]),
+        presentation(1, (2,), [(1, 0), (1, 1), (2, 1)]),
+        presentation(1, (3,), [(1, 1), (2, 2), (3, 0)]),
+    ]
+    expected = [_minimal_by_sub_presentations(p) for p in cases]
+    assert 20 < expected.count(False) < len(cases) - 20
+    assert expected[-6:] == [True, False, False, False, False, False]
+
+    def refuse(*args):
+        raise AssertionError("is_minimal_generating builds no sub-presentation")
+
+    monkeypatch.setattr(monoid, "_pointed", refuse)
+    assert [is_minimal_generating(p) for p in cases] == expected
+
+
 def test_member_finds_factorization():
     p = numerical([3, 5, 7])
     f = member(p, p.element((12,)))

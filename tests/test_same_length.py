@@ -325,6 +325,32 @@ def test_apery_residues_refuse_a_table_past_the_cap(monkeypatch):
         same_length._apery_residues([6, 7, 8])
 
 
+def test_the_l_set_trim_joins_only_the_base_its_weights_need(monkeypatch):
+    # I_S of <10001, 10003, 10005, 10007> has 340 saturated generators, and
+    # only 3 weigh at most 20010, the heaviest L_S candidate: those 3 join
+    # the truncated run, then the 3 candidates are asked about
+    p = numerical([10001, 10003, 10005, 10007])
+    base = ideal.saturated_generators(p)
+    ideal.saturated_generators(p.lift)  # the candidates, built before counting
+    light = [a for a, _ in base if sum(map(int.__mul__, a, p.weights)) <= 20010]
+    assert (len(base), len(light)) == (340, 3)
+    adds = []
+    real = ideal._engine
+
+    def counting(lay, weights=None):
+        add, complete, reduced = real(lay, weights)
+
+        def counted(el, keep=True):
+            adds.append(el)
+            return add(el, keep)
+
+        return counted, complete, reduced
+
+    monkeypatch.setattr(ideal, "_engine", counting)
+    assert [g.free[0] for g in l_set(p).generators] == [20006, 20008, 20010]
+    assert len(adds) == len(light) + 3
+
+
 def test_monoid_ideals_equal_and_dimension_guard():
     p = numerical([3, 5, 7])
     a = MonoidIdeal(p, (p.element((10,)),))
