@@ -66,7 +66,6 @@ from .orders import GREVLEX, LEX, TermOrder, block, grevlex, lex, parse_order, w
 from .same_length import (
     MonoidIdeal,
     f2l,
-    homogeneous_minimal_generators,
     integers_outside_l_set,
     l_set,
     l_set_complement,

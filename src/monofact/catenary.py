@@ -4,13 +4,15 @@ Two equal-length factorizations of the same element are joined by an
 N-chain when some sequence of equal-length factorizations connects them
 with consecutive distances at most N.  The equal catenary degree of the
 monoid is the largest degree in a minimal homogeneous generating set of
-the ideal of the homogenized monoid; the per-element brute force below
-serves as its independent witness.  It lists every factorization of one
-element and, per length, takes the least N joining all of that length by
-N-chains: the largest edge of a minimum spanning tree on them.  By graded
-Nakayama every minimal homogeneous generating set has the same degrees,
-so c_eq does not depend on the term order, and ``ceq`` takes none: it
-reads the GREVLEX minimal generators.
+the ideal I_{S~} of the homogenized monoid S~ = ``p.lift``; the
+per-element brute force below serves as its independent witness.  It
+lists every factorization of one element and, per length, takes the
+least N joining all of that length by N-chains: the largest edge of a
+minimum spanning tree on them.  By graded Nakayama every minimal
+homogeneous generating set has the same degrees, so c_eq does not depend
+on the term order, and ``ceq`` takes none: it trims the saturated
+generators of I_{S~} by the truncated Buchberger run that trims T_S and
+L_S (``ideal._trim``), with no ordered basis built.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from math import gcd, inf
 from operator import sub
 
 from .errors import BudgetExceeded, CapExceeded, InvalidInput, NotInMonoid
+from .ideal import _trim, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     MonoidPresentation,
@@ -27,14 +30,20 @@ from .monoid import (
     element_from_data,
     validate_reduced,
 )
-from .same_length import homogeneous_minimal_generators
+from .same_length import _lift_kernel_is_zero
 
 
 def ceq(p: MonoidPresentation) -> int:
-    """Equal catenary degree: the maximum total degree among minimal
-    generators of the homogenized ideal; 0 when that ideal is zero."""
-    mg = homogeneous_minimal_generators(p)
-    return max((b.total_degree() for b in mg.elements), default=0)
+    """Equal catenary degree: the largest total degree among minimal
+    generators of I_{S~}; 0 when ker S~ = 0, read off the kernel of S with
+    no lift built (``same_length._lift_kernel_is_zero``).  Every weight of
+    S~ is 1, so ``_trim`` tests the saturated generators in ascending
+    total degree and keeps a minimal generating set of them."""
+    if _lift_kernel_is_zero(validate_reduced(p)):
+        return 0
+    lifted = p.lift
+    gens = saturated_generators(lifted)
+    return max((sum(gens[i][0]) for i in _trim((), gens, lifted)), default=0)
 
 
 def _class_threshold(facs):

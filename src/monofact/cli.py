@@ -38,7 +38,6 @@ from .monoid import is_minimal_generating as _gens_minimal
 from .orders import parse_order
 from .same_length import (
     f2l,
-    homogeneous_minimal_generators,
     integers_outside_l_set,
     l_set,
     l_set_complement,
@@ -174,7 +173,7 @@ def _cmd_tilde_ideal(args):
     order = parse_order(args.order)
     lifted = p.lift
     if args.minimal:
-        return _basis_payload(homogeneous_minimal_generators(p, order), lifted)
+        return _basis_payload(minimal_generators(lattice_ideal(lifted, order), lifted), lifted)
     return _basis_payload(lattice_ideal(lifted, order=order))
 
 

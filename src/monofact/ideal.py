@@ -74,7 +74,10 @@ exactly when x^{f_d} lies in I_S + <x^{f_e_1}, ..., x^{f_e_k}>, for any
 factorizations f (see the ``apery`` module).  So ``_trim`` trims the
 generators of T_S and L_S, d dropped when it lies in e + S for a kept e,
 and the truncated Apery walk cuts at the monomials of
-J = I_S + <x^beta_i> (``apery.apery_set``).
+J = I_S + <x^beta_i> (``apery.apery_set``).  With no base, ``_trim``
+trims binomials themselves: the ``--minimal`` payloads
+(``minimal_generators``), and c_eq, the top total degree of the
+saturated generators of I_{S~} that it keeps (``catenary.ceq``).
 """
 
 from __future__ import annotations
@@ -799,7 +802,8 @@ def _trim(base, candidates, p: MonoidPresentation) -> list[int]:
     is kept, joining the run, unless the ideal of ``base`` and of the
     candidates kept so far holds it (see ``minimal_generators``).  Both
     are pairs (a, b) for x^a - x^b, b None for a monomial, homogeneous
-    for ``p.weights``; the candidates ascend by weight."""
+    for ``p.weights``; the candidates may come in any order, since they
+    are tested by weight."""
     ws = [dot(p.weights, a) for a, _ in candidates]
     tested = sorted(range(len(ws)), key=lambda i: (ws[i], -i))
 

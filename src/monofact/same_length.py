@@ -15,13 +15,15 @@ I_S + <x^{f_e}>, f_d and f_e any factorizations, so the saturated
 generators of I_S join the run as its weight reaches them, and one
 monomial per degree is tested, with no factorization search.  The
 ``closed_forms`` formulas are checked by that same trim of their
-degrees.  Each trimming is kept on the presentation
-too, so every reader of L_S shares one; minimal binomial generators serve
-only the equal catenary degree and the ``--minimal`` payloads.  S~ is
-built only when its kernel is nonzero.  The rank of ker S~ shows in the
-kernel basis B of S: it is len(B), less 1 when some row of B has a
-nonzero sum (``_lift_kernel_is_zero``).  When it is 0, L_S is empty,
-c_eq is 0 and no lift, saturation or basis of S~ is built.  The complement S \\ L_S
+degrees, and the equal catenary degree (``catenary.ceq``) is read off
+that same trim of the saturated generators of S~.  Each trimming of
+degrees is kept on the presentation too, so every reader of L_S shares
+one; minimal binomial generators serve only the ``--minimal`` payloads
+and the c_eq witness of ``oracle.check``.  S~ is built only when its
+kernel is nonzero.  The rank of ker S~ shows in the kernel basis B of S: it is
+len(B), less 1 when some row of B has a nonzero sum
+(``_lift_kernel_is_zero``).  When it is 0, L_S is empty, c_eq is 0 and
+no lift, saturation or basis of S~ is built.  The complement S \\ L_S
 is the Apery set of S relative to the L_S generators, walked through
 the staircase machinery.
 F_2l needs no staircase: with w_r the least element of a numerical S
@@ -33,9 +35,8 @@ None of T_S, L_S and F_2l depends on a term order: the first two are
 ideals of S and the third is read off L_S.  Their functions take no
 order.  Nor do the witness factorizations of the L_S generators need
 one: all factorizations of one degree give the same Apery ideal
-J = I_S + <x^beta>.  The order matters only for which minimal
-binomials ``homogeneous_minimal_generators`` returns and which monomials a
-truncated ``l_set_complement`` keeps, so those two take one.
+J = I_S + <x^beta>.  The order matters only for which monomials a
+truncated ``l_set_complement`` keeps, so only it takes one.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from ._frozen import Frozen, kept
 from .apery import AperyResult, apery_set
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
-from .ideal import BinomialBasis, _trim, lattice_ideal, minimal_generators, saturated_generators
+from .ideal import _trim, saturated_generators
 from .monoid import (
     _LISTING_CAP,
     GroupElement,
@@ -129,27 +130,6 @@ def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:
     ascending = sorted(witnesses, key=lambda d: (p.weight_of(d), d.sort_key()))
     kept = _trim(saturated_generators(p), [(witnesses[d], None) for d in ascending], p)
     return {ascending[i]: witnesses[ascending[i]] for i in kept}
-
-
-def homogeneous_minimal_generators(
-    p: MonoidPresentation, order: TermOrder = GREVLEX
-) -> BinomialBasis:
-    """Minimal generators of the lattice ideal of S~ = ``p.lift``.
-
-    Their largest total degree is the equal catenary degree, and the CLI
-    ``--minimal`` payload lists them.  Built once per order and kept on
-    p under the key ("minimal", order), like :func:`lattice_ideal`; the
-    basis is immutable.
-    """
-    return kept(validate_reduced(p), ("minimal", order), _homogeneous_minimal_generators, p, order)
-
-
-def _homogeneous_minimal_generators(p: MonoidPresentation, order: TermOrder) -> BinomialBasis:
-    order.rows(p.n)  # raises InvalidInput for an order that does not fit
-    if _lift_kernel_is_zero(p):
-        return BinomialBasis((), order, groebner=False)
-    lifted = p.lift
-    return minimal_generators(lattice_ideal(lifted, order), lifted)
 
 
 def _lift_kernel_is_zero(p: MonoidPresentation) -> bool:

@@ -1,6 +1,6 @@
-"""I_S, the T_S and L_S trimmings, the homogenized minimal generators and
-the lift S~, each built once and kept on its presentation object, shared by
-every invariant of that object and by nothing else."""
+"""I_S, the T_S and L_S trimmings and the lift S~, each built once and
+kept on its presentation object, shared by every invariant of that object
+and by nothing else."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from monofact import apery, cli, closed_forms, ideal, intlinalg, monoid, ratlp, 
 from monofact.apery import apery_set
 from monofact.catenary import ceq
 from monofact.errors import EmptyLSet, InfiniteWithoutLimit, NotReduced
-from monofact.ideal import lattice_ideal, saturated_generators
+from monofact.ideal import lattice_ideal, minimal_generators, saturated_generators
 from monofact.monoid import (
     numerical,
     presentation,
@@ -19,7 +19,6 @@ from monofact.monoid import (
 from monofact.orders import GREVLEX, LEX, wgrevlex
 from monofact.same_length import (
     f2l,
-    homogeneous_minimal_generators,
     integers_outside_l_set,
     l_set,
     l_set_complement,
@@ -71,12 +70,12 @@ def test_f2l_reads_only_the_lifted_ideal(monkeypatch):
 
 def test_t_and_l_sets_need_no_minimal_generators(monkeypatch):
     # T_S and L_S are read off the saturated generators; minimal binomial
-    # generators only serve c_eq and the --minimal payloads
+    # generators only serve the --minimal payloads and the c_eq witness
     def refuse(*args, **kwargs):
         raise AssertionError("minimal_generators called")
 
     monkeypatch.setattr(ideal, "minimal_generators", refuse)
-    monkeypatch.setattr(same_length, "minimal_generators", refuse)
+    assert not hasattr(same_length, "minimal_generators")
     p = numerical([4, 7, 9])
     assert [g.free[0] for g in t_set(p).generators] == [16, 18, 21]
     assert [g.free[0] for g in l_set(p).generators] == [35]
@@ -108,18 +107,18 @@ def test_entries_are_keyed_by_order():
     assert lattice_ideal(p, LEX).order == LEX
     assert lattice_ideal(p).order == GREVLEX
     assert lattice_ideal(p, order=GREVLEX) is lattice_ideal(p)
-    assert homogeneous_minimal_generators(p, LEX).order == LEX
-    assert homogeneous_minimal_generators(p).order == GREVLEX
+    # the --minimal payloads keep the order of the basis they trim
+    assert minimal_generators(lattice_ideal(p.lift, LEX), p.lift).order == LEX
+    assert minimal_generators(lattice_ideal(p.lift), p.lift).order == GREVLEX
 
 
 def test_validated_and_unvalidated_presentations_share_an_entry():
     # one object read before and after it is proved reduced; an equal but
     # distinct object builds its own entries
     p = numerical([4, 7, 9])
-    basis, minimal = lattice_ideal(p), homogeneous_minimal_generators(p)
+    basis = lattice_ideal(p)
     assert validate_reduced(p) is p
     assert lattice_ideal(p) is basis
-    assert homogeneous_minimal_generators(p, GREVLEX) is minimal
 
 
 def test_one_presentation_proves_itself_reduced_once(monkeypatch):
@@ -148,7 +147,7 @@ def test_not_reduced_raises_on_every_call():
         with pytest.raises(NotReduced):
             lattice_ideal(p)
         with pytest.raises(NotReduced):
-            homogeneous_minimal_generators(p)
+            ceq(p)
 
 
 def _counting(monkeypatch, module, name):
@@ -486,8 +485,8 @@ def test_a_zero_lifted_kernel_builds_no_lift(data):
     assert l_set(p) is None and ceq(p) == 0
     with pytest.raises(EmptyLSet):
         l_set_complement(p, limit=2)
-    assert homogeneous_minimal_generators(p, LEX).elements == ()
     assert "lift" not in p.__dict__
+    assert minimal_generators(lattice_ideal(p.lift, LEX), p.lift).elements == ()
 
 
 def test_independent_free_parts_echelon_nothing(monkeypatch):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monofact import catenary
+from monofact import catenary, ideal
 from monofact.catenary import (
     _class_threshold,
     ceq,
@@ -11,7 +11,7 @@ from monofact.catenary import (
     ceq_upper_bound_numerical,
 )
 from monofact.errors import BudgetExceeded, CapExceeded, InvalidInput, NotInMonoid
-from monofact.monoid import numerical, presentation
+from monofact.monoid import numerical, presentation, presentation_from_data
 
 
 def test_ceq_values():
@@ -148,3 +148,22 @@ def test_ceq_below_bound_on_small_instances(numerical_instances):
         if p.n < 3:
             continue
         assert ceq(p) <= ceq_upper_bound_numerical(p)
+
+
+@pytest.mark.parametrize(
+    "data, value",
+    [
+        ({"numerical": [97, 98, 165, 169, 180, 193, 200]}, 68),
+        ({"rank": 1, "torsion": [3], "generators": [[-4, 2], [-3, 2], [-2, 1], [-1, 1]]}, 6),
+    ],
+    ids=["seven-generators", "torsion"],
+)
+def test_ceq_builds_no_ordered_basis_and_no_minimal_generators(monkeypatch, data, value):
+    # c_eq is the top total degree of the saturated generators of I_{S~}
+    # that the truncated run keeps: no reduced basis of S~, no binomial trim
+    def refuse(*args, **kwargs):
+        raise AssertionError("ceq built an ordered basis or minimal generators")
+
+    monkeypatch.setattr(ideal, "_lattice_ideal", refuse)
+    monkeypatch.setattr(ideal, "minimal_generators", refuse)
+    assert ceq(presentation_from_data(data)) == value

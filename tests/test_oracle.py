@@ -287,6 +287,21 @@ def test_ceq_of_a_fiber_matches_the_element_search(p):
         assert ceq_of_factorizations(facs) == ceq_element_bruteforce(p, el)
 
 
+@pytest.mark.parametrize(
+    "gens, cap, value",
+    [([10, 27, 32, 34, 39], 234, 7), ([17, 18, 27, 28, 38], 228, 10)],
+    ids=["10-27-32-34-39", "17-18-27-28-38"],
+)
+def test_the_ceq_witness_is_read_off_the_grevlex_minimal_generators(gens, cap, value):
+    # the first top-degree GREVLEX minimal generator weighs past the cap
+    # (238 and 270); the lightest top-degree pair of ceq's own trim (214
+    # and 180) would read covered
+    assert check(numerical(gens), "ceq", cap) == {
+        "what": "ceq", "cap": cap, "ok": True,
+        "engine": value, "oracle": value, "witness_covered": False,
+    }
+
+
 def test_f2l_bruteforce_values():
     assert f2l_bruteforce(numerical([17, 29, 37, 47]), 400) == 218
     assert f2l_bruteforce(numerical([3, 5, 7]), 80) == 14
