@@ -70,7 +70,6 @@ from .same_length import (
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
-    monoid_ideals_equal,
     t_set,
 )
 

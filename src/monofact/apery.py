@@ -127,8 +127,8 @@ def _standard_monomials(leads, rows, limit, outside=None):
     (e_0, ..., e_{i-1}) dominates that of l, every e_i >= l_i is
     divisible, so each node stops at the smallest such l_i, and ``limit``
     caps that stop.  ``outside`` takes the exponent vector, a list the
-    walk goes on to change, must hold for every multiple of a monomial it
-    holds for, and cuts the same way.  Without
+    walk goes on to change, and its degree, must hold for every multiple
+    of a monomial it holds for, and cuts the same way.  Without
     a limit every variable needs a pure-power lead, which ends its loop.
     The walk counts the monomials it keeps and raises BudgetExceeded once
     it holds more than ``_LISTING_CAP``.
@@ -160,7 +160,7 @@ def _standard_monomials(leads, rows, limit, outside=None):
         for e in range(1, stop):
             deg = tuple(map(add, deg, row))
             exp[i] = e
-            if outside is not None and outside(exp):
+            if outside is not None and outside(exp, deg):
                 break
             walk(i + 1, deg, None if remaining is None else remaining - e)
         exp[i] = 0
@@ -311,17 +311,19 @@ def apery_set(
 
         weights = p.weights
         lightest = min((dot(weights, f) for f in facts), default=inf)
+        # each degree row ends in the weight, which the cut and the run read
+        rows = [row + (u,) for row, u in zip(rows, weights)]
 
         def walk(holds):
             return _standard_monomials(
-                leads, rows, limit, lambda exp: dot(weights, exp) >= lightest and holds(exp)
+                leads, rows, limit, lambda exp, deg: deg[-1] >= lightest and holds(deg[-1], exp)
             )
 
         monomials = _truncated(gens, p, walk)
     rank, moduli = p.rank, p.torsion
     degs = {}
     for mono, deg in monomials:
-        deg = deg[:rank] + _reduced(deg[rank:], moduli)
+        deg = deg[:rank] + _reduced(deg[rank:], moduli)  # the zip drops a trailing weight
         if deg in degs:
             raise CrossCheckError(f"standard monomials {degs[deg]} and {mono} share a degree")
         degs[deg] = mono

@@ -101,19 +101,14 @@ def ceq_element_bruteforce(p: MonoidPresentation, b, cap: int = 10**6) -> int:
 
 def ceq_upper_bound_numerical(p: MonoidPresentation) -> int:
     """Regularity-type bound max (a_{i+1}-a_i + a_{j+1}-a_j) / gcd of the
-    differences, over pairs i < j < n of consecutive steps."""
+    differences a_i - a_1, over pairs i < j < n of consecutive steps: the
+    sum of the two largest steps over the gcd of the steps, which is that
+    of the differences."""
     validate_reduced(p)
     if not p.is_numerical:
         raise InvalidInput("the bound is stated for numerical semigroups")
     vals = sorted(g.free[0] for g in p.generators)
-    n = len(vals)
-    if n < 3:
+    if len(vals) < 3:
         raise InvalidInput("the bound needs at least three generators")
-    d = 0
-    for v in vals[1:]:
-        d = gcd(d, v - vals[0])
-    best = 0
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            best = max(best, vals[i + 1] - vals[i] + vals[j + 1] - vals[j])
-    return best // d
+    steps = sorted(b - a for a, b in zip(vals, vals[1:]))
+    return (steps[-1] + steps[-2]) // gcd(*steps)

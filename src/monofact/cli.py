@@ -103,8 +103,6 @@ def _render_text(value, indent=""):
                 lines.extend(_render_text(item, indent))
             else:
                 lines.append(indent + _flat(item))
-    else:
-        lines.append(indent + _flat(value))
     return lines
 
 

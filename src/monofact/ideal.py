@@ -808,7 +808,7 @@ def _trim(base, candidates, p: MonoidPresentation) -> list[int]:
     tested = sorted(range(len(ws)), key=lambda i: (ws[i], -i))
 
     def work(holds):
-        return sorted(i for i in tested if not holds(*candidates[i], True))
+        return sorted(i for i in tested if not holds(ws[i], *candidates[i], True))
 
     return _truncated(base, p, work, candidates)
 
@@ -818,9 +818,10 @@ def _truncated(base, p: MonoidPresentation, work, fit=()):
     graded reverse-lex order of ``p.weights``, from the pairs ``base`` (a,
     b) for x^a - x^b, b None for a monomial, homogeneous for the weights.
 
-    ``holds(a, b=None, keep=False)`` says whether x^a - x^b (x^a when b
-    is None), homogeneous too, lies in the ideal of ``base`` and of the
-    elements kept so far; with ``keep`` one that does not joins the run.
+    ``holds(w, a, b=None, keep=False)`` says whether x^a - x^b (x^a when
+    b is None), homogeneous too and of weight w, which the caller has at
+    hand, lies in the ideal of ``base`` and of the elements kept so far;
+    with ``keep`` one that does not joins the run.
     ``base`` joins by weight, lightest first: before x^a is tested, every
     pair of ``base`` that weighs at most w, the weight of x^a, joins, so a
     ``work`` that asks nothing starts no run, and a heavier pair never
@@ -846,10 +847,9 @@ def _truncated(base, p: MonoidPresentation, work, fit=()):
         add, complete, _ = _engine(lay, weights)
         field, pack = lay.field, lay.pack
 
-        def holds(a, b=None, keep=False):
+        def holds(w, a, b=None, keep=False):
             if max(a) > field or b is not None and max(b) > field:
                 raise _Overflow
-            w = dot(weights, a)
             while packed and heights[len(packed) - 1] <= w:
                 add(packed.pop())
             complete(w)

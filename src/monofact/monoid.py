@@ -25,9 +25,8 @@ by one truncated Buchberger run (``ideal._truncated``), and the
 ``closed_forms`` checks trim their formulas' degrees by that run.  The
 search serves ``member`` and ``all_factorizations``: a b of an Apery set
 given with no factorization, ``is_minimal_generating`` (one search per
-difference of two generators, on p's own search plan), CLI
-``ceq-element``, and ``MonoidIdeal.contains``, which no library path
-asks.
+difference of two generators, on p's own search plan) and CLI
+``ceq-element``.
 
 All arithmetic is exact (Python integers only, the cone LPs included);
 nothing here floats.

@@ -6,19 +6,19 @@ check.  A coefficient vector lambda has weight sum(lambda_i * u_i) with
 u_i the pointing weight of the i-th generator, which equals the weight
 of the element it factors; walking all vectors below a weight cap
 therefore produces the complete fiber of every element below the cap.
-:func:`monoid_elements` is that one walk; the brute-force L_S and T_S
-read the fiber map it returns and enumerate nothing themselves.  The walk
-carries each vector's degree as a flat integer row, the free coordinates
-followed by the unreduced torsion residues, and builds one element per
-fiber at the end.
+:func:`monoid_elements` is that one walk; the brute-force L_S, T_S and
+F_2l read the fiber map it returns and enumerate nothing themselves.
+The walk carries each vector's degree as a flat integer row, the free
+coordinates followed by the unreduced torsion residues, and builds one
+element per fiber at the end.
 
 Each walk takes its weight cap as a positive integer and counts the
 vectors it visits against ``monoid._LISTING_CAP`` (10^6), the library's
 one listing cap.  The fiber map of :func:`monoid_elements` stores every
 vector, up to about 300 bytes each when the fibers are singletons, so
 an oversized walk ends in BudgetExceeded before it exhausts memory.
-The L_S and T_S checks read only the length of each vector and the
-size of each fiber, so their walk keeps one length per vector.
+The L_S, T_S and F_2l checks read only the length of each vector and
+the size of each fiber, so their walk keeps one length per vector.
 
 The same map decides membership in an ideal g_1 + S u ... u g_s + S with
 nonzero g_j in S: x is a member iff some x - g_j lies in S, and x - g_j
@@ -29,7 +29,9 @@ F_2l is computed with a certified scan (:func:`f2l_bruteforce`): for a
 numerical semigroup, having two factorizations of one length survives
 adding the smallest generator a_1, so a run of a_1 consecutive
 successes proves every larger value succeeds and the largest failure
-seen so far is the answer.
+seen so far is the answer.  The scan reads the lengths map of the one
+walk at caps that double from the weight of a_1 up to its weight cap,
+so it stops at the first cap that holds a full run.
 
 :func:`check` sets the engine against all of this below one weight cap.
 L_S and T_S compare as sets of elements: the brute-force set against
@@ -156,66 +158,41 @@ def ideal_members(fibers, generators):
     return out
 
 
-def _has_enough(vals, b, tally) -> bool:
-    """Whether b has two factorizations of one length, stopping at the
-    second one found."""
-    lengths = set()
-    last = len(vals) - 1
-
-    def rec(idx, remaining, length):
-        v = vals[idx]
-        if idx == last:
-            tally.tick()
-            if remaining % v:
-                return False
-            full = length + remaining // v
-            if full in lengths:
-                return True
-            lengths.add(full)
-            return False
-        c = 0
-        while c * v <= remaining:
-            if rec(idx + 1, remaining - c * v, length + c):
-                return True
-            c += 1
-        return False
-
-    try:
-        return rec(0, b, 0)
-    finally:
-        del rec  # rec is in its own closure: clearing that cell leaves no cycle
-
-
 def f2l_bruteforce(p: MonoidPresentation, weight_cap) -> int:
     """F_2l by brute force: the largest b without two factorizations of
     one length.
 
-    Certified by a_1 consecutive successes right above the returned
-    value; NotStabilized when the weight cap runs out first.
+    Scans b = 0, 1, ... in the lengths map of the fiber walk
+    (``_fiber_map``) at caps that double from the weight of a_1 up to
+    ``weight_cap``: below a cap every fiber is complete, and b weighs b
+    times the weight of 1.  Certified by a_1 consecutive successes right
+    above the returned value; NotStabilized when the walk at the weight
+    cap finds no such run.
     """
     weight_cap = _weight_cap(weight_cap)
     validate_reduced(p)
     if p.rank != 1 or p.torsion:
         raise InvalidInput("F_2l is defined for numerical semigroups")
-    vals = [g.free[0] for g in p.generators]
-    window = min(vals)
+    window = min(g.free[0] for g in p.generators)
     unit = p.weight_of(p.element((1,)))
-    b_max = weight_cap // unit
-    tally = _Tally()
-    last_fail = None
-    streak = 0
-    for b in range(b_max + 1):
-        if _has_enough(vals, b, tally):
-            streak += 1
-            if streak == window:
-                # b = 0 always fails, so a full window pins the maximum
-                return last_fail
-        else:
-            last_fail = b
-            streak = 0
-    raise NotStabilized(
-        f"no run of {window} successes below weight {weight_cap}"
-    )
+    cap = min(window * unit, weight_cap)
+    while True:
+        lengths = {el.free[0]: ks for el, ks in _fiber_map(p, cap, lengths=True).items()}
+        last_fail = None
+        streak = 0
+        for b in range(cap // unit + 1):
+            ks = lengths.get(b, ())
+            if len(set(ks)) < len(ks):
+                streak += 1
+                if streak == window:
+                    # b = 0 always fails, so a full window pins the maximum
+                    return last_fail
+            else:
+                last_fail = b
+                streak = 0
+        if cap == weight_cap:
+            raise NotStabilized(f"no run of {window} successes below weight {weight_cap}")
+        cap = min(2 * cap, weight_cap)
 
 
 def check(p: MonoidPresentation, what: str, cap: int) -> dict:

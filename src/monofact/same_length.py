@@ -45,7 +45,7 @@ from math import gcd
 
 from ._frozen import Frozen, kept
 from .apery import AperyResult, apery_set
-from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, EmptyLSet
+from .errors import BudgetExceeded, CrossCheckError, EmptyLSet
 from .errors import InvalidInput, UndefinedForN2
 from .ideal import _trim, saturated_generators
 from .monoid import (
@@ -53,8 +53,6 @@ from .monoid import (
     GroupElement,
     MonoidPresentation,
     _integers,
-    element_from_data,
-    member,
     primitive,
     validate_reduced,
 )
@@ -80,35 +78,11 @@ class MonoidIdeal(Frozen):
     def is_principal(self) -> bool:
         return len(self.generators) == 1
 
-    def contains(self, x) -> bool:
-        """Whether x lies in the ideal: one factorization search of x - g
-        per generator g.  No library path asks it; the oracle tests read it
-        as the engine side."""
-        x = element_from_data(self.presentation, x)
-        return any(member(self.presentation, x - g) is not None for g in self.generators)
-
     def to_data(self):
         return {
             "generators": [g.to_data() for g in self.generators],
             "minimalized": self.minimalized,
         }
-
-
-def monoid_ideals_equal(a: MonoidIdeal, b: MonoidIdeal) -> bool:
-    """Mutual membership of generator sets.
-
-    Sound for ideals given as finite unions of principal ideals: equality
-    holds iff each generator of one lies in the other.  It searches
-    factorizations (``MonoidIdeal.contains``), and no library path calls
-    it: the ``closed_forms`` formulas are checked by comparing minimal
-    generating sets, which the tests hold against this reference.
-    """
-    pa, pb = a.presentation, b.presentation
-    if pa.rank != pb.rank or pa.torsion != pb.torsion:
-        raise DimensionMismatch("ideals live over different ambient groups")
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
 
 
 def _minimalize_degrees(p: MonoidPresentation, witnesses: dict) -> dict:

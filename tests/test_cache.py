@@ -172,7 +172,7 @@ def test_covered_passes_and_certified_absorptions_are_skipped(monkeypatch):
         )
     )
     engine = _counting(monkeypatch, ideal, "_buchberger")
-    searches = _counting(monkeypatch, same_length, "member")
+    searches = _counting(monkeypatch, monoid, "_search")
     assert [g.to_data() for g in t_set(p).generators] == [
         [0, -18, 2],
         [-16, -22, 2],

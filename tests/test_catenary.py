@@ -1,5 +1,7 @@
 """Equal catenary degree: exact values, connectivity thresholds, and the bound."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -134,6 +136,33 @@ def test_upper_bound_values():
     assert ceq_upper_bound_numerical(numerical([3, 5, 7])) == 2
     assert ceq_upper_bound_numerical(numerical([17, 29, 37, 47])) == 11
     assert ceq_upper_bound_numerical(numerical([17, 20, 23, 26, 29])) == 2
+
+
+def _former_upper_bound(vals):
+    # the double loop over pairs i < j of consecutive steps, divided by the
+    # gcd of the differences to a_1, kept unchanged as the reference
+    vals = sorted(vals)
+    n = len(vals)
+    d = 0
+    for v in vals[1:]:
+        d = gcd(d, v - vals[0])
+    best = 0
+    for i in range(n - 2):
+        for j in range(i + 1, n - 1):
+            best = max(best, vals[i + 1] - vals[i] + vals[j + 1] - vals[j])
+    return best // d
+
+
+@given(
+    st.lists(st.integers(2, 200), min_size=3, max_size=7, unique=True).filter(
+        lambda v: gcd(*v) == 1
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_upper_bound_matches_the_pairwise_loop(vals):
+    # the largest sum of two steps is that of the two largest, and the
+    # differences to a_1 have the gcd of the steps
+    assert ceq_upper_bound_numerical(numerical(vals)) == _former_upper_bound(vals)
 
 
 def test_upper_bound_preconditions():

@@ -84,6 +84,30 @@ def test_invalid_input_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lset", "--input", "not{json"), "--input is neither a readable file nor valid JSON"),
+        (("apery", "--input", '{"numerical":[3,5,7]}', "--b", "[]"),
+         "--b must be a nonempty JSON list of elements"),
+        (("apery", "--input", '{"numerical":[3,5,7]}', "--b", "{}"),
+         "--b must be a nonempty JSON list of elements"),
+        (("closed-form", "--family", "arithmetic", "--params", "[1]"),
+         "--params must be a JSON object"),
+        (("transform", "--input", '{"rank":2,"generators":[[1,0],[0,1]]}', "--ops", "[]"),
+         "transform expects a numerical presentation"),
+        (("transform", "--input", '{"numerical":[3,5,7]}', "--ops", "{}"),
+         "--ops must be a JSON list of [name, scalar] pairs"),
+    ],
+    ids=["input-not-json", "b-empty", "b-not-a-list", "params-not-an-object",
+         "transform-not-numerical", "ops-not-a-list"],
+)
+def test_malformed_flag_values_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("lset", "--input", '{"numerical":[3.5,5,7]}'),
@@ -350,6 +374,18 @@ def test_text_format_renders_binomials(capsys):
     )
     assert code == 0
     assert "x1^5 - x2^3" in out
+
+
+def test_text_format_lists_one_element_per_line(capsys):
+    # a list of lists is nested: each [free,torsion] row on its own line
+    code, out, _ = run(
+        capsys, "apery", "--format", "text", "--input", TORSION3, "--b", "[[-2,1]]"
+    )
+    assert code == 0
+    assert out == (
+        "count: 6\nelements:\n  [-5,2]\n  [-4,1]\n  [-3,0]\n  [-2,2]\n  [-1,1]\n"
+        "  [0,0]\nfinite: true\nlimit: null\n"
+    )
 
 
 def test_apery_torsion_count(capsys):

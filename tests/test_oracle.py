@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from test_same_length import _contains
 
 import monofact
 from monofact import oracle
@@ -94,8 +95,8 @@ def test_rank2_brute_and_engine_agree_both_ways():
     brute_t = tset_bruteforce(universe)
     li, ti = l_set(pt), t_set(pt)
     for el in universe:
-        assert li.contains(el) == (el in brute_l)
-        assert ti.contains(el) == (el in brute_t)
+        assert _contains(li, el) == (el in brute_l)
+        assert _contains(ti, el) == (el in brute_t)
 
 
 @st.composite
@@ -233,7 +234,7 @@ def test_ideal_members_matches_ideal_contains(case):
     for ideal in (l_set(p), t_set(p)):
         if ideal is not None:
             got = ideal_members(fibers, ideal.generators)
-            assert got == {x for x in fibers if ideal.contains(x)}
+            assert got == {x for x in fibers if _contains(ideal, x)}
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
@@ -313,6 +314,108 @@ def test_f2l_bruteforce_stops_at_the_first_full_window():
     start = time.perf_counter()
     assert f2l_bruteforce(numerical([3, 5, 7]), 10**9) == 14
     assert time.perf_counter() - start < 1.0
+
+
+def _former_has_enough(vals, b, tally) -> bool:
+    # the per-b depth-first search the scan ran before it read the fiber
+    # walk, kept unchanged as the reference
+    lengths = set()
+    last = len(vals) - 1
+
+    def rec(idx, remaining, length):
+        v = vals[idx]
+        if idx == last:
+            tally.tick()
+            if remaining % v:
+                return False
+            full = length + remaining // v
+            if full in lengths:
+                return True
+            lengths.add(full)
+            return False
+        c = 0
+        while c * v <= remaining:
+            if rec(idx + 1, remaining - c * v, length + c):
+                return True
+            c += 1
+        return False
+
+    try:
+        return rec(0, b, 0)
+    finally:
+        del rec
+
+
+def _former_f2l_bruteforce(p, weight_cap):
+    weight_cap = oracle._weight_cap(weight_cap)
+    validate_reduced(p)
+    if p.rank != 1 or p.torsion:
+        raise InvalidInput("F_2l is defined for numerical semigroups")
+    vals = [g.free[0] for g in p.generators]
+    window = min(vals)
+    unit = p.weight_of(p.element((1,)))
+    b_max = weight_cap // unit
+    tally = _Tally()
+    last_fail = None
+    streak = 0
+    for b in range(b_max + 1):
+        if _former_has_enough(vals, b, tally):
+            streak += 1
+            if streak == window:
+                return last_fail
+        else:
+            last_fail = b
+            streak = 0
+    raise NotStabilized(f"no run of {window} successes below weight {weight_cap}")
+
+
+def _outcome(scan, p, cap):
+    # the value, or the class and message of the refusal
+    try:
+        return scan(p, cap)
+    except (BudgetExceeded, NotStabilized) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _f2l_cases(draw):
+    vals = draw(
+        st.lists(st.integers(2, 59), min_size=3, max_size=6, unique=True).filter(
+            lambda v: gcd(*v) == 1
+        )
+    )
+    return numerical(sorted(vals)), draw(st.integers(1, 6 * max(vals)))
+
+
+@given(_f2l_cases())
+@example((numerical([3, 5, 7]), 80))
+@example((numerical([3, 5]), 50))
+@example((numerical([17, 29, 37, 47]), 400))
+@settings(max_examples=60, deadline=None)
+def test_the_f2l_scan_over_the_fiber_walk_matches_the_former_search(case):
+    # below a cap every fiber is complete, so the doubling scan sees the
+    # lengths the per-b search finds, in the same order of b
+    p, cap = case
+    assert _outcome(f2l_bruteforce, p, cap) == _outcome(_former_f2l_bruteforce, p, cap)
+
+
+def test_f2l_bruteforce_reads_the_lengths_walk_at_doubling_caps(monkeypatch):
+    # from the weight of a_1 = 17, until the walk at 272 holds the run
+    # 219, ..., 235 of 17 successes; no cap passes the weight cap
+    caps = []
+    real = oracle._fiber_map
+
+    def spy(p, cap, lengths=False):
+        caps.append((cap, lengths))
+        return real(p, cap, lengths)
+
+    monkeypatch.setattr(oracle, "_fiber_map", spy)
+    assert f2l_bruteforce(numerical([17, 29, 37, 47]), 400) == 218
+    assert caps == [(17, True), (34, True), (68, True), (136, True), (272, True)]
+    caps.clear()
+    with pytest.raises(NotStabilized):
+        f2l_bruteforce(numerical([17, 29, 37, 47]), 200)
+    assert caps == [(17, True), (34, True), (68, True), (136, True), (200, True)]
 
 
 def test_f2l_bruteforce_guards():

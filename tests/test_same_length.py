@@ -24,6 +24,7 @@ from monofact.errors import (
 )
 from monofact.ideal import lattice_ideal, minimal_generators
 from monofact.monoid import (
+    element_from_data,
     is_minimal_generating,
     member,
     numerical,
@@ -40,9 +41,33 @@ from monofact.same_length import (
     l_set,
     l_set_complement,
     l_set_complement_is_finite,
-    monoid_ideals_equal,
     t_set,
 )
+
+
+def _contains(ideal, x) -> bool:
+    """Whether x lies in the ideal: one factorization search of x - g
+    per generator g.  No library path asks it; the oracle tests read it
+    as the engine side."""
+    x = element_from_data(ideal.presentation, x)
+    return any(member(ideal.presentation, x - g) is not None for g in ideal.generators)
+
+
+def _monoid_ideals_equal(a, b) -> bool:
+    """Mutual membership of generator sets.
+
+    Sound for ideals given as finite unions of principal ideals: equality
+    holds iff each generator of one lies in the other.  It searches
+    factorizations (``_contains``), and no library path calls it: the
+    ``closed_forms`` formulas are checked by comparing minimal generating
+    sets, which the tests hold against this reference.
+    """
+    pa, pb = a.presentation, b.presentation
+    if pa.rank != pb.rank or pa.torsion != pb.torsion:
+        raise DimensionMismatch("ideals live over different ambient groups")
+    return all(_contains(b, g) for g in a.generators) and all(
+        _contains(a, g) for g in b.generators
+    )
 
 
 def test_357_t_and_l():
@@ -166,7 +191,7 @@ def test_almost_arithmetic_engine_minimalizes_family():
     assert got == [40, 43, 46, 49, 52]
     # the longer seven-term family generates the same monoid ideal
     fam = [40, 43, 46, 49, 52, 102, 105]
-    assert all(l.contains(p.element((f,))) for f in fam)
+    assert all(_contains(l, p.element((f,))) for f in fam)
     assert all(
         any(member(p, p.element((g - f,))) is not None for f in fam if f <= g)
         for g in got
@@ -312,8 +337,8 @@ def test_monoid_ideal_validation():
         MonoidIdeal(p, (p.zero(),))
     ideal = MonoidIdeal(p, (p.element((10,)),))
     assert ideal.is_principal
-    assert ideal.contains(10) and ideal.contains(13)
-    assert not ideal.contains(11)
+    assert _contains(ideal, 10) and _contains(ideal, 13)
+    assert not _contains(ideal, 11)
     assert ideal.to_data() == {"generators": [10], "minimalized": False}
 
 
@@ -355,14 +380,14 @@ def test_monoid_ideals_equal_and_dimension_guard():
     p = numerical([3, 5, 7])
     a = MonoidIdeal(p, (p.element((10,)),))
     b = MonoidIdeal(p, (p.element((10,)), p.element((13,))))
-    assert monoid_ideals_equal(a, b)
+    assert _monoid_ideals_equal(a, b)
     c = MonoidIdeal(p, (p.element((12,)),))
-    assert not monoid_ideals_equal(a, c)
+    assert not _monoid_ideals_equal(a, c)
     # 10 + S lies inside (10 + S) ∪ (11 + S) but not the other way round
     # (11 - 10 = 1 is not in S): one inclusion is not equality
     d = MonoidIdeal(p, (p.element((10,)), p.element((11,))))
-    assert not monoid_ideals_equal(a, d)
-    assert not monoid_ideals_equal(d, a)
+    assert not _monoid_ideals_equal(a, d)
+    assert not _monoid_ideals_equal(d, a)
     # ambient groups that differ in rank only, then in torsion only
     rank2 = presentation(2, (), [(1, 0), (1, 1)])
     torsion2 = presentation(1, (2,), [(1, 0), (1, 1)])
@@ -371,9 +396,9 @@ def test_monoid_ideals_equal_and_dimension_guard():
         MonoidIdeal(torsion2, (torsion2.element((1,), (1,)),)),
     ):
         with pytest.raises(DimensionMismatch):
-            monoid_ideals_equal(a, other)
+            _monoid_ideals_equal(a, other)
         with pytest.raises(DimensionMismatch):
-            monoid_ideals_equal(other, a)
+            _monoid_ideals_equal(other, a)
 
 
 def test_l_subset_t_on_random_instances(reduced_instances):
@@ -384,7 +409,7 @@ def test_l_subset_t_on_random_instances(reduced_instances):
             continue
         assert t is not None
         for g in l.generators:
-            assert t.contains(g)
+            assert _contains(t, g)
 
 
 def test_f2l_rejects_an_infinite_complement(monkeypatch):
@@ -498,7 +523,7 @@ def _presentations_up_to_rank_3(draw):
     return validate_reduced(presentation(rank, moduli, sorted(gens)))
 
 
-def _refuse_search(p, x):
+def _refuse_search(*args):
     raise AssertionError("T_S and L_S are trimmed with no factorization search")
 
 
@@ -515,7 +540,7 @@ def test_degree_generators_match_the_search_only_trimming(order, p):
     except NotReduced:
         assume(False)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(same_length, "member", _refuse_search)
+        mp.setattr(monoid, "_search", _refuse_search)
         ideals = t_set(p), l_set(p)
         trimmed = [same_length._degree_generators(p, lifted) for lifted in (False, True)]
     for answer, got, q in zip(ideals, trimmed, (p, p.lift)):
