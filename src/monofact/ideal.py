@@ -18,15 +18,19 @@ them.
 The pipeline for I_S:
 
   1. kernel_lattice: a Z-basis of ker(Z^n -> Z^m + T), computed once per
-     presentation via an integer kernel of the free rows stacked with
-     torsion rows augmented by their moduli.  When the free rows have
-     rank n the kernel is 0, read off that rank with no echelon.  For the
+     presentation (MonoidPresentation.kernel); the rank of the free rows
+     picks the path.  At rank n the kernel is 0, read off that rank with
+     no echelon.  At rank n - 1 it is spanned by one vector: the signed
+     maximal minors of n - 1 independent free rows over their gcd, times
+     the order of their torsion image, again with no echelon.  Below
+     that it is the integer kernel of the free rows stacked with torsion
+     rows augmented by their moduli, one echelon of the whole.  For the
      length lift S~ of S (MonoidPresentation.lift) it is read off the
      basis B of S instead: ker S~ = {gamma in ker S : sum gamma_i = 0} has
      the basis C B, C a basis of the integer kernel of the one row (sum v
      for v in B).  Its rank is len(B), less 1 when some row of B has a
      nonzero sum, so L_S and c_eq answer a zero ker S~ with no lift.
-  2. lll_reduce: an LLL-reduced basis of the same lattice.  The echelon
+  2. lll_reduce: an LLL-reduced basis of the same lattice.  The kernel
      basis has entries as large as the generators; the reduced one has
      small entries, which keeps every saturation pass small.  The change of
      basis is unimodular, so the lattice, its lattice ideal I_S and hence
@@ -641,18 +645,18 @@ def _passes(gens) -> list[int]:
     return sorted(set(live) - _covered(gens))
 
 
-def _saturated(gens, weights):
+def _saturated(gens, passes, weights):
     """Generators of (<gens> : (x_1 ... x_n)^infty), each of them and of
     ``gens`` a pair (a, b) for x^a - x^b, b None for a monomial: the
-    passes of ``_passes(gens)``, each a Buchberger run under ``weights``'
-    graded reverse-lex order with its variable cheapest and that variable
-    then divided out.  The last pass leaves a Groebner basis for its own
-    order, and with no pass the generators come back as they are.
-    ``gens`` are nonzero and homogeneous for the positive integer
+    ``passes``, those of ``_passes(gens)``, each a Buchberger run under
+    ``weights``' graded reverse-lex order with its variable cheapest and
+    that variable then divided out.  The last pass leaves a Groebner basis
+    for its own order, and with no pass the generators come back as they
+    are.  ``gens`` are nonzero and homogeneous for the positive integer
     ``weights``, which only a pass reads."""
     n = len(gens[0][0])
     current = gens
-    for i in _passes(gens):
+    for i in passes:
         round_order = TermOrder._made("wgrevlex", weights, cheapest_last(n, i))
         current = _buchberger(current, round_order, n)
         stripped = []
@@ -709,7 +713,7 @@ def saturate(gens, order: TermOrder = GREVLEX, *, weights: tuple[int, ...]) -> B
         if minus is not None and dot(weights, plus) != dot(weights, minus):
             raise NotHomogeneous("generators are not homogeneous for the given weights")
     weights = wgrevlex(weights).weights  # read and checked once for every pass
-    return _reduced_basis(_saturated(gens, weights), order, len(gens[0][0]))
+    return _reduced_basis(_saturated(gens, _passes(gens), weights), order, len(gens[0][0]))
 
 
 def saturated_generators(p: MonoidPresentation) -> tuple:
@@ -724,14 +728,15 @@ def _saturated_generators(p: MonoidPresentation) -> tuple:
     # any basis of the lattice gives the same I_S; a short one saturates fast
     gens = [
         (tuple(a if a > 0 else 0 for a in gamma), tuple(-a if a < 0 else 0 for a in gamma))
-        for gamma in lll_reduce(kernel_lattice(p).basis)
+        for gamma in lll_reduce(p.kernel)  # saturated_generators proved p reduced
     ]
     if not gens:
         return ()
     # kernel vectors are homogeneous for the presentation's own positive
     # weights, so saturate's checks have nothing to find; only a pass reads
     # them, so with none the pointing LP is not solved for them
-    return tuple(_saturated(gens, p.weights if _passes(gens) else None))
+    passes = _passes(gens)
+    return tuple(_saturated(gens, passes, p.weights if passes else None))
 
 
 def lattice_ideal(p: MonoidPresentation, order: TermOrder = GREVLEX) -> BinomialBasis:

@@ -133,6 +133,23 @@ def determinant(rows) -> int:
     return pivot if rank == len(rows) else 0
 
 
+def maximal_minors(rows) -> list[int]:
+    """The signed maximal minors of k independent rows of length k + 1:
+    entry i is (-1)^i times the minor without column i, a vector that
+    spans the rational kernel of the rows (the perpendicular for k = 1,
+    the cross product for k = 2).  Dependent rows give the zero vector."""
+    if len(rows) == 1:
+        a, b = rows[0]
+        return [b, -a]
+    if len(rows) == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    return [
+        (-1) ** i * determinant([r[:i] + r[i + 1 :] for r in rows])
+        for i in range(len(rows) + 1)
+    ]
+
+
 def adjugate(rows) -> list[list[int]]:
     """The integer adjugate of a square matrix M, so M adj(M) = det(M) I:
     entry (i, j) is (-1)^(i+j) times the minor of M without row j and

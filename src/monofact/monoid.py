@@ -34,13 +34,14 @@ nothing here floats.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from operator import add, index, mul, sub
 
 from ._frozen import Frozen, computed_once, init_field, kept
 from .errors import BudgetExceeded, CrossCheckError, DimensionMismatch, InvalidInput, NotInMonoid
 from .errors import NotReduced
-from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, row_echelon
+from .intlinalg import adjugate, determinant, dot, kernel_basis, matrix_rank, maximal_minors
+from .intlinalg import row_echelon
 from .ratlp import in_cone, positive_functional, zero_combination
 
 # The most items one listing holds: every factorization of one element,
@@ -230,12 +231,15 @@ class MonoidPresentation(Frozen):
         """A Z-basis of ker(Z^n -> Z^rank + T), gamma -> sum gamma_i a_i,
         computed once per object.
 
-        Torsion congruences become exact rows with one auxiliary unknown
-        per modulus; the kernel of the stacked integer matrix projects
-        bijectively onto its first n coordinates.  The rank of the free
-        rows is taken first: when it is n the free parts are independent,
-        so no integer relation holds, torsion or not, and the kernel is
-        () with no echelon.  A length lift S~ has its kernel preset by
+        The rank of the free rows is taken first, and it picks the path.
+        When it is n the free parts are independent, so no integer
+        relation holds, torsion or not, and the kernel is () with no
+        echelon.  When it is n - 1 the kernel has rank 1 and is read off
+        maximal minors with no echelon (``_corank_one_kernel``).  Below
+        that, torsion congruences become exact rows with one auxiliary
+        unknown per modulus, and the integer kernel of the stacked matrix
+        (``kernel_basis``) projects bijectively onto its first n
+        coordinates.  A length lift S~ has its kernel preset by
         :attr:`lift`.
         """
         n, moduli = self.n, self.torsion
@@ -243,6 +247,8 @@ class MonoidPresentation(Frozen):
         free_rank = matrix_rank(free)
         if free_rank == n:
             return ()
+        if free_rank == n - 1:
+            return (self._corank_one_kernel(free),)
         k = len(moduli)
         rows = [r + [0] * k for r in free]
         for j, t in enumerate(moduli):
@@ -250,6 +256,33 @@ class MonoidPresentation(Frozen):
             row[n + j] = t
             rows.append(row)
         return self._checked_kernel([tuple(r[:n]) for r in kernel_basis(rows)], free_rank)
+
+    def _corank_one_kernel(self, free) -> tuple[int, ...]:
+        """The generator of ker S when the free rows ``free`` have rank
+        n - 1.  The signed maximal minors of n - 1 independent free rows,
+        over their gcd, give the primitive v spanning the rational kernel;
+        c v lies in ker S exactly when c s_j = 0 mod t_j for the torsion
+        image s_j = sum_i v_i tau_ij, so ker S is spanned by v times the
+        order lcm_j t_j / gcd(t_j, s_j) of that image.  The sign makes
+        the first nonzero entry positive, as ``kernel_basis`` signs its
+        single row, so both paths give the same tuple.  CrossCheckError
+        unless the vector is nonzero, annihilates every free row and has
+        torsion image 0."""
+        n, moduli = self.n, self.torsion
+        picked = free if len(free) == n - 1 else _independent_rows(free, n - 1)
+        v = primitive(maximal_minors(picked))
+        images = [sum(map(mul, v, row)) for row in zip(*(g.torsion for g in self.generators))]
+        order = lcm(*(t // gcd(t, s) for t, s in zip(moduli, images)))
+        if next((a for a in v if a), 0) < 0:
+            order = -order
+        v = tuple(order * a for a in v)
+        if (
+            not any(v)
+            or any(sum(map(mul, r, v)) for r in free)
+            or any(order * s % t for t, s in zip(moduli, images))
+        ):
+            raise CrossCheckError("the maximal minors do not span the kernel")
+        return v
 
     def _checked_kernel(self, basis, free_rank) -> tuple[tuple[int, ...], ...]:
         """``basis`` as a tuple, once its rank is checked against n minus
@@ -510,6 +543,19 @@ def validate_reduced(p: MonoidPresentation) -> MonoidPresentation:
     """
     p._reduced
     return p
+
+
+def _independent_rows(rows, k) -> list:
+    """The first k rows of ``rows`` that are linearly independent, each
+    kept when it raises the rank of those kept before it; ``rows`` have
+    rank at least k."""
+    picked = []
+    for r in rows:
+        if matrix_rank(picked + [r]) > len(picked):
+            picked.append(r)
+            if len(picked) == k:
+                break
+    return picked
 
 
 def _refuse_duplicates(generators) -> None:

@@ -33,9 +33,9 @@ def _counting_saturations(monkeypatch):
     calls = []
     real = ideal._saturated
 
-    def counting(gens, weights):
+    def counting(gens, passes, weights):
         calls.append(gens)
-        return real(gens, weights)
+        return real(gens, passes, weights)
 
     monkeypatch.setattr(ideal, "_saturated", counting)
     return calls
@@ -503,3 +503,23 @@ def test_independent_free_parts_echelon_nothing(monkeypatch):
         p = presentation_from_data(data)
         assert p.kernel == ()
         assert t_set(p) is None and l_set(p) is None and ceq(p) == 0
+
+
+def test_a_corank_one_kernel_is_read_off_minors_with_no_echelon(monkeypatch):
+    # free rows of rank n - 1 leave a kernel of rank 1: the maximal minors
+    # and the order of their torsion image give it with no kernel_basis
+    # call; corank two still takes the stacked echelon
+    calls = []
+    real = intlinalg.kernel_basis
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(monoid, "kernel_basis", counting)
+    p = presentation_from_data({"rank": 2, "torsion": [6], "generators": [[3, 5, 1], [4, -2, 3], [-1, 7, 2]]})
+    assert p.kernel == ((3, -3, -3),) and calls == []
+    q = presentation_from_data({"rank": 2, "torsion": [4, 6], "generators": [[1, 2, 1, 5], [2, 4, 3, 1]]})
+    assert q.kernel == ((8, -4),) and calls == []
+    r = presentation_from_data({"rank": 1, "torsion": [6], "generators": [[2, 1], [3, 0], [5, 4]]})
+    assert len(r.kernel) == 2 and len(calls) == 1

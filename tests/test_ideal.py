@@ -351,7 +351,7 @@ def _stacked_kernel(q):
     """The kernel of the integer matrix of q's free rows stacked with its
     torsion rows augmented by their moduli, cut to the n generator
     coordinates: the route every presentation took before a lift read its
-    kernel off its base."""
+    kernel off its base, and a kernel of rank 1 off maximal minors."""
     n, k = q.n, len(q.torsion)
     rows = [[g.free[d] for g in q.generators] + [0] * k for d in range(q.rank)]
     for j, t in enumerate(q.torsion):

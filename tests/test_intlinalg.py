@@ -1,5 +1,5 @@
-"""Integral LLL: same lattice, reduced basis, typed failure.  Determinant
-and adjugate against the Leibniz formula.  The fraction-free rank, the
+"""Integral LLL: same lattice, reduced basis, typed failure.  Determinant,
+adjugate and maximal minors against the Leibniz formula.  The fraction-free rank, the
 echelon form and the kernel basis against frozen copies of the Euclidean
 code they replaced or trimmed."""
 
@@ -20,6 +20,7 @@ from monofact.intlinalg import (
     kernel_basis,
     lll_reduce,
     matrix_rank,
+    maximal_minors,
     row_echelon,
 )
 from monofact.monoid import numerical, presentation
@@ -233,3 +234,35 @@ def test_row_echelon_and_kernel_match_frozen_copies(rows, pivot_cols):
         pivot_cols = min(pivot_cols, len(rows[0]))
     assert row_echelon(rows, pivot_cols) == _euclid_echelon(rows, pivot_cols)
     assert kernel_basis(rows) == _euclid_kernel(rows)
+
+
+@st.composite
+def _wide_matrices(draw):
+    # k rows of length k + 1, entries small or huge, some rows dependent
+    k = draw(st.integers(0, 4))
+    entries = draw(st.sampled_from([st.integers(-6, 6), _LARGE]))
+    rows = []
+    for _ in range(k):
+        if rows and draw(st.booleans()):
+            c = draw(st.integers(-3, 3))
+            rows.append([c * a for a in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(entries, min_size=k + 1, max_size=k + 1)))
+    return rows
+
+
+@example([])
+@example([[3, 5]])
+@example([[1, 2, 3], [2, 4, 6]])
+@given(_wide_matrices())
+@settings(max_examples=300, deadline=None)
+def test_maximal_minors_match_leibniz_and_annihilate_the_rows(rows):
+    # the perpendicular and the cross product are the general formula
+    # written out; every row is orthogonal to the minors, and they vanish
+    # exactly when the rows are dependent
+    v = maximal_minors(rows)
+    assert v == [
+        (-1) ** i * _leibniz([r[:i] + r[i + 1 :] for r in rows]) for i in range(len(rows) + 1)
+    ]
+    assert all(dot(r, v) == 0 for r in rows)
+    assert any(v) == (matrix_rank(rows) == len(rows))

@@ -12,6 +12,7 @@ from monofact.apery import apery_set
 from monofact.catenary import ceq_element_bruteforce
 from monofact.errors import (
     BudgetExceeded,
+    CrossCheckError,
     DimensionMismatch,
     InvalidInput,
     NotInMonoid,
@@ -36,6 +37,7 @@ from monofact.monoid import (
 )
 from monofact.oracle import monoid_elements
 from monofact.ratlp import in_cone, positive_functional, zero_combination
+from test_ideal import _stacked_kernel
 
 
 def test_numerical_rejects_nonpositive():
@@ -201,6 +203,56 @@ def test_the_kernel_proof_agrees_with_the_lp_first_proof(p):
     else:
         assert validate_reduced(p) is p
         assert p.pointing == want
+
+
+@st.composite
+def _presentations_of_any_corank(draw):
+    # rank 0-3, n 1-6, 0-2 moduli up to 9; free parts are often multiples
+    # of one vector, so more free rows than n - 1 meet corank one, and
+    # nothing is proved reduced: duplicates, torsion-only generators and
+    # unpointed cones all come up
+    rank = draw(st.integers(0, 3))
+    moduli = tuple(draw(st.lists(st.integers(2, 9), min_size=rank == 0, max_size=2)))
+    base = draw(st.tuples(*[st.integers(-4, 4)] * rank))
+    free = st.one_of(
+        st.tuples(*[st.integers(-5, 6)] * rank),
+        st.integers(-3, 3).map(lambda c: tuple(c * a for a in base)),
+    )
+    entry = st.tuples(free, st.tuples(*[st.integers(0, t - 1) for t in moduli]))
+    n = draw(st.one_of(st.just(min(rank + 1, 6)), st.integers(1, 6)))
+    gens = draw(st.lists(entry.map(lambda g: g[0] + g[1]).filter(any), min_size=n, max_size=n))
+    return presentation(rank, moduli, gens)
+
+
+@example(presentation(2, (6,), [(3, 5, 1), (4, -2, 3), (-1, 7, 2)]))  # (1, -1, -1) times 3
+@example(presentation(2, (4, 6), [(1, 2, 1, 5), (2, 4, 3, 1)]))  # collinear rows: (2, -1) times 4
+@example(presentation(0, (6,), [(2,)]))  # no free row: (1,) times 3
+@given(_presentations_of_any_corank())
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_is_the_stacked_echelon_kernel(p):
+    # maximal minors at corank one, the stacked echelon below it: the same
+    # tuple as the stacked kernel every presentation once took, sign and all
+    corank = p.n - matrix_rank([g.free for g in p.generators])
+    event(f"corank {min(corank, 2)}{'+' * (corank >= 2)}")
+    assert p.kernel == tuple(map(tuple, _stacked_kernel(p)))
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda rows: [0] * (len(rows) + 1),  # zero
+        lambda rows: [1] * (len(rows) + 1),  # not orthogonal to the free rows
+    ],
+)
+def test_a_wrong_minors_vector_fails_the_kernel_check(monkeypatch, wrong):
+    monkeypatch.setattr(monoid, "maximal_minors", wrong)
+    for p in (
+        presentation(2, (6,), [(3, 5, 1), (4, -2, 3), (-1, 7, 2)]),
+        numerical([3, 5]),
+        presentation(2, (4, 6), [(1, 2, 1, 5), (2, 4, 3, 1)]),  # two collinear free rows
+    ):
+        with pytest.raises(CrossCheckError, match="maximal minors"):
+            p.kernel
 
 
 def test_is_minimal_generating():
